@@ -6,7 +6,8 @@ human-readable (default) or machine-readable (``--json``), to standard output
 or to ``--out FILE``.
 
 Exit codes: 0 when every check passes, 1 when a hypothesis or verification
-fails (a report is still emitted), 2 on input errors.
+fails or an enumeration is over its budget (a report is still emitted), 2 on
+input errors.
 """
 
 from __future__ import annotations
@@ -16,7 +17,13 @@ import json
 import sys
 from typing import Any
 
-from .errors import AssumptionViolatedError, QuiverCalcError, SpecFileError, UnknownVertexError
+from .errors import (
+    AssumptionViolatedError,
+    BudgetExceededError,
+    QuiverCalcError,
+    SpecFileError,
+    UnknownVertexError,
+)
 from .report import (
     SCHEMA_VERSION,
     build_analyze_report,
@@ -95,6 +102,17 @@ def _emit(report: dict[str, Any], args) -> None:
         sys.stdout.write(text)
 
 
+def _refusal_report(command: str, failed: list[str], error: dict[str, Any]) -> dict[str, Any]:
+    """The exit-1 report of a command that stopped before its analysis ended."""
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "command": command,
+        "hypotheses": {"verified": [], "failed": failed, "assumed": []},
+        "error": error,
+        "exit_code": EXIT_FAILED,
+    }
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
@@ -111,6 +129,8 @@ def main(argv: list[str] | None = None) -> int:
             oracle = spec.oracle
             prime = args.prime if args.prime is not None else (oracle.prime if oracle else 2)
             budget = args.budget if args.budget is not None else (oracle.budget if oracle else 10**6)
+            if budget < 1:
+                raise ValueError(f"--budget must be at least 1, got {budget}")
             seed = args.seed if args.seed is not None else (oracle.seed if oracle else 0)
             report = build_verify_report(spec, prime, budget, seed, args.scale)
     except SpecFileError as exc:
@@ -123,15 +143,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"quivercalc: input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except AssumptionViolatedError as exc:
-        report = {
-            "schema_version": SCHEMA_VERSION,
-            "command": args.command,
-            "hypotheses": {"verified": [], "failed": [exc.assumption], "assumed": []},
-            "error": {"assumption": exc.assumption, "message": str(exc)},
-            "exit_code": EXIT_FAILED,
-        }
-        _emit(report, args)
-        return EXIT_FAILED
+        report = _refusal_report(
+            args.command, [exc.assumption], {"assumption": exc.assumption, "message": str(exc)}
+        )
+    except BudgetExceededError as exc:
+        error = {"counted": exc.counted, "size": exc.size, "budget": exc.budget, "message": str(exc)}
+        report = _refusal_report(args.command, [], error)
     except QuiverCalcError as exc:
         print(f"quivercalc: error: {exc}", file=sys.stderr)
         return EXIT_FAILED

@@ -220,6 +220,7 @@ def vector_fields_dim(
     theta: StabilityParameter,
     *,
     override_assumptions: bool = False,
+    assumptions: AssumptionsReport | None = None,
 ) -> int:
     """Dimension of the space of vector fields on the moduli space, as the
     cokernel dimension of psi (exact rational rank).
@@ -229,9 +230,10 @@ def vector_fields_dim(
     formula value anyway, with a prominent warning, because the result is
     then only the formula and can differ from the true space of vector
     fields (the three-vertex example in the alternative chamber has 8 where
-    the formula gives 6).
+    the formula gives 6).  Pass the datum's ``assumptions`` report when it
+    is already computed.
     """
-    report = assumptions_report(q, d, theta)
+    report = assumptions if assumptions is not None else assumptions_report(q, d, theta)
     failed = [
         name
         for name, ok in (

@@ -38,7 +38,17 @@ class QuiverMismatchError(QuiverCalcError):
 
 
 class BudgetExceededError(QuiverCalcError):
-    """An exhaustive enumeration would exceed the configured object budget."""
+    """An exhaustive enumeration would exceed its object budget.
+
+    ``counted`` names the objects, ``size`` is how many the enumeration would
+    visit and ``budget`` is the most it may.
+    """
+
+    def __init__(self, counted: str, size: int, budget: int):
+        self.counted = counted
+        self.size = size
+        self.budget = budget
+        super().__init__(f"{size} {counted} exceed the budget of {budget}")
 
 
 class NotThinAtEndpointsError(QuiverCalcError):

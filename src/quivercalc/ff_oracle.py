@@ -227,9 +227,7 @@ def enumerate_subrepresentations(
     for spaces in per_vertex:
         count *= len(spaces)
     if count > budget:
-        raise BudgetExceededError(
-            f"{count} subspace tuples exceed the budget of {budget}"
-        )
+        raise BudgetExceededError("subspace tuples", count, budget)
     for tup in itertools.product(*per_vertex):
         if _closed_under_arrows(m, tup):
             dims = DimensionVector({v: tup[k].dim for k, v in enumerate(vertices)})
@@ -418,9 +416,7 @@ def verify_double_framing_equivalence(
     for v in fq.vertices:
         tuples *= subspace_count(fd[v], prime)
     if tuples > budget:
-        raise BudgetExceededError(
-            f"{tuples} subspace tuples per point exceed the budget of {budget}"
-        )
+        raise BudgetExceededError("subspace tuples per point", tuples, budget)
 
     if total_points <= budget:
         points: Iterator[FiniteFieldRepresentation] = enumerate_representations(fq, fd, prime)

@@ -14,6 +14,7 @@ space from i to j.  The four cases are keyed by (d_i > 1, d_j > 1).
 from __future__ import annotations
 
 import enum
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -30,9 +31,10 @@ from .stability import (
     AssumptionsReport,
     SignPartition,
     ThreeValued,
+    _as_vector,
+    _lattice_point,
+    _lattice_values,
     assumptions_report,
-    sign_partition,
-    subdimension_vectors,
 )
 
 __all__ = [
@@ -180,25 +182,72 @@ def minimal_framing_scale(q: Quiver, d: DimensionVector, theta: StabilityParamet
     for every subdimension vector e with theta(e) != 0 and every
     a, b in {0, 1}.  Since |a - b| <= 1 and |theta(e)| >= 1, N = 2 always
     suffices; it is the least uniform choice (N = 1 breaks whenever some
-    |theta(e)| = 1).  The property is re-verified exhaustively before
-    returning, and by convention 2 is also returned when the quantifier is
-    vacuous (theta = 0 on every subdimension vector).
+    |theta(e)| = 1).  The property is re-verified before returning, on every
+    distinct value theta takes on the subdimension lattice (one index-space
+    sweep, no object per point), and by convention 2 is also returned when
+    the quantifier is vacuous (theta = 0 on every subdimension vector).
+    Raises BudgetExceededError when the lattice exceeds ``LATTICE_BUDGET``.
     """
     if theta(d) != 0:
         raise PairingNonzeroError(f"theta(d) = {theta(d)}, expected 0")
     scale = 2
-    for e in subdimension_vectors(q, d):
-        value = theta(e)
+    dv = d.aligned(q.vertices)
+    values = _lattice_values(dv, theta.aligned(q.vertices))
+    for value in set(values):
         if value == 0:
             continue
         for a in (0, 1):
             for b in (0, 1):
                 framed_value = a + scale * value - b
                 if (framed_value > 0) != (value > 0):
-                    raise AssertionError(
-                        f"scale {scale} fails the sign property at e = {e}"
-                    )
+                    e = _as_vector(q, _lattice_point(dv, values.index(value)))
+                    raise AssertionError(f"scale {scale} fails the sign property at e = {e}")
     return scale
+
+
+_SIGN_NAMES = {1: "plus", -1: "minus", 0: "zero"}
+
+
+def _framed_partition_check(framing: FramingResult, base_values: list[int]) -> FramedPartitionCheck:
+    """The framed sign-partition check, given the sign of each base
+    subdimension vector as the sign of ``base_values[k]`` (index order of
+    ``_lattice_values``).
+
+    The framed quiver's vertices are (source, base vertices, sink), so its
+    lattice is {0, 1} x base lattice x {0, 1} in that lexicographic order.
+    Each actual framed value is computed from the framed parameter's own
+    aligned entries: its middle block swept over the base lattice, plus a
+    times the source entry and b times the sink entry.
+    """
+    fq = framing.framed_quiver
+    ftv = framing.framed_stability.aligned(fq.vertices)
+    at_source, middle_weights, at_sink = ftv[0], ftv[1:-1], ftv[-1]
+    dv = framing.base_dimension.aligned(framing.base_quiver.vertices)
+    middle = _lattice_values(dv, middle_weights)
+    base_signs = [(v > 0) - (v < 0) for v in base_values]
+
+    mismatches = []  # (a, k, b, expected sign, actual sign)
+    for a in (0, 1):
+        for b in (0, 1):
+            cut = -(a * at_source + b * at_sink)
+            actual = [(m > cut) - (m < cut) for m in middle]
+            expected = [s or a - b for s in base_signs]
+            mismatches += [(a, k, b, x, y) for k, (x, y) in enumerate(zip(expected, actual)) if x != y]
+    mismatches.sort()
+    discrepancies = tuple(
+        (
+            DimensionVector(dict(zip(fq.vertices, (a, *_lattice_point(dv, k), b)))),
+            _SIGN_NAMES[expected],
+            _SIGN_NAMES[actual],
+        )
+        for a, k, b, expected, actual in mismatches
+    )
+    return FramedPartitionCheck(
+        passed=not discrepancies,
+        checked=4 * len(middle),
+        discrepancies=discrepancies,
+        scale=framing.framing_scale,
+    )
 
 
 def verify_framed_sign_partition(framing: FramingResult, base: SignPartition) -> FramedPartitionCheck:
@@ -207,45 +256,24 @@ def verify_framed_sign_partition(framing: FramingResult, base: SignPartition) ->
     Prediction, writing (a, e, b) for a subdimension vector of (1, d, 1):
     vectors over e with a positive base sign are positive, vectors over a
     negative base sign are negative, and over a zero base sign the framed
-    sign is that of a - b.  The check enumerates every framed subdimension
-    vector, computes the actual sign, and records all mismatches (in
-    lexicographic order of the framed vertex order).  At scale >= 2 the
-    prediction is exact; at scale 1 it fails whenever some |theta(e)| = 1.
+    sign is that of a - b.  The check runs over every framed subdimension
+    vector in index space: the base signs are read off ``base`` once, the
+    actual framed values come from one sweep of the framed parameter, and a
+    DimensionVector is built only for a mismatch.  All mismatches are
+    recorded, in lexicographic order of the framed vertex order.  At scale
+    >= 2 the prediction is exact; at scale 1 it fails whenever some
+    |theta(e)| = 1.
     """
-    fq = framing.framed_quiver
-    ftheta = framing.framed_stability
-    source, sink = framing.source_vertex, framing.sink_vertex
     base_vertices = framing.base_quiver.vertices
-
-    membership: dict[DimensionVector, str] = {}
-    for name, bucket in (("plus", base.plus), ("minus", base.minus), ("zero", base.zero)):
+    dv = framing.base_dimension.aligned(base_vertices)
+    signs = [0] * math.prod(c + 1 for c in dv)
+    for sign, bucket in ((1, base.plus), (-1, base.minus), (0, base.zero)):
         for e in bucket:
-            membership[e] = name
-
-    discrepancies = []
-    checked = 0
-    for f in subdimension_vectors(fq, framing.framed_dimension):
-        checked += 1
-        values = f.as_dict()
-        a, b = values[source], values[sink]
-        e = DimensionVector({v: values[v] for v in base_vertices})
-        base_bucket = membership[e]
-        if base_bucket == "plus":
-            expected = "plus"
-        elif base_bucket == "minus":
-            expected = "minus"
-        else:
-            expected = "plus" if (a, b) == (1, 0) else "minus" if (a, b) == (0, 1) else "zero"
-        value = ftheta(f)
-        actual = "plus" if value > 0 else "minus" if value < 0 else "zero"
-        if actual != expected:
-            discrepancies.append((f, expected, actual))
-    return FramedPartitionCheck(
-        passed=not discrepancies,
-        checked=checked,
-        discrepancies=tuple(discrepancies),
-        scale=framing.framing_scale,
-    )
+            k = 0
+            for c, x in zip(dv, e.aligned(base_vertices)):
+                k = k * (c + 1) + x
+            signs[k] = sign
+    return _framed_partition_check(framing, signs)
 
 
 def framed_ample_stability(d: DimensionVector, i: str, j: str) -> bool:
@@ -295,7 +323,12 @@ def framed_assumptions_report(framing: FramingResult) -> AssumptionsReport:
     )
 
 
-def reduce(framing: FramingResult, d: DimensionVector) -> ReductionResult:
+def reduce(
+    framing: FramingResult,
+    d: DimensionVector,
+    *,
+    assumptions: AssumptionsReport | None = None,
+) -> ReductionResult:
     """Reduce the framed datum, dropping framing vertices made redundant by
     thinness of d at the framed vertices.
 
@@ -316,13 +349,14 @@ def reduce(framing: FramingResult, d: DimensionVector) -> ReductionResult:
     reduced path space between the marked vertices matches the base path
     space from i to j.  The base datum must satisfy the decidable standing
     hypotheses (acyclicity, indivisibility, coprimality); ample stability is
-    not decidable at the base level and is not gated on.
+    not decidable at the base level and is not gated on.  Pass the base
+    datum's ``assumptions`` report when it is already computed.
     """
     if d != framing.base_dimension:
         raise ValueError("dimension vector does not match the framed base datum")
     base_q = framing.base_quiver
     theta = framing.base_stability
-    report = assumptions_report(base_q, d, theta)
+    report = assumptions if assumptions is not None else assumptions_report(base_q, d, theta)
     if not report.acyclic:
         raise AssumptionViolatedError("acyclicity")
     if not report.indivisible:

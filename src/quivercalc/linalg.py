@@ -95,10 +95,6 @@ def identity(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def is_zero_matrix(m: Matrix) -> bool:
-    return all(x == 0 for row in m for x in row)
-
-
 # --- prime field routines ---------------------------------------------------
 
 

@@ -35,15 +35,15 @@ from .ff_oracle import (
 from .framing import (
     FramingResult,
     ReductionResult,
+    _framed_partition_check,
     double_frame,
     framed_ample_stability,
     minimal_framing_scale,
     reduce as reduce_framing,
-    verify_framed_sign_partition,
     verify_reduction_pairing,
 )
 from .specfile import QuiverSpec
-from .stability import AssumptionsReport, assumptions_report, sign_partition
+from .stability import AssumptionsReport, _lattice_values, assumptions_report
 
 SCHEMA_VERSION = 1
 
@@ -186,7 +186,9 @@ def build_analyze_report(spec: QuiverSpec, override_assumptions: bool = False) -
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UnverifiedAssumptionWarning)
-                value = vector_fields_dim(q, d, theta, override_assumptions=override_assumptions)
+                value = vector_fields_dim(
+                    q, d, theta, override_assumptions=override_assumptions, assumptions=report
+                )
             entry: dict[str, Any] = {"value": value}
             if override_assumptions and not report.all_verified():
                 entry["override"] = True
@@ -235,8 +237,9 @@ def build_frame_report(spec: QuiverSpec, i: str, j: str, scale: int | None) -> d
         scale = minimal_framing_scale(q, d, theta)
     framing = double_frame(q, d, theta, i, j, scale)
     base_report = assumptions_report(q, d, theta)
-    partition = sign_partition(q, d, theta)
-    check = verify_framed_sign_partition(framing, partition)
+    check = _framed_partition_check(
+        framing, _lattice_values(d.aligned(q.vertices), theta.aligned(q.vertices))
+    )
     framed_counts = path_count_matrix(framing.framed_quiver)
     base_counts = path_count_matrix(q) if base_report.acyclic else None
 
@@ -296,7 +299,7 @@ def build_reduce_report(spec: QuiverSpec, i: str, j: str, scale: int | None) -> 
         scale = minimal_framing_scale(q, d, theta)
     framing = double_frame(q, d, theta, i, j, scale)
     base_report = assumptions_report(q, d, theta)
-    result = reduce_framing(framing, d)
+    result = reduce_framing(framing, d, assumptions=base_report)
     check = verify_reduction_pairing(result)
     reduction = _reduction_dict(result)
     reduction["reduced_path_space_dim"] = check.reduced_path_count
@@ -484,5 +487,8 @@ def render_human(report: dict[str, Any]) -> str:
             extras.append(note)
         suffix = f" ({', '.join(extras)})" if extras else ""
         lines.append(f"verification: {check['name']}: {status}{suffix}")
+    error = report.get("error")
+    if error and "budget" in error:
+        lines.append(f"refused: {error['message']}")
     lines.append(f"exit code: {report['exit_code']}")
     return "\n".join(lines) + "\n"

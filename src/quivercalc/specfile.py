@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from pathlib import Path as FsPath
 
 import jsonschema
+from jsonschema.exceptions import best_match
 
 from .core import DimensionVector, Quiver, StabilityParameter, canonical_stability, is_acyclic
 from .errors import SpecFileError
@@ -95,6 +96,10 @@ SPEC_SCHEMA = {
     },
 }
 
+# Built once: jsonschema.validate would check SPEC_SCHEMA against the
+# metaschema on every parse (the test suite checks it once).
+_SPEC_VALIDATOR = jsonschema.Draft202012Validator(SPEC_SCHEMA)
+
 
 @dataclass(frozen=True)
 class FramingSpec:
@@ -126,10 +131,9 @@ def _json_path(error: jsonschema.ValidationError) -> str:
 
 def parse_spec(document: dict) -> QuiverSpec:
     """Validate a decoded JSON document and build the datum it describes."""
-    try:
-        jsonschema.validate(document, SPEC_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise SpecFileError(exc.message, location=_json_path(exc)) from None
+    error = best_match(_SPEC_VALIDATOR.iter_errors(document))
+    if error is not None:
+        raise SpecFileError(error.message, location=_json_path(error))
 
     vertices = document["vertices"]
     declared = set(vertices)

@@ -8,19 +8,27 @@ criterion, and an aggregated report of the standing hypotheses.
 The condition mu(e) >= mu(d - e) is implemented as theta(e) >= 0, which is
 algebraically equivalent when theta(d) = 0 and both slopes are defined, and
 keeps the hot loop in integer arithmetic.
+
+Every decision over the lattice {e : 0 <= e <= d} reads one index-space
+sweep, ``_lattice_values``: theta(e) as a flat list of ints in lexicographic
+order, bounded by ``LATTICE_BUDGET``.  DimensionVector objects are built only
+for what is returned (witnesses, partition members).
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
+import math
+import operator
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping
 
 from .core import DimensionVector, Quiver, StabilityParameter, is_acyclic
-from .errors import PairingNonzeroError
+from .errors import BudgetExceededError, CyclicQuiverError, PairingNonzeroError
 
 __all__ = [
+    "LATTICE_BUDGET",
     "SignPartition",
     "ThreeValued",
     "AssumptionsReport",
@@ -30,6 +38,11 @@ __all__ = [
     "is_strongly_amply_stable",
     "assumptions_report",
 ]
+
+# Most subdimension vectors one sweep may cover, prod_i (d_i + 1) of the
+# base datum.  Every lattice consumer refuses a larger datum with
+# BudgetExceededError before enumerating anything.
+LATTICE_BUDGET = 10**6
 
 
 class ThreeValued(enum.Enum):
@@ -106,6 +119,64 @@ def _as_vector(q: Quiver, values: tuple[int, ...]) -> DimensionVector:
     return DimensionVector(dict(zip(q.vertices, values)))
 
 
+def _lattice_values(dv: tuple[int, ...], tv: tuple[int, ...]) -> list[int]:
+    """theta(e) for every e with 0 <= e <= d, both given aligned to one
+    vertex order.
+
+    Entry k belongs to the k-th vector of the lexicographic enumeration (the
+    last coordinate varies fastest, as in ``itertools.product``), so entry 0
+    is e = 0 and the last entry is e = d; ``_lattice_point`` inverts the
+    index.  The list is built coordinate by coordinate, one list
+    comprehension per vertex.  A lattice of more than ``LATTICE_BUDGET``
+    points is refused before anything is allocated.
+    """
+    size = math.prod(c + 1 for c in dv)
+    if size > LATTICE_BUDGET:
+        raise BudgetExceededError("lattice points", size, LATTICE_BUDGET)
+    values = [0]
+    for c, t in zip(dv, tv):
+        steps = [x * t for x in range(c + 1)]
+        values = [v + s for v in values for s in steps]
+    return values
+
+
+def _lattice_point(dv: tuple[int, ...], k: int) -> tuple[int, ...]:
+    """The subdimension vector at index k of ``_lattice_values``."""
+    e = []
+    for c in reversed(dv):
+        k, x = divmod(k, c + 1)
+        e.append(x)
+    return tuple(reversed(e))
+
+
+def _coprime_witness(values: list[int]) -> int | None:
+    """Index of the first proper nonzero e with theta(e) = 0, if any."""
+    try:
+        return values.index(0, 1, len(values) - 1)
+    except ValueError:
+        return None
+
+
+def _strong_violations(q: Quiver, dv: tuple[int, ...], values: list[int]) -> list[tuple[int, ...]]:
+    """Proper nonzero e with theta(e) >= 0 and <e, d - e> > -2, in order.
+
+    The Euler form is evaluated only where theta(e) >= 0, column-wise over
+    those candidates: one lookup table per vertex for e_i (d_i - e_i) and
+    one product per arrow for -e_s (d_t - e_t), summed per candidate.
+    """
+    candidates = [v >= 0 for v in values]
+    candidates[0] = candidates[-1] = False
+    points = list(itertools.compress(_subvector_tuples(dv), candidates))
+    if not points:
+        return []
+    columns = list(zip(*points))
+    terms = [map([x * (c - x) for x in range(c + 1)].__getitem__, col) for c, col in zip(dv, columns)]
+    for s, t in q.arrow_indices:
+        minus_rest = [x - dv[t] for x in range(dv[t] + 1)]
+        terms.append(map(operator.mul, columns[s], map(minus_rest.__getitem__, columns[t])))
+    return [e for e, form in zip(points, map(sum, zip(*terms))) if form > -2]
+
+
 def subdimension_vectors(q: Quiver, d: DimensionVector) -> Iterator[DimensionVector]:
     """All e with 0 <= e <= d, lexicographic in the quiver's vertex order."""
     for values in _subvector_tuples(d.aligned(q.vertices)):
@@ -115,10 +186,10 @@ def subdimension_vectors(q: Quiver, d: DimensionVector) -> Iterator[DimensionVec
 def sign_partition(q: Quiver, d: DimensionVector, theta: StabilityParameter) -> SignPartition:
     """Split every subdimension vector of d by the sign of theta(e)."""
     _require_zero_pairing(theta, d)
-    tv = theta.aligned(q.vertices)
+    dv = d.aligned(q.vertices)
+    values = _lattice_values(dv, theta.aligned(q.vertices))
     plus, minus, zero = [], [], []
-    for e in _subvector_tuples(d.aligned(q.vertices)):
-        value = sum(a * b for a, b in zip(tv, e))
+    for e, value in zip(_subvector_tuples(dv), values):
         (plus if value > 0 else minus if value < 0 else zero).append(_as_vector(q, e))
     return SignPartition(tuple(plus), tuple(minus), tuple(zero))
 
@@ -133,14 +204,10 @@ def is_theta_coprime(
     """
     _require_zero_pairing(theta, d)
     dv = d.aligned(q.vertices)
-    tv = theta.aligned(q.vertices)
-    zero = (0,) * len(dv)
-    for e in _subvector_tuples(dv):
-        if e == zero or e == dv:
-            continue
-        if sum(a * b for a, b in zip(tv, e)) == 0:
-            return False, _as_vector(q, e)
-    return True, None
+    k = _coprime_witness(_lattice_values(dv, theta.aligned(q.vertices)))
+    if k is None:
+        return True, None
+    return False, _as_vector(q, _lattice_point(dv, k))
 
 
 def is_strongly_amply_stable(
@@ -154,28 +221,11 @@ def is_strongly_amply_stable(
     violating e are returned, in lexicographic order.
     """
     _require_zero_pairing(theta, d)
-    cert = is_acyclic(q)
-    if not cert:
-        from .errors import CyclicQuiverError
-
+    if not is_acyclic(q):
         raise CyclicQuiverError("strong ample stability is defined for acyclic quivers")
     dv = d.aligned(q.vertices)
-    tv = theta.aligned(q.vertices)
-    arrow_pairs = q.arrow_indices
-    zero = (0,) * len(dv)
-    violations = []
-    for e in _subvector_tuples(dv):
-        if e == zero or e == dv:
-            continue
-        if sum(a * b for a, b in zip(tv, e)) < 0:
-            continue
-        complement = tuple(a - b for a, b in zip(dv, e))
-        form = sum(a * b for a, b in zip(e, complement))
-        for s, t in arrow_pairs:
-            form -= e[s] * complement[t]
-        if form > -2:
-            violations.append(_as_vector(q, e))
-    return not violations, tuple(violations)
+    violations = _strong_violations(q, dv, _lattice_values(dv, theta.aligned(q.vertices)))
+    return not violations, tuple(_as_vector(q, e) for e in violations)
 
 
 def assumptions_report(q: Quiver, d: DimensionVector, theta: StabilityParameter) -> AssumptionsReport:
@@ -192,14 +242,18 @@ def assumptions_report(q: Quiver, d: DimensionVector, theta: StabilityParameter)
     indivisible = d.is_indivisible()
     witnesses: dict[str, tuple[DimensionVector, ...]] = {}
 
-    coprime, coprime_witness = is_theta_coprime(q, d, theta)
-    if not coprime and coprime_witness is not None:
-        witnesses["coprime"] = (coprime_witness,)
+    dv = d.aligned(q.vertices)
+    values = _lattice_values(dv, theta.aligned(q.vertices))
+    k = _coprime_witness(values)
+    coprime = k is None
+    if not coprime:
+        witnesses["coprime"] = (_as_vector(q, _lattice_point(dv, k)),)
 
     if acyclic:
-        strong, violations = is_strongly_amply_stable(q, d, theta)
+        violations = _strong_violations(q, dv, values)
+        strong = not violations
         if violations:
-            witnesses["strongly_amply_stable"] = violations
+            witnesses["strongly_amply_stable"] = tuple(_as_vector(q, e) for e in violations)
     else:
         strong = False
 

@@ -1,13 +1,17 @@
 """Independent oracles used to cross-check library results.
 
 These deliberately avoid the library's own algorithms: path counting is a
-plain recursive walk on the arrow list, connectivity is union-find, and
-subspace counts come from the closed-form product formula.
+plain recursive walk on the arrow list, connectivity is union-find,
+subspace counts come from the closed-form product formula, and the
+subdimension-lattice decisions build one DimensionVector per point and pair
+theta with it directly, as the library did before its index-space sweep.
 """
 
 from __future__ import annotations
 
-from quivercalc import Quiver
+import itertools
+
+from quivercalc import DimensionVector, Quiver, StabilityParameter
 
 
 def dfs_path_count(q: Quiver, src: str, dst: str) -> int:
@@ -54,3 +58,65 @@ def gaussian_binomial_formula(n: int, k: int, q: int) -> int:
     den = q_factorial(k) * q_factorial(n - k)
     assert num % den == 0
     return num // den
+
+
+# --- per-point subdimension-lattice references ---------------------------
+
+
+def naive_subdimension_vectors(q: Quiver, d: DimensionVector) -> list[DimensionVector]:
+    """Every e with 0 <= e <= d, lexicographic in q's vertex order."""
+    ranges = [range(d[v] + 1) for v in q.vertices]
+    return [DimensionVector(dict(zip(q.vertices, e))) for e in itertools.product(*ranges)]
+
+
+def _sign_name(value: int) -> str:
+    return "plus" if value > 0 else "minus" if value < 0 else "zero"
+
+
+def naive_sign_partition(q: Quiver, d: DimensionVector, theta: StabilityParameter) -> dict[str, list]:
+    buckets: dict[str, list] = {"plus": [], "minus": [], "zero": []}
+    for e in naive_subdimension_vectors(q, d):
+        buckets[_sign_name(theta(e))].append(e)
+    return buckets
+
+
+def naive_coprime_witness(q: Quiver, d: DimensionVector, theta: StabilityParameter):
+    """The first proper nonzero e with theta(e) = 0, or None."""
+    for e in naive_subdimension_vectors(q, d):
+        if not e.is_zero() and e != d and theta(e) == 0:
+            return e
+    return None
+
+
+def naive_strong_violations(q: Quiver, d: DimensionVector, theta: StabilityParameter) -> list:
+    """Proper nonzero e with theta(e) >= 0 and <e, d - e> > -2, in order."""
+    violations = []
+    for e in naive_subdimension_vectors(q, d):
+        if e.is_zero() or e == d or theta(e) < 0:
+            continue
+        f = d - e
+        form = sum(e[v] * f[v] for v in q.vertices) - sum(e[s] * f[t] for s, t in q.arrows)
+        if form > -2:
+            violations.append(e)
+    return violations
+
+
+def naive_framed_discrepancies(framing) -> list:
+    """(framed vector, expected bucket, actual bucket) for every framed
+    subdimension vector whose sign breaks the predicted description."""
+    base = framing.base_quiver
+    signs = {
+        e: _sign_name(framing.base_stability(e))
+        for e in naive_subdimension_vectors(base, framing.base_dimension)
+    }
+    source, sink = framing.source_vertex, framing.sink_vertex
+    out = []
+    for f in naive_subdimension_vectors(framing.framed_quiver, framing.framed_dimension):
+        a, b = f[source], f[sink]
+        expected = signs[DimensionVector({v: f[v] for v in base.vertices})]
+        if expected == "zero":
+            expected = _sign_name(a - b)
+        actual = _sign_name(framing.framed_stability(f))
+        if actual != expected:
+            out.append((f, expected, actual))
+    return out

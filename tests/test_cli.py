@@ -1,5 +1,6 @@
 import json
 import re
+import time
 from pathlib import Path
 
 import jsonschema
@@ -203,3 +204,61 @@ def test_exit_code_corpus(capsys, tmp_path):
     bad = tmp_path / "broken.json"
     bad.write_text('{"vertices": []}', encoding="utf-8")
     assert run(capsys, "analyze", bad)[0] == 2
+
+
+def _a6_oversize(tmp_path, framing=False):
+    """A6 chain with d = 40 everywhere: 41^6 lattice points, over budget."""
+    vertices = [str(k) for k in range(1, 7)]
+    doc = {
+        "vertices": vertices,
+        "arrows": [{"from": s, "to": t} for s, t in zip(vertices, vertices[1:])],
+        "dimension": {v: 40 for v in vertices},
+        "stability": {"1": 40, "2": 0, "3": 0, "4": 0, "5": 0, "6": -40},
+    }
+    if framing:
+        doc["framing"] = {"i": "2", "j": "5"}
+    path = tmp_path / "a6_oversize.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("command", ["analyze", "frame", "reduce", "verify"])
+def test_over_budget_lattice_refuses_with_report(capsys, tmp_path, command):
+    from quivercalc.stability import LATTICE_BUDGET
+
+    spec = _a6_oversize(tmp_path, framing=True)
+    start = time.perf_counter()
+    code, report, _ = run_json(capsys, command, spec)
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert report["exit_code"] == 1
+    assert report["command"] == command
+    assert "hypotheses" in report
+    assert report["error"]["counted"] == "lattice points"
+    assert report["error"]["size"] == 41**6
+    assert report["error"]["budget"] == LATTICE_BUDGET
+    jsonschema.validate(report, REPORT_SCHEMA)
+
+    code_h, human, _ = run(capsys, command, spec)
+    assert code_h == 1
+    assert f"refused: {41**6} lattice points exceed the budget of {LATTICE_BUDGET}" in human
+    assert human.endswith("exit code: 1\n")
+
+
+def test_verify_over_budget_refuses_with_report(capsys):
+    code, report, _ = run_json(capsys, "verify", FIXTURES / "kronecker.json", "--budget", "5")
+    assert code == 1
+    assert report["exit_code"] == 1
+    assert "hypotheses" in report
+    assert report["error"]["counted"] == "subspace tuples per point"
+    assert report["error"]["budget"] == 5
+    assert report["error"]["size"] > 5
+    jsonschema.validate(report, REPORT_SCHEMA)
+
+
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_verify_budget_below_one_exits_two(capsys, budget):
+    code, out, err = run(capsys, "verify", FIXTURES / "kronecker.json", "--budget", budget)
+    assert code == 2
+    assert out == ""
+    assert "--budget must be at least 1" in err

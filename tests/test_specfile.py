@@ -1,12 +1,13 @@
 import json
 from pathlib import Path
 
+import jsonschema
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quivercalc import SpecFileError, load_spec, parse_spec, spec_to_dict
-from quivercalc.specfile import dump_spec
+from quivercalc.specfile import SPEC_SCHEMA, dump_spec
 
 from conftest import acyclic_quivers
 
@@ -66,6 +67,30 @@ def test_schema_violation_reports_location():
     with pytest.raises(SpecFileError) as info:
         parse_spec({"vertices": ["a"], "arrows": [{"from": "a"}], "dimension": {"a": 1}, "stability": {"a": 0}})
     assert "arrows" in str(info.value)
+
+
+def test_spec_schema_is_valid():
+    jsonschema.Draft202012Validator.check_schema(SPEC_SCHEMA)
+
+
+@pytest.mark.parametrize(
+    "document",
+    [
+        {"vertices": []},
+        {"vertices": ["a"], "arrows": [{"from": "a"}], "dimension": {"a": 1}, "stability": {"a": 0}},
+        {"vertices": ["a", "a"], "arrows": [], "dimension": {}, "stability": {}},
+        {"vertices": ["a"], "arrows": [], "dimension": {"a": "1"}, "stability": {"a": 0}, "extra": 1},
+        {"vertices": ["a"], "arrows": [], "dimension": {"a": 1}, "stability": {"a": 0}, "oracle": {"budget": 0}},
+        {"vertices": ["a"], "arrows": [], "dimension": {"a": 1}, "stability": {"a": 0}, "framing": {"i": "a"}},
+    ],
+)
+def test_schema_errors_match_jsonschema_validate(document):
+    with pytest.raises(jsonschema.ValidationError) as expected:
+        jsonschema.validate(document, SPEC_SCHEMA)
+    with pytest.raises(SpecFileError) as info:
+        parse_spec(document)
+    location = ".".join(["$"] + [str(p) for p in expected.value.absolute_path])
+    assert str(info.value) == f"{location}: {expected.value.message}"
 
 
 def test_undeclared_vertex_in_arrow():

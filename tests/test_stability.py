@@ -3,21 +3,32 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quivercalc import (
+    BudgetExceededError,
     DimensionVector,
     PairingNonzeroError,
     Quiver,
+    SignPartition,
     StabilityParameter,
     ThreeValued,
     assumptions_report,
     canonical_stability,
+    double_frame,
     is_strongly_amply_stable,
     is_theta_coprime,
     sign_partition,
     slope,
     subdimension_vectors,
+    verify_framed_sign_partition,
 )
+from quivercalc.stability import LATTICE_BUDGET
 
 from conftest import quiver_with_datum, thin
+from oracles import (
+    naive_coprime_witness,
+    naive_framed_discrepancies,
+    naive_sign_partition,
+    naive_strong_violations,
+)
 
 
 def test_sign_partition_kronecker(kronecker):
@@ -153,3 +164,48 @@ def test_report_strong_forces_amply_yes(datum):
     for name in ("coprime", "strongly_amply_stable"):
         if not getattr(report, name) and report.acyclic:
             assert report.failing_witnesses.get(name)
+
+
+@settings(max_examples=60, deadline=None)
+@given(quiver_with_datum(), st.data())
+def test_lattice_sweep_matches_per_point_reference(datum, data):
+    q, d, theta = datum
+    part = sign_partition(q, d, theta)
+    reference = naive_sign_partition(q, d, theta)
+    assert list(part.plus) == reference["plus"]
+    assert list(part.minus) == reference["minus"]
+    assert list(part.zero) == reference["zero"]
+
+    witness = naive_coprime_witness(q, d, theta)
+    assert is_theta_coprime(q, d, theta) == (witness is None, witness)
+    violations = naive_strong_violations(q, d, theta)
+    assert is_strongly_amply_stable(q, d, theta) == (not violations, tuple(violations))
+    report = assumptions_report(q, d, theta)
+    assert report.failing_witnesses.get("coprime") == ((witness,) if witness else None)
+    assert report.failing_witnesses.get("strongly_amply_stable") == (tuple(violations) or None)
+
+    i = data.draw(st.sampled_from(q.vertices))
+    j = data.draw(st.sampled_from(q.vertices))
+    for scale in (1, 2):
+        framing = double_frame(q, d, theta, i, j, scale)
+        check = verify_framed_sign_partition(framing, part)
+        expected = naive_framed_discrepancies(framing)
+        assert list(check.discrepancies) == expected
+        assert check.passed == (not expected)
+        assert check.checked == 4 * part.size()
+        # a wrong prediction (plus and minus swapped) mismatches at several
+        # (a, b) per base vector; the list stays in framed lexicographic order
+        swapped = verify_framed_sign_partition(framing, SignPartition(part.minus, part.plus, part.zero))
+        order = [f.aligned(framing.framed_quiver.vertices) for f, _, _ in swapped.discrepancies]
+        assert order == sorted(order)
+
+
+def test_lattice_budget_refuses_before_enumerating():
+    # an A6 chain with d = 40 everywhere: 41^6 (about 4.75e9) lattice points
+    q = Quiver([str(k) for k in range(1, 7)], [(str(k), str(k + 1)) for k in range(1, 6)])
+    d = DimensionVector({v: 40 for v in q.vertices})
+    theta = canonical_stability(q, d)
+    for decision in (sign_partition, is_theta_coprime, is_strongly_amply_stable, assumptions_report):
+        with pytest.raises(BudgetExceededError) as excinfo:
+            decision(q, d, theta)
+        assert (excinfo.value.size, excinfo.value.budget) == (41**6, LATTICE_BUDGET)
