@@ -20,6 +20,7 @@ from typing import Any
 from .errors import (
     AssumptionViolatedError,
     BudgetExceededError,
+    CyclicQuiverError,
     QuiverCalcError,
     SpecFileError,
     UnknownVertexError,
@@ -149,6 +150,8 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExceededError as exc:
         error = {"counted": exc.counted, "size": exc.size, "budget": exc.budget, "message": str(exc)}
         report = _refusal_report(args.command, [], error)
+    except CyclicQuiverError as exc:
+        report = _refusal_report(args.command, ["acyclicity"], {"message": str(exc)})
     except QuiverCalcError as exc:
         print(f"quivercalc: error: {exc}", file=sys.stderr)
         return EXIT_FAILED

@@ -258,9 +258,24 @@ def vector_fields_dim(
 
 
 def _presentation_cokernel_dim(q: Quiver, d: DimensionVector, theta: StabilityParameter) -> int:
-    pres = tangent_presentation(q, d, theta)
-    rank_psi = linalg.rank(pres.psi_matrix)
-    return pres.codomain_dim - rank_psi
+    """codomain_dim - rank(psi) of :func:`tangent_presentation`, without
+    building it: the codomain has sum_a p(s(a), t(a)) basis paths, and the
+    only nonzero rows of psi are the signed incidence rows of the arrows,
+    whose rank is still computed by elimination.
+    """
+    d.aligned(q.vertices)
+    theta.aligned(q.vertices)
+    _require_presentation_preconditions(q, d)
+    p = path_count_matrix(q)
+    codomain_dim = sum(p.entries[s][t] for s, t in q.arrow_indices)
+    n = len(q.vertices)
+    incidence = []
+    for s, t in q.arrow_indices:
+        row = [0] * n
+        row[t] += 1
+        row[s] -= 1
+        incidence.append(row)
+    return codomain_dim - linalg.rank(incidence)
 
 
 def hochschild1_dim(q: Quiver) -> int:

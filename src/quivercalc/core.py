@@ -17,6 +17,7 @@ stability decisions are sign decisions and must never suffer rounding.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -310,11 +311,10 @@ def is_acyclic(q: Quiver) -> AcyclicityCertificate:
     for k, (s, t) in enumerate(q.arrow_indices):
         indeg[t] += 1
         out[s].append((t, k))
-    queue = [v for v in range(n) if indeg[v] == 0]
+    queue = deque(v for v in range(n) if indeg[v] == 0)
     order: list[int] = []
-    indeg = list(indeg)
     while queue:
-        v = queue.pop(0)
+        v = queue.popleft()
         order.append(v)
         for t, _ in out[v]:
             indeg[t] -= 1
@@ -395,51 +395,82 @@ def slope(theta: StabilityParameter, e: VertexVector) -> Fraction:
     return Fraction(theta(e), total)
 
 
+def _arrow_sources(q: Quiver) -> list[list[int]]:
+    """Per vertex index, the source index of each incoming arrow, in arrow order."""
+    sources: list[list[int]] = [[] for _ in q.vertices]
+    for s, t in q.arrow_indices:
+        sources[t].append(s)
+    return sources
+
+
 def path_count_matrix(q: Quiver) -> PathCountMatrix:
     """Count directed paths between all vertex pairs by exact integer recursion.
 
-    Processing targets in topological order gives
+    Processing targets in topological order gives column j of p as e_j plus
+    the columns of the sources of j's incoming arrows, that is
     p(i, j) = delta_ij + sum over arrows a with target j of p(i, source(a)),
-    which is the entrywise statement that p = (I - A)^{-1} for the arrow-count
-    adjacency matrix A.
+    the entrywise statement that p = (I - A)^{-1} for the arrow-count
+    adjacency matrix A.  Cost: O(#vertices * #arrows) integer additions.
     """
     cert = is_acyclic(q)
     if not cert:
         raise CyclicQuiverError(f"path counts are infinite on a cyclic quiver (cycle arrows {cert.cycle})")
     n = len(q.vertices)
-    idx = {v: k for k, v in enumerate(q.vertices)}
-    p = [[0] * n for _ in range(n)]
+    sources = _arrow_sources(q)
+    columns: list[list[int]] = [[] for _ in range(n)]
     for j_name in cert.topological_order or ():
-        j = idx[j_name]
-        for i in range(n):
-            acc = 1 if i == j else 0
-            for s, t in q.arrow_indices:
-                if t == j:
-                    acc += p[i][s]
-            p[i][j] = acc
-    return PathCountMatrix(q.vertices, tuple(tuple(row) for row in p))
+        j = q._index[j_name]
+        column = [0] * n
+        column[j] = 1
+        for s in sources[j]:
+            column = [x + y for x, y in zip(column, columns[s])]
+        columns[j] = column
+    return PathCountMatrix(q.vertices, tuple(zip(*columns)))
 
 
 def enumerate_paths(q: Quiver, src: str, dst: str, _cert: AcyclicityCertificate | None = None) -> tuple[Path, ...]:
     """All directed paths src -> dst, sorted by their arrow-index sequences.
 
     Requires an acyclic quiver (the path set is infinite otherwise).  The
-    sort order makes path-indexed bases deterministic.
+    sort order makes path-indexed bases deterministic.  The walk is
+    iterative and enters only vertices from which ``dst`` is reachable, so
+    its cost is proportional to the total length of the paths it returns.
     """
     cert = _cert if _cert is not None else is_acyclic(q)
     if not cert:
         raise CyclicQuiverError("path enumeration requires an acyclic quiver")
-    q.vertex_index(src)
-    q.vertex_index(dst)
-    found: list[tuple[int, ...]] = []
-
-    def extend(at: str, prefix: tuple[int, ...]) -> None:
-        if at == dst:
-            found.append(prefix)
-        for k in q.arrows_out_of(at):
-            extend(q.arrows[k][1], prefix + (k,))
-
-    extend(src, ())
+    start = q.vertex_index(src)
+    goal = q.vertex_index(dst)
+    n = len(q.vertices)
+    sources = _arrow_sources(q)
+    reaches = {goal}
+    frontier = [goal]
+    while frontier:
+        for s in sources[frontier.pop()]:
+            if s not in reaches:
+                reaches.add(s)
+                frontier.append(s)
+    if start not in reaches:
+        return ()
+    out: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # (arrow index, target)
+    for k, (s, t) in enumerate(q.arrow_indices):
+        if t in reaches:
+            out[s].append((k, t))
+    found: list[tuple[int, ...]] = [()] if start == goal else []
+    prefix: list[int] = []
+    stack = [iter(out[start])]
+    while stack:
+        step = next(stack[-1], None)
+        if step is None:
+            stack.pop()
+            if prefix:
+                prefix.pop()
+            continue
+        k, t = step
+        prefix.append(k)
+        if t == goal:
+            found.append(tuple(prefix))
+        stack.append(iter(out[t]))
     return tuple(Path(src, arrows) for arrows in sorted(found))
 
 

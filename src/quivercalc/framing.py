@@ -352,6 +352,14 @@ def reduce(
     not decidable at the base level and is not gated on.  Pass the base
     datum's ``assumptions`` report when it is already computed.
     """
+    return _reduce_checked(framing, d, assumptions)[0]
+
+
+def _reduce_checked(
+    framing: FramingResult, d: DimensionVector, assumptions: AssumptionsReport | None
+) -> tuple[ReductionResult, ReductionPairingCheck]:
+    """:func:`reduce`, also returning the pairing check it ran, so that a
+    report can show the check without running it again."""
     if d != framing.base_dimension:
         raise ValueError("dimension vector does not match the framed base datum")
     base_q = framing.base_quiver
@@ -432,7 +440,7 @@ def reduce(
     check = verify_reduction_pairing(result)
     if not check.passed:
         raise AssertionError(f"reduction invariants failed: {check.failures}")
-    return result
+    return result, check
 
 
 def verify_reduction_pairing(result: ReductionResult) -> ReductionPairingCheck:

@@ -36,11 +36,10 @@ from .framing import (
     FramingResult,
     ReductionResult,
     _framed_partition_check,
+    _reduce_checked,
     double_frame,
     framed_ample_stability,
     minimal_framing_scale,
-    reduce as reduce_framing,
-    verify_reduction_pairing,
 )
 from .specfile import QuiverSpec
 from .stability import AssumptionsReport, _lattice_values, assumptions_report
@@ -299,8 +298,7 @@ def build_reduce_report(spec: QuiverSpec, i: str, j: str, scale: int | None) -> 
         scale = minimal_framing_scale(q, d, theta)
     framing = double_frame(q, d, theta, i, j, scale)
     base_report = assumptions_report(q, d, theta)
-    result = reduce_framing(framing, d, assumptions=base_report)
-    check = verify_reduction_pairing(result)
+    result, check = _reduce_checked(framing, d, base_report)
     reduction = _reduction_dict(result)
     reduction["reduced_path_space_dim"] = check.reduced_path_count
     reduction["base_path_space_dim"] = check.base_path_count
@@ -488,7 +486,7 @@ def render_human(report: dict[str, Any]) -> str:
         suffix = f" ({', '.join(extras)})" if extras else ""
         lines.append(f"verification: {check['name']}: {status}{suffix}")
     error = report.get("error")
-    if error and "budget" in error:
+    if error and "assumption" not in error:
         lines.append(f"refused: {error['message']}")
     lines.append(f"exit code: {report['exit_code']}")
     return "\n".join(lines) + "\n"

@@ -1,8 +1,9 @@
 """Independent oracles used to cross-check library results.
 
 These deliberately avoid the library's own algorithms: path counting is a
-plain recursive walk on the arrow list, connectivity is union-find,
-subspace counts come from the closed-form product formula, and the
+plain recursive walk on the arrow list, or networkx's simple edge paths on a
+multigraph, ranks come from sympy, connectivity is union-find, subspace
+counts come from the closed-form product formula, and the
 subdimension-lattice decisions build one DimensionVector per point and pair
 theta with it directly, as the library did before its index-space sweep.
 """
@@ -10,6 +11,9 @@ theta with it directly, as the library did before its index-space sweep.
 from __future__ import annotations
 
 import itertools
+
+import networkx
+import sympy
 
 from quivercalc import DimensionVector, Quiver, StabilityParameter
 
@@ -25,6 +29,20 @@ def dfs_path_count(q: Quiver, src: str, dst: str) -> int:
         return total
 
     return walk(src)
+
+
+def networkx_paths(q: Quiver, src: str, dst: str) -> list[tuple[int, ...]]:
+    """Arrow-index sequences of all paths src -> dst (acyclic input), sorted,
+    from networkx on a multigraph keyed by arrow index."""
+    g = networkx.MultiDiGraph()
+    g.add_nodes_from(q.vertices)
+    for k, (s, t) in enumerate(q.arrows):
+        g.add_edge(s, t, key=k)
+    return sorted(tuple(k for _, _, k in path) for path in networkx.all_simple_edge_paths(g, src, dst))
+
+
+def sympy_rank(rows) -> int:
+    return sympy.Matrix(rows).rank() if rows else 0
 
 
 def union_find_component_count(q: Quiver) -> int:

@@ -262,3 +262,59 @@ def test_verify_budget_below_one_exits_two(capsys, budget):
     assert code == 2
     assert out == ""
     assert "--budget must be at least 1" in err
+
+
+def _cyclic_spec(tmp_path):
+    doc = {
+        "vertices": ["a", "b", "c"],
+        "arrows": [{"from": "a", "to": "b"}, {"from": "b", "to": "c"}, {"from": "c", "to": "a"}],
+        "dimension": {"a": 1, "b": 1, "c": 1},
+        "stability": {"a": 2, "b": -1, "c": -1},
+        "framing": {"i": "a", "j": "c"},
+    }
+    path = tmp_path / "cyclic.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        ("frame", "path counts are infinite on a cyclic quiver (cycle arrows (0, 1, 2))"),
+        ("verify", "path enumeration requires an acyclic quiver"),
+    ],
+)
+def test_cyclic_quiver_refuses_with_report(capsys, tmp_path, command, message):
+    spec = _cyclic_spec(tmp_path)
+    code, report, err = run_json(capsys, command, spec)
+    assert code == 1
+    assert err == ""
+    assert report["exit_code"] == 1
+    assert report["command"] == command
+    assert report["hypotheses"]["failed"] == ["acyclicity"]
+    assert report["error"] == {"message": message}
+    jsonschema.validate(report, REPORT_SCHEMA)
+
+    code_h, human, err_h = run(capsys, command, spec)
+    assert code_h == 1
+    assert err_h == ""
+    assert human.endswith(f"refused: {message}\nexit code: 1\n")
+
+
+def test_reduce_runs_the_pairing_check_once(capsys, monkeypatch):
+    import quivercalc.framing
+    import quivercalc.report
+
+    calls = []
+    original = quivercalc.framing.verify_reduction_pairing
+
+    def counting(result):
+        calls.append(result)
+        return original(result)
+
+    monkeypatch.setattr(quivercalc.framing, "verify_reduction_pairing", counting)
+    monkeypatch.setattr(quivercalc.report, "verify_reduction_pairing", counting, raising=False)
+    code, report, _ = run_json(capsys, "reduce", FIXTURES / "threevertex.json", "2", "3")
+    assert code == 0
+    assert report["verifications"][0]["passed"] is True
+    assert len(calls) == 1
