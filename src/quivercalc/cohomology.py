@@ -214,6 +214,20 @@ def tangent_presentation(q: Quiver, d: DimensionVector, theta: StabilityParamete
     )
 
 
+def _unverified_hypotheses(report: AssumptionsReport) -> list[str]:
+    """The standing hypotheses of the vector-fields formula that fail."""
+    return [
+        name
+        for name, ok in (
+            ("acyclicity", report.acyclic),
+            ("indivisibility", report.indivisible),
+            ("semistable = stable (theta-coprimality)", report.coprime),
+            ("strong ample stability", report.strongly_amply_stable),
+        )
+        if not ok
+    ]
+
+
 def vector_fields_dim(
     q: Quiver,
     d: DimensionVector,
@@ -234,16 +248,7 @@ def vector_fields_dim(
     is already computed.
     """
     report = assumptions if assumptions is not None else assumptions_report(q, d, theta)
-    failed = [
-        name
-        for name, ok in (
-            ("acyclicity", report.acyclic),
-            ("indivisibility", report.indivisible),
-            ("semistable = stable (theta-coprimality)", report.coprime),
-            ("strong ample stability", report.strongly_amply_stable),
-        )
-        if not ok
-    ]
+    failed = _unverified_hypotheses(report)
     if failed and not override_assumptions:
         raise AssumptionViolatedError(", ".join(failed))
     if failed:

@@ -15,6 +15,7 @@ any stable-only conclusion is drawn.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import random
 from dataclasses import dataclass
@@ -109,7 +110,7 @@ class Subspace:
         return len(self.rows)
 
     def contains(self, v: Sequence[int], p: int) -> bool:
-        return linalg.mod_in_rowspan(self.rows, self.pivots, v, p)
+        return not any(linalg.mod_residual(self.rows, self.pivots, v, p))
 
 
 @dataclass(frozen=True)
@@ -281,30 +282,27 @@ def has_cyclic_destabilizer(
         if all(all(x == 0 for x in comp) for comp in element):
             continue
         # Grow per-vertex echelon bases until closed under all arrows.  Each
-        # basis is kept sorted by pivot column: a single ascending-pivot
-        # reduction pass then decides span membership soundly.
-        bases: list[list[tuple[int, list[int]]]] = [[] for _ in vertices]  # (pivot, row)
+        # basis is kept sorted by pivot column, as the residual requires.
+        bases: list[tuple[list[list[int]], list[int]]] = [([], []) for _ in vertices]
         queue: list[tuple[int, list[int]]] = [
             (k, list(comp)) for k, comp in enumerate(element) if any(comp)
         ]
         while queue:
             k, vec = queue.pop()
-            residual = vec[:]
-            for pivot, row in bases[k]:
-                if residual[pivot]:
-                    coeff = residual[pivot]
-                    residual = [(x - coeff * y) % p for x, y in zip(residual, row)]
-            if all(x == 0 for x in residual):
+            rows, pivots = bases[k]
+            residual = linalg.mod_residual(rows, pivots, vec, p)
+            if not any(residual):
                 continue
             pivot = next(c for c, x in enumerate(residual) if x)
-            inv = pow(residual[pivot], p - 2, p)
-            bases[k].append((pivot, [(x * inv) % p for x in residual]))
-            bases[k].sort(key=lambda entry: entry[0])
+            inv = pow(residual[pivot], -1, p)
+            at = bisect.bisect(pivots, pivot)
+            pivots.insert(at, pivot)
+            rows.insert(at, [x * inv % p for x in residual])
             for a in out_arrows[vertices[k]]:
                 t = idx[m.quiver.arrows[a][1]]
                 queue.append((t, linalg.mod_mat_vec(m.arrow_matrices[a], residual, p)))
         closure_dims = DimensionVector(
-            {v: len(bases[k]) for k, v in enumerate(vertices)}
+            {v: len(bases[k][1]) for k, v in enumerate(vertices)}
         )
         if theta(closure_dims) > 0:
             return True, closure_dims
@@ -494,7 +492,7 @@ def random_group_element(
             candidate = tuple(
                 tuple(rng.randrange(m.prime) for _ in range(n)) for _ in range(n)
             )
-            if linalg.mod_is_invertible(candidate, m.prime):
+            if linalg.rank(candidate, m.prime) == n:
                 out[v] = candidate
                 break
     return out
@@ -509,8 +507,8 @@ def group_act(g: dict[str, IntMatrix], m: FiniteFieldRepresentation) -> FiniteFi
         mats.append(
             tuple(
                 tuple(row)
-                for row in linalg.mod_mat_mul(
-                    linalg.mod_mat_mul(g[t], m.arrow_matrices[a], p), inverses[s], p
+                for row in linalg.mat_mul(
+                    linalg.mat_mul(g[t], m.arrow_matrices[a], p), inverses[s], p
                 )
             )
         )

@@ -16,11 +16,11 @@ from typing import Any
 
 from .cohomology import (
     UnverifiedAssumptionWarning,
-    consistency_hh1_vs_vector_fields,
+    _presentation_cokernel_dim,
+    _unverified_hypotheses,
     endomorphism_dimensions,
     hochschild1_dim,
     moduli_dimension,
-    vector_fields_dim,
 )
 from .core import DimensionVector, Quiver, StabilityParameter, path_count_matrix
 from .errors import (
@@ -181,37 +181,36 @@ def build_analyze_report(spec: QuiverSpec, override_assumptions: bool = False) -
             "path_counts": [list(row) for row in table.entries],
         }
         dimensions["endomorphism_total"] = table.total()
-        dimensions["hh1"] = hochschild1_dim(q)
+        hh1 = dimensions["hh1"] = hochschild1_dim(q)
+        # One cokernel feeds both the vector-fields entry (behind the
+        # hypothesis gate, which is checked first) and the consistency check.
         try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UnverifiedAssumptionWarning)
-                value = vector_fields_dim(
-                    q, d, theta, override_assumptions=override_assumptions, assumptions=report
-                )
-            entry: dict[str, Any] = {"value": value}
-            if override_assumptions and not report.all_verified():
+            vector_fields, shape_error = _presentation_cokernel_dim(q, d, theta), None
+        except (DisconnectedQuiverError, UnsupportedDimensionVectorError) as exc:
+            vector_fields, shape_error = None, exc
+        failed = _unverified_hypotheses(report)
+        if failed and not override_assumptions:
+            dimensions["vector_fields"] = {"refused": ", ".join(failed)}
+        elif shape_error is not None:
+            dimensions["vector_fields"] = {"refused": str(shape_error)}
+        else:
+            entry: dict[str, Any] = {"value": vector_fields}
+            if failed:
                 entry["override"] = True
                 entry["caveat"] = (
                     "hypotheses were overridden; this is the presentation formula, "
                     "not a verified count of vector fields"
                 )
             dimensions["vector_fields"] = entry
-        except AssumptionViolatedError as exc:
-            dimensions["vector_fields"] = {"refused": exc.assumption}
-        except (DisconnectedQuiverError, UnsupportedDimensionVectorError) as exc:
-            dimensions["vector_fields"] = {"refused": str(exc)}
-        try:
-            check = consistency_hh1_vs_vector_fields(q, d, theta)
+        if vector_fields is not None:
             verifications.append(
                 {
                     "name": "vector fields formula equals first Hochschild cohomology",
-                    "passed": check.passed,
-                    "vector_fields": check.vector_fields,
-                    "hh1": check.hochschild1,
+                    "passed": vector_fields == hh1,
+                    "vector_fields": vector_fields,
+                    "hh1": hh1,
                 }
             )
-        except (DisconnectedQuiverError, UnsupportedDimensionVectorError):
-            pass
     out["dimensions"] = dimensions
     out["verifications"] = verifications
     out["exit_code"] = 0 if report.all_verified() else 1
@@ -234,8 +233,8 @@ def build_frame_report(spec: QuiverSpec, i: str, j: str, scale: int | None) -> d
     q, d, theta = spec.quiver, spec.dimension, spec.stability
     if scale is None:
         scale = minimal_framing_scale(q, d, theta)
-    framing = double_frame(q, d, theta, i, j, scale)
     base_report = assumptions_report(q, d, theta)
+    framing = double_frame(q, d, theta, i, j, scale)
     check = _framed_partition_check(
         framing, _lattice_values(d.aligned(q.vertices), theta.aligned(q.vertices))
     )
@@ -296,8 +295,8 @@ def build_reduce_report(spec: QuiverSpec, i: str, j: str, scale: int | None) -> 
     q, d, theta = spec.quiver, spec.dimension, spec.stability
     if scale is None:
         scale = minimal_framing_scale(q, d, theta)
-    framing = double_frame(q, d, theta, i, j, scale)
     base_report = assumptions_report(q, d, theta)
+    framing = double_frame(q, d, theta, i, j, scale)
     result, check = _reduce_checked(framing, d, base_report)
     reduction = _reduction_dict(result)
     reduction["reduced_path_space_dim"] = check.reduced_path_count
@@ -486,7 +485,7 @@ def render_human(report: dict[str, Any]) -> str:
         suffix = f" ({', '.join(extras)})" if extras else ""
         lines.append(f"verification: {check['name']}: {status}{suffix}")
     error = report.get("error")
-    if error and "assumption" not in error:
+    if error:
         lines.append(f"refused: {error['message']}")
     lines.append(f"exit code: {report['exit_code']}")
     return "\n".join(lines) + "\n"

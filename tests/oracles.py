@@ -2,15 +2,18 @@
 
 These deliberately avoid the library's own algorithms: path counting is a
 plain recursive walk on the arrow list, or networkx's simple edge paths on a
-multigraph, ranks come from sympy, connectivity is union-find, subspace
-counts come from the closed-form product formula, and the
-subdimension-lattice decisions build one DimensionVector per point and pair
-theta with it directly, as the library did before its index-space sweep.
+multigraph, ranks and reduced echelon forms over Q come from sympy, row
+spans over F_p are enumerated coefficient by coefficient, connectivity is
+union-find, subspace counts come from the closed-form product formula, and
+the subdimension-lattice decisions build one DimensionVector per point and
+pair theta with it directly, as the library did before its index-space
+sweep.
 """
 
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 import networkx
 import sympy
@@ -43,6 +46,22 @@ def networkx_paths(q: Quiver, src: str, dst: str) -> list[tuple[int, ...]]:
 
 def sympy_rank(rows) -> int:
     return sympy.Matrix(rows).rank() if rows else 0
+
+
+def sympy_rref(rows) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form over Q from sympy, entries as Fractions."""
+    reduced, pivots = sympy.Matrix(rows).rref()
+    entries = [[Fraction(int(x.p), int(x.q)) for x in reduced.row(r)] for r in range(reduced.rows)]
+    return entries, list(pivots)
+
+
+def brute_force_row_span(rows, p: int) -> set[tuple[int, ...]]:
+    """Every F_p-linear combination of the rows, by enumerating coefficients."""
+    ncols = len(rows[0])
+    return {
+        tuple(sum(c * row[j] for c, row in zip(coeffs, rows)) % p for j in range(ncols))
+        for coeffs in itertools.product(range(p), repeat=len(rows))
+    }
 
 
 def union_find_component_count(q: Quiver) -> int:

@@ -52,6 +52,22 @@ def test_analyze_alt_chamber_with_override(capsys):
     assert report["dimensions"]["vector_fields"]["override"] is True
 
 
+def test_analyze_override_on_disconnected_quiver_refuses_the_formula(capsys, tmp_path):
+    doc = {
+        "vertices": ["1", "2", "3"],
+        "arrows": [{"from": "1", "to": "2"}],
+        "dimension": {"1": 1, "2": 1, "3": 1},
+        "stability": {"1": 1, "2": -1, "3": 0},
+    }
+    spec = tmp_path / "disconnected.json"
+    spec.write_text(json.dumps(doc), encoding="utf-8")
+    code, report, _ = run_json(capsys, "analyze", spec, "--override-assumptions")
+    assert code == 1
+    refused = {"refused": "the presentation requires a connected quiver"}
+    assert report["dimensions"]["vector_fields"] == refused
+    assert report["verifications"] == []
+
+
 def test_analyze_malformed_file_exits_two(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{", encoding="utf-8")
@@ -299,6 +315,65 @@ def test_cyclic_quiver_refuses_with_report(capsys, tmp_path, command, message):
     assert code_h == 1
     assert err_h == ""
     assert human.endswith(f"refused: {message}\nexit code: 1\n")
+
+
+def _non_coprime_framed_spec(tmp_path):
+    doc = json.loads((FIXTURES / "a3.json").read_text())
+    doc["stability"] = {"1": 1, "2": 0, "3": -1}  # canonical, vanishes on (0,1,0)
+    doc["framing"] = {"i": "1", "j": "3"}
+    path = tmp_path / "a3_canonical.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize(
+    "command, spec",
+    [
+        ("reduce", _cyclic_spec),
+        ("verify", _non_coprime_framed_spec),
+        ("verify", lambda tmp_path: FIXTURES / "threevertex_alt.json"),
+    ],
+    ids=["reduce-cyclic", "verify-non-coprime", "verify-no-framing-block"],
+)
+def test_assumption_refusal_says_why_in_human_output(capsys, tmp_path, command, spec):
+    path = spec(tmp_path)
+    code, report, _ = run_json(capsys, command, path)
+    assert code == 1
+    assert "assumption" in report["error"]
+    code_h, human, err_h = run(capsys, command, path)
+    assert code_h == 1
+    assert err_h == ""
+    assert human == f"command: {command}\nrefused: {report['error']['message']}\nexit code: 1\n"
+
+
+@pytest.mark.parametrize("fixture", ["threevertex.json", "threevertex_alt.json"])
+def test_analyze_computes_the_cokernel_and_hh1_once(capsys, monkeypatch, fixture):
+    import quivercalc.cohomology
+    import quivercalc.report
+
+    calls = {"path_count_matrix": 0, "hochschild1_dim": 0}
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        quivercalc.cohomology, "path_count_matrix", counting(quivercalc.cohomology, "path_count_matrix")
+    )
+    hh1 = counting(quivercalc.cohomology, "hochschild1_dim")
+    monkeypatch.setattr(quivercalc.cohomology, "hochschild1_dim", hh1)
+    monkeypatch.setattr(quivercalc.report, "hochschild1_dim", hh1)
+    _, report, _ = run_json(capsys, "analyze", FIXTURES / fixture)
+    # One path count each for the endomorphism table, HH^1 and the cokernel.
+    assert calls == {"path_count_matrix": 3, "hochschild1_dim": 1}
+    check = report["verifications"][0]
+    assert check["passed"] is True
+    assert check["vector_fields"] == check["hh1"] == report["dimensions"]["hh1"] == 6
 
 
 def test_reduce_runs_the_pairing_check_once(capsys, monkeypatch):

@@ -102,6 +102,22 @@ def test_minimal_framing_scale(kronecker, three_vertex):
     assert minimal_framing_scale(three_vertex, d3, canonical_stability(three_vertex, d3)) == 2
 
 
+def _sign(x):
+    return (x > 0) - (x < 0)
+
+
+@given(st.integers().filter(lambda v: v != 0), st.sampled_from((0, 1)), st.sampled_from((0, 1)))
+def test_scale_two_keeps_the_sign_of_every_nonzero_theta_value(v, a, b):
+    # The lemma behind minimal_framing_scale: a framed value a + 2*theta(e) - b
+    # has the sign of theta(e) whenever theta(e) != 0, for a, b in {0, 1}.
+    assert _sign(a + 2 * v - b) == _sign(v)
+
+
+@pytest.mark.parametrize("v", [1, -1])
+def test_scale_one_breaks_the_sign_property_at_unit_theta_values(v):
+    assert any(_sign(a + v - b) != _sign(v) for a in (0, 1) for b in (0, 1))
+
+
 def test_framed_sign_partition_passes_at_scale_two(kronecker, three_vertex):
     d, theta = kronecker_datum(kronecker)
     part = sign_partition(kronecker, d, theta)

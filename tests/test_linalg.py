@@ -1,0 +1,60 @@
+"""Differential tests of the one exact elimination, over Q and over F_p."""
+
+import itertools
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import brute_force_row_span, sympy_rank, sympy_rref
+from quivercalc import linalg
+
+
+@st.composite
+def int_matrices(draw, max_rows=4, max_cols=4, square=False):
+    nrows = draw(st.integers(1, max_rows))
+    ncols = nrows if square else draw(st.integers(1, max_cols))
+    entries = st.integers(-4, 4)
+    return [[draw(entries) for _ in range(ncols)] for _ in range(nrows)]
+
+
+@settings(max_examples=80)
+@given(int_matrices())
+def test_rref_over_q_equals_sympy(m):
+    rows, pivots = linalg.rref(m)
+    assert linalg.rank(m) == len(pivots) == sympy_rank(m)
+    # The reduced echelon form is unique, so the whole matrix must agree.
+    assert (rows, pivots) == sympy_rref(m)
+
+
+@settings(max_examples=80)
+@given(int_matrices(), st.sampled_from((2, 3, 5)))
+def test_rank_and_residual_over_fp_match_the_brute_force_span(m, p):
+    rows, pivots = linalg.rref(m, p)
+    assert all(0 <= x < p for row in rows for x in row)
+    span = brute_force_row_span(m, p)
+    assert p ** linalg.rank(m, p) == len(span)
+    reduced = rows[: len(pivots)]
+    # An echelon basis need not be reduced: adding every later row to each
+    # row keeps the pivots and the span but fills the pivot columns above.
+    unreduced = [
+        [sum(col) % p for col in zip(*reduced[k:])] for k in range(len(reduced))
+    ]
+    for v in itertools.product(range(p), repeat=len(m[0])):
+        for basis in (reduced, unreduced):
+            residual = linalg.mod_residual(basis, pivots, v, p)
+            assert (not any(residual)) == (v in span)
+            assert linalg.mod_residual(basis, pivots, [x - p for x in v], p) == residual
+
+
+@settings(max_examples=80)
+@given(int_matrices(max_rows=3, square=True), st.sampled_from((2, 3, 5)))
+def test_mod_invert_is_a_two_sided_inverse_exactly_at_full_rank(m, p):
+    n = len(m)
+    if linalg.rank(m, p) < n:
+        with pytest.raises(ValueError):
+            linalg.mod_invert(m, p)
+        return
+    inverse = linalg.mod_invert(m, p)
+    assert linalg.mat_mul(inverse, m, p) == linalg.identity(n)
+    assert linalg.mat_mul(m, inverse, p) == linalg.identity(n)
