@@ -25,6 +25,7 @@ from .errors import (
     SpecFileError,
     UnknownVertexError,
 )
+from .ff_oracle import _is_prime
 from .report import (
     SCHEMA_VERSION,
     build_analyze_report,
@@ -118,6 +119,9 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         spec = load_spec(args.spec)
+        # Checked first, so that a datum refused with exit 1 cannot mask it.
+        if getattr(args, "scale", None) is not None and args.scale < 1:
+            raise ValueError("framing scale must be a positive integer")
         if args.command == "analyze":
             report = build_analyze_report(spec, override_assumptions=args.override_assumptions)
         elif args.command == "frame":
@@ -132,6 +136,8 @@ def main(argv: list[str] | None = None) -> int:
             budget = args.budget if args.budget is not None else (oracle.budget if oracle else 10**6)
             if budget < 1:
                 raise ValueError(f"--budget must be at least 1, got {budget}")
+            if not _is_prime(prime):
+                raise ValueError(f"{prime} is not prime")
             seed = args.seed if args.seed is not None else (oracle.seed if oracle else 0)
             report = build_verify_report(spec, prime, budget, seed, args.scale)
     except SpecFileError as exc:

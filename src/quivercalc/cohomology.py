@@ -20,7 +20,6 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from . import linalg
 from .core import (
@@ -29,6 +28,7 @@ from .core import (
     PathCountMatrix,
     Quiver,
     StabilityParameter,
+    _check_representation_shapes,
     connected_components,
     enumerate_paths,
     euler_form,
@@ -108,18 +108,7 @@ class RationalRepresentation:
     arrow_matrices: tuple[Matrix, ...]
 
     def __post_init__(self):
-        _validate_shapes(self.quiver, self.dims, self.arrow_matrices)
-
-
-def _validate_shapes(q: Quiver, dims: DimensionVector, mats: Sequence[Sequence[Sequence]]) -> None:
-    dims.aligned(q.vertices)
-    if len(mats) != len(q.arrows):
-        raise ValueError(f"expected {len(q.arrows)} arrow matrices, got {len(mats)}")
-    for k, (s, t) in enumerate(q.arrows):
-        rows, cols = dims[t], dims[s]
-        m = mats[k]
-        if len(m) != rows or any(len(r) != cols for r in m):
-            raise ValueError(f"arrow #{k} ({s}->{t}) matrix is not {rows}x{cols}")
+        _check_representation_shapes(self.quiver, self.dims, self.arrow_matrices)
 
 
 @dataclass(frozen=True)
@@ -315,20 +304,19 @@ def hom_ext(q: Quiver, m: RationalRepresentation, n: RationalRepresentation) -> 
     vertices = q.vertices
     m_dims = m.dims.aligned(vertices)
     n_dims = n.dims.aligned(vertices)
-    idx = {v: k for k, v in enumerate(vertices)}
 
     # Column layout: per vertex, the entries of f_i (n_i x m_i), row-major.
-    col_offset = {}
+    col_offset = []
     offset = 0
-    for k, v in enumerate(vertices):
-        col_offset[v] = offset
-        offset += n_dims[k] * m_dims[k]
+    for n_k, m_k in zip(n_dims, m_dims):
+        col_offset.append(offset)
+        offset += n_k * m_k
     domain_dim = offset
 
     rows: list[list[Fraction]] = []
-    for a, (s, t) in enumerate(q.arrows):
-        ms, nt = m_dims[idx[s]], n_dims[idx[t]]
-        mt, ns = m_dims[idx[t]], n_dims[idx[s]]
+    for a, (s, t) in enumerate(q.arrow_indices):
+        ms, nt = m_dims[s], n_dims[t]
+        mt, ns = m_dims[t], n_dims[s]
         m_a = m.arrow_matrices[a]
         n_a = n.arrow_matrices[a]
         for r in range(nt):
@@ -357,7 +345,7 @@ def hom_ext(q: Quiver, m: RationalRepresentation, n: RationalRepresentation) -> 
         maps: dict[str, Matrix] = {}
         for k, v in enumerate(vertices):
             rows_v, cols_v = n_dims[k], m_dims[k]
-            base = col_offset[v]
+            base = col_offset[k]
             maps[v] = tuple(
                 tuple(vec[base + r * cols_v + c] for c in range(cols_v)) for r in range(rows_v)
             )

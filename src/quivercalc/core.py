@@ -17,11 +17,13 @@ stability decisions are sign decisions and must never suffer rounding.
 
 from __future__ import annotations
 
+import math
+import operator
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     CyclicQuiverError,
@@ -72,12 +74,6 @@ class Quiver:
         except KeyError:
             raise UnknownVertexError(f"unknown vertex {v!r}") from None
 
-    def source(self, arrow: int) -> str:
-        return self.arrows[arrow][0]
-
-    def target(self, arrow: int) -> str:
-        return self.arrows[arrow][1]
-
     @cached_property
     def adjacency_matrix(self) -> tuple[tuple[int, ...], ...]:
         """Arrow-count matrix A with A[i][j] = number of arrows i -> j."""
@@ -87,27 +83,20 @@ class Quiver:
             rows[s][t] += 1
         return tuple(tuple(r) for r in rows)
 
-    def arrows_into(self, v: str) -> tuple[int, ...]:
-        return tuple(k for k, (_, t) in enumerate(self.arrows) if t == v)
-
-    def arrows_out_of(self, v: str) -> tuple[int, ...]:
-        return tuple(k for k, (s, _) in enumerate(self.arrows) if s == v)
-
 
 class VertexVector:
     """An integer-valued function on a vertex set, stored canonically.
 
     Base class of :class:`DimensionVector`, :class:`StabilityParameter` and
     :class:`Character`; equality and ordering helpers require matching vertex
-    sets and matching concrete type.
+    sets and matching concrete type.  The values are one dict in vertex-name order.
     """
 
-    __slots__ = ("_entries",)
+    __slots__ = ("_values",)
 
     def __init__(self, values: Mapping[str, int] | Iterable[tuple[str, int]]):
-        items = dict(values).items()
-        entries = tuple(sorted((str(v), int(c)) for v, c in items))
-        object.__setattr__(self, "_entries", entries)
+        values = {str(v): int(c) for v, c in dict(values).items()}
+        object.__setattr__(self, "_values", {v: values[v] for v in sorted(values)})
         self._validate()
 
     def _validate(self) -> None:  # overridden by subclasses
@@ -118,44 +107,50 @@ class VertexVector:
 
     @property
     def entries(self) -> tuple[tuple[str, int], ...]:
-        return self._entries
+        return tuple(self._values.items())
 
     def as_dict(self) -> dict[str, int]:
-        return dict(self._entries)
+        return dict(self._values)
 
     @property
     def vertex_set(self) -> frozenset[str]:
-        return frozenset(v for v, _ in self._entries)
+        return frozenset(self._values)
 
     def __getitem__(self, vertex: str) -> int:
-        for v, c in self._entries:
-            if v == vertex:
-                return c
-        raise UnknownVertexError(f"unknown vertex {vertex!r}")
+        try:
+            return self._values[vertex]
+        except KeyError:
+            raise UnknownVertexError(f"unknown vertex {vertex!r}") from None
 
     def aligned(self, vertices: tuple[str, ...]) -> tuple[int, ...]:
         """Values as a tuple in the given vertex order (must match the set)."""
-        d = dict(self._entries)
-        if set(vertices) != set(d):
+        values = self._values
+        if values.keys() != set(vertices):
             raise VertexSetMismatchError(
-                f"vector defined on {sorted(d)} but expected vertex set {sorted(vertices)}"
+                f"vector defined on {list(values)} but expected vertex set {sorted(vertices)}"
             )
-        return tuple(d[v] for v in vertices)
+        return tuple(map(values.__getitem__, vertices))
+
+    def _matched(self, other: "VertexVector", message="dimension vectors on different vertex sets") -> dict[str, int]:
+        """The other vector's values, in the same (name) order as this one's."""
+        if self._values.keys() != other._values.keys():
+            raise VertexSetMismatchError(message)
+        return other._values
 
     def total(self) -> int:
-        return sum(c for _, c in self._entries)
+        return sum(self._values.values())
 
     def is_zero(self) -> bool:
-        return all(c == 0 for _, c in self._entries)
+        return not any(self._values.values())
 
     def __eq__(self, other) -> bool:
-        return type(self) is type(other) and self._entries == other._entries
+        return type(self) is type(other) and self._values == other._values
 
     def __hash__(self) -> int:
-        return hash((type(self).__name__, self._entries))
+        return hash((type(self).__name__, self.entries))
 
     def __repr__(self) -> str:
-        body = ", ".join(f"{v}: {c}" for v, c in self._entries)
+        body = ", ".join(f"{v}: {c}" for v, c in self._values.items())
         return f"{type(self).__name__}({{{body}}})"
 
 
@@ -165,40 +160,25 @@ class DimensionVector(VertexVector):
     __slots__ = ()
 
     def _validate(self) -> None:
-        for v, c in self.entries:
+        for v, c in self._values.items():
             if c < 0:
                 raise ValueError(f"dimension vector entry at {v!r} is negative")
 
-    def _comparable(self, other: "DimensionVector") -> None:
-        if self.vertex_set != other.vertex_set:
-            raise VertexSetMismatchError("dimension vectors on different vertex sets")
-
     def __le__(self, other: "DimensionVector") -> bool:
-        self._comparable(other)
-        theirs = other.as_dict()
-        return all(c <= theirs[v] for v, c in self.entries)
+        theirs = self._matched(other)
+        return all(map(operator.le, self._values.values(), theirs.values()))
 
     def __sub__(self, other: "DimensionVector") -> "DimensionVector":
-        self._comparable(other)
-        theirs = other.as_dict()
-        return DimensionVector({v: c - theirs[v] for v, c in self.entries})
+        theirs = self._matched(other)
+        return DimensionVector(zip(self._values, map(operator.sub, self._values.values(), theirs.values())))
 
     def __add__(self, other: "DimensionVector") -> "DimensionVector":
-        self._comparable(other)
-        theirs = other.as_dict()
-        return DimensionVector({v: c + theirs[v] for v, c in self.entries})
-
-    def is_thin(self) -> bool:
-        return all(c == 1 for _, c in self.entries)
+        theirs = self._matched(other)
+        return DimensionVector(zip(self._values, map(operator.add, self._values.values(), theirs.values())))
 
     def is_indivisible(self) -> bool:
         """True when the gcd of the entries is 1."""
-        import math
-
-        g = 0
-        for _, c in self.entries:
-            g = math.gcd(g, c)
-        return g == 1
+        return math.gcd(*self._values.values()) == 1
 
 
 class _PairingVector(VertexVector):
@@ -206,10 +186,8 @@ class _PairingVector(VertexVector):
 
     def __call__(self, d: VertexVector) -> int:
         """Pair with a vector on the same vertex set: sum of products."""
-        if self.vertex_set != d.vertex_set:
-            raise VertexSetMismatchError("pairing of vectors on different vertex sets")
-        theirs = d.as_dict()
-        return sum(c * theirs[v] for v, c in self.entries)
+        theirs = self._matched(d, "pairing of vectors on different vertex sets")
+        return sum(map(operator.mul, self._values.values(), theirs.values()))
 
 
 class StabilityParameter(_PairingVector):
@@ -393,6 +371,19 @@ def slope(theta: StabilityParameter, e: VertexVector) -> Fraction:
     if total == 0:
         raise ZeroDivisionError("slope undefined for a vector of total dimension 0")
     return Fraction(theta(e), total)
+
+
+def _check_representation_shapes(q: Quiver, dims: DimensionVector, mats: Sequence[Sequence[Sequence]]) -> None:
+    """Raise ValueError unless ``mats`` holds one d_t(a) x d_s(a) matrix per
+    arrow a of q, in arrow order (``dims`` must live on q's vertex set)."""
+    dv = dims.aligned(q.vertices)
+    if len(mats) != len(q.arrows):
+        raise ValueError(f"expected {len(q.arrows)} arrow matrices, got {len(mats)}")
+    for k, (s, t) in enumerate(q.arrow_indices):
+        rows, cols = dv[t], dv[s]
+        m = mats[k]
+        if len(m) != rows or any(len(r) != cols for r in m):
+            raise ValueError(f"arrow #{k} ({q.vertices[s]}->{q.vertices[t]}) matrix is not {rows}x{cols}")
 
 
 def _arrow_sources(q: Quiver) -> list[list[int]]:

@@ -17,21 +17,18 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import math
+import operator
 import random
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Sequence
 
 from . import linalg
-from .core import DimensionVector, Path, Quiver, StabilityParameter, enumerate_paths
-from .errors import (
-    AssumptionViolatedError,
-    BudgetExceededError,
-    NotThinAtEndpointsError,
-    PairingNonzeroError,
-)
+from .core import DimensionVector, Path, Quiver, StabilityParameter, _check_representation_shapes, enumerate_paths
+from .errors import BudgetExceededError, NotThinAtEndpointsError, PairingNonzeroError
 from .framing import FramingResult, double_frame
-from .stability import is_theta_coprime
+from .stability import _not_coprime_error, is_theta_coprime
 
 __all__ = [
     "FiniteFieldRepresentation",
@@ -83,18 +80,10 @@ class FiniteFieldRepresentation:
     def __post_init__(self):
         if not _is_prime(self.prime):
             raise ValueError(f"{self.prime} is not prime")
-        self.dims.aligned(self.quiver.vertices)
+        _check_representation_shapes(self.quiver, self.dims, self.arrow_matrices)
         p = self.prime
-        if len(self.arrow_matrices) != len(self.quiver.arrows):
-            raise ValueError("one matrix per arrow required")
-        normalized = []
-        for k, (s, t) in enumerate(self.quiver.arrows):
-            rows, cols = self.dims[t], self.dims[s]
-            m = self.arrow_matrices[k]
-            if len(m) != rows or any(len(r) != cols for r in m):
-                raise ValueError(f"arrow #{k} ({s}->{t}) matrix is not {rows}x{cols}")
-            normalized.append(tuple(tuple(x % p for x in row) for row in m))
-        object.__setattr__(self, "arrow_matrices", tuple(normalized))
+        normalized = tuple(tuple(tuple(x % p for x in row) for row in m) for m in self.arrow_matrices)
+        object.__setattr__(self, "arrow_matrices", normalized)
 
 
 @dataclass(frozen=True)
@@ -203,13 +192,10 @@ def subspaces_of(p: int, n: int) -> tuple[Subspace, ...]:
 
 def _closed_under_arrows(m: FiniteFieldRepresentation, spaces: Sequence[Subspace]) -> bool:
     p = m.prime
-    idx = {v: k for k, v in enumerate(m.quiver.vertices)}
-    for a, (s, t) in enumerate(m.quiver.arrows):
-        mat = m.arrow_matrices[a]
-        target = spaces[idx[t]]
-        for u in spaces[idx[s]].rows:
-            image = linalg.mod_mat_vec(mat, u, p)
-            if not target.contains(image, p):
+    for (s, t), mat in zip(m.quiver.arrow_indices, m.arrow_matrices):
+        target = spaces[t]
+        for u in spaces[s].rows:
+            if not target.contains(linalg.mod_mat_vec(mat, u, p), p):
                 return False
     return True
 
@@ -223,16 +209,13 @@ def enumerate_subrepresentations(
     order.  The product of subspace counts must not exceed ``budget``.
     """
     vertices = m.quiver.vertices
-    per_vertex = [subspaces_of(m.prime, m.dims[v]) for v in vertices]
-    count = 1
-    for spaces in per_vertex:
-        count *= len(spaces)
+    per_vertex = [subspaces_of(m.prime, n) for n in m.dims.aligned(vertices)]
+    count = math.prod(map(len, per_vertex))
     if count > budget:
         raise BudgetExceededError("subspace tuples", count, budget)
     for tup in itertools.product(*per_vertex):
         if _closed_under_arrows(m, tup):
-            dims = DimensionVector({v: tup[k].dim for k, v in enumerate(vertices)})
-            yield tup, dims
+            yield tup, DimensionVector(zip(vertices, (space.dim for space in tup)))
 
 
 def king_stability(
@@ -246,12 +229,16 @@ def king_stability(
     """
     if theta(m.dims) != 0:
         raise PairingNonzeroError(f"theta(dim M) = {theta(m.dims)}, expected 0")
+    weights = theta.aligned(m.quiver.vertices)
+    total = m.dims.total()
     first_zero_proper = None
     for tup, dims in enumerate_subrepresentations(m, budget):
-        value = theta(dims)
+        sub = [space.dim for space in tup]
+        value = sum(map(operator.mul, weights, sub))
         if value > 0:
             return StabilityVerdict(False, False, (tup, dims))
-        if value == 0 and not dims.is_zero() and dims != m.dims and first_zero_proper is None:
+        # Proper and nonzero iff 0 < total < total of dim M, as sub <= dim M.
+        if value == 0 and first_zero_proper is None and 0 < sum(sub) < total:
             first_zero_proper = (tup, dims)
     if first_zero_proper is not None:
         return StabilityVerdict(True, False, first_zero_proper)
@@ -274,13 +261,13 @@ def has_cyclic_destabilizer(
         raise PairingNonzeroError(f"theta(dim M) = {theta(m.dims)}, expected 0")
     p = m.prime
     vertices = m.quiver.vertices
-    dims = [m.dims[v] for v in vertices]
-    idx = {v: k for k, v in enumerate(vertices)}
-    out_arrows = {v: m.quiver.arrows_out_of(v) for v in vertices}
+    weights = theta.aligned(vertices)
+    dims = m.dims.aligned(vertices)
+    out_arrows: list[list[tuple[int, IntMatrix]]] = [[] for _ in vertices]  # (target, matrix)
+    for (s, t), mat in zip(m.quiver.arrow_indices, m.arrow_matrices):
+        out_arrows[s].append((t, mat))
 
     for element in itertools.product(*(itertools.product(range(p), repeat=n) for n in dims)):
-        if all(all(x == 0 for x in comp) for comp in element):
-            continue
         # Grow per-vertex echelon bases until closed under all arrows.  Each
         # basis is kept sorted by pivot column, as the residual requires.
         bases: list[tuple[list[list[int]], list[int]]] = [([], []) for _ in vertices]
@@ -298,14 +285,11 @@ def has_cyclic_destabilizer(
             at = bisect.bisect(pivots, pivot)
             pivots.insert(at, pivot)
             rows.insert(at, [x * inv % p for x in residual])
-            for a in out_arrows[vertices[k]]:
-                t = idx[m.quiver.arrows[a][1]]
-                queue.append((t, linalg.mod_mat_vec(m.arrow_matrices[a], residual, p)))
-        closure_dims = DimensionVector(
-            {v: len(bases[k][1]) for k, v in enumerate(vertices)}
-        )
-        if theta(closure_dims) > 0:
-            return True, closure_dims
+            for t, mat in out_arrows[k]:
+                queue.append((t, linalg.mod_mat_vec(mat, residual, p)))
+        closure = [len(pivots) for _, pivots in bases]
+        if sum(map(operator.mul, weights, closure)) > 0:
+            return True, DimensionVector(zip(vertices, closure))
     return False, None
 
 
@@ -394,10 +378,7 @@ def verify_double_framing_equivalence(
         raise ValueError(f"{prime} is not prime")
     coprime, witness = is_theta_coprime(q, d, theta)
     if not coprime:
-        raise AssumptionViolatedError(
-            "semistable = stable (theta-coprimality)",
-            detail=f"theta vanishes on proper subdimension vector {witness}",
-        )
+        raise _not_coprime_error(witness)
     framing = double_frame(q, d, theta, i, j, scale)
     notes = []
     if scale < 2:
@@ -550,10 +531,6 @@ def verify_semiinvariant_weight(
     p = m.prime
     src = path.source
     dst = path.target(m.quiver)
-    if m.dims[src] != 1 or m.dims[dst] != 1:
-        raise NotThinAtEndpointsError(
-            f"path endpoints {src!r}, {dst!r} must have dimension 1"
-        )
     before = path_semiinvariant(m, path)
     after = path_semiinvariant(group_act(g, m), path)
     g_src = g[src][0][0] % p

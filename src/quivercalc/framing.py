@@ -33,6 +33,7 @@ from .stability import (
     ThreeValued,
     _lattice_point,
     _lattice_values,
+    _not_coprime_error,
     assumptions_report,
 )
 
@@ -356,11 +357,7 @@ def _reduce_checked(
     if not report.indivisible:
         raise AssumptionViolatedError("indivisibility")
     if not report.coprime:
-        witness = report.failing_witnesses.get("coprime", (None,))[0]
-        raise AssumptionViolatedError(
-            "semistable = stable (theta-coprimality)",
-            detail=f"theta vanishes on proper subdimension vector {witness}",
-        )
+        raise _not_coprime_error(report.failing_witnesses["coprime"][0])
 
     i, j = framing.framed_at
     scale = framing.framing_scale

@@ -128,7 +128,7 @@ def _datum_counts(q: Quiver) -> dict[str, int]:
 
 def assumptions_dict(report: AssumptionsReport) -> dict[str, Any]:
     witnesses = {
-        name: [_vector_dict(w, sorted(w.vertex_set)) for w in ws]
+        name: [w.as_dict() for w in ws]
         for name, ws in report.failing_witnesses.items()
     }
     return {

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Mapping
 
 from .core import DimensionVector, Quiver, StabilityParameter, is_acyclic
-from .errors import BudgetExceededError, CyclicQuiverError, PairingNonzeroError
+from .errors import AssumptionViolatedError, BudgetExceededError, CyclicQuiverError, PairingNonzeroError
 
 __all__ = [
     "LATTICE_BUDGET",
@@ -99,10 +99,12 @@ class AssumptionsReport:
             and self.amply_stable is ThreeValued.YES
         )
 
-    def decidable_ok(self) -> bool:
-        """True when the exactly decidable hypotheses (acyclicity,
-        indivisibility, coprimality) all hold."""
-        return self.acyclic and self.indivisible and self.coprime
+
+def _not_coprime_error(witness: DimensionVector) -> AssumptionViolatedError:
+    """The coprimality refusal, naming the witness in vertex-name order."""
+    body = ", ".join(f"{v}: {c}" for v, c in witness.entries)
+    detail = f"theta vanishes on proper subdimension vector ({body})"
+    return AssumptionViolatedError("semistable = stable (theta-coprimality)", detail=detail)
 
 
 def _require_zero_pairing(theta: StabilityParameter, d: DimensionVector) -> None:

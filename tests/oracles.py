@@ -7,12 +7,14 @@ spans over F_p are enumerated coefficient by coefficient, connectivity is
 union-find, subspace counts come from the closed-form product formula, and
 the subdimension-lattice decisions build one DimensionVector per point and
 pair theta with it directly, as the library did before its index-space
-sweep.
+sweep, and the finite-field King test does the same per arrow-closed
+subspace tuple, testing closure and cyclic closures by brute-force spans.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 import networkx
@@ -157,3 +159,69 @@ def naive_framed_discrepancies(framing) -> list:
         if actual != expected:
             out.append((f, expected, actual))
     return out
+
+
+# --- finite-field stability references -----------------------------------
+
+
+def _span(rows, n: int, p: int) -> set[tuple[int, ...]]:
+    return brute_force_row_span(rows, p) if rows else {(0,) * n}
+
+
+def _apply(mat, u, p: int) -> tuple[int, ...]:
+    return tuple(sum(x * y for x, y in zip(row, u)) % p for row in mat)
+
+
+def naive_king_stability(m, theta: StabilityParameter):
+    """(semistable, stable, first violating (subspaces, dims) or None), the
+    way the King test reads: every tuple of per-vertex subspaces (in
+    ``subspaces_of`` order, vertices in quiver order) that the arrows map
+    into itself, by brute-force spans, paired with theta as a
+    DimensionVector."""
+    from quivercalc import subspaces_of
+
+    q, p = m.quiver, m.prime
+    n = {v: m.dims[v] for v in q.vertices}
+    first_zero_proper = None
+    for tup in itertools.product(*(subspaces_of(p, n[v]) for v in q.vertices)):
+        spaces = dict(zip(q.vertices, tup))
+        closed = all(
+            _apply(mat, u, p) in _span(spaces[t].rows, n[t], p)
+            for (s, t), mat in zip(q.arrows, m.arrow_matrices)
+            for u in spaces[s].rows
+        )
+        if not closed:
+            continue
+        dims = DimensionVector({v: spaces[v].dim for v in q.vertices})
+        value = theta(dims)
+        if value > 0:
+            return False, False, (tup, dims)
+        if value == 0 and not dims.is_zero() and dims != m.dims and first_zero_proper is None:
+            first_zero_proper = (tup, dims)
+    return True, first_zero_proper is None, first_zero_proper
+
+
+def naive_cyclic_destabilizer(m, theta: StabilityParameter):
+    """(found, dims of the first destabilizing cyclic subrepresentation):
+    elements of the direct sum in vertex order, each closed under the
+    arrows by growing whole spans until nothing changes."""
+    q, p = m.quiver, m.prime
+    n = {v: m.dims[v] for v in q.vertices}
+    for element in itertools.product(*(itertools.product(range(p), repeat=n[v]) for v in q.vertices)):
+        gens = {v: [list(x)] if any(x) else [] for v, x in zip(q.vertices, element)}
+        while True:
+            spans = {v: _span(gens[v], n[v], p) for v in q.vertices}
+            new = [
+                (t, image)
+                for (s, t), mat in zip(q.arrows, m.arrow_matrices)
+                for u in spans[s]
+                if (image := _apply(mat, u, p)) not in spans[t]
+            ]
+            if not new:
+                break
+            for t, image in new:
+                gens[t].append(list(image))
+        dims = DimensionVector({v: round(math.log(len(spans[v]), p)) for v in q.vertices})
+        if theta(dims) > 0:
+            return True, dims
+    return False, None

@@ -393,3 +393,48 @@ def test_reduce_runs_the_pairing_check_once(capsys, monkeypatch):
     assert code == 0
     assert report["verifications"][0]["passed"] is True
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("command", ["reduce", "verify"])
+def test_coprimality_refusal_names_the_witness_in_name_order(capsys, tmp_path, command):
+    spec = _non_coprime_framed_spec(tmp_path)
+    message = (
+        "assumption violated: semistable = stable (theta-coprimality) "
+        "(theta vanishes on proper subdimension vector (1: 0, 2: 1, 3: 0))"
+    )
+    code, report, _ = run_json(capsys, command, spec)
+    assert code == 1
+    assert report["error"]["message"] == message
+    code_h, human, _ = run(capsys, command, spec)
+    assert code_h == 1
+    assert human == f"command: {command}\nrefused: {message}\nexit code: 1\n"
+
+
+def _a6_oversize_with_oracle_prime(tmp_path, prime):
+    path = _a6_oversize(tmp_path, framing=True)
+    doc = json.loads(path.read_text())
+    doc["oracle"] = {"prime": prime}
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize(
+    "spec, argv, message",
+    [
+        (lambda p: _a6_oversize(p, framing=True), ["verify", "--prime", "1"], "1 is not prime"),
+        (lambda p: _a6_oversize(p, framing=True), ["verify", "--prime", "4"], "4 is not prime"),
+        (lambda p: _a6_oversize_with_oracle_prime(p, 9), ["verify"], "9 is not prime"),
+        (lambda p: _a6_oversize(p, framing=True), ["frame", "--scale", "0"], "framing scale must be a positive integer"),
+        (lambda p: _a6_oversize(p, framing=True), ["reduce", "--scale", "-1"], "framing scale must be a positive integer"),
+        (_non_coprime_framed_spec, ["verify", "--scale", "0"], "framing scale must be a positive integer"),
+    ],
+    ids=["a6-verify-prime-1", "a6-verify-prime-4", "a6-oracle-block-prime-9", "a6-frame-scale-0",
+         "a6-reduce-scale-minus-1", "non-coprime-verify-scale-0"],
+)
+def test_bad_prime_or_scale_exits_two_whatever_the_datum(capsys, tmp_path, spec, argv, message):
+    path = spec(tmp_path)
+    for fmt in ([], ["--json"]):
+        code, out, err = run(capsys, argv[0], path, *argv[1:], *fmt)
+        assert code == 2
+        assert out == ""
+        assert err == f"quivercalc: input error: {message}\n"

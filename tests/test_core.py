@@ -1,3 +1,5 @@
+import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -217,3 +219,64 @@ def test_character_call_requires_same_vertices():
     a = Character({"x": 1})
     with pytest.raises(VertexSetMismatchError):
         a(DimensionVector({"y": 1}))
+
+
+# Vertex names that sort differently from any order they are drawn in,
+# including a non-ASCII one.
+_vertex_names = st.text(alphabet="ab0Z_∞", min_size=1, max_size=3)
+
+
+@st.composite
+def _vectors_in_some_order(draw):
+    """A name -> int map (nonnegative, so it is also a dimension vector),
+    one random vertex order, and a vertex outside the map."""
+    values = draw(st.dictionaries(_vertex_names, st.integers(0, 12), max_size=6))
+    order = tuple(draw(st.permutations(sorted(values))))
+    unknown = draw(_vertex_names.filter(lambda v: v not in values))
+    return values, order, unknown
+
+
+@settings(max_examples=150)
+@given(_vectors_in_some_order(), st.data())
+def test_vertex_vector_contract(case, data):
+    values, order, unknown = case
+    by_name = sorted(values.items())
+    d = DimensionVector({v: values[v] for v in order})
+
+    assert d.aligned(order) == tuple(values[v] for v in order)
+    assert all(d[v] == values[v] for v in order)
+    with pytest.raises(UnknownVertexError, match=re.escape(f"unknown vertex {unknown!r}")):
+        d[unknown]
+    assert d.entries == tuple(by_name)
+    assert d.as_dict() == values and list(d.as_dict()) == [v for v, _ in by_name]
+    assert d.vertex_set == frozenset(values)
+    assert repr(d) == "DimensionVector({" + ", ".join(f"{v}: {c}" for v, c in by_name) + "})"
+    assert d.total() == sum(values.values())
+    assert d.is_zero() == (not any(values.values()))
+    assert d.is_indivisible() == (math.gcd(*values.values()) == 1)
+
+    # Equality and hash depend on the values and the concrete type only.
+    reordered = DimensionVector(list(reversed(list(values.items()))))
+    assert reordered == d and hash(reordered) == hash(d)
+    assert hash(d) == hash(("DimensionVector", tuple(by_name)))
+    assert StabilityParameter(values) != d
+    assert Character(values) != StabilityParameter(values)
+
+    weights = data.draw(st.lists(st.integers(-9, 9), min_size=len(order), max_size=len(order)))
+    theta = StabilityParameter(dict(zip(order, weights)))
+    assert theta(d) == sum(w * values[v] for v, w in zip(order, weights))
+    assert Character(dict(zip(order, weights)))(d) == theta(d)
+    assert d + d == DimensionVector({v: 2 * c for v, c in values.items()})
+    assert (d + d) - d == d and d <= d + d
+
+    expected = f"vector defined on {[v for v, _ in by_name]} but expected vertex set {sorted(order + (unknown,))}"
+    with pytest.raises(VertexSetMismatchError, match=re.escape(expected)):
+        d.aligned(order + (unknown,))
+    other = DimensionVector({**values, unknown: 1})
+    with pytest.raises(VertexSetMismatchError, match="pairing of vectors on different vertex sets"):
+        theta(other)
+    for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a <= b):
+        with pytest.raises(VertexSetMismatchError, match="dimension vectors on different vertex sets"):
+            op(d, other)
+        with pytest.raises(VertexSetMismatchError, match="dimension vectors on different vertex sets"):
+            op(other, d)

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -10,7 +11,9 @@ from quivercalc import (
     NotThinAtEndpointsError,
     Path,
     Quiver,
+    RationalRepresentation,
     StabilityParameter,
+    VertexSetMismatchError,
     canonical_stability,
     double_frame,
     enumerate_paths,
@@ -29,7 +32,7 @@ from quivercalc import (
 from quivercalc.ff_oracle import group_act, random_group_element, random_representation
 
 from conftest import random_acyclic_quiver, random_zero_pairing_parameter, thin
-from oracles import gaussian_binomial_formula
+from oracles import gaussian_binomial_formula, naive_cyclic_destabilizer, naive_king_stability
 
 
 def test_subspace_counts_match_gaussian_binomials():
@@ -295,3 +298,51 @@ def test_enumerate_representations_count(a2):
     d = DimensionVector({"1": 1, "2": 2})
     points = list(enumerate_representations(a2, d, 2))
     assert len(points) == 4  # one 2x1 matrix over F_2
+
+
+def _random_rep_out_of_name_order(rng, p, max_total):
+    """A random representation over F_p on a quiver whose vertex list is not
+    in name order (arrows in both directions, parallel ones allowed), with a
+    random zero-pairing theta."""
+    names = rng.sample("abcd", rng.randint(2, 3))
+    if names == sorted(names):
+        names.reverse()
+    q = Quiver(names, [tuple(rng.sample(names, 2)) for _ in range(rng.randint(1, 3))])
+    while True:
+        d = DimensionVector({v: rng.randint(0, 2) for v in names})
+        if d.total() <= max_total:
+            break
+    return random_representation(rng, q, d, p), random_zero_pairing_parameter(rng, q, d)
+
+
+@pytest.mark.parametrize("p, max_total", [(2, 5), (3, 4)])
+def test_king_stability_and_cyclic_screening_match_naive_references(p, max_total):
+    rng = random.Random(5 + p)
+    outcomes = set()
+    for _ in range(60):
+        m, theta = _random_rep_out_of_name_order(rng, p, max_total)
+        verdict = king_stability(m, theta)
+        assert (verdict.semistable, verdict.stable, verdict.destabilizing_subrep) == naive_king_stability(m, theta)
+        found = has_cyclic_destabilizer(m, theta)
+        assert found == naive_cyclic_destabilizer(m, theta)
+        outcomes.add((verdict.semistable, verdict.stable, found[0]))
+    # Each kind of verdict occurs: unstable with a cyclic witness, strictly semistable, stable.
+    assert {(False, False, True), (True, False, False), (True, True, False)} <= outcomes
+
+
+@pytest.mark.parametrize(
+    "dims, mats, error, message",
+    [
+        ({"1": 1, "2": 1}, (), ValueError, "expected 1 arrow matrices, got 0"),
+        ({"1": 2, "2": 1}, (((1,),),), ValueError, "arrow #0 (1->2) matrix is not 1x2"),
+        ({"1": 1, "2": 1, "3": 1}, (((1,),),), VertexSetMismatchError, "but expected vertex set ['1', '2']"),
+    ],
+)
+def test_representation_classes_raise_the_same_shape_errors(a2, dims, mats, error, message):
+    d = DimensionVector(dims)
+    messages = []
+    for build in (lambda: FiniteFieldRepresentation(a2, 2, d, mats), lambda: RationalRepresentation(a2, d, mats)):
+        with pytest.raises(error, match=re.escape(message)) as caught:
+            build()
+        messages.append(str(caught.value))
+    assert messages[0] == messages[1]
