@@ -8,7 +8,8 @@ union-find, subspace counts come from the closed-form product formula, and
 the subdimension-lattice decisions build one DimensionVector per point and
 pair theta with it directly, as the library did before its index-space
 sweep, and the finite-field King test does the same per arrow-closed
-subspace tuple, testing closure and cyclic closures by brute-force spans.
+subspace tuple, found by filtering the whole product of per-vertex subspace
+lists, testing closure and cyclic closures by brute-force spans.
 """
 
 from __future__ import annotations
@@ -172,27 +173,32 @@ def _apply(mat, u, p: int) -> tuple[int, ...]:
     return tuple(sum(x * y for x, y in zip(row, u)) % p for row in mat)
 
 
-def naive_king_stability(m, theta: StabilityParameter):
-    """(semistable, stable, first violating (subspaces, dims) or None), the
-    way the King test reads: every tuple of per-vertex subspaces (in
-    ``subspaces_of`` order, vertices in quiver order) that the arrows map
-    into itself, by brute-force spans, paired with theta as a
-    DimensionVector."""
+def naive_closed_tuples(m):
+    """Every tuple of per-vertex subspaces that the arrows map into itself,
+    the way a subrepresentation reads: itertools.product over the
+    ``subspaces_of`` lists in quiver vertex order, closure by brute-force
+    spans."""
     from quivercalc import subspaces_of
 
     q, p = m.quiver, m.prime
     n = {v: m.dims[v] for v in q.vertices}
-    first_zero_proper = None
     for tup in itertools.product(*(subspaces_of(p, n[v]) for v in q.vertices)):
         spaces = dict(zip(q.vertices, tup))
-        closed = all(
+        if all(
             _apply(mat, u, p) in _span(spaces[t].rows, n[t], p)
             for (s, t), mat in zip(q.arrows, m.arrow_matrices)
             for u in spaces[s].rows
-        )
-        if not closed:
-            continue
-        dims = DimensionVector({v: spaces[v].dim for v in q.vertices})
+        ):
+            yield tup
+
+
+def naive_king_stability(m, theta: StabilityParameter):
+    """(semistable, stable, first violating (subspaces, dims) or None), the
+    way the King test reads: every closed tuple of ``naive_closed_tuples``
+    paired with theta as a DimensionVector."""
+    first_zero_proper = None
+    for tup in naive_closed_tuples(m):
+        dims = DimensionVector({v: len(space.rows) for v, space in zip(m.quiver.vertices, tup)})
         value = theta(dims)
         if value > 0:
             return False, False, (tup, dims)

@@ -1,7 +1,13 @@
+import itertools
+import math
 import random
 import re
+import sys
+import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from quivercalc import (
     AssumptionViolatedError,
@@ -29,10 +35,17 @@ from quivercalc import (
     verify_semiinvariant_weight,
     weight_law_trials,
 )
-from quivercalc.ff_oracle import group_act, random_group_element, random_representation
+from quivercalc import ff_oracle
+from quivercalc.ff_oracle import _span_masks, group_act, random_group_element, random_representation
 
 from conftest import random_acyclic_quiver, random_zero_pairing_parameter, thin
-from oracles import gaussian_binomial_formula, naive_cyclic_destabilizer, naive_king_stability
+from oracles import (
+    brute_force_row_span,
+    gaussian_binomial_formula,
+    naive_closed_tuples,
+    naive_cyclic_destabilizer,
+    naive_king_stability,
+)
 
 
 def test_subspace_counts_match_gaussian_binomials():
@@ -346,3 +359,154 @@ def test_representation_classes_raise_the_same_shape_errors(a2, dims, mats, erro
             build()
         messages.append(str(caught.value))
     assert messages[0] == messages[1]
+
+
+def _rep(p, dims, arrows, entries):
+    """A representation over F_p on vertices v0, v1, ... with the given
+    dimensions; arrows are index pairs, matrices filled from ``entries``."""
+    names = [f"v{k}" for k in range(len(dims))]
+    fill = itertools.cycle(entries)
+    mats = tuple(tuple(tuple(next(fill) % p for _ in range(dims[s])) for _ in range(dims[t])) for s, t in arrows)
+    q = Quiver(names, [(names[s], names[t]) for s, t in arrows])
+    return FiniteFieldRepresentation(q, p, DimensionVector(dict(zip(names, dims))), mats)
+
+
+@st.composite
+def small_ff_representations(draw):
+    """Representations over F_2 or F_3 on up to four vertices, zero
+    dimensions allowed.  With two or more vertices at least one arrow runs
+    from a later vertex to an earlier one, so the vertex list is not in
+    topological order; arrows may repeat (parallel) or be loops."""
+    p = draw(st.sampled_from((2, 3)))
+    dims = draw(
+        st.lists(st.integers(0, 3 if p == 2 else 2), min_size=1, max_size=4).filter(
+            lambda ds: math.prod(subspace_count(k, p) for k in ds) <= 1000
+        )
+    )
+    n = len(dims)
+    arrows = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=5))
+    if n > 1:
+        high = draw(st.integers(1, n - 1))
+        arrows.append((high, draw(st.integers(0, high - 1))))
+    entries = draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=12))
+    return _rep(p, dims, arrows, entries)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_ff_representations())
+@example(_rep(2, [2], [], [1]))  # one vertex, no arrows
+@example(_rep(3, [2], [(0, 0)], [1, 2, 0, 1]))  # one vertex with a loop
+# a zero-dimensional vertex, parallel arrows, arrows both ways in index order
+@example(_rep(2, [2, 0, 2], [(2, 0), (2, 0), (0, 1), (1, 2), (0, 2)], [1, 0, 1, 1, 0, 1, 1, 0]))
+@example(_rep(3, [1, 2, 1], [(2, 1), (1, 0), (1, 0), (0, 2)], [1, 2, 2, 0, 1]))
+def test_enumerate_subrepresentations_matches_the_filtered_product(m):
+    """The backtracking enumerator yields exactly the closed tuples of the
+    whole product, in product order, with their dimensions."""
+    vertices = m.quiver.vertices
+    got = [(tup, dims.as_dict()) for tup, dims in enumerate_subrepresentations(m)]
+    want = [(tup, {v: len(space.rows) for v, space in zip(vertices, tup)}) for tup in naive_closed_tuples(m)]
+    assert got == want
+
+
+@pytest.mark.parametrize("p, n", [(2, n) for n in range(5)] + [(3, n) for n in range(4)])
+def test_span_masks_are_the_brute_force_spans(p, n):
+    # bit c stands for the vector whose base-p numeral, first coordinate
+    # leading, is c
+    codes = {v: sum(x * p ** (n - 1 - k) for k, x in enumerate(v)) for v in itertools.product(range(p), repeat=n)}
+    masks = _span_masks(p, n)
+    spaces = subspaces_of(p, n)
+    assert len(masks) == len(spaces)
+    for space, mask in zip(spaces, masks):
+        span = brute_force_row_span(space.rows, p) if space.rows else {(0,) * n}
+        assert mask == sum(1 << codes[v] for v in span)
+
+
+def test_mask_tables_stop_at_their_bit_limit():
+    # 1012 subspaces of F_1009^2 times 1009^2 bits is about 10^9 bits
+    assert _span_masks(1009, 2) is None
+    assert _span_masks(67, 2) is not None  # 70 masks of 4489 bits
+
+
+@pytest.fixture
+def no_mask_tables(monkeypatch):
+    monkeypatch.setattr(ff_oracle, "_MASK_TABLE_BITS", 0)
+    _span_masks.cache_clear()
+    yield
+    _span_masks.cache_clear()
+
+
+def test_enumeration_without_mask_tables_filters_the_product(no_mask_tables):
+    m = _rep(3, [2, 1, 1], [(0, 1), (2, 0), (1, 2)], [1, 2, 1, 0, 2])
+    assert _span_masks(3, 2) is None
+    got = [(tup, dims.as_dict()) for tup, dims in enumerate_subrepresentations(m)]
+    want = [(tup, {v: len(s.rows) for v, s in zip(m.quiver.vertices, tup)}) for tup in naive_closed_tuples(m)]
+    assert got == want and len(got) > 2
+
+
+def test_a_vertex_no_arrow_touches_needs_no_mask_table(monkeypatch):
+    built = []
+
+    def recording(p, n):
+        built.append((p, n))
+        return _span_masks(p, n)
+
+    monkeypatch.setattr(ff_oracle, "_span_masks", recording)
+    m = _rep(5, [1, 3, 1], [(0, 2)], [1])  # v1 is isolated
+    got = [(tup, dims.as_dict()) for tup, dims in enumerate_subrepresentations(m)]
+    assert built == [(5, 1), (5, 1)]
+    assert len(got) == 3 * subspace_count(3, 5)  # v0, v2: 0/0, 0/F_5, F_5/F_5
+
+
+def test_enumeration_on_a_long_chain_needs_no_recursion():
+    # 1500 vertices in a chain, ten of them thin (some adjacent, so some
+    # arrows are nonzero maps), the rest zero-dimensional: 2^10 tuples.
+    thin_at = {0, 1, 150, 151, 152, 700, 900, 1497, 1498, 1499}
+    dims = [1 if k in thin_at else 0 for k in range(1500)]
+    rng = random.Random(8)
+    m = _rep(2, dims, [(k, k + 1) for k in range(1499)], [rng.randrange(2) for _ in range(40)])
+    want = sum(1 for _ in naive_closed_tuples(m))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        got = sum(1 for _ in enumerate_subrepresentations(m))
+        verdict = king_stability(m, StabilityParameter({v: 0 for v in m.quiver.vertices}))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got == want
+    assert 1 < got < 2**10  # the nonzero maps close off some tuples
+    assert verdict.semistable and not verdict.stable
+
+
+def test_cyclic_destabilizer_refuses_over_budget_at_once():
+    # 2-Kronecker (8, 16) over F_2: 2^24 elements of the direct sum
+    q = Quiver(("1", "2"), (("1", "2"), ("1", "2")))
+    d = DimensionVector({"1": 8, "2": 16})
+    rng = random.Random(1)
+    m = random_representation(rng, q, d, 2)
+    theta = StabilityParameter({"1": 2, "2": -1})
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError) as caught:
+        has_cyclic_destabilizer(m, theta)
+    assert time.perf_counter() - start < 1.0
+    error = caught.value
+    assert (error.counted, error.size, error.budget) == ("elements", 2**24, 10**6)
+
+
+def test_exhaustive_verify_runs_one_base_king_test_per_base_point(kronecker, monkeypatch):
+    # The framing arrows vary fastest, so 2^2 consecutive points share each
+    # base point: 4 base points, 16 framed points.
+    from quivercalc import ff_oracle
+
+    calls = []
+    original = ff_oracle.king_stability
+
+    def counting(m, theta, budget=ff_oracle.DEFAULT_BUDGET):
+        calls.append(m.quiver)
+        return original(m, theta, budget)
+
+    monkeypatch.setattr(ff_oracle, "king_stability", counting)
+    d = thin(kronecker)
+    report = verify_double_framing_equivalence(kronecker, d, StabilityParameter({"1": 1, "2": -1}), "1", "2", 2, 2)
+    assert report.passed and report.instances_checked == 16
+    assert sum(q == kronecker for q in calls) == 4
+    assert len(calls) == 16 + 4
