@@ -7,7 +7,7 @@ or to ``--out FILE``.
 
 Exit codes: 0 when every check passes, 1 when a hypothesis or verification
 fails or an enumeration is over its budget (a report is still emitted), 2 on
-input errors.
+input errors and when ``--out`` cannot be written.
 """
 
 from __future__ import annotations
@@ -34,7 +34,8 @@ from .report import (
     build_verify_report,
     render_human,
 )
-from .specfile import load_spec
+from .specfile import OracleSpec, load_spec
+from .stability import HYPOTHESES
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -131,22 +132,16 @@ def main(argv: list[str] | None = None) -> int:
             i, j = _framed_vertices(spec, args)
             report = build_reduce_report(spec, i, j, args.scale)
         else:
-            oracle = spec.oracle
-            prime = args.prime if args.prime is not None else (oracle.prime if oracle else 2)
-            budget = args.budget if args.budget is not None else (oracle.budget if oracle else 10**6)
+            oracle = spec.oracle or OracleSpec()
+            prime = args.prime if args.prime is not None else oracle.prime
+            budget = args.budget if args.budget is not None else oracle.budget
             if budget < 1:
                 raise ValueError(f"--budget must be at least 1, got {budget}")
             if not _is_prime(prime):
                 raise ValueError(f"{prime} is not prime")
-            seed = args.seed if args.seed is not None else (oracle.seed if oracle else 0)
+            seed = args.seed if args.seed is not None else oracle.seed
             report = build_verify_report(spec, prime, budget, seed, args.scale)
-    except SpecFileError as exc:
-        print(f"quivercalc: input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except UnknownVertexError as exc:
-        print(f"quivercalc: input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except ValueError as exc:
+    except (SpecFileError, UnknownVertexError, ValueError) as exc:
         print(f"quivercalc: input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except AssumptionViolatedError as exc:
@@ -157,12 +152,16 @@ def main(argv: list[str] | None = None) -> int:
         error = {"counted": exc.counted, "size": exc.size, "budget": exc.budget, "message": str(exc)}
         report = _refusal_report(args.command, [], error)
     except CyclicQuiverError as exc:
-        report = _refusal_report(args.command, ["acyclicity"], {"message": str(exc)})
+        report = _refusal_report(args.command, [HYPOTHESES["acyclic"].refusal], {"message": str(exc)})
     except QuiverCalcError as exc:
         print(f"quivercalc: error: {exc}", file=sys.stderr)
         return EXIT_FAILED
 
-    _emit(report, args)
+    try:
+        _emit(report, args)
+    except OSError as exc:
+        print(f"quivercalc: input error: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
     return int(report["exit_code"])
 
 

@@ -203,20 +203,6 @@ def tangent_presentation(q: Quiver, d: DimensionVector, theta: StabilityParamete
     )
 
 
-def _unverified_hypotheses(report: AssumptionsReport) -> list[str]:
-    """The standing hypotheses of the vector-fields formula that fail."""
-    return [
-        name
-        for name, ok in (
-            ("acyclicity", report.acyclic),
-            ("indivisibility", report.indivisible),
-            ("semistable = stable (theta-coprimality)", report.coprime),
-            ("strong ample stability", report.strongly_amply_stable),
-        )
-        if not ok
-    ]
-
-
 def vector_fields_dim(
     q: Quiver,
     d: DimensionVector,
@@ -237,7 +223,7 @@ def vector_fields_dim(
     is already computed.
     """
     report = assumptions if assumptions is not None else assumptions_report(q, d, theta)
-    failed = _unverified_hypotheses(report)
+    failed = report.refusals()
     if failed and not override_assumptions:
         raise AssumptionViolatedError(", ".join(failed))
     if failed:

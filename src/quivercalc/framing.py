@@ -16,7 +16,7 @@ from __future__ import annotations
 import enum
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .core import (
     DimensionVector,
@@ -26,14 +26,13 @@ from .core import (
     enumerate_paths,
     path_count_matrix,
 )
-from .errors import AssumptionViolatedError, PairingNonzeroError
+from .errors import PairingNonzeroError
 from .stability import (
     AssumptionsReport,
     SignPartition,
     ThreeValued,
     _lattice_point,
     _lattice_values,
-    _not_coprime_error,
     assumptions_report,
 )
 
@@ -300,14 +299,7 @@ def framed_assumptions_report(framing: FramingResult) -> AssumptionsReport:
     ample = framed_ample_stability(framing.base_dimension, i, j)
     if report.strongly_amply_stable and not ample:
         raise AssertionError("strong ample stability cannot hold when ample stability fails")
-    return AssumptionsReport(
-        acyclic=report.acyclic,
-        indivisible=report.indivisible,
-        coprime=report.coprime,
-        strongly_amply_stable=report.strongly_amply_stable,
-        amply_stable=ThreeValued.YES if ample else ThreeValued.NO,
-        failing_witnesses=report.failing_witnesses,
-    )
+    return replace(report, amply_stable=ThreeValued.YES if ample else ThreeValued.NO)
 
 
 def reduce(
@@ -352,12 +344,7 @@ def _reduce_checked(
     base_q = framing.base_quiver
     theta = framing.base_stability
     report = assumptions if assumptions is not None else assumptions_report(base_q, d, theta)
-    if not report.acyclic:
-        raise AssumptionViolatedError("acyclicity")
-    if not report.indivisible:
-        raise AssumptionViolatedError("indivisibility")
-    if not report.coprime:
-        raise _not_coprime_error(report.failing_witnesses["coprime"][0])
+    report.require("acyclic", "indivisible", "coprime")
 
     i, j = framing.framed_at
     scale = framing.framing_scale

@@ -3,10 +3,11 @@
 Every command builds one report dict, validated against ``REPORT_SCHEMA``.
 The human-readable rendering is derived from the dict alone, so every number
 a user sees in the text output is present in the machine-readable output.
-Reports always restate which hypotheses were verified, which failed, and
-which are assumed without computation (higher cohomology vanishing of the
-endomorphism summands is always in the last group: it is consumed as a
-hypothesis, never computed).
+Every full report opens with the same header, and it always restates which
+hypotheses were verified, which failed, and which are assumed without
+computation (higher cohomology vanishing of the endomorphism summands is
+always in the last group: it is consumed as a hypothesis, never computed).
+The labels and their order come from ``stability.HYPOTHESES``.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from typing import Any
 from .cohomology import (
     UnverifiedAssumptionWarning,
     _presentation_cokernel_dim,
-    _unverified_hypotheses,
     endomorphism_dimensions,
     hochschild1_dim,
     moduli_dimension,
@@ -42,14 +42,9 @@ from .framing import (
     minimal_framing_scale,
 )
 from .specfile import QuiverSpec
-from .stability import AssumptionsReport, _lattice_values, assumptions_report
+from .stability import HYPOTHESES, AssumptionsReport, _lattice_values, assumptions_report
 
 SCHEMA_VERSION = 1
-
-ASSUMED_HYPOTHESES = (
-    "vanishing of higher cohomology of the endomorphism summands (consumed as a hypothesis, never computed)",
-    "exact ample stability is not decided in general; the strong criterion is used as sufficient evidence",
-)
 
 REPORT_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -122,52 +117,46 @@ def datum_dict(q: Quiver, d: DimensionVector, theta: StabilityParameter) -> dict
     }
 
 
-def _datum_counts(q: Quiver) -> dict[str, int]:
-    return {"vertices": len(q.vertices), "arrows": len(q.arrows)}
-
-
 def assumptions_dict(report: AssumptionsReport) -> dict[str, Any]:
     witnesses = {
         name: [w.as_dict() for w in ws]
         for name, ws in report.failing_witnesses.items()
     }
     return {
-        "acyclic": report.acyclic,
-        "indivisible": report.indivisible,
-        "coprime": report.coprime,
-        "strongly_amply_stable": report.strongly_amply_stable,
+        **{name: getattr(report, name) for name in HYPOTHESES},
         "amply_stable": report.amply_stable.value,
         "failing_witnesses": witnesses,
     }
 
 
-def _hypotheses_dict(report: AssumptionsReport) -> dict[str, Any]:
-    names = {
-        "acyclic": "the quiver is acyclic",
-        "indivisible": "the dimension vector is indivisible",
-        "coprime": "semistable = stable (via theta-coprimality)",
-        "strongly_amply_stable": "strong ample stability",
-    }
-    verified = [label for key, label in names.items() if getattr(report, key)]
-    failed = [label for key, label in names.items() if not getattr(report, key)]
+def _header(command: str, spec: QuiverSpec, report: AssumptionsReport) -> dict[str, Any]:
+    """The blocks every full report opens with: the datum and its ledger."""
+    q = spec.quiver
     return {
-        "verified": verified,
-        "failed": failed,
-        "assumed": list(ASSUMED_HYPOTHESES),
+        "schema_version": SCHEMA_VERSION,
+        "command": command,
+        "datum": datum_dict(q, spec.dimension, spec.stability),
+        "datum_counts": {"vertices": len(q.vertices), "arrows": len(q.arrows)},
+        "assumptions": assumptions_dict(report),
+        "hypotheses": report.ledger(),
     }
+
+
+def _framed(
+    spec: QuiverSpec, i: str, j: str, scale: int | None
+) -> tuple[AssumptionsReport, FramingResult]:
+    """The base datum's assumptions and its double framing at (i, j), at the
+    minimal framing scale unless one is given."""
+    q, d, theta = spec.quiver, spec.dimension, spec.stability
+    if scale is None:
+        scale = minimal_framing_scale(q, d, theta)
+    return assumptions_report(q, d, theta), double_frame(q, d, theta, i, j, scale)
 
 
 def build_analyze_report(spec: QuiverSpec, override_assumptions: bool = False) -> dict[str, Any]:
     q, d, theta = spec.quiver, spec.dimension, spec.stability
     report = assumptions_report(q, d, theta)
-    out: dict[str, Any] = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "analyze",
-        "datum": datum_dict(q, d, theta),
-        "datum_counts": _datum_counts(q),
-        "assumptions": assumptions_dict(report),
-        "hypotheses": _hypotheses_dict(report),
-    }
+    out = _header("analyze", spec, report)
 
     dimensions: dict[str, Any] = {}
     verifications: list[dict[str, Any]] = []
@@ -188,7 +177,7 @@ def build_analyze_report(spec: QuiverSpec, override_assumptions: bool = False) -
             vector_fields, shape_error = _presentation_cokernel_dim(q, d, theta), None
         except (DisconnectedQuiverError, UnsupportedDimensionVectorError) as exc:
             vector_fields, shape_error = None, exc
-        failed = _unverified_hypotheses(report)
+        failed = report.refusals()
         if failed and not override_assumptions:
             dimensions["vector_fields"] = {"refused": ", ".join(failed)}
         elif shape_error is not None:
@@ -231,10 +220,7 @@ def _framing_dict(framing: FramingResult) -> dict[str, Any]:
 
 def build_frame_report(spec: QuiverSpec, i: str, j: str, scale: int | None) -> dict[str, Any]:
     q, d, theta = spec.quiver, spec.dimension, spec.stability
-    if scale is None:
-        scale = minimal_framing_scale(q, d, theta)
-    base_report = assumptions_report(q, d, theta)
-    framing = double_frame(q, d, theta, i, j, scale)
+    base_report, framing = _framed(spec, i, j, scale)
     check = _framed_partition_check(
         framing, _lattice_values(d.aligned(q.vertices), theta.aligned(q.vertices))
     )
@@ -264,12 +250,7 @@ def build_frame_report(spec: QuiverSpec, i: str, j: str, scale: int | None) -> d
         )
         framing_block["base_path_space_dim"] = base_counts.count(i, j)
     return {
-        "schema_version": SCHEMA_VERSION,
-        "command": "frame",
-        "datum": datum_dict(q, d, theta),
-        "datum_counts": _datum_counts(q),
-        "assumptions": assumptions_dict(base_report),
-        "hypotheses": _hypotheses_dict(base_report),
+        **_header("frame", spec, base_report),
         "framing": framing_block,
         "verifications": verifications,
         "exit_code": 0 if check.passed else 1,
@@ -292,22 +273,13 @@ def _reduction_dict(result: ReductionResult) -> dict[str, Any]:
 
 
 def build_reduce_report(spec: QuiverSpec, i: str, j: str, scale: int | None) -> dict[str, Any]:
-    q, d, theta = spec.quiver, spec.dimension, spec.stability
-    if scale is None:
-        scale = minimal_framing_scale(q, d, theta)
-    base_report = assumptions_report(q, d, theta)
-    framing = double_frame(q, d, theta, i, j, scale)
-    result, check = _reduce_checked(framing, d, base_report)
+    base_report, framing = _framed(spec, i, j, scale)
+    result, check = _reduce_checked(framing, spec.dimension, base_report)
     reduction = _reduction_dict(result)
     reduction["reduced_path_space_dim"] = check.reduced_path_count
     reduction["base_path_space_dim"] = check.base_path_count
     return {
-        "schema_version": SCHEMA_VERSION,
-        "command": "reduce",
-        "datum": datum_dict(q, d, theta),
-        "datum_counts": _datum_counts(q),
-        "assumptions": assumptions_dict(base_report),
-        "hypotheses": _hypotheses_dict(base_report),
+        **_header("reduce", spec, base_report),
         "framing": _framing_dict(framing),
         "reduction": reduction,
         "verifications": [
@@ -333,13 +305,10 @@ def build_verify_report(
         raise AssumptionViolatedError("a framing block is required for verification")
     q, d, theta = spec.quiver, spec.dimension, spec.stability
     i, j = spec.framing.i, spec.framing.j
-    if scale is None:
-        scale = spec.framing.scale or minimal_framing_scale(q, d, theta)
-    base_report = assumptions_report(q, d, theta)
+    base_report, framing = _framed(spec, i, j, spec.framing.scale if scale is None else scale)
     equivalence = verify_double_framing_equivalence(
-        q, d, theta, i, j, scale, prime, budget=budget, seed=seed
+        q, d, theta, i, j, framing.framing_scale, prime, budget=budget, seed=seed
     )
-    framing = double_frame(q, d, theta, i, j, scale)
     weights = weight_law_trials(framing, prime, trials=weight_trials, seed=seed)
     verifications = [
         {
@@ -360,12 +329,7 @@ def build_verify_report(
         },
     ]
     return {
-        "schema_version": SCHEMA_VERSION,
-        "command": "verify",
-        "datum": datum_dict(q, d, theta),
-        "datum_counts": _datum_counts(q),
-        "assumptions": assumptions_dict(base_report),
-        "hypotheses": _hypotheses_dict(base_report),
+        **_header("verify", spec, base_report),
         "framing": _framing_dict(framing),
         "verifications": verifications,
         "exit_code": 0 if equivalence.passed and weights.passed else 1,
@@ -398,7 +362,7 @@ def render_human(report: dict[str, Any]) -> str:
     assumptions = report.get("assumptions")
     if assumptions:
         lines.append("hypotheses on the datum:")
-        for key in ("acyclic", "indivisible", "coprime", "strongly_amply_stable"):
+        for key in HYPOTHESES:
             lines.append(f"  {key}: {'yes' if assumptions[key] else 'NO'}")
         lines.append(f"  amply_stable: {assumptions['amply_stable']}")
         for name, witnesses in assumptions.get("failing_witnesses", {}).items():

@@ -185,14 +185,7 @@ def parse_spec(document: dict) -> QuiverSpec:
             raise SpecFileError("give the framing scale once, as 'scale' or 'N'", location="$.framing")
         framing = FramingSpec(i=f["i"], j=f["j"], scale=f.get("scale", f.get("N")))
 
-    oracle = None
-    if "oracle" in document:
-        o = document["oracle"]
-        oracle = OracleSpec(
-            prime=o.get("prime", 2),
-            budget=o.get("budget", 10**6),
-            seed=o.get("seed", 0),
-        )
+    oracle = OracleSpec(**document["oracle"]) if "oracle" in document else None
     return QuiverSpec(quiver, dimension, stability, framing, oracle)
 
 

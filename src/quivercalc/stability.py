@@ -5,6 +5,9 @@ partition of subdimension vectors, theta-coprimality (the implementable
 sufficient condition for "semistable = stable"), the strong ample stability
 criterion, and an aggregated report of the standing hypotheses.
 
+``HYPOTHESES`` is the one table of the standing hypotheses: every report's
+verified/failed ledger, every refusal and every gate reads its names there.
+
 The condition mu(e) >= mu(d - e) is implemented as theta(e) >= 0, which is
 algebraically equivalent when theta(d) = 0 and both slopes are defined, and
 keeps the hot loop in integer arithmetic.
@@ -22,12 +25,14 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, NamedTuple
 
 from .core import DimensionVector, Quiver, StabilityParameter, is_acyclic
 from .errors import AssumptionViolatedError, BudgetExceededError, CyclicQuiverError, PairingNonzeroError
 
 __all__ = [
+    "ASSUMED_HYPOTHESES",
+    "HYPOTHESES",
     "LATTICE_BUDGET",
     "SignPartition",
     "ThreeValued",
@@ -43,6 +48,29 @@ __all__ = [
 # base datum.  Every lattice consumer refuses a larger datum with
 # BudgetExceededError before enumerating anything.
 LATTICE_BUDGET = 10**6
+
+
+class Hypothesis(NamedTuple):
+    label: str  # in the verified/failed ledger of a full report
+    refusal: str  # in a refusal: its error and its hypotheses.failed
+
+
+# The standing hypotheses on (q, d, theta), keyed by their AssumptionsReport
+# field, in the order reduce gates on them.
+HYPOTHESES = {
+    "acyclic": Hypothesis("the quiver is acyclic", "acyclicity"),
+    "indivisible": Hypothesis("the dimension vector is indivisible", "indivisibility"),
+    "coprime": Hypothesis(
+        "semistable = stable (via theta-coprimality)", "semistable = stable (theta-coprimality)"
+    ),
+    "strongly_amply_stable": Hypothesis("strong ample stability", "strong ample stability"),
+}
+
+# Listed as assumed, never computed, on every full report.
+ASSUMED_HYPOTHESES = (
+    "vanishing of higher cohomology of the endomorphism summands (consumed as a hypothesis, never computed)",
+    "exact ample stability is not decided in general; the strong criterion is used as sufficient evidence",
+)
 
 
 class ThreeValued(enum.Enum):
@@ -91,20 +119,35 @@ class AssumptionsReport:
     def all_verified(self) -> bool:
         """True when every hypothesis is positively verified (amply stable
         via the strong criterion)."""
-        return (
-            self.acyclic
-            and self.indivisible
-            and self.coprime
-            and self.strongly_amply_stable
-            and self.amply_stable is ThreeValued.YES
-        )
+        return all(getattr(self, name) for name in HYPOTHESES) and self.amply_stable is ThreeValued.YES
+
+    def refusals(self) -> list[str]:
+        """The refusal names of the hypotheses that fail, in table order."""
+        return [h.refusal for name, h in HYPOTHESES.items() if not getattr(self, name)]
+
+    def ledger(self) -> dict[str, list[str]]:
+        """The verified/failed/assumed block of a full report."""
+        return {
+            "verified": [h.label for name, h in HYPOTHESES.items() if getattr(self, name)],
+            "failed": [h.label for name, h in HYPOTHESES.items() if not getattr(self, name)],
+            "assumed": list(ASSUMED_HYPOTHESES),
+        }
+
+    def require(self, *names: str) -> None:
+        """Raise the refusal of the first of the named hypotheses that fails."""
+        for name in names:
+            if getattr(self, name):
+                continue
+            if name == "coprime":
+                raise _not_coprime_error(self.failing_witnesses["coprime"][0])
+            raise AssumptionViolatedError(HYPOTHESES[name].refusal)
 
 
 def _not_coprime_error(witness: DimensionVector) -> AssumptionViolatedError:
     """The coprimality refusal, naming the witness in vertex-name order."""
     body = ", ".join(f"{v}: {c}" for v, c in witness.entries)
     detail = f"theta vanishes on proper subdimension vector ({body})"
-    return AssumptionViolatedError("semistable = stable (theta-coprimality)", detail=detail)
+    return AssumptionViolatedError(HYPOTHESES["coprime"].refusal, detail=detail)
 
 
 def _require_zero_pairing(theta: StabilityParameter, d: DimensionVector) -> None:

@@ -182,6 +182,15 @@ def test_out_flag_writes_file(capsys, tmp_path):
     assert report["dimensions"]["hh1"] == 6
 
 
+@pytest.mark.parametrize("target", ["missing/report.json", "."], ids=["no_such_directory", "a_directory"])
+def test_out_flag_unwritable_exits_two(capsys, tmp_path, target):
+    code, stdout, err = run(capsys, "analyze", FIXTURES / "threevertex.json", "--out", tmp_path / target)
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("quivercalc: input error: ")
+    assert err.count("\n") == 1
+
+
 def test_human_output_numbers_subset_of_json(capsys):
     for fixture in ("threevertex.json", "threevertex_alt.json", "kronecker.json"):
         code_h, human, _ = run(capsys, "analyze", FIXTURES / fixture)

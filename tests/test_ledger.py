@@ -1,0 +1,128 @@
+"""The verified/failed/assumed hypotheses ledger, pinned on every fixture and
+on data that fail each standing hypothesis.
+
+The expected labels and refusal names are spelled out here, independently
+of the program's own table, so that a change to either vocabulary shows.
+"""
+
+import dataclasses
+import json
+import warnings
+from pathlib import Path
+
+import pytest
+
+from quivercalc.cli import main
+from quivercalc.framing import double_frame, framed_ample_stability, framed_assumptions_report
+from quivercalc.specfile import load_spec
+from quivercalc.stability import ThreeValued, assumptions_report
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+# (assumptions field, ledger label, refusal name), in gate order.
+LEDGER = (
+    ("acyclic", "the quiver is acyclic", "acyclicity"),
+    ("indivisible", "the dimension vector is indivisible", "indivisibility"),
+    ("coprime", "semistable = stable (via theta-coprimality)", "semistable = stable (theta-coprimality)"),
+    ("strongly_amply_stable", "strong ample stability", "strong ample stability"),
+)
+ASSUMED = [
+    "vanishing of higher cohomology of the endomorphism summands (consumed as a hypothesis, never computed)",
+    "exact ample stability is not decided in general; the strong criterion is used as sufficient evidence",
+]
+# The hypotheses reduce gates on, in the order it checks them.
+REDUCE_GATES = ("acyclic", "indivisible", "coprime")
+
+
+def _doc(vertices, arrows, d, theta):
+    return {
+        "vertices": list(vertices),
+        "arrows": [{"from": s, "to": t} for s, t in arrows],
+        "dimension": dict(zip(vertices, d)),
+        "stability": dict(zip(vertices, theta)),
+        "framing": {"i": vertices[0], "j": vertices[-1]},
+    }
+
+
+# The cyclic datum fails every hypothesis, the divisible one every
+# hypothesis but acyclicity, the last one coprimality and what follows;
+# the fixture threevertex_alt fails strong ample stability alone.
+FAILING = {
+    "cyclic": _doc(("1", "2"), (("1", "2"), ("2", "1")), (2, 2), (1, -1)),
+    "divisible": _doc(("1", "2"), (("1", "2"),) * 3, (2, 2), (1, -1)),
+    "not_coprime": _doc(("1", "2", "3"), (("1", "2"), ("2", "3")), (1, 1, 1), (1, 0, -1)),
+}
+
+
+@pytest.fixture
+def spec_paths(tmp_path):
+    """Every fixture, then the data above."""
+    paths = sorted(FIXTURES.glob("*.json"))
+    for name, doc in FAILING.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        paths.append(path)
+    return paths
+
+
+def _run_json(capsys, *argv):
+    code = main([str(a) for a in argv] + ["--json"])
+    return code, json.loads(capsys.readouterr().out)
+
+
+def test_failing_data_cover_every_hypothesis(spec_paths):
+    failed = set()
+    for path in spec_paths:
+        spec = load_spec(path)
+        report = assumptions_report(spec.quiver, spec.dimension, spec.stability)
+        failed |= {name for name, _, _ in LEDGER if not getattr(report, name)}
+    assert failed == {name for name, _, _ in LEDGER}
+
+
+def test_analyze_ledger_matches_assumption_flags(capsys, spec_paths):
+    for path in spec_paths:
+        _, report = _run_json(capsys, "analyze", path)
+        flags = report["assumptions"]
+        hypotheses = report["hypotheses"]
+        assert hypotheses["verified"] == [label for name, label, _ in LEDGER if flags[name]], path
+        assert hypotheses["failed"] == [label for name, label, _ in LEDGER if not flags[name]], path
+        assert hypotheses["assumed"] == ASSUMED, path
+        refusals = [refusal for name, _, refusal in LEDGER if not flags[name]]
+        vector_fields = report["dimensions"].get("vector_fields")
+        if flags["acyclic"] and refusals:
+            assert vector_fields == {"refused": ", ".join(refusals)}, path
+        elif flags["acyclic"]:
+            assert "value" in vector_fields, path
+        else:
+            assert vector_fields is None, path
+
+
+def test_reduce_refuses_on_first_failing_gate(capsys, spec_paths):
+    for path in spec_paths:
+        spec = load_spec(path)
+        q = spec.quiver
+        report = assumptions_report(q, spec.dimension, spec.stability)
+        i, j = (spec.framing.i, spec.framing.j) if spec.framing else (q.vertices[0], q.vertices[-1])
+        code, out = _run_json(capsys, "reduce", path, i, j)
+        failing = [refusal for name, _, refusal in LEDGER if name in REDUCE_GATES and not getattr(report, name)]
+        if failing:
+            assert code == 1, path
+            assert out["error"]["assumption"] == failing[0], path
+            assert out["hypotheses"] == {"verified": [], "failed": [failing[0]], "assumed": []}, path
+        else:
+            assert "error" not in out, path
+            assert out["hypotheses"]["assumed"] == ASSUMED, path
+
+
+def test_framed_report_keeps_every_field_but_ample_stability(spec_paths):
+    for path in spec_paths:
+        spec = load_spec(path)
+        q, d, theta = spec.quiver, spec.dimension, spec.stability
+        i, j = q.vertices[0], q.vertices[-1]
+        framing = double_frame(q, d, theta, i, j, 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            framed = framed_assumptions_report(framing)
+        plain = assumptions_report(framing.framed_quiver, framing.framed_dimension, framing.framed_stability)
+        ample = ThreeValued.YES if framed_ample_stability(d, i, j) else ThreeValued.NO
+        assert framed == dataclasses.replace(plain, amply_stable=ample), path
