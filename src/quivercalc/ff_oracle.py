@@ -12,6 +12,10 @@ exactly in the order of the product of the per-vertex lists: witnesses are
 deterministic and reproducible.  Containment is a bitmask test against a
 cached mask, per subspace, of the vectors it contains.
 
+The weight law of a path between thin vertices is sampled on the path alone:
+a trial draws only the path's arrow matrices and its vertices' group
+elements, and passes one vector along the acted arrows.
+
 These finite-field verdicts are evidence at desk scale, not proofs over the
 geometric ground field; reports are always worded "verified over F_p".  For
 stability (as opposed to semistability) the verdict is only meaningful when
@@ -34,7 +38,7 @@ from . import linalg
 from .core import DimensionVector, Path, Quiver, StabilityParameter, _check_representation_shapes, enumerate_paths
 from .errors import BudgetExceededError, NotThinAtEndpointsError, PairingNonzeroError
 from .framing import FramingResult, double_frame
-from .stability import _not_coprime_error, is_theta_coprime
+from .stability import AssumptionsReport, assumptions_report
 
 __all__ = [
     "FiniteFieldRepresentation",
@@ -53,7 +57,6 @@ __all__ = [
     "verify_double_framing_equivalence",
     "path_semiinvariant",
     "random_group_element",
-    "group_act",
     "verify_semiinvariant_weight",
     "weight_law_trials",
 ]
@@ -514,10 +517,18 @@ def verify_double_framing_equivalence(
     """
     if not _is_prime(prime):
         raise ValueError(f"{prime} is not prime")
-    coprime, witness = is_theta_coprime(q, d, theta)
-    if not coprime:
-        raise _not_coprime_error(witness)
-    framing = double_frame(q, d, theta, i, j, scale)
+    base_report = assumptions_report(q, d, theta)
+    base_report.require("coprime")  # the refusal comes before any framing error
+    return _framing_equivalence(double_frame(q, d, theta, i, j, scale), base_report, prime, budget, seed)
+
+
+def _framing_equivalence(
+    framing: FramingResult, base_report: AssumptionsReport, prime: int, budget: int, seed: int
+) -> EquivalenceReport:
+    """``verify_double_framing_equivalence`` on a framing already built, with
+    the base datum's assumptions already computed (one sweep, one framing)."""
+    base_report.require("coprime")
+    scale = framing.framing_scale
     notes = []
     if scale < 2:
         notes.append("below minimal framing scale")
@@ -563,7 +574,7 @@ def verify_double_framing_equivalence(
         if rep.arrow_matrices[:n_base] != base_mats:
             base_mats = rep.arrow_matrices[:n_base]
             base_rep = FiniteFieldRepresentation(base_q, prime, framing.base_dimension, base_mats)
-            base_stable = king_stability(base_rep, theta, budget).stable
+            base_stable = king_stability(base_rep, framing.base_stability, budget).stable
         framing_in, framing_out = rep.arrow_matrices[n_base:]  # source -> i, j -> sink
         condition = base_stable and any(map(any, framing_in)) and any(map(any, framing_out))
         verdict = king_stability(rep, framing.framed_stability, budget)
@@ -612,38 +623,37 @@ def path_semiinvariant(m, path: Path):
     return value
 
 
+def _invertible(rng: random.Random, n: int, p: int) -> tuple[IntMatrix, list[list[int]]]:
+    """A uniformly random element of GL_n(F_p) and its inverse, by rejection:
+    the elimination that inverts a draw is the test that accepts it."""
+    while True:
+        g = tuple(tuple(rng.randrange(p) for _ in range(n)) for _ in range(n))
+        try:
+            return g, linalg.mod_invert(g, p)
+        except ValueError:
+            pass
+
+
 def random_group_element(
     rng: random.Random, m: FiniteFieldRepresentation
 ) -> dict[str, IntMatrix]:
     """A uniformly random element of prod_i GL_{d_i}(F_p), by rejection."""
-    out = {}
-    for v in m.quiver.vertices:
-        n = m.dims[v]
-        while True:
-            candidate = tuple(
-                tuple(rng.randrange(m.prime) for _ in range(n)) for _ in range(n)
-            )
-            if linalg.rank(candidate, m.prime) == n:
-                out[v] = candidate
-                break
-    return out
+    return {v: _invertible(rng, m.dims[v], m.prime)[0] for v in m.quiver.vertices}
 
 
-def group_act(g: dict[str, IntMatrix], m: FiniteFieldRepresentation) -> FiniteFieldRepresentation:
-    """Base change: the arrow matrix for a becomes g_t(a) . M_a . g_s(a)^{-1}."""
-    p = m.prime
-    inverses = {v: linalg.mod_invert(g[v], p) for v in m.quiver.vertices}
-    mats = []
-    for a, (s, t) in enumerate(m.quiver.arrows):
-        mats.append(
-            tuple(
-                tuple(row)
-                for row in linalg.mat_mul(
-                    linalg.mat_mul(g[t], m.arrow_matrices[a], p), inverses[s], p
-                )
-            )
-        )
-    return FiniteFieldRepresentation(m.quiver, p, m.dims, tuple(mats))
+def _acted_path_holds(q: Quiver, path: Path, mats: Sequence[IntMatrix], g, inverses, p: int) -> bool:
+    """The weight law on one path with arrow matrices ``mats``.  One vector
+    passed along the path from the thin source gives ``before``; passed along
+    the acted arrows g_t(a) . M_a . g_s(a)^{-1}, with the given inverses, it
+    gives ``after``, which must equal g_dst . g_src^{-1} . before."""
+    before = after = [1]
+    for a, mat in zip(path.arrows, mats):
+        s, t = q.arrows[a]
+        before = linalg.mod_mat_vec(mat, before, p)
+        acted = linalg.mod_mat_vec(mat, linalg.mod_mat_vec(inverses[s], after, p), p)
+        after = linalg.mod_mat_vec(g[t], acted, p)
+    g_src, g_dst = g[path.source][0][0], g[path.target(q)][0][0]
+    return after[0] == g_dst * pow(g_src, p - 2, p) * before[0] % p
 
 
 def weight_law_trials(
@@ -652,22 +662,29 @@ def weight_law_trials(
     """Randomized check of the path-evaluation weight law on a framed datum.
 
     The framed dimension vector is thin at the framing source and sink, so
-    every source-to-sink path qualifies.  Each trial draws a random framed
-    representation, a random group element, and a random path, and checks the
-    transformation law exactly over F_p.  With no source-to-sink paths the
+    every source-to-sink path qualifies.  The law reads only the arrows and
+    vertices of the path, so each trial draws, in this order: a uniform path
+    index, a uniform matrix per arrow of the path (in path order, entries
+    row by row), and a uniform invertible g_v per vertex of the path (source
+    first), with its inverse from the elimination that accepts it.  The law
+    is then checked exactly over F_p.  With no source-to-sink paths the
     report records zero trials.
     """
     fq = framing.framed_quiver
+    fd = framing.framed_dimension
     paths = enumerate_paths(fq, framing.source_vertex, framing.sink_vertex)
     if not paths:
         return WeightLawReport(trials=0, failures=0, paths_available=0)
     rng = random.Random(seed)
     failures = 0
     for _ in range(trials):
-        rep = random_representation(rng, fq, framing.framed_dimension, prime)
-        g = random_group_element(rng, rep)
         path = paths[rng.randrange(len(paths))]
-        if not verify_semiinvariant_weight(rep, path, g):
+        ends = [fq.arrows[a] for a in path.arrows]
+        mats = [tuple(tuple(rng.randrange(prime) for _ in range(fd[s])) for _ in range(fd[t])) for s, t in ends]
+        g, inverses = {}, {}
+        for v in (path.source, *(t for _, t in ends)):
+            g[v], inverses[v] = _invertible(rng, fd[v], prime)
+        if not _acted_path_holds(fq, path, mats, g, inverses, prime):
             failures += 1
     return WeightLawReport(trials=trials, failures=failures, paths_available=len(paths))
 
@@ -677,13 +694,9 @@ def verify_semiinvariant_weight(
 ) -> bool:
     """Check the transformation law of a path evaluation under base change:
     the value on g . M equals g at the target times the inverse of g at the
-    source times the value on M (all scalars, endpoints being thin)."""
-    p = m.prime
-    src = path.source
-    dst = path.target(m.quiver)
-    before = path_semiinvariant(m, path)
-    after = path_semiinvariant(group_act(g, m), path)
-    g_src = g[src][0][0] % p
-    g_dst = g[dst][0][0] % p
-    expected = (g_dst * pow(g_src, p - 2, p) * before) % p
-    return after == expected
+    source times the value on M (all scalars, endpoints being thin).  Raises
+    ValueError when g is singular at any vertex."""
+    path_semiinvariant(m, path)  # raises unless both endpoints are thin
+    inverses = {v: linalg.mod_invert(g[v], m.prime) for v in m.quiver.vertices}
+    mats = [m.arrow_matrices[a] for a in path.arrows]
+    return _acted_path_holds(m.quiver, path, mats, g, inverses, m.prime)

@@ -28,10 +28,7 @@ from .errors import (
     DisconnectedQuiverError,
     UnsupportedDimensionVectorError,
 )
-from .ff_oracle import (
-    verify_double_framing_equivalence,
-    weight_law_trials,
-)
+from .ff_oracle import _framing_equivalence, weight_law_trials
 from .framing import (
     FramingResult,
     ReductionResult,
@@ -303,12 +300,9 @@ def build_verify_report(
 ) -> dict[str, Any]:
     if spec.framing is None:
         raise AssumptionViolatedError("a framing block is required for verification")
-    q, d, theta = spec.quiver, spec.dimension, spec.stability
     i, j = spec.framing.i, spec.framing.j
     base_report, framing = _framed(spec, i, j, spec.framing.scale if scale is None else scale)
-    equivalence = verify_double_framing_equivalence(
-        q, d, theta, i, j, framing.framing_scale, prime, budget=budget, seed=seed
-    )
+    equivalence = _framing_equivalence(framing, base_report, prime, budget, seed)
     weights = weight_law_trials(framing, prime, trials=weight_trials, seed=seed)
     verifications = [
         {

@@ -9,7 +9,10 @@ the subdimension-lattice decisions build one DimensionVector per point and
 pair theta with it directly, as the library did before its index-space
 sweep, and the finite-field King test does the same per arrow-closed
 subspace tuple, found by filtering the whole product of per-vertex subspace
-lists, testing closure and cyclic closures by brute-force spans.
+lists, testing closure and cyclic closures by brute-force spans.  The
+group action on a whole representation inverts with sympy and multiplies
+every arrow matrix out, and group elements are accepted by the size of
+their brute-force row span.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from fractions import Fraction
 import networkx
 import sympy
 
-from quivercalc import DimensionVector, Quiver, StabilityParameter
+from quivercalc import DimensionVector, FiniteFieldRepresentation, Quiver, StabilityParameter
 
 
 def dfs_path_count(q: Quiver, src: str, dst: str) -> int:
@@ -231,3 +234,44 @@ def naive_cyclic_destabilizer(m, theta: StabilityParameter):
         if theta(dims) > 0:
             return True, dims
     return False, None
+
+
+# --- group action references ------------------------------------------------
+
+
+def _inverse_mod(mat, p: int) -> list[list[int]]:
+    """Inverse over F_p from sympy; raises ValueError when singular."""
+    n = len(mat)
+    inv = sympy.Matrix(n, n, [x for row in mat for x in row]).inv_mod(p)
+    return [[int(x) for x in row] for row in inv.tolist()]
+
+
+def _mat_mul(a, b, p: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) % p for col in zip(*b)) for row in a)
+
+
+def group_act(g, m):
+    """Base change of the whole representation: every arrow matrix M_a
+    becomes g_t(a) . M_a . g_s(a)^{-1}, multiplied out over F_p."""
+    p = m.prime
+    inverses = {v: _inverse_mod(g[v], p) for v in m.quiver.vertices}
+    mats = tuple(
+        _mat_mul(_mat_mul(g[t], mat, p), inverses[s], p)
+        for (s, t), mat in zip(m.quiver.arrows, m.arrow_matrices)
+    )
+    return FiniteFieldRepresentation(m.quiver, p, m.dims, mats)
+
+
+def rank_rejection_group_element(rng, m):
+    """prod_i GL_{d_i}(F_p) by rejection, vertex by vertex in quiver order,
+    accepting a draw of full rank: its rows span all p^n vectors."""
+    p = m.prime
+    out = {}
+    for v in m.quiver.vertices:
+        n = m.dims[v]
+        while True:
+            candidate = tuple(tuple(rng.randrange(p) for _ in range(n)) for _ in range(n))
+            if len(_span(candidate, n, p)) == p**n:
+                out[v] = candidate
+                break
+    return out

@@ -151,6 +151,31 @@ def test_verify_kronecker(capsys):
     jsonschema.validate(report, REPORT_SCHEMA)
 
 
+def test_verify_sweeps_the_lattice_and_frames_once(capsys, monkeypatch):
+    import quivercalc.ff_oracle
+    import quivercalc.framing
+    import quivercalc.report
+    import quivercalc.stability
+
+    calls = {"_lattice_values": 0, "double_frame": 0}
+
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name, home in (("_lattice_values", quivercalc.stability), ("double_frame", quivercalc.framing)):
+        wrapper = counting(name, getattr(home, name))
+        for module in (quivercalc.stability, quivercalc.framing, quivercalc.report, quivercalc.ff_oracle):
+            monkeypatch.setattr(module, name, wrapper, raising=False)
+    code, report, _ = run_json(capsys, "verify", FIXTURES / "kronecker.json")
+    assert code == 0
+    assert [v["passed"] for v in report["verifications"]] == [True, True]
+    assert calls == {"_lattice_values": 1, "double_frame": 1}
+
+
 def test_verify_prime_flag(capsys):
     code, report, _ = run_json(capsys, "verify", FIXTURES / "kronecker.json", "--prime", "3")
     assert code == 0

@@ -35,16 +35,18 @@ from quivercalc import (
     verify_semiinvariant_weight,
     weight_law_trials,
 )
-from quivercalc import ff_oracle
-from quivercalc.ff_oracle import _span_masks, group_act, random_group_element, random_representation
+from quivercalc import ff_oracle, linalg
+from quivercalc.ff_oracle import _span_masks, random_group_element, random_representation
 
 from conftest import random_acyclic_quiver, random_zero_pairing_parameter, thin
 from oracles import (
     brute_force_row_span,
     gaussian_binomial_formula,
+    group_act,
     naive_closed_tuples,
     naive_cyclic_destabilizer,
     naive_king_stability,
+    rank_rejection_group_element,
 )
 
 
@@ -305,6 +307,92 @@ def test_weight_law_trials_report(kronecker):
     assert report.passed
     assert report.trials == 60
     assert report.paths_available == 2
+
+
+def test_weight_law_trials_detect_a_wrong_inverse(kronecker, monkeypatch):
+    """Each trial acts with the inverses from the elimination: off by a
+    factor of 2 at every vertex, they break the law on the length-3 paths."""
+    theta = StabilityParameter({"1": 1, "2": -1})
+    framing = double_frame(kronecker, thin(kronecker), theta, "1", "2", 2)
+    assert weight_law_trials(framing, 5, trials=20, seed=11).failures == 0
+    original = linalg.mod_invert
+
+    def off_by_two(m, p):
+        return [[2 * x % p for x in row] for row in original(m, p)]
+
+    monkeypatch.setattr(linalg, "mod_invert", off_by_two)
+    report = weight_law_trials(framing, 5, trials=20, seed=11)
+    assert report.failures > 0
+    assert not report.passed
+
+
+@st.composite
+def weight_law_cases(draw):
+    """(m, path, g) over F_2, F_3 or F_5: a chain v0 -> ... -> vk with one or
+    two parallel arrows per step and optional forward skips, thin at both
+    ends and up to 3-dimensional in the middle; a v0 -> vk path; and a group
+    element that may be singular at one vertex, on the path or off it."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    k = draw(st.integers(1, 3))
+    names = [f"v{i}" for i in range(k + 1)]
+    arrows = [(names[i], names[i + 1]) for i in range(k) for _ in range(draw(st.integers(1, 2)))]
+    arrows += [(names[i], names[j]) for i in range(k) for j in range(i + 2, k + 1) if draw(st.booleans())]
+    q = Quiver(names, arrows)
+    d = DimensionVector({v: 1 if v in (names[0], names[-1]) else draw(st.integers(0, 3)) for v in names})
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    m = random_representation(rng, q, d, p)
+    paths = enumerate_paths(q, names[0], names[-1])
+    path = paths[draw(st.integers(0, len(paths) - 1))]
+    g = random_group_element(rng, m)
+    thick = [v for v in names if d[v]]
+    if draw(st.booleans()):
+        v = draw(st.sampled_from(thick))
+        g[v] = ((0,) * d[v], *g[v][1:])
+    return m, path, g
+
+
+def _full_action_law(m, path, g):
+    """The law through the whole acted representation, multiplied out."""
+    before = path_semiinvariant(m, path)
+    after = path_semiinvariant(group_act(g, m), path)
+    g_src, g_dst = g[path.source][0][0], g[path.target(m.quiver)][0][0]
+    return after == g_dst * pow(g_src, -1, m.prime) * before % m.prime
+
+
+@settings(max_examples=200, deadline=None)
+@given(weight_law_cases())
+def test_weight_law_matches_the_full_group_action(case):
+    m, path, g = case
+    try:
+        expected = _full_action_law(m, path, g)
+    except ValueError:
+        with pytest.raises(ValueError):
+            verify_semiinvariant_weight(m, path, g)
+    else:
+        assert expected is True
+        assert verify_semiinvariant_weight(m, path, g) is True
+
+
+@pytest.mark.parametrize("middle", [1, 2])
+def test_weight_law_refuses_a_singular_g_off_the_path(three_vertex, middle):
+    d = DimensionVector({"1": 1, "2": middle, "3": 1})
+    m = random_representation(random.Random(1), three_vertex, d, 5)
+    g = random_group_element(random.Random(2), m)
+    path = Path("1", (3,))  # 1 -> 3, avoiding vertex 2
+    assert verify_semiinvariant_weight(m, path, g)
+    g["2"] = ((0,),) if middle == 1 else ((1, 2), (2, 4))
+    with pytest.raises(ValueError):
+        verify_semiinvariant_weight(m, path, g)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_random_group_element_matches_the_rank_rejection_reference(a3, p):
+    for seed in range(20):
+        d = DimensionVector({"1": 1, "2": seed % 4, "3": 1 + seed % 2})
+        m = random_representation(random.Random(seed), a3, d, p)
+        rng, reference_rng = random.Random(seed), random.Random(seed)
+        assert random_group_element(rng, m) == rank_rejection_group_element(reference_rng, m)
+        assert rng.getstate() == reference_rng.getstate()
 
 
 def test_enumerate_representations_count(a2):
