@@ -12,6 +12,14 @@ exactly in the order of the product of the per-vertex lists: witnesses are
 deterministic and reproducible.  Containment is a bitmask test against a
 cached mask, per subspace, of the vectors it contains.
 
+Everything in that search that depends only on the quiver, the prime and the
+dimensions (the subspace lists, their dimensions as plain ints, the budget
+refusal and the mask tables) is set up once per datum; a point reaches the
+search as its plain tuple of arrow matrices.  The framed description check
+sets up two searches per datum, base and framed, and checks each pairing
+once; its enumerated or sampled points stay matrix tuples, and a
+``FiniteFieldRepresentation`` is built only for a point that fails.
+
 The weight law of a path between thin vertices is sampled on the path alone:
 a trial draws only the path's arrow matrices and its vertices' group
 elements, and passes one vector along the acted arrows.
@@ -284,86 +292,118 @@ def _image_masks(mat: IntMatrix, spaces: Sequence[Subspace], p: int):
     return image
 
 
-def _closed_under_arrows(m: FiniteFieldRepresentation, spaces: Sequence[Subspace]) -> bool:
-    p = m.prime
-    for (s, t), mat in zip(m.quiver.arrow_indices, m.arrow_matrices):
+class _SubrepSearch:
+    """The subrepresentation search of one (quiver, prime, dimensions), set
+    up once and run on any number of points.
+
+    The set-up lists every vertex's subspaces with their dimensions as plain
+    ints, refuses when their product exceeds ``budget``, and fixes which
+    vertices an arrow touches, their containment masks and whether the
+    search falls back to filtering the whole product.  ``closed`` runs the
+    search on one point, given as its tuple of arrow matrices.
+    """
+
+    def __init__(self, quiver: Quiver, prime: int, dims: Sequence[int], budget: int):
+        self.quiver = quiver
+        self.prime = prime
+        self.total = sum(dims)
+        self.spaces = [subspaces_of(prime, n) for n in dims]
+        count = math.prod(map(len, self.spaces))
+        if count > budget:
+            raise BudgetExceededError("subspace tuples", count, budget)
+        self.sub_dims = [tuple(len(space.rows) for space in spaces) for spaces in self.spaces]
+        self.all_indices = [range(len(spaces)) for spaces in self.spaces]
+        arrows = quiver.arrow_indices
+        touched = {v for arrow in arrows for v in arrow}
+        masks = [_span_masks(prime, n) if v in touched else None for v, n in enumerate(dims)]
+        self.masks = None if not dims or any(masks[v] is None for v in touched) else masks
+        self.into: list[list[tuple[int, int]]] = [[] for _ in dims]  # (arrow, earlier source)
+        self.out_of: list[list[tuple[int, int]]] = [[] for _ in dims]  # (arrow, earlier or same target)
+        for k, (s, t) in enumerate(arrows):
+            if s < t:
+                self.into[t].append((k, s))
+            else:
+                self.out_of[s].append((k, t))
+
+    def weigh(self, weights: Sequence[int]) -> list[tuple[int, ...]]:
+        """Per vertex, its weight times the dimension of each of its
+        subspaces: theta of a closed tuple is then one sum of lookups."""
+        return [tuple(w * n for n in dims) for w, dims in zip(weights, self.sub_dims)]
+
+    def subspaces(self, chosen: Sequence[int]) -> tuple[Subspace, ...]:
+        return tuple(map(operator.getitem, self.spaces, chosen))
+
+    def dimension(self, chosen: Sequence[int]) -> DimensionVector:
+        return DimensionVector(zip(self.quiver.vertices, map(operator.getitem, self.sub_dims, chosen)))
+
+    def closed(self, mats: Sequence[IntMatrix]) -> Iterator[tuple[int, ...]]:
+        """Every arrow-closed tuple of subspaces of the point with arrow
+        matrices ``mats``, as indices into the per-vertex ``subspaces_of``
+        lists, in the order of their product.
+
+        Backtracks over the vertices in vertex order with an explicit stack.
+        An arrow is checked at the later of its endpoints: an arrow from an
+        earlier vertex asks the candidate to contain the images of the chosen
+        subspace (one mask per choice), an arrow to an earlier vertex or a
+        loop asks the images of the candidate to lie in the chosen subspace or
+        in itself.  A vertex that no arrow touches keeps every candidate.
+        When a touched vertex space is too large for containment masks, every
+        tuple of the product is tested instead.
+        """
+        p, spaces, masks = self.prime, self.spaces, self.masks
+        if masks is None:
+            arrows = self.quiver.arrow_indices
+            for chosen in itertools.product(*self.all_indices):
+                if _closed_under_arrows(arrows, mats, self.subspaces(chosen), p):
+                    yield chosen
+            return
+        into = [[(s, _image_masks(mats[k], spaces[s], p)) for k, s in arrows] for arrows in self.into]
+        out_of = [[(t, _image_masks(mats[k], spaces[v], p)) for k, t in arrows] for v, arrows in enumerate(self.out_of)]
+        chosen = [0] * len(spaces)
+        all_indices = self.all_indices
+
+        def candidates(v: int) -> Iterator[int]:
+            own = masks[v]
+            if own is None:
+                return iter(all_indices[v])
+            required = 0
+            for s, image in into[v]:
+                required |= image(chosen[s])
+            found = all_indices[v]
+            if required > 1:  # bit 0 is the zero vector, in every subspace
+                found = [c for c, mask in enumerate(own) if mask & required == required]
+            for t, image in out_of[v]:
+                if t == v:
+                    found = [c for c in found if own[c] & image(c) == image(c)]
+                else:
+                    target = masks[t][chosen[t]]
+                    found = [c for c in found if target & image(c) == image(c)]
+            return iter(found)
+
+        last = len(spaces) - 1
+        stack = [candidates(0)]
+        while stack:
+            v = len(stack) - 1
+            if v == last:
+                prefix = tuple(chosen[:last])
+                for c in stack.pop():
+                    yield (*prefix, c)
+                continue
+            c = next(stack[v], None)
+            if c is None:
+                stack.pop()
+            else:
+                chosen[v] = c
+                stack.append(candidates(v + 1))
+
+
+def _closed_under_arrows(arrows, mats: Sequence[IntMatrix], spaces: Sequence[Subspace], p: int) -> bool:
+    for (s, t), mat in zip(arrows, mats):
         target = spaces[t]
         for u in spaces[s].rows:
             if not target.contains(linalg.mod_mat_vec(mat, u, p), p):
                 return False
     return True
-
-
-def _closed_tuples(
-    m: FiniteFieldRepresentation, budget: int
-) -> Iterator[tuple[tuple[Subspace, ...], tuple[int, ...]]]:
-    """Every arrow-closed tuple of subspaces with its dimensions, both aligned
-    to the vertex order, in the order of the product of the per-vertex
-    ``subspaces_of`` lists.  The product size must not exceed ``budget``.
-
-    Backtracks over the vertices in vertex order with an explicit stack.  An
-    arrow is checked at the later of its endpoints: an arrow from an earlier
-    vertex asks the candidate to contain the images of the chosen subspace
-    (one mask per choice), an arrow to an earlier vertex or a loop asks the
-    images of the candidate to lie in the chosen subspace or in itself.
-    A vertex that no arrow touches keeps every candidate.  When a touched
-    vertex space is too large for containment masks, every tuple of the
-    product is tested instead.
-    """
-    p = m.prime
-    dims = m.dims.aligned(m.quiver.vertices)
-    spaces = [subspaces_of(p, n) for n in dims]
-    count = math.prod(map(len, spaces))
-    if count > budget:
-        raise BudgetExceededError("subspace tuples", count, budget)
-    touched = {v for arrow in m.quiver.arrow_indices for v in arrow}
-    masks = [_span_masks(p, n) if v in touched else None for v, n in enumerate(dims)]
-    if not dims or any(masks[v] is None for v in touched):
-        for tup in itertools.product(*spaces):
-            if _closed_under_arrows(m, tup):
-                yield tup, tuple(space.dim for space in tup)
-        return
-    into: list[list] = [[] for _ in dims]  # (earlier source, image masks)
-    out_of: list[list] = [[] for _ in dims]  # (earlier or same target, image masks)
-    for (s, t), mat in zip(m.quiver.arrow_indices, m.arrow_matrices):
-        if s < t:
-            into[t].append((s, _image_masks(mat, spaces[s], p)))
-        else:
-            out_of[s].append((t, _image_masks(mat, spaces[s], p)))
-    chosen = [0] * len(dims)
-
-    def candidates(v: int) -> Iterator[int]:
-        own = masks[v]
-        if own is None:
-            return iter(range(len(spaces[v])))
-        required = 0
-        for s, image in into[v]:
-            required |= image(chosen[s])
-        found = [c for c, mask in enumerate(own) if mask & required == required]
-        for t, image in out_of[v]:
-            if t == v:
-                found = [c for c in found if own[c] & image(c) == image(c)]
-            else:
-                target = masks[t][chosen[t]]
-                found = [c for c in found if target & image(c) == image(c)]
-        return iter(found)
-
-    last = len(dims) - 1
-    stack = [candidates(0)]
-    while stack:
-        v = len(stack) - 1
-        if v == last:
-            for c in stack.pop():
-                chosen[v] = c
-                tup = tuple(map(operator.getitem, spaces, chosen))
-                yield tup, tuple(space.dim for space in tup)
-            continue
-        c = next(stack[v], None)
-        if c is None:
-            stack.pop()
-        else:
-            chosen[v] = c
-            stack.append(candidates(v + 1))
 
 
 def enumerate_subrepresentations(
@@ -374,9 +414,35 @@ def enumerate_subrepresentations(
     Tuples come in the order of the product of per-vertex subspace lists in
     vertex order.  The product of subspace counts must not exceed ``budget``.
     """
-    vertices = m.quiver.vertices
-    for tup, dims in _closed_tuples(m, budget):
-        yield tup, DimensionVector(zip(vertices, dims))
+    search = _SubrepSearch(m.quiver, m.prime, m.dims.aligned(m.quiver.vertices), budget)
+    for chosen in search.closed(m.arrow_matrices):
+        yield search.subspaces(chosen), search.dimension(chosen)
+
+
+def _king_weights(theta: StabilityParameter, d: DimensionVector, vertices: Sequence[str]) -> tuple[int, ...]:
+    """theta aligned to ``vertices``, once theta(d) = 0 is checked."""
+    if theta(d) != 0:
+        raise PairingNonzeroError(f"theta(dim M) = {theta(d)}, expected 0")
+    return theta.aligned(vertices)
+
+
+def _king(
+    search: _SubrepSearch, weighed: Sequence[tuple[int, ...]], mats: Sequence[IntMatrix]
+) -> tuple[bool, bool, tuple[int, ...] | None]:
+    """King's test on one point: (semistable, stable, witness), the witness
+    being the first violating closed tuple as ``search.closed`` yields it;
+    ``weighed`` is ``search.weigh`` of the stability weights."""
+    sub_dims = search.sub_dims
+    total = search.total
+    first_zero_proper = None
+    for chosen in search.closed(mats):
+        value = sum(map(operator.getitem, weighed, chosen))
+        if value > 0:
+            return False, False, chosen
+        # Proper and nonzero iff 0 < total < total of dim M, as sub <= dim M.
+        if value == 0 and first_zero_proper is None and 0 < sum(map(operator.getitem, sub_dims, chosen)) < total:
+            first_zero_proper = chosen
+    return True, first_zero_proper is None, first_zero_proper
 
 
 def king_stability(
@@ -388,23 +454,12 @@ def king_stability(
     <= 0; stable iff additionally < 0 on every proper nonzero one.  The first
     violating subrepresentation in enumeration order is reported.
     """
-    if theta(m.dims) != 0:
-        raise PairingNonzeroError(f"theta(dim M) = {theta(m.dims)}, expected 0")
     vertices = m.quiver.vertices
-    weights = theta.aligned(vertices)
-    total = m.dims.total()
-    first_zero_proper = None
-    for tup, sub in _closed_tuples(m, budget):
-        value = sum(map(operator.mul, weights, sub))
-        if value > 0:
-            return StabilityVerdict(False, False, (tup, DimensionVector(zip(vertices, sub))))
-        # Proper and nonzero iff 0 < total < total of dim M, as sub <= dim M.
-        if value == 0 and first_zero_proper is None and 0 < sum(sub) < total:
-            first_zero_proper = (tup, sub)
-    if first_zero_proper is not None:
-        tup, sub = first_zero_proper
-        return StabilityVerdict(True, False, (tup, DimensionVector(zip(vertices, sub))))
-    return StabilityVerdict(True, True, None)
+    weights = _king_weights(theta, m.dims, vertices)
+    search = _SubrepSearch(m.quiver, m.prime, m.dims.aligned(vertices), budget)
+    semistable, stable, chosen = _king(search, search.weigh(weights), m.arrow_matrices)
+    witness = None if chosen is None else (search.subspaces(chosen), search.dimension(chosen))
+    return StabilityVerdict(semistable, stable, witness)
 
 
 def has_cyclic_destabilizer(
@@ -459,37 +514,42 @@ def has_cyclic_destabilizer(
     return False, None
 
 
-def enumerate_representations(
-    q: Quiver, d: DimensionVector, prime: int
-) -> Iterator[FiniteFieldRepresentation]:
-    """All representation points of (q, d) over F_p, entry-lexicographic."""
-    shapes = [(d[t], d[s]) for s, t in q.arrows]
+def _shapes(q: Quiver, d: DimensionVector) -> list[tuple[int, int]]:
+    """(rows, columns) of each arrow's matrix, in arrow order."""
+    return [(d[t], d[s]) for s, t in q.arrows]
+
+
+def _all_matrices(shapes: Sequence[tuple[int, int]], prime: int) -> Iterator[tuple[IntMatrix, ...]]:
+    """Every tuple of matrices of the given shapes over F_p, entry-lexicographic
+    (matrices in order, entries row by row)."""
     entry_count = sum(r * c for r, c in shapes)
     for values in itertools.product(range(prime), repeat=entry_count):
         mats = []
         pos = 0
         for rows, cols in shapes:
-            mats.append(
-                tuple(
-                    tuple(values[pos + r * cols + c] for c in range(cols))
-                    for r in range(rows)
-                )
-            )
+            mats.append(tuple(values[pos + r * cols : pos + (r + 1) * cols] for r in range(rows)))
             pos += rows * cols
-        yield FiniteFieldRepresentation(q, prime, d, tuple(mats))
+        yield tuple(mats)
+
+
+def _random_matrices(rng: random.Random, shapes: Sequence[tuple[int, int]], prime: int) -> tuple[IntMatrix, ...]:
+    """Uniform matrices of the given shapes over F_p, drawn in order, entries
+    row by row."""
+    return tuple(tuple(tuple(rng.randrange(prime) for _ in range(cols)) for _ in range(rows)) for rows, cols in shapes)
+
+
+def enumerate_representations(
+    q: Quiver, d: DimensionVector, prime: int
+) -> Iterator[FiniteFieldRepresentation]:
+    """All representation points of (q, d) over F_p, entry-lexicographic."""
+    for mats in _all_matrices(_shapes(q, d), prime):
+        yield FiniteFieldRepresentation(q, prime, d, mats)
 
 
 def random_representation(
     rng: random.Random, q: Quiver, d: DimensionVector, prime: int
 ) -> FiniteFieldRepresentation:
-    mats = []
-    for s, t in q.arrows:
-        mats.append(
-            tuple(
-                tuple(rng.randrange(prime) for _ in range(d[s])) for _ in range(d[t])
-            )
-        )
-    return FiniteFieldRepresentation(q, prime, d, tuple(mats))
+    return FiniteFieldRepresentation(q, prime, d, _random_matrices(rng, _shapes(q, d), prime))
 
 
 def verify_double_framing_equivalence(
@@ -528,6 +588,8 @@ def _framing_equivalence(
     """``verify_double_framing_equivalence`` on a framing already built, with
     the base datum's assumptions already computed (one sweep, one framing)."""
     base_report.require("coprime")
+    if not _is_prime(prime):
+        raise ValueError(f"{prime} is not prime")
     scale = framing.framing_scale
     notes = []
     if scale < 2:
@@ -535,54 +597,53 @@ def _framing_equivalence(
 
     fq = framing.framed_quiver
     fd = framing.framed_dimension
-    entry_count = sum(fd[s] * fd[t] for s, t in fq.arrows)
-    total_points = prime**entry_count
+    fdims = fd.aligned(fq.vertices)
+    shapes = _shapes(fq, fd)
+    total_points = prime ** sum(r * c for r, c in shapes)
 
     # Per-point subrepresentation enumeration must fit the budget regardless
     # of sampling, otherwise no verdicts can be computed at all.
-    tuples = 1
-    for v in fq.vertices:
-        tuples *= subspace_count(fd[v], prime)
+    tuples = math.prod(subspace_count(n, prime) for n in fdims)
     if tuples > budget:
         raise BudgetExceededError("subspace tuples per point", tuples, budget)
 
+    # One search set-up and one pairing check per datum; the points are plain
+    # tuples of matrices, in range and shape by construction.
+    base_q, base_d = framing.base_quiver, framing.base_dimension
+    base_search = _SubrepSearch(base_q, prime, base_d.aligned(base_q.vertices), budget)
+    framed_search = _SubrepSearch(fq, prime, fdims, budget)
+    base_weighed = base_search.weigh(_king_weights(framing.base_stability, base_d, base_q.vertices))
+    framed_weighed = framed_search.weigh(_king_weights(framing.framed_stability, fd, fq.vertices))
+
     if total_points <= budget:
-        points: Iterator[FiniteFieldRepresentation] = enumerate_representations(fq, fd, prime)
+        points: Iterator[tuple[IntMatrix, ...]] = _all_matrices(shapes, prime)
         sampled = False
         sample_size = None
     else:
         rng = random.Random(seed)
         sampled = True
         sample_size = budget
-
-        def _sample() -> Iterator[FiniteFieldRepresentation]:
-            for _ in range(budget):
-                yield random_representation(rng, fq, fd, prime)
-
-        points = _sample()
+        points = (_random_matrices(rng, shapes, prime) for _ in range(budget))
         notes.append(f"sampled {sample_size} of {total_points} points with seed {seed}")
 
-    base_q = framing.base_quiver
     n_base = len(base_q.arrows)
     # Exhaustive points vary the two framing arrows (the last two) fastest, so
     # runs of consecutive points share their base matrices and base verdict.
     base_mats = base_stable = None
     failures = []
     checked = 0
-    for rep in points:
+    for mats in points:
         checked += 1
-        if rep.arrow_matrices[:n_base] != base_mats:
-            base_mats = rep.arrow_matrices[:n_base]
-            base_rep = FiniteFieldRepresentation(base_q, prime, framing.base_dimension, base_mats)
-            base_stable = king_stability(base_rep, framing.base_stability, budget).stable
-        framing_in, framing_out = rep.arrow_matrices[n_base:]  # source -> i, j -> sink
+        if mats[:n_base] != base_mats:
+            base_mats = mats[:n_base]
+            base_stable = _king(base_search, base_weighed, base_mats)[1]
+        framing_in, framing_out = mats[n_base:]  # source -> i, j -> sink
         condition = base_stable and any(map(any, framing_in)) and any(map(any, framing_out))
-        verdict = king_stability(rep, framing.framed_stability, budget)
-        stable, semistable = verdict.stable, verdict.semistable
+        semistable, stable, _ = _king(framed_search, framed_weighed, mats)
         if not (stable == semistable == condition):
             failures.append(
                 (
-                    rep,
+                    FiniteFieldRepresentation(fq, prime, fd, mats),
                     f"all three conditions equal to {condition}",
                     f"stable={stable} semistable={semistable} base-condition={condition}",
                 )

@@ -116,9 +116,24 @@ def mod_residual(
 
 
 def mod_invert(m: Sequence[Sequence[int]], p: int) -> list[list[int]]:
-    """Inverse of a square matrix over F_p; raises ValueError if singular."""
+    """Inverse of a square matrix over F_p by Gauss-Jordan elimination of
+    [m | I]; raises ValueError at the first column with no pivot."""
     n = len(m)
-    rows, pivots = rref([[*row, *unit] for row, unit in zip(m, identity(n))], p)
-    if pivots[:n] != list(range(n)):
-        raise ValueError("matrix is singular mod p")
-    return [row[n:] for row in rows[:n]]
+    if n == 1:
+        x = m[0][0] % p
+        if not x:
+            raise ValueError("matrix is singular mod p")
+        return [[pow(x, -1, p)]]
+    rows = [[x % p for x in row] + unit for row, unit in zip(m, identity(n))]
+    for c in range(n):
+        pivot_row = next((r for r in range(c, n) if rows[r][c]), None)
+        if pivot_row is None:
+            raise ValueError("matrix is singular mod p")
+        rows[c], rows[pivot_row] = rows[pivot_row], rows[c]
+        inv = pow(rows[c][c], -1, p)
+        pivot = rows[c] = [x * inv % p for x in rows[c]]
+        for k, row in enumerate(rows):
+            factor = row[c]
+            if factor and k != c:
+                rows[k] = [(x - factor * y) % p for x, y in zip(row, pivot)]
+    return [row[n:] for row in rows]

@@ -1,6 +1,8 @@
 """Analysis reports: schema-versioned dictionaries plus a text renderer.
 
-Every command builds one report dict, validated against ``REPORT_SCHEMA``.
+Every command builds one report dict in the shape of ``REPORT_SCHEMA``.  The
+tests validate reports against it; ``cli`` emits them without validating
+(validation at emit time is ROADMAP item 4).
 The human-readable rendering is derived from the dict alone, so every number
 a user sees in the text output is present in the machine-readable output.
 Every full report opens with the same header, and it always restates which

@@ -2,7 +2,8 @@
 
 These deliberately avoid the library's own algorithms: path counting is a
 plain recursive walk on the arrow list, or networkx's simple edge paths on a
-multigraph, ranks and reduced echelon forms over Q come from sympy, row
+multigraph, ranks and reduced echelon forms over Q and inverses over F_p come from
+sympy, row
 spans over F_p are enumerated coefficient by coefficient, connectivity is
 union-find, subspace counts come from the closed-form product formula, and
 the subdimension-lattice decisions build one DimensionVector per point and
@@ -59,6 +60,15 @@ def sympy_rref(rows) -> tuple[list[list[Fraction]], list[int]]:
     reduced, pivots = sympy.Matrix(rows).rref()
     entries = [[Fraction(int(x.p), int(x.q)) for x in reduced.row(r)] for r in range(reduced.rows)]
     return entries, list(pivots)
+
+
+def sympy_inverse_mod(rows, p: int) -> list[list[int]] | None:
+    """The inverse over F_p from sympy, entries in 0..p-1, or None when the
+    determinant vanishes mod p."""
+    m = sympy.Matrix(rows)
+    if m.det() % p == 0:
+        return None
+    return [[int(x) % p for x in m.inv_mod(p).row(r)] for r in range(m.rows)]
 
 
 def brute_force_row_span(rows, p: int) -> set[tuple[int, ...]]:

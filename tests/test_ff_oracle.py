@@ -395,6 +395,34 @@ def test_random_group_element_matches_the_rank_rejection_reference(a3, p):
         assert rng.getstate() == reference_rng.getstate()
 
 
+@pytest.mark.parametrize(
+    "n, p, seed, g, inverse, next_bits",
+    [
+        (1, 2, 1, ((1,),), [[1]], 506456969),
+        (2, 2, 3, ((1, 1), (1, 0)), [[0, 1], [1, 1]], 3883517040),
+        (3, 3, 5, ((2, 1, 2), (1, 2, 2), (2, 2, 0)), [[2, 1, 1], [1, 2, 1], [1, 1, 0]], 3609267711),
+        (2, 5, 7, ((2, 1), (3, 0)), [[0, 2], [1, 1]], 311111475),
+    ],
+)
+def test_invertible_draws_are_pinned(n, p, seed, g, inverse, next_bits):
+    """The accepted draw, its inverse and the generator state after it (read
+    through the next 32 random bits) are fixed for a given seed."""
+    rng = random.Random(seed)
+    assert ff_oracle._invertible(rng, n, p) == (g, inverse)
+    assert rng.getrandbits(32) == next_bits
+
+
+def test_random_group_element_draws_are_pinned(a3):
+    m = random_representation(random.Random(0), a3, DimensionVector({"1": 1, "2": 2, "3": 3}), 2)
+    rng = random.Random(4)
+    assert random_group_element(rng, m) == {
+        "1": ((1,),),
+        "2": ((0, 1), (1, 0)),
+        "3": ((1, 1, 1), (1, 0, 0), (1, 1, 0)),
+    }
+    assert rng.getrandbits(32) == 348216465
+
+
 def test_enumerate_representations_count(a2):
     d = DimensionVector({"1": 1, "2": 2})
     points = list(enumerate_representations(a2, d, 2))
@@ -583,18 +611,79 @@ def test_cyclic_destabilizer_refuses_over_budget_at_once():
 def test_exhaustive_verify_runs_one_base_king_test_per_base_point(kronecker, monkeypatch):
     # The framing arrows vary fastest, so 2^2 consecutive points share each
     # base point: 4 base points, 16 framed points.
-    from quivercalc import ff_oracle
-
     calls = []
-    original = ff_oracle.king_stability
+    original = ff_oracle._king
 
-    def counting(m, theta, budget=ff_oracle.DEFAULT_BUDGET):
-        calls.append(m.quiver)
-        return original(m, theta, budget)
+    def counting(search, weights, mats):
+        calls.append(search.quiver)
+        return original(search, weights, mats)
 
-    monkeypatch.setattr(ff_oracle, "king_stability", counting)
+    monkeypatch.setattr(ff_oracle, "_king", counting)
     d = thin(kronecker)
     report = verify_double_framing_equivalence(kronecker, d, StabilityParameter({"1": 1, "2": -1}), "1", "2", 2, 2)
     assert report.passed and report.instances_checked == 16
     assert sum(q == kronecker for q in calls) == 4
     assert len(calls) == 16 + 4
+
+
+@pytest.mark.parametrize("prime, budget", [(2, 10**6), (3, 10**6), (3, 20), (3, 40)])
+def test_verify_sets_up_two_searches_whatever_the_point_count(kronecker, monkeypatch, prime, budget):
+    """One search set-up for the base datum and one for the framed datum,
+    whether the points are enumerated (16 or 81) or sampled (20 or 40)."""
+    built = []
+    original = ff_oracle._SubrepSearch
+
+    def recording(quiver, *args):
+        built.append(quiver)
+        return original(quiver, *args)
+
+    monkeypatch.setattr(ff_oracle, "_SubrepSearch", recording)
+    theta = StabilityParameter({"1": 1, "2": -1})
+    framing = double_frame(kronecker, thin(kronecker), theta, "1", "2", 2)
+    report = verify_double_framing_equivalence(kronecker, thin(kronecker), theta, "1", "2", 2, prime, budget=budget)
+    assert report.passed and report.instances_checked == min(prime**4, budget)
+    assert built == [kronecker, framing.framed_quiver]
+
+
+def test_sampled_verify_checks_successive_random_representation_draws(three_vertex, monkeypatch):
+    """A seeded sampled verify checks, in order, the points that successive
+    random_representation calls draw from the same seed."""
+    d = thin(three_vertex)
+    theta = canonical_stability(three_vertex, d)
+    framing = double_frame(three_vertex, d, theta, "2", "3", 2)
+    checked = []
+    original = ff_oracle._king
+
+    def recording(search, weights, mats):
+        if search.quiver == framing.framed_quiver:
+            checked.append(mats)
+        return original(search, weights, mats)
+
+    monkeypatch.setattr(ff_oracle, "_king", recording)
+    report = verify_double_framing_equivalence(three_vertex, d, theta, "2", "3", 2, 2, budget=40, seed=9)
+    assert report.sampled and report.instances_checked == 40
+    rng = random.Random(9)
+    want = [random_representation(rng, framing.framed_quiver, framing.framed_dimension, 2) for _ in range(40)]
+    assert checked == [m.arrow_matrices for m in want]
+
+
+def test_a_failing_point_is_reported_as_a_representation(kronecker, monkeypatch):
+    """With every base verdict flipped, each point whose framing maps are
+    both nonzero fails, and its failure entry holds that point's matrices."""
+    original = ff_oracle._king
+
+    def wrong_base(search, weights, mats):
+        semistable, stable, witness = original(search, weights, mats)
+        return (semistable, not stable, witness) if search.quiver == kronecker else (semistable, stable, witness)
+
+    monkeypatch.setattr(ff_oracle, "_king", wrong_base)
+    theta = StabilityParameter({"1": 1, "2": -1})
+    report = verify_double_framing_equivalence(kronecker, thin(kronecker), theta, "1", "2", 2, 2)
+    framing = double_frame(kronecker, thin(kronecker), theta, "1", "2", 2)
+    points = list(enumerate_representations(framing.framed_quiver, framing.framed_dimension, 2))
+    # both framing maps nonzero: the last of each run of four points
+    assert [rep for rep, _, _ in report.failures] == points[3::4]
+    for rep, _, _ in report.failures:
+        assert isinstance(rep, FiniteFieldRepresentation)
+        assert rep.quiver == framing.framed_quiver and rep.dims == framing.framed_dimension
+    assert not report.passed

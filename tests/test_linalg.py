@@ -3,10 +3,10 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_force_row_span, sympy_rank, sympy_rref
+from oracles import brute_force_row_span, sympy_inverse_mod, sympy_rank, sympy_rref
 from quivercalc import linalg
 
 
@@ -58,3 +58,45 @@ def test_mod_invert_is_a_two_sided_inverse_exactly_at_full_rank(m, p):
     inverse = linalg.mod_invert(m, p)
     assert linalg.mat_mul(inverse, m, p) == linalg.identity(n)
     assert linalg.mat_mul(m, inverse, p) == linalg.identity(n)
+
+
+def _inverse_or_error(m, p):
+    try:
+        return linalg.mod_invert(m, p)
+    except ValueError as error:
+        return str(error)
+
+
+@st.composite
+def fp_square_matrices(draw):
+    """(m, p): an n x n integer matrix, n = 1..4, entries in -p..2p-1 so
+    that reduction mod p is exercised, singular mod p about half the time
+    (a zero row or a row that is a combination of others)."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    n = draw(st.integers(1, 4))
+    m = [[draw(st.integers(-p, 2 * p - 1)) for _ in range(n)] for _ in range(n)]
+    if draw(st.booleans()):
+        k = draw(st.integers(0, n - 1))
+        coeffs = [draw(st.integers(0, p - 1)) if r != k else 0 for r in range(n)]
+        m[k] = [sum(c * row[j] for c, row in zip(coeffs, m)) + p * draw(st.integers(-1, 1)) for j in range(n)]
+    return m, p
+
+
+@settings(max_examples=300)
+@given(fp_square_matrices())
+@example(([[0]], 2))
+@example(([[5]], 5))
+@example(([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], 3))
+@example(([[1, 2, 3, 4], [2, 4, 6, 8], [0, 1, 0, 1], [1, 0, 1, 0]], 5))
+def test_mod_invert_matches_sympy_or_raises_the_same_error(case):
+    m, p = case
+    expected = sympy_inverse_mod(m, p)
+    assert _inverse_or_error(m, p) == ("matrix is singular mod p" if expected is None else expected)
+
+
+@pytest.mark.parametrize("n, p", [(1, 2), (1, 3), (1, 5), (2, 2), (2, 3), (3, 2)])
+def test_mod_invert_matches_sympy_on_every_small_matrix(n, p):
+    for entries in itertools.product(range(p), repeat=n * n):
+        m = [list(entries[r * n : (r + 1) * n]) for r in range(n)]
+        expected = sympy_inverse_mod(m, p)
+        assert _inverse_or_error(m, p) == ("matrix is singular mod p" if expected is None else expected)
