@@ -13,6 +13,7 @@ input errors and when ``--out`` cannot be written.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Any
@@ -27,22 +28,23 @@ from .errors import (
 )
 from .ff_oracle import _is_prime
 from .report import (
-    SCHEMA_VERSION,
     build_analyze_report,
     build_frame_report,
     build_reduce_report,
+    build_refusal_report,
     build_verify_report,
     render_human,
 )
 from .specfile import OracleSpec, load_spec
-from .stability import HYPOTHESES
 
 EXIT_OK = 0
 EXIT_FAILED = 1
 EXIT_INPUT_ERROR = 2
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: it never changes."""
     parser = argparse.ArgumentParser(
         prog="quivercalc",
         description="stability, framing, and cohomology dimension analysis for quiver data",
@@ -66,7 +68,7 @@ def _parser() -> argparse.ArgumentParser:
     p_frame.add_argument("spec")
     p_frame.add_argument("i", nargs="?", help="framed vertex i (default: spec framing block)")
     p_frame.add_argument("j", nargs="?", help="framed vertex j (default: spec framing block)")
-    p_frame.add_argument("--scale", type=int, metavar="N", help="framing scale (default: minimal)")
+    p_frame.add_argument("--scale", type=int, metavar="N", help="framing scale (default: the framing block's without i j, else minimal)")
     add_output_flags(p_frame)
 
     p_reduce = sub.add_parser("reduce", help="thin-framing reduction of the framed datum")
@@ -86,16 +88,6 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _framed_vertices(spec, args) -> tuple[str, str]:
-    if args.i is not None and args.j is not None:
-        return args.i, args.j
-    if args.i is not None or args.j is not None:
-        raise SpecFileError("either give both vertices i and j or neither")
-    if spec.framing is None:
-        raise SpecFileError("no framing vertices: pass i and j or add a framing block to the spec")
-    return spec.framing.i, spec.framing.j
-
-
 def _emit(report: dict[str, Any], args) -> None:
     text = json.dumps(report, indent=2) + "\n" if args.json else render_human(report)
     if args.out:
@@ -103,17 +95,6 @@ def _emit(report: dict[str, Any], args) -> None:
             handle.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _refusal_report(command: str, failed: list[str], error: dict[str, Any]) -> dict[str, Any]:
-    """The exit-1 report of a command that stopped before its analysis ended."""
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "command": command,
-        "hypotheses": {"verified": [], "failed": failed, "assumed": []},
-        "error": error,
-        "exit_code": EXIT_FAILED,
-    }
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -126,11 +107,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "analyze":
             report = build_analyze_report(spec, override_assumptions=args.override_assumptions)
         elif args.command == "frame":
-            i, j = _framed_vertices(spec, args)
-            report = build_frame_report(spec, i, j, args.scale)
+            report = build_frame_report(spec, args.i, args.j, args.scale)
         elif args.command == "reduce":
-            i, j = _framed_vertices(spec, args)
-            report = build_reduce_report(spec, i, j, args.scale)
+            report = build_reduce_report(spec, args.i, args.j, args.scale)
         else:
             oracle = spec.oracle or OracleSpec()
             prime = args.prime if args.prime is not None else oracle.prime
@@ -144,15 +123,8 @@ def main(argv: list[str] | None = None) -> int:
     except (SpecFileError, UnknownVertexError, ValueError) as exc:
         print(f"quivercalc: input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    except AssumptionViolatedError as exc:
-        report = _refusal_report(
-            args.command, [exc.assumption], {"assumption": exc.assumption, "message": str(exc)}
-        )
-    except BudgetExceededError as exc:
-        error = {"counted": exc.counted, "size": exc.size, "budget": exc.budget, "message": str(exc)}
-        report = _refusal_report(args.command, [], error)
-    except CyclicQuiverError as exc:
-        report = _refusal_report(args.command, [HYPOTHESES["acyclic"].refusal], {"message": str(exc)})
+    except (AssumptionViolatedError, BudgetExceededError, CyclicQuiverError) as exc:
+        report = build_refusal_report(args.command, exc)
     except QuiverCalcError as exc:
         print(f"quivercalc: error: {exc}", file=sys.stderr)
         return EXIT_FAILED

@@ -419,7 +419,7 @@ def path_count_matrix(q: Quiver) -> PathCountMatrix:
     return PathCountMatrix(q.vertices, tuple(zip(*columns)))
 
 
-def enumerate_paths(q: Quiver, src: str, dst: str, _cert: AcyclicityCertificate | None = None) -> tuple[Path, ...]:
+def enumerate_paths(q: Quiver, src: str, dst: str) -> tuple[Path, ...]:
     """All directed paths src -> dst, sorted by their arrow-index sequences.
 
     Requires an acyclic quiver (the path set is infinite otherwise).  The
@@ -427,8 +427,7 @@ def enumerate_paths(q: Quiver, src: str, dst: str, _cert: AcyclicityCertificate 
     iterative and enters only vertices from which ``dst`` is reachable, so
     its cost is proportional to the total length of the paths it returns.
     """
-    cert = _cert if _cert is not None else is_acyclic(q)
-    if not cert:
+    if not is_acyclic(q):
         raise CyclicQuiverError("path enumeration requires an acyclic quiver")
     start = q.vertex_index(src)
     goal = q.vertex_index(dst)
@@ -493,10 +492,12 @@ def weight_one_character(d: DimensionVector) -> Character:
         raise ValueError("weight-one character undefined for the zero dimension vector")
 
     def egcd(a: int, b: int) -> tuple[int, int, int]:
-        if b == 0:
-            return a, 1, 0
-        g, x, y = egcd(b, a % b)
-        return g, y, x - (a // b) * y
+        # Iterative: Euclid on long inputs would outrun the recursion limit.
+        x, y, u, v = 1, 0, 0, 1  # x * a0 + y * b0 = a, u * a0 + v * b0 = b
+        while b:
+            k = a // b
+            a, b, x, y, u, v = b, a - k * b, u, v, x - k * u, y - k * v
+        return a, x, y
 
     g = 0
     coeffs: list[int] = []

@@ -475,11 +475,9 @@ def has_cyclic_destabilizer(
     destabilize).  The p^(sum of dims) elements must not exceed
     ``DEFAULT_BUDGET``.
     """
-    if theta(m.dims) != 0:
-        raise PairingNonzeroError(f"theta(dim M) = {theta(m.dims)}, expected 0")
     p = m.prime
     vertices = m.quiver.vertices
-    weights = theta.aligned(vertices)
+    weights = _king_weights(theta, m.dims, vertices)
     dims = m.dims.aligned(vertices)
     elements = p ** sum(dims)
     if elements > DEFAULT_BUDGET:

@@ -26,13 +26,13 @@ from .core import (
     enumerate_paths,
     path_count_matrix,
 )
-from .errors import PairingNonzeroError
 from .stability import (
     AssumptionsReport,
     SignPartition,
     ThreeValued,
     _lattice_point,
     _lattice_values,
+    _require_zero_pairing,
     assumptions_report,
 )
 
@@ -145,8 +145,7 @@ def double_frame(
     because theta(d) = 0.  Framing preserves acyclicity: the new vertices are
     a strict source and a strict sink.
     """
-    if theta(d) != 0:
-        raise PairingNonzeroError(f"theta(d) = {theta(d)}, expected 0")
+    _require_zero_pairing(theta, d)
     if scale < 1:
         raise ValueError("framing scale must be a positive integer")
     q.vertex_index(i)
@@ -184,8 +183,7 @@ def minimal_framing_scale(q: Quiver, d: DimensionVector, theta: StabilityParamet
     |theta(e)| = 1).  By convention 2 is also returned when the quantifier is
     vacuous (theta = 0 on every subdimension vector).
     """
-    if theta(d) != 0:
-        raise PairingNonzeroError(f"theta(d) = {theta(d)}, expected 0")
+    _require_zero_pairing(theta, d)
     d.aligned(q.vertices)
     theta.aligned(q.vertices)
     return 2

@@ -1,14 +1,12 @@
-"""Exact linear algebra over the rationals and over prime fields.
+"""Exact linear algebra over the rationals, plus F_p helpers for the oracle.
 
-Matrices are tuples/lists of rows.  One Gaussian elimination serves both
-fields, selected by the field argument ``p``: ``p = 0`` is Q, where entries
-may be int or Fraction and become Fractions, never rounded; a prime ``p`` is
-F_p, where entries are ints reduced to 0..p-1 with plain ``% p`` arithmetic.
-Sizes here are desk scale (path-space and Hom-space dimensions, per-vertex
-spaces of the finite-field oracle), so plain elimination with a
-deterministic leftmost-pivot rule is the right tool; the pivot rule also
-makes every computed basis reproducible.  The per-vector F_p helpers
-(``mod_`` prefix) run in the oracle's innermost loops.
+Matrices are tuples/lists of rows.  One Gaussian elimination serves Q:
+entries may be int or Fraction and become Fractions, never rounded.  Sizes
+are desk scale (path-space and Hom-space dimensions), so plain elimination
+with a deterministic leftmost-pivot rule is the right tool; the rule also
+makes every computed basis reproducible.  The ``mod_`` helpers (products,
+residuals against an echelon basis and inverses over F_p, on ints with plain
+``% p`` arithmetic) run in the finite-field oracle's innermost loops.
 """
 
 from __future__ import annotations
@@ -20,14 +18,13 @@ from typing import Sequence
 Matrix = Sequence[Sequence[int | Fraction]]
 
 
-def rref(m: Matrix, p: int = 0) -> tuple[list[list], list[int]]:
-    """Reduced row echelon form over Q (``p = 0``) or F_p, leftmost pivots.
+def rref(m: Matrix) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form over Q, leftmost pivots.
 
-    Returns (rows, pivot column indices); rows of zeros are kept at the
-    bottom.  Over Q the rows hold Fractions, over F_p ints in 0..p-1.
-    Deterministic: the first nonzero entry in scan order pivots.
+    Returns (rows of Fractions, pivot column indices); rows of zeros are kept
+    at the bottom.  Deterministic: the first nonzero entry in scan order pivots.
     """
-    rows = [[x % p for x in row] for row in m] if p else [[Fraction(x) for x in row] for row in m]
+    rows = [[Fraction(x) for x in row] for row in m]
     pivots: list[int] = []
     for c in range(len(rows[0]) if rows else 0):
         r = len(pivots)
@@ -37,27 +34,20 @@ def rref(m: Matrix, p: int = 0) -> tuple[list[list], list[int]]:
         else:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        if p:
-            inv = pow(rows[r][c], -1, p)
-            pivot = rows[r] = [x * inv % p for x in rows[r]]
-        else:
-            inv = 1 / rows[r][c]
-            pivot = rows[r] = [x * inv for x in rows[r]]
+        inv = 1 / rows[r][c]
+        pivot = rows[r] = [x * inv for x in rows[r]]
         for k, row in enumerate(rows):
             factor = row[c]
             if factor and k != r:
-                if p:
-                    rows[k] = [(x - factor * y) % p for x, y in zip(row, pivot)]
-                else:
-                    rows[k] = [x - factor * y for x, y in zip(row, pivot)]
+                rows[k] = [x - factor * y for x, y in zip(row, pivot)]
         pivots.append(c)
         if len(pivots) == len(rows):
             break
     return rows, pivots
 
 
-def rank(m: Matrix, p: int = 0) -> int:
-    return len(rref(m, p)[1])
+def rank(m: Matrix) -> int:
+    return len(rref(m)[1])
 
 
 def nullspace_basis(m: Matrix) -> list[list[Fraction]]:
@@ -83,13 +73,10 @@ def nullspace_basis(m: Matrix) -> list[list[Fraction]]:
     return basis
 
 
-def mat_mul(a: Matrix, b: Matrix, p: int = 0) -> list[list]:
-    """Exact matrix product over Q (Fractions) or F_p (ints in 0..p-1);
-    shapes (m x k) (k x n) -> (m x n)."""
+def mat_mul(a: Matrix, b: Matrix) -> list[list[Fraction]]:
+    """Exact matrix product over Q; shapes (m x k) (k x n) -> (m x n)."""
     assert all(len(row) == len(b) for row in a)
     cols = list(zip(*b))
-    if p:
-        return [[sum(map(mul, row, col)) % p for col in cols] for row in a]
     return [[sum(map(mul, row, col), Fraction(0)) for col in cols] for row in a]
 
 

@@ -1,8 +1,9 @@
 """Analysis reports: schema-versioned dictionaries plus a text renderer.
 
-Every command builds one report dict in the shape of ``REPORT_SCHEMA``.  The
-tests validate reports against it; ``cli`` emits them without validating
-(validation at emit time is ROADMAP item 4).
+Every report a command emits, full or refusal, is built here in the shape of
+``REPORT_SCHEMA``, and ``_framed`` alone resolves a command's framing.  The
+tests validate reports against the schema; ``cli`` emits them without
+validating (validation at emit time is ROADMAP item 4).
 The human-readable rendering is derived from the dict alone, so every number
 a user sees in the text output is present in the machine-readable output.
 Every full report opens with the same header, and it always restates which
@@ -14,20 +15,17 @@ The labels and their order come from ``stability.HYPOTHESES``.
 
 from __future__ import annotations
 
-import warnings
 from typing import Any
 
-from .cohomology import (
-    UnverifiedAssumptionWarning,
-    _presentation_cokernel_dim,
-    endomorphism_dimensions,
-    hochschild1_dim,
-    moduli_dimension,
-)
-from .core import DimensionVector, Quiver, StabilityParameter, path_count_matrix
+from .cohomology import _presentation_cokernel_dim, hochschild1_dim, moduli_dimension
+from .core import path_count_matrix
 from .errors import (
     AssumptionViolatedError,
+    BudgetExceededError,
+    CyclicQuiverError,
     DisconnectedQuiverError,
+    QuiverCalcError,
+    SpecFileError,
     UnsupportedDimensionVectorError,
 )
 from .ff_oracle import _framing_equivalence, weight_law_trials
@@ -40,7 +38,7 @@ from .framing import (
     framed_ample_stability,
     minimal_framing_scale,
 )
-from .specfile import QuiverSpec
+from .specfile import QuiverSpec, datum_dict
 from .stability import HYPOTHESES, AssumptionsReport, _lattice_values, assumptions_report
 
 SCHEMA_VERSION = 1
@@ -102,20 +100,6 @@ REPORT_SCHEMA = {
 }
 
 
-def _vector_dict(vec, vertices) -> dict[str, int]:
-    return {v: vec[v] for v in vertices}
-
-
-def datum_dict(q: Quiver, d: DimensionVector, theta: StabilityParameter) -> dict[str, Any]:
-    """A datum in spec-file shape, so framed outputs can be re-used as inputs."""
-    return {
-        "vertices": list(q.vertices),
-        "arrows": [{"from": s, "to": t} for s, t in q.arrows],
-        "dimension": _vector_dict(d, q.vertices),
-        "stability": _vector_dict(theta, q.vertices),
-    }
-
-
 def assumptions_dict(report: AssumptionsReport) -> dict[str, Any]:
     witnesses = {
         name: [w.as_dict() for w in ws]
@@ -141,11 +125,39 @@ def _header(command: str, spec: QuiverSpec, report: AssumptionsReport) -> dict[s
     }
 
 
+def build_refusal_report(command: str, exc: QuiverCalcError) -> dict[str, Any]:
+    """The exit-1 report of a command stopped by a failed hypothesis, an
+    enumeration over its budget, or a cyclic quiver."""
+    failed, error = [], {"message": str(exc)}
+    if isinstance(exc, AssumptionViolatedError):
+        failed, error = [exc.assumption], {"assumption": exc.assumption, **error}
+    elif isinstance(exc, BudgetExceededError):
+        error = {"counted": exc.counted, "size": exc.size, "budget": exc.budget, **error}
+    elif isinstance(exc, CyclicQuiverError):
+        failed = [HYPOTHESES["acyclic"].refusal]
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "command": command,
+        "hypotheses": {"verified": [], "failed": failed, "assumed": []},
+        "error": error,
+        "exit_code": 1,
+    }
+
+
 def _framed(
-    spec: QuiverSpec, i: str, j: str, scale: int | None
+    spec: QuiverSpec, i: str | None, j: str | None, scale: int | None
 ) -> tuple[AssumptionsReport, FramingResult]:
-    """The base datum's assumptions and its double framing at (i, j), at the
-    minimal framing scale unless one is given."""
+    """The base datum's assumptions and its double framing.  Explicit i and j
+    are framed at ``scale`` or the minimal scale; otherwise the spec's framing
+    block gives the vertices and, unless ``scale`` overrides it, the scale."""
+    if i is None and j is None:
+        if spec.framing is None:
+            raise SpecFileError("no framing vertices: pass i and j or add a framing block to the spec")
+        i, j = spec.framing.i, spec.framing.j
+        if scale is None:
+            scale = spec.framing.scale
+    elif i is None or j is None:
+        raise SpecFileError("either give both vertices i and j or neither")
     q, d, theta = spec.quiver, spec.dimension, spec.stability
     if scale is None:
         scale = minimal_framing_scale(q, d, theta)
@@ -160,9 +172,9 @@ def build_analyze_report(spec: QuiverSpec, override_assumptions: bool = False) -
     dimensions: dict[str, Any] = {}
     verifications: list[dict[str, Any]] = []
     if report.acyclic:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UnverifiedAssumptionWarning)
-            table = endomorphism_dimensions(q, d, assumptions=report)
+        # The endomorphism table is the path count table; the ledger states
+        # the hypotheses under which they agree.
+        table = path_count_matrix(q)
         dimensions["moduli_dim"] = moduli_dimension(q, d)
         dimensions["endomorphism_table"] = {
             "vertices": list(q.vertices),
@@ -217,9 +229,10 @@ def _framing_dict(framing: FramingResult) -> dict[str, Any]:
     }
 
 
-def build_frame_report(spec: QuiverSpec, i: str, j: str, scale: int | None) -> dict[str, Any]:
+def build_frame_report(spec: QuiverSpec, i: str | None, j: str | None, scale: int | None) -> dict[str, Any]:
     q, d, theta = spec.quiver, spec.dimension, spec.stability
     base_report, framing = _framed(spec, i, j, scale)
+    i, j = framing.framed_at
     check = _framed_partition_check(
         framing, _lattice_values(d.aligned(q.vertices), theta.aligned(q.vertices))
     )
@@ -233,7 +246,7 @@ def build_frame_report(spec: QuiverSpec, i: str, j: str, scale: int | None) -> d
             "checked": check.checked,
             "discrepancies": [
                 {
-                    "vector": _vector_dict(vec, framing.framed_quiver.vertices),
+                    "vector": {v: vec[v] for v in framing.framed_quiver.vertices},
                     "expected": expected,
                     "actual": actual,
                 }
@@ -271,7 +284,7 @@ def _reduction_dict(result: ReductionResult) -> dict[str, Any]:
     }
 
 
-def build_reduce_report(spec: QuiverSpec, i: str, j: str, scale: int | None) -> dict[str, Any]:
+def build_reduce_report(spec: QuiverSpec, i: str | None, j: str | None, scale: int | None) -> dict[str, Any]:
     base_report, framing = _framed(spec, i, j, scale)
     result, check = _reduce_checked(framing, spec.dimension, base_report)
     reduction = _reduction_dict(result)
@@ -293,19 +306,13 @@ def build_reduce_report(spec: QuiverSpec, i: str, j: str, scale: int | None) -> 
 
 
 def build_verify_report(
-    spec: QuiverSpec,
-    prime: int,
-    budget: int,
-    seed: int,
-    scale: int | None,
-    weight_trials: int = 100,
+    spec: QuiverSpec, prime: int, budget: int, seed: int, scale: int | None
 ) -> dict[str, Any]:
     if spec.framing is None:
         raise AssumptionViolatedError("a framing block is required for verification")
-    i, j = spec.framing.i, spec.framing.j
-    base_report, framing = _framed(spec, i, j, spec.framing.scale if scale is None else scale)
+    base_report, framing = _framed(spec, None, None, scale)
     equivalence = _framing_equivalence(framing, base_report, prime, budget, seed)
-    weights = weight_law_trials(framing, prime, trials=weight_trials, seed=seed)
+    weights = weight_law_trials(framing, prime, seed=seed)
     verifications = [
         {
             "name": f"framed stability description over F_{prime}",

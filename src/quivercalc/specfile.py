@@ -37,6 +37,7 @@ __all__ = [
     "SPEC_SCHEMA",
     "parse_spec",
     "load_spec",
+    "datum_dict",
     "spec_to_dict",
     "dump_spec",
 ]
@@ -206,14 +207,19 @@ def load_spec(path: str | FsPath) -> QuiverSpec:
     return parse_spec(document)
 
 
+def datum_dict(q: Quiver, d: DimensionVector, theta: StabilityParameter) -> dict:
+    """A datum as a spec document in vertex order, so report data re-parse."""
+    return {
+        "vertices": list(q.vertices),
+        "arrows": [{"from": s, "to": t} for s, t in q.arrows],
+        "dimension": {v: d[v] for v in q.vertices},
+        "stability": {v: theta[v] for v in q.vertices},
+    }
+
+
 def spec_to_dict(spec: QuiverSpec) -> dict:
     """Serialize back to the document form; parse(spec_to_dict(s)) == s."""
-    document: dict = {
-        "vertices": list(spec.quiver.vertices),
-        "arrows": [{"from": s, "to": t} for s, t in spec.quiver.arrows],
-        "dimension": {v: spec.dimension[v] for v in spec.quiver.vertices},
-        "stability": {v: spec.stability[v] for v in spec.quiver.vertices},
-    }
+    document = datum_dict(spec.quiver, spec.dimension, spec.stability)
     if spec.framing is not None:
         framing: dict = {"i": spec.framing.i, "j": spec.framing.j}
         if spec.framing.scale is not None:

@@ -2,9 +2,9 @@
 
 These deliberately avoid the library's own algorithms: path counting is a
 plain recursive walk on the arrow list, or networkx's simple edge paths on a
-multigraph, ranks and reduced echelon forms over Q and inverses over F_p come from
-sympy, row
-spans over F_p are enumerated coefficient by coefficient, connectivity is
+multigraph, ranks and reduced echelon forms over Q and inverses and
+products over F_p come from sympy, row spans over F_p are enumerated
+coefficient by coefficient, connectivity is
 union-find, subspace counts come from the closed-form product formula, and
 the subdimension-lattice decisions build one DimensionVector per point and
 pair theta with it directly, as the library did before its index-space
@@ -69,6 +69,12 @@ def sympy_inverse_mod(rows, p: int) -> list[list[int]] | None:
     if m.det() % p == 0:
         return None
     return [[int(x) % p for x in m.inv_mod(p).row(r)] for r in range(m.rows)]
+
+
+def sympy_mat_mul_mod(a, b, p: int) -> list[list[int]]:
+    """The matrix product over F_p from sympy, entries in 0..p-1."""
+    product = sympy.Matrix(a) * sympy.Matrix(b)
+    return [[int(x) % p for x in product.row(r)] for r in range(product.rows)]
 
 
 def brute_force_row_span(rows, p: int) -> set[tuple[int, ...]]:

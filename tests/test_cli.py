@@ -109,6 +109,62 @@ def test_frame_uses_framing_block_when_vertices_omitted(capsys):
     assert report["framing"]["framed_at"] == {"i": "2", "j": "3"}
 
 
+def test_frame_and_reduce_take_the_spec_framing_scale(capsys, tmp_path):
+    doc = json.loads((FIXTURES / "kronecker.json").read_text())
+    doc["framing"]["scale"] = 3
+    spec = tmp_path / "kronecker_scale3.json"
+    spec.write_text(json.dumps(doc), encoding="utf-8")
+    for command in ("frame", "reduce", "verify"):
+        _, report, _ = run_json(capsys, command, spec)
+        assert report["framing"]["scale"] == 3
+        _, report, _ = run_json(capsys, command, spec, "--scale", "4")
+        assert report["framing"]["scale"] == 4
+    for command in ("frame", "reduce"):
+        # Explicit vertices take --scale or the minimal scale, not the block's.
+        _, report, _ = run_json(capsys, command, spec, "1", "2")
+        assert report["framing"]["scale"] == 2
+        _, report, _ = run_json(capsys, command, spec, "1", "2", "--scale", "4")
+        assert report["framing"]["scale"] == 4
+
+
+@pytest.mark.parametrize("command", ["frame", "reduce"])
+def test_framed_vertices_missing_exit_two(capsys, tmp_path, command):
+    doc = json.loads((FIXTURES / "kronecker.json").read_text())
+    del doc["framing"]
+    spec = tmp_path / "noframing.json"
+    spec.write_text(json.dumps(doc), encoding="utf-8")
+    cases = [
+        ((spec,), "no framing vertices: pass i and j or add a framing block to the spec"),
+        ((FIXTURES / "kronecker.json", "1"), "either give both vertices i and j or neither"),
+    ]
+    for argv, message in cases:
+        code, out, err = run(capsys, command, *argv)
+        assert (code, out, err) == (2, "", f"quivercalc: input error: {message}\n")
+
+
+def test_main_builds_the_parser_once(capsys, monkeypatch):
+    import argparse
+
+    from quivercalc import cli
+
+    built = []
+    add_subparsers = argparse.ArgumentParser.add_subparsers
+
+    def counting(self, *args, **kwargs):
+        # Called once per build of the whole parser tree.
+        built.append(self)
+        return add_subparsers(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers", counting)
+    cli._parser.cache_clear()
+    try:
+        for _ in range(2):
+            assert run(capsys, "analyze", FIXTURES / "kronecker.json")[0] == 0
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1
+
+
 def test_reduce_both_thin(capsys):
     code, report, _ = run_json(capsys, "reduce", FIXTURES / "threevertex.json", "2", "3")
     assert code == 0
@@ -396,9 +452,9 @@ def test_analyze_computes_the_cokernel_and_hh1_once(capsys, monkeypatch, fixture
 
         return wrapper
 
-    monkeypatch.setattr(
-        quivercalc.cohomology, "path_count_matrix", counting(quivercalc.cohomology, "path_count_matrix")
-    )
+    path_counts = counting(quivercalc.cohomology, "path_count_matrix")
+    monkeypatch.setattr(quivercalc.cohomology, "path_count_matrix", path_counts)
+    monkeypatch.setattr(quivercalc.report, "path_count_matrix", path_counts)
     hh1 = counting(quivercalc.cohomology, "hochschild1_dim")
     monkeypatch.setattr(quivercalc.cohomology, "hochschild1_dim", hh1)
     monkeypatch.setattr(quivercalc.report, "hochschild1_dim", hh1)

@@ -186,6 +186,17 @@ def test_weight_one_character_pairs_to_one(entries):
             weight_one_character(d)
 
 
+def test_weight_one_character_on_consecutive_fibonacci_numbers():
+    # Euclid takes the most steps on consecutive Fibonacci numbers: about a
+    # thousand here, each a stack frame if the extended gcd recursed.
+    fib = [0, 1]
+    while len(fib) < 998:
+        fib.append(fib[-1] + fib[-2])
+    d = DimensionVector({"1": fib[996], "2": fib[997]})
+    assert len(str(fib[996])) == 208
+    assert weight_one_character(d)(d) == 1
+
+
 def test_slope_exact():
     theta = StabilityParameter({"a": 1, "b": -1})
     e = DimensionVector({"a": 1, "b": 2})

@@ -1,4 +1,5 @@
-"""Differential tests of the one exact elimination, over Q and over F_p."""
+"""Differential tests of the one exact elimination over Q and of the F_p
+residual and inverse."""
 
 import itertools
 
@@ -6,8 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_force_row_span, sympy_inverse_mod, sympy_rank, sympy_rref
-from quivercalc import linalg
+from oracles import brute_force_row_span, sympy_inverse_mod, sympy_mat_mul_mod, sympy_rank, sympy_rref
+from quivercalc import linalg, subspaces_of
 
 
 @st.composite
@@ -27,37 +28,37 @@ def test_rref_over_q_equals_sympy(m):
     assert (rows, pivots) == sympy_rref(m)
 
 
-@settings(max_examples=80)
-@given(int_matrices(), st.sampled_from((2, 3, 5)))
-def test_rank_and_residual_over_fp_match_the_brute_force_span(m, p):
-    rows, pivots = linalg.rref(m, p)
-    assert all(0 <= x < p for row in rows for x in row)
-    span = brute_force_row_span(m, p)
-    assert p ** linalg.rank(m, p) == len(span)
-    reduced = rows[: len(pivots)]
-    # An echelon basis need not be reduced: adding every later row to each
-    # row keeps the pivots and the span but fills the pivot columns above.
-    unreduced = [
-        [sum(col) % p for col in zip(*reduced[k:])] for k in range(len(reduced))
-    ]
-    for v in itertools.product(range(p), repeat=len(m[0])):
-        for basis in (reduced, unreduced):
-            residual = linalg.mod_residual(basis, pivots, v, p)
-            assert (not any(residual)) == (v in span)
-            assert linalg.mod_residual(basis, pivots, [x - p for x in v], p) == residual
+def test_rank_and_residual_over_fp_match_the_brute_force_span():
+    # Every echelon basis of every subspace of F_p^n, p in {2, 3, 5}, n <= 3.
+    for p, n in itertools.product((2, 3, 5), (1, 2, 3)):
+        for space in subspaces_of(p, n):
+            reduced, pivots = [list(row) for row in space.rows], space.pivots
+            span = brute_force_row_span(reduced, p) if reduced else {(0,) * n}
+            assert p ** len(reduced) == len(span)
+            # An echelon basis need not be reduced: adding every later row to
+            # each row keeps the pivots and the span but fills the pivot
+            # columns above.
+            unreduced = [
+                [sum(col) % p for col in zip(*reduced[k:])] for k in range(len(reduced))
+            ]
+            for v in itertools.product(range(p), repeat=n):
+                for basis in (reduced, unreduced):
+                    residual = linalg.mod_residual(basis, pivots, v, p)
+                    assert (not any(residual)) == (v in span)
+                    assert linalg.mod_residual(basis, pivots, [x - p for x in v], p) == residual
 
 
 @settings(max_examples=80)
 @given(int_matrices(max_rows=3, square=True), st.sampled_from((2, 3, 5)))
 def test_mod_invert_is_a_two_sided_inverse_exactly_at_full_rank(m, p):
     n = len(m)
-    if linalg.rank(m, p) < n:
+    if sympy_inverse_mod(m, p) is None:
         with pytest.raises(ValueError):
             linalg.mod_invert(m, p)
         return
     inverse = linalg.mod_invert(m, p)
-    assert linalg.mat_mul(inverse, m, p) == linalg.identity(n)
-    assert linalg.mat_mul(m, inverse, p) == linalg.identity(n)
+    assert sympy_mat_mul_mod(inverse, m, p) == linalg.identity(n)
+    assert sympy_mat_mul_mod(m, inverse, p) == linalg.identity(n)
 
 
 def _inverse_or_error(m, p):
