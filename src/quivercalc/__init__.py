@@ -51,23 +51,6 @@ from .errors import (
     UnsupportedDimensionVectorError,
     VertexSetMismatchError,
 )
-from .ff_oracle import (
-    EquivalenceReport,
-    FiniteFieldRepresentation,
-    StabilityVerdict,
-    WeightLawReport,
-    enumerate_representations,
-    enumerate_subrepresentations,
-    gaussian_binomial,
-    has_cyclic_destabilizer,
-    king_stability,
-    path_semiinvariant,
-    subspace_count,
-    subspaces_of,
-    verify_double_framing_equivalence,
-    verify_semiinvariant_weight,
-    weight_law_trials,
-)
 from .framing import (
     FramingResult,
     ReductionCase,
@@ -94,3 +77,33 @@ from .stability import (
 )
 
 __version__ = "0.1.0"
+
+# The finite-field oracle is served on first use (PEP 562): only ``verify``
+# needs it, and importing it costs every other command start-up time.
+_FF_ORACLE_NAMES = frozenset(
+    {
+        "EquivalenceReport",
+        "FiniteFieldRepresentation",
+        "StabilityVerdict",
+        "WeightLawReport",
+        "enumerate_representations",
+        "enumerate_subrepresentations",
+        "gaussian_binomial",
+        "has_cyclic_destabilizer",
+        "king_stability",
+        "path_semiinvariant",
+        "subspace_count",
+        "subspaces_of",
+        "verify_double_framing_equivalence",
+        "verify_semiinvariant_weight",
+        "weight_law_trials",
+    }
+)
+
+
+def __getattr__(name: str):
+    if name in _FF_ORACLE_NAMES:
+        from . import ff_oracle
+
+        return getattr(ff_oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

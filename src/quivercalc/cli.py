@@ -18,6 +18,7 @@ import json
 import sys
 from typing import Any
 
+from .core import _is_prime
 from .errors import (
     AssumptionViolatedError,
     BudgetExceededError,
@@ -26,7 +27,6 @@ from .errors import (
     SpecFileError,
     UnknownVertexError,
 )
-from .ff_oracle import _is_prime
 from .report import (
     build_analyze_report,
     build_frame_report,

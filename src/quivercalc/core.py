@@ -373,6 +373,28 @@ def slope(theta: StabilityParameter, e: VertexVector) -> Fraction:
     return Fraction(theta(e), total)
 
 
+# Miller-Rabin with the prime bases 2..41 decides primality exactly below
+# this bound (Sorenson and Webster 2017, psi_13); larger fields are refused.
+PRIME_LIMIT = 3_317_044_064_679_887_385_961_981
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _is_prime(p: int) -> bool:
+    """Whether the field size p is prime, exactly and in bounded time; raises
+    ValueError for p >= PRIME_LIMIT, where the test is no longer exact."""
+    if p >= PRIME_LIMIT:
+        raise ValueError(f"field sizes must be below {PRIME_LIMIT}, got {p}")
+    if p <= _PRIME_BASES[-1]:
+        return p in _PRIME_BASES
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = d * 2^s with d odd
+    d = (p - 1) >> s
+    for b in _PRIME_BASES:
+        x = pow(b, d, p)
+        if x != 1 and all(pow(x, 1 << r, p) != p - 1 for r in range(s)):
+            return False  # b witnesses that p is composite
+    return True
+
+
 def _check_representation_shapes(q: Quiver, dims: DimensionVector, mats: Sequence[Sequence[Sequence]]) -> None:
     """Raise ValueError unless ``mats`` holds one d_t(a) x d_s(a) matrix per
     arrow a of q, in arrow order (``dims`` must live on q's vertex set)."""

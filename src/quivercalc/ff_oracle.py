@@ -43,7 +43,7 @@ from functools import lru_cache
 from typing import Iterator, Sequence
 
 from . import linalg
-from .core import DimensionVector, Path, Quiver, StabilityParameter, _check_representation_shapes, enumerate_paths
+from .core import DimensionVector, Path, Quiver, StabilityParameter, _check_representation_shapes, _is_prime, enumerate_paths
 from .errors import BudgetExceededError, NotThinAtEndpointsError, PairingNonzeroError
 from .framing import FramingResult, double_frame
 from .stability import AssumptionsReport, assumptions_report
@@ -72,17 +72,6 @@ __all__ = [
 DEFAULT_BUDGET = 10**6
 
 IntMatrix = tuple[tuple[int, ...], ...]
-
-
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    k = 2
-    while k * k <= p:
-        if p % k == 0:
-            return False
-        k += 1
-    return True
 
 
 @dataclass(frozen=True)

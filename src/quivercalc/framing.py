@@ -26,6 +26,7 @@ from .core import (
     enumerate_paths,
     path_count_matrix,
 )
+from .errors import AssumptionViolatedError
 from .stability import (
     AssumptionsReport,
     SignPartition,
@@ -322,6 +323,8 @@ def reduce(
     * both thin: the base datum itself, marked at (i, j), both connecting
       paths of length 1.
 
+    A framed vertex of dimension 0 has no reduction and is refused.
+
     In every case theta'(d') = 0, d' is thin at the marked vertices, and the
     reduced path space between the marked vertices matches the base path
     space from i to j.  The base datum must satisfy the decidable standing
@@ -345,6 +348,8 @@ def _reduce_checked(
     report.require("acyclic", "indivisible", "coprime")
 
     i, j = framing.framed_at
+    if d[i] == 0 or d[j] == 0:
+        raise AssumptionViolatedError("nonzero dimension at both framed vertices", f"d_{i} = {d[i]}, d_{j} = {d[j]}")
     scale = framing.framing_scale
     total = d.total()
     fq = framing.framed_quiver

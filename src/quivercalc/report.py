@@ -28,7 +28,6 @@ from .errors import (
     SpecFileError,
     UnsupportedDimensionVectorError,
 )
-from .ff_oracle import _framing_equivalence, weight_law_trials
 from .framing import (
     FramingResult,
     ReductionResult,
@@ -308,6 +307,8 @@ def build_reduce_report(spec: QuiverSpec, i: str | None, j: str | None, scale: i
 def build_verify_report(
     spec: QuiverSpec, prime: int, budget: int, seed: int, scale: int | None
 ) -> dict[str, Any]:
+    from .ff_oracle import _framing_equivalence, weight_law_trials  # only verify pays its import
+
     if spec.framing is None:
         raise AssumptionViolatedError("a framing block is required for verification")
     base_report, framing = _framed(spec, None, None, scale)

@@ -12,20 +12,22 @@ Example::
     }
 
 ``framing`` and ``oracle`` are optional, and the framing scale may be spelled
-``scale`` or ``N``.  Structural validation runs against ``SPEC_SCHEMA``;
+``scale`` or ``N``.  Structural validation runs against ``SPEC_SCHEMA``, by a
+private validator that gives jsonschema's (Draft 2020-12) decision, location
+and ``best_match`` message for this schema's keywords without importing it;
 semantic validation then checks vertex references and the zero-pairing
 convention for the stability parameter, suggesting the canonical stability
-parameter as a repair when the pairing is nonzero.
+parameter as a repair when the pairing is nonzero.  Integral floats such as
+``2.0`` pass as integers, as in JSON Schema, and are read as ``int``.
 """
 
 from __future__ import annotations
 
 import json
+import numbers
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from pathlib import Path as FsPath
-
-import jsonschema
-from jsonschema.exceptions import best_match
 
 from .core import DimensionVector, Quiver, StabilityParameter, canonical_stability, is_acyclic
 from .errors import SpecFileError
@@ -97,9 +99,94 @@ SPEC_SCHEMA = {
     },
 }
 
-# Built once: jsonschema.validate would check SPEC_SCHEMA against the
-# metaschema on every parse (the test suite checks it once).
-_SPEC_VALIDATOR = jsonschema.Draft202012Validator(SPEC_SCHEMA)
+_TYPES = {"object": dict, "array": list, "string": str}
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Number) and not isinstance(value, bool)
+
+
+def _is_type(value, name: str) -> bool:
+    if name == "integer":
+        return _is_number(value) and (isinstance(value, int) or isinstance(value, float) and value.is_integer())
+    return isinstance(value, _TYPES[name])
+
+
+def _unbool(value, true=object(), false=object()):
+    """True and False as tokens distinct from 1 and 0 (JSON equality)."""
+    return true if value is True else false if value is False else value
+
+
+def _equal(a, b) -> bool:
+    if a is b:
+        return True
+    if isinstance(a, str) or isinstance(b, str):
+        return a == b
+    if isinstance(a, Sequence) and isinstance(b, Sequence):
+        return len(a) == len(b) and all(_equal(x, y) for x, y in zip(a, b))
+    if isinstance(a, Mapping) and isinstance(b, Mapping):
+        return len(a) == len(b) and all(k in b and _equal(v, b[k]) for k, v in a.items())
+    return _unbool(a) == _unbool(b)
+
+
+def _unique(items: list) -> bool:
+    """jsonschema's ``uniq``: compare neighbours after sorting when the items
+    sort, else every pair.  The sorted pass can miss a duplicate that sorts
+    apart (``[[1], [True], [1]]``); that is the reference's answer too."""
+    try:
+        ordered = sorted(_unbool(x) for x in items)
+        return not any(_equal(a, b) for a, b in zip(ordered, ordered[1:]))
+    except TypeError:
+        seen: list = []
+        for x in map(_unbool, items):
+            if any(_equal(y, x) for y in seen):
+                return False
+            seen.append(x)
+        return True
+
+
+def _schema_errors(value, schema: dict, path: tuple):
+    """Yield ``(path, message)`` for each violation, in the order jsonschema
+    reports them: keywords in schema order, children where they appear."""
+    for keyword, rule in schema.items():
+        if keyword == "type":
+            if not _is_type(value, rule):
+                yield path, f"{value!r} is not of type {rule!r}"
+        elif keyword == "minimum":
+            if _is_number(value) and value < rule:
+                yield path, f"{value!r} is less than the minimum of {rule!r}"
+        elif isinstance(value, list):
+            if keyword == "items":
+                for k, item in enumerate(value):
+                    yield from _schema_errors(item, rule, path + (k,))
+            elif keyword == "minItems" and len(value) < rule:
+                yield path, f"{value!r} {'should be non-empty' if rule == 1 else 'is too short'}"
+            elif keyword == "uniqueItems" and rule and not _unique(value):
+                yield path, f"{value!r} has non-unique elements"
+        elif isinstance(value, dict):
+            if keyword == "required":
+                for key in rule:
+                    if key not in value:
+                        yield path, f"{key!r} is a required property"
+            elif keyword == "properties":
+                for key, sub in rule.items():
+                    if key in value:
+                        yield from _schema_errors(value[key], sub, path + (key,))
+            elif keyword == "additionalProperties":
+                extras = [key for key in value if key not in schema.get("properties", {})]
+                if isinstance(rule, dict):
+                    for key in extras:
+                        yield from _schema_errors(value[key], rule, path + (key,))
+                elif rule is False and extras:
+                    names = ", ".join(repr(key) for key in sorted(extras, key=str))
+                    verb = "was" if len(extras) == 1 else "were"
+                    yield path, f"Additional properties are not allowed ({names} {verb} unexpected)"
+
+
+def _best_schema_error(document) -> tuple[tuple, str] | None:
+    """jsonschema's ``best_match`` over these keywords: the shallowest error,
+    the largest path among siblings, the first reported at one location."""
+    return max(_schema_errors(document, SPEC_SCHEMA, ()), key=lambda e: (-len(e[0]), e[0]), default=None)
 
 
 @dataclass(frozen=True)
@@ -125,16 +212,12 @@ class QuiverSpec:
     oracle: OracleSpec | None = None
 
 
-def _json_path(error: jsonschema.ValidationError) -> str:
-    parts = ["$"] + [str(p) for p in error.absolute_path]
-    return ".".join(parts)
-
-
 def parse_spec(document: dict) -> QuiverSpec:
     """Validate a decoded JSON document and build the datum it describes."""
-    error = best_match(_SPEC_VALIDATOR.iter_errors(document))
+    error = _best_schema_error(document)
     if error is not None:
-        raise SpecFileError(error.message, location=_json_path(error))
+        path, message = error
+        raise SpecFileError(message, location=".".join(["$", *map(str, path)]))
 
     vertices = document["vertices"]
     declared = set(vertices)
@@ -184,9 +267,10 @@ def parse_spec(document: dict) -> QuiverSpec:
                 )
         if "scale" in f and "N" in f:
             raise SpecFileError("give the framing scale once, as 'scale' or 'N'", location="$.framing")
-        framing = FramingSpec(i=f["i"], j=f["j"], scale=f.get("scale", f.get("N")))
+        scale = f.get("scale", f.get("N"))
+        framing = FramingSpec(i=f["i"], j=f["j"], scale=None if scale is None else int(scale))
 
-    oracle = OracleSpec(**document["oracle"]) if "oracle" in document else None
+    oracle = OracleSpec(**{k: int(v) for k, v in document["oracle"].items()}) if "oracle" in document else None
     return QuiverSpec(quiver, dimension, stability, framing, oracle)
 
 
@@ -198,13 +282,15 @@ def load_spec(path: str | FsPath) -> QuiverSpec:
         raise SpecFileError(str(exc), location=str(path)) from None
     try:
         document = json.loads(text)
+        if not isinstance(document, dict):
+            raise SpecFileError("top-level value must be an object", location=str(path))
+        return parse_spec(document)
     except json.JSONDecodeError as exc:
         raise SpecFileError(
             f"invalid JSON: {exc.msg}", location=f"{path}:{exc.lineno}:{exc.colno}"
         ) from None
-    if not isinstance(document, dict):
-        raise SpecFileError("top-level value must be an object", location=str(path))
-    return parse_spec(document)
+    except RecursionError:  # decoding and comparing values recurse on nesting
+        raise SpecFileError("values nested too deeply", location=str(path)) from None
 
 
 def datum_dict(q: Quiver, d: DimensionVector, theta: StabilityParameter) -> dict:

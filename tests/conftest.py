@@ -132,3 +132,57 @@ def quiver_with_datum(draw, max_entry=3, min_entry=0, spread=3):
         coeffs[u] += c * d[v]
         coeffs[v] -= c * d[u]
     return q, d, StabilityParameter(coeffs)
+
+
+# Unicode and colliding vertex names: "" and "0" next to "1", and "∞".
+SPEC_NAMES = ("a", "b", "1", "0", "", "∞", "é")
+HUGE_INTEGERS = st.sampled_from([10**30, -(10**30), 2**63, -(2**63) - 1, 10**100])
+
+
+def _integer_field(draw, small):
+    """Nine times in ten ``small``; otherwise its integral float, a huge
+    integer, a bool or a numeric string."""
+    if draw(st.integers(0, 9)) < 9:
+        return draw(small)
+    return draw(st.one_of(small.map(float), HUGE_INTEGERS, st.booleans(), st.just("1")))
+
+
+@st.composite
+def spec_documents(draw, max_vertices=5):
+    """Spec documents for fuzzing: at most ``max_vertices`` vertices, d_i <= 3,
+    arrows between any two vertices (cycles, loops and disconnected quivers
+    included), zero entries, and odd values in every integer field.  The
+    stability parameter usually pairs to zero, so most documents get past
+    parsing."""
+    vertices = draw(st.lists(st.sampled_from(SPEC_NAMES), min_size=1, max_size=max_vertices, unique=True))
+    names = st.sampled_from(vertices)
+    arrows = draw(st.lists(st.tuples(names, names), max_size=6))
+    dimension = {v: _integer_field(draw, st.integers(0, 3)) for v in vertices}
+    stability = {v: draw(st.integers(-3, 3)) for v in vertices}
+    if all(type(x) is int for x in dimension.values()) and draw(st.integers(0, 4)):
+        # theta(d) = 0: a sum of c * (d_w e_u - d_u e_w) over consecutive support vertices
+        support = [v for v in vertices if dimension[v]]
+        stability.update(dict.fromkeys(support, 0))
+        for u, w in zip(support, support[1:]):
+            c = draw(st.integers(-2, 2))
+            stability[u] += c * dimension[w]
+            stability[w] -= c * dimension[u]
+    odd = draw(names)
+    stability[odd] = _integer_field(draw, st.just(stability[odd]))
+    document = {
+        "vertices": vertices,
+        "arrows": [{"from": s, "to": t} for s, t in arrows],
+        "dimension": dimension,
+        "stability": stability,
+    }
+    if draw(st.booleans()):
+        document["framing"] = {"i": draw(names), "j": draw(names)}
+        if draw(st.booleans()):
+            document["framing"][draw(st.sampled_from(["scale", "N"]))] = _integer_field(draw, st.integers(1, 3))
+    if draw(st.booleans()):
+        document["oracle"] = {
+            "prime": _integer_field(draw, st.sampled_from([2, 3, 4])),
+            "budget": _integer_field(draw, st.integers(1, 64)),
+            "seed": _integer_field(draw, st.integers(0, 5)),
+        }
+    return document

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import re
 import time
@@ -5,9 +7,14 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from quivercalc.cli import main
+from quivercalc.core import PRIME_LIMIT
 from quivercalc.report import REPORT_SCHEMA
+
+from conftest import spec_documents
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -528,3 +535,117 @@ def test_bad_prime_or_scale_exits_two_whatever_the_datum(capsys, tmp_path, spec,
         assert code == 2
         assert out == ""
         assert err == f"quivercalc: input error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["--prime", str(PRIME_LIMIT)], 2), (["--prime", "1000000000000000003", "--budget", "64"], 0)],
+    ids=["beyond-the-limit", "below-the-limit"],
+)
+def test_verify_on_a_huge_prime_ends_quickly(capsys, argv, code):
+    start = time.perf_counter()
+    result, out, err = run(capsys, "verify", FIXTURES / "kronecker.json", *argv, "--json")
+    assert time.perf_counter() - start < 0.5
+    assert result == code
+    if code == 2:
+        assert out == ""
+        assert err == f"quivercalc: input error: field sizes must be below {PRIME_LIMIT}, got {PRIME_LIMIT}\n"
+    else:
+        assert [v["passed"] for v in json.loads(out)["verifications"]] == [True, True]
+
+
+def test_oracle_prime_beyond_the_limit_exits_two(capsys, tmp_path):
+    doc = json.loads((FIXTURES / "kronecker.json").read_text())
+    doc["oracle"]["prime"] = PRIME_LIMIT + 2
+    spec = tmp_path / "huge_prime.json"
+    spec.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, "verify", spec, "--json")
+    assert (code, out) == (2, "")
+    assert str(PRIME_LIMIT) in err
+
+
+def test_integral_floats_in_the_spec_act_as_integers(capsys, tmp_path):
+    doc = json.loads((FIXTURES / "kronecker.json").read_text())
+    doc["framing"]["scale"] = 2.0
+    doc["oracle"] = {"prime": 2.0, "budget": 1e6, "seed": 0.0}
+    spec = tmp_path / "floats.json"
+    spec.write_text(json.dumps(doc), encoding="utf-8")
+    for command in ("frame", "verify"):
+        code, out, _ = run(capsys, command, FIXTURES / "kronecker.json", "--json")
+        code_f, out_f, err_f = run(capsys, command, spec, "--json")
+        assert (code_f, err_f) == (code, "")
+        assert out_f == out
+        assert '"scale": 2,' in out_f
+
+
+@st.composite
+def _spec_texts(draw):
+    """Spec file contents: a fuzzed document, or malformed or non-UTF-8 text."""
+    document = draw(spec_documents())
+    text = json.dumps(document, ensure_ascii=draw(st.booleans()))
+    kind = draw(st.sampled_from(["document"] * 5 + ["truncated", "junk", "bytes"]))
+    if kind == "truncated":
+        return text[: draw(st.integers(0, len(text) - 1))].encode()
+    if kind == "junk":
+        return draw(st.sampled_from(["", "NaN", "[]", "1e999", '{"vertices": ["a"]}', "{" * 5000])).encode()
+    if kind == "bytes":
+        return draw(st.binary(max_size=20))
+    return text.encode()
+
+
+_ARGS = st.sampled_from(["a", "b", "0", "1", "∞", ""])
+
+
+@st.composite
+def _invocations(draw):
+    command = draw(st.sampled_from(["analyze", "frame", "reduce", "verify"]))
+    argv = []
+    if command in ("frame", "reduce") and draw(st.booleans()):
+        argv += [draw(_ARGS), draw(_ARGS)]
+    if command != "analyze" and draw(st.booleans()):
+        argv += ["--scale", str(draw(st.sampled_from([0, 1, 2, 3, 10**30])))]
+    if command == "verify":
+        argv += ["--budget", str(draw(st.integers(1, 64)))]
+        if draw(st.booleans()):
+            argv += ["--prime", str(draw(st.sampled_from([2, 3, 4])))]
+    if command == "analyze" and draw(st.booleans()):
+        argv.append("--override-assumptions")
+    return command, argv
+
+
+@settings(max_examples=250, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_spec_texts(), _invocations())
+def test_fuzzed_inputs_give_a_report_or_a_clean_input_error(tmp_path_factory, content, invocation):
+    spec = tmp_path_factory.mktemp("fuzz") / "spec.json"
+    spec.write_bytes(content)
+    command, argv = invocation
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main([command, str(spec), *argv, "--json"])
+    out, err = stdout.getvalue(), stderr.getvalue()
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out == ""
+        assert err.startswith("quivercalc: input error: ")
+    else:
+        report = json.loads(out)
+        jsonschema.validate(report, REPORT_SCHEMA)
+        assert report["exit_code"] == code
+
+
+def test_reduce_refuses_a_framed_vertex_of_dimension_zero(capsys, tmp_path):
+    doc = {
+        "vertices": ["a", "b", "c"],
+        "arrows": [{"from": "a", "to": "b"}, {"from": "b", "to": "c"}],
+        "dimension": {"a": 0, "b": 1, "c": 1},
+        "stability": {"a": 0, "b": 1, "c": -1},
+    }
+    spec = tmp_path / "zero_at_i.json"
+    spec.write_text(json.dumps(doc), encoding="utf-8")
+    code, report, _ = run_json(capsys, "reduce", spec, "a", "c")
+    assert code == 1
+    assert report["error"] == {
+        "assumption": "nonzero dimension at both framed vertices",
+        "message": "assumption violated: nonzero dimension at both framed vertices (d_a = 0, d_c = 1)",
+    }
+    jsonschema.validate(report, REPORT_SCHEMA)

@@ -3,6 +3,7 @@ import re
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,6 +25,7 @@ from quivercalc import (
     slope,
     weight_one_character,
 )
+from quivercalc.core import PRIME_LIMIT, _is_prime
 from quivercalc.errors import CyclicQuiverError
 
 from conftest import acyclic_quivers, quiver_with_dimensions, thin
@@ -291,3 +293,47 @@ def test_vertex_vector_contract(case, data):
             op(d, other)
         with pytest.raises(VertexSetMismatchError, match="dimension vectors on different vertex sets"):
             op(other, d)
+
+
+def _trial_division_is_prime(n):
+    return n >= 2 and all(n % k for k in range(2, math.isqrt(n) + 1))
+
+
+def test_is_prime_matches_trial_division_up_to_ten_thousand():
+    assert [n for n in range(-5, 10**4 + 1) if _is_prime(n)] == [
+        n for n in range(10**4 + 1) if _trial_division_is_prime(n)
+    ]
+
+
+@pytest.mark.parametrize(
+    "n, expected",
+    [
+        (2**31 - 1, True),
+        (10**9 + 7, True),
+        (10**18 + 3, True),
+        (2**61 - 1, True),
+        (PRIME_LIMIT - 2, False),  # divisible by 3
+        (561, False),  # Carmichael numbers
+        (41041, False),
+        (9_585_921_133_193_329, False),
+        (3_215_031_751, False),  # strong pseudoprime to the bases 2, 3, 5, 7
+        (3_825_123_056_546_413_051, False),  # ... to the prime bases 2..23
+        (318_665_857_834_031_151_167_461, False),  # ... to the prime bases 2..37
+        ((2**31 - 1) * (10**9 + 7), False),
+    ],
+)
+def test_is_prime_on_large_primes_and_pseudoprimes(n, expected):
+    assert _is_prime(n) is expected
+    assert sympy.isprime(n) is expected
+
+
+@settings(max_examples=300)
+@given(st.integers(0, PRIME_LIMIT - 1))
+def test_is_prime_matches_sympy_below_the_limit(n):
+    assert _is_prime(n) is sympy.isprime(n)
+
+
+def test_is_prime_refuses_field_sizes_at_or_beyond_the_limit():
+    for n in (PRIME_LIMIT, 2**89 - 1, 10**100):
+        with pytest.raises(ValueError, match=str(PRIME_LIMIT)):
+            _is_prime(n)

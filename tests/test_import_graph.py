@@ -1,0 +1,74 @@
+"""What each command imports: no jsonschema at run time, and the finite-field
+oracle only for ``verify``."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import quivercalc
+from quivercalc import ff_oracle
+
+FIXTURES = Path(__file__).parent / "fixtures"
+SRC = Path(quivercalc.__file__).resolve().parent.parent
+
+# Each step runs in the same fresh interpreter, in this order, and prints the
+# watched modules loaded so far.
+_PROBE = """
+import contextlib, io, json, sys
+watched = ("jsonschema", "quivercalc.ff_oracle")
+loaded = lambda: [m for m in watched if m in sys.modules]
+import quivercalc.cli
+steps = {"import": loaded()}
+for command in ("analyze", "frame", "reduce", "verify"):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = quivercalc.cli.main([command, sys.argv[1], "--json"])
+    steps[command] = [code, loaded()]
+print(json.dumps(steps))
+"""
+
+FF_ORACLE_NAMES = [
+    "EquivalenceReport",
+    "FiniteFieldRepresentation",
+    "StabilityVerdict",
+    "WeightLawReport",
+    "enumerate_representations",
+    "enumerate_subrepresentations",
+    "gaussian_binomial",
+    "has_cyclic_destabilizer",
+    "king_stability",
+    "path_semiinvariant",
+    "subspace_count",
+    "subspaces_of",
+    "verify_double_framing_equivalence",
+    "verify_semiinvariant_weight",
+    "weight_law_trials",
+]
+
+
+def test_only_verify_loads_the_oracle_and_nothing_loads_jsonschema():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-c", _PROBE, str(FIXTURES / "kronecker.json")],
+        env=env, capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert json.loads(done.stdout) == {
+        "import": [],
+        "analyze": [0, []],
+        "frame": [0, []],
+        "reduce": [0, []],
+        "verify": [0, ["quivercalc.ff_oracle"]],
+    }
+
+
+@pytest.mark.parametrize("name", FF_ORACLE_NAMES)
+def test_oracle_names_resolve_from_the_package(name):
+    assert getattr(quivercalc, name) is getattr(ff_oracle, name)
+
+
+def test_unknown_package_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        quivercalc.no_such_name

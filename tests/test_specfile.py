@@ -1,15 +1,17 @@
+import copy
 import json
 from pathlib import Path
 
 import jsonschema
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from jsonschema.exceptions import best_match
 
 from quivercalc import SpecFileError, load_spec, parse_spec, spec_to_dict
-from quivercalc.specfile import SPEC_SCHEMA, dump_spec
+from quivercalc.specfile import SPEC_SCHEMA, _best_schema_error, dump_spec
 
-from conftest import acyclic_quivers
+from conftest import acyclic_quivers, spec_documents
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -162,3 +164,129 @@ def test_negative_dimension_rejected():
                 "stability": {"a": 0},
             }
         )
+
+
+def test_integral_floats_are_read_as_integers():
+    document = json.loads((FIXTURES / "kronecker.json").read_text())
+    document["framing"]["N"] = 2.0
+    del document["framing"]["scale"]
+    document["oracle"] = {"prime": 3.0, "budget": 1e3, "seed": -1.0}
+    spec = parse_spec(document)
+    fields = (spec.framing.scale, spec.oracle.prime, spec.oracle.budget, spec.oracle.seed)
+    assert fields == (2, 3, 1000, -1)
+    assert all(type(x) is int for x in fields)
+    assert spec_to_dict(spec)["framing"] == {"i": "1", "j": "2", "scale": 2}
+
+
+def test_deeply_nested_values_are_a_spec_error(tmp_path):
+    nested = "[" * 400 + "]" * 400
+    for value in (nested, "[" * 100_000 + "]" * 100_000):
+        path = tmp_path / "deep.json"
+        path.write_text(f'{{"vertices": [{value}, {value}]}}', encoding="utf-8")
+        with pytest.raises(SpecFileError):
+            load_spec(path)
+
+
+# --- the spec validator against jsonschema -----------------------------------
+
+_REFERENCE = jsonschema.Draft202012Validator(SPEC_SCHEMA)
+_FIXTURE_DOCUMENTS = [json.loads(p.read_text(encoding="utf-8")) for p in sorted(FIXTURES.glob("*.json"))]
+_JUNK = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(-3, 3),
+        st.integers(min_value=2**63),
+        st.integers(max_value=-(2**63)),
+        st.sampled_from([0.0, 1.0, 2.0, -1.0, 0.5, 1e300, float("inf"), float("-inf")]),
+        st.text(max_size=3),
+    ),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=2), kids, max_size=3),
+    max_leaves=6,
+)
+_KEYS = st.sampled_from(["extra", "N", "scale", "from", "i", "vertices", "1", "", "∞"]) | st.text(max_size=3)
+
+
+def _nodes(value, path=()):
+    yield path
+    children = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, child in children:
+        yield from _nodes(child, (*path, key))
+
+
+@st.composite
+def mutated_documents(draw):
+    """A fixture spec with one to four mutations: wrong types, integral
+    floats, bools, huge integers, missing, extra and repeated entries, and
+    whole containers of wrong entries (sibling errors at one depth)."""
+    document = copy.deepcopy(draw(st.sampled_from(_FIXTURE_DOCUMENTS)))
+    for _ in range(draw(st.integers(1, 4))):
+        path = draw(st.sampled_from(list(_nodes(document))))
+        *parent_path, key = path or (None,)
+        parent = document
+        for step in parent_path:
+            parent = parent[step]
+        target = parent[key] if path else document
+        kind = draw(st.sampled_from(["replace", "float", "delete", "extra", "repeat", "siblings"]))
+        if kind == "replace" and path:
+            parent[key] = draw(_JUNK)
+        elif kind == "float" and path and isinstance(target, int) and not isinstance(target, bool):
+            parent[key] = float(target) if draw(st.booleans()) else draw(st.sampled_from([True, False, -(10**30)]))
+        elif kind == "delete" and path:
+            del parent[key]
+        elif kind == "extra" and isinstance(target, dict):
+            target[draw(_KEYS)] = draw(_JUNK)
+        elif kind == "repeat" and isinstance(target, list) and target:
+            target.append(copy.deepcopy(draw(st.sampled_from(target))))
+        elif kind == "siblings" and isinstance(target, (dict, list)):
+            for k in list(target.keys() if isinstance(target, dict) else range(len(target))):
+                target[k] = draw(_JUNK)
+    return document
+
+
+_BASE = {"vertices": ["a"], "arrows": [], "dimension": {"a": 1}, "stability": {"a": 0}}
+
+
+@settings(max_examples=400, deadline=None)
+@given(mutated_documents())
+@example({**_BASE, "dimension": {"a": "x", "b": 1.5}})  # siblings at one depth: the larger path wins
+@example({**_BASE, "arrows": [{"from": 1}, {"to": 2}]})
+@example({**_BASE, "vertices": [1, 1]})  # uniqueItems is shallower than items
+@example({**_BASE, "vertices": [[1], [True], [1]]})  # the sorted duplicate check misses this one
+@example({**_BASE, "vertices": [True, 1, 1.0]})
+@example({**_BASE, "vertices": [{"a": 1}, {"a": 1.0}]})
+@example({**_BASE, "vertices": []})
+@example({**_BASE, "oracle": {"prime": 1.0, "budget": True, "seed": 2.5}})
+@example({**_BASE, "framing": {"i": 1, "j": "a", "k": 3, "N": 0.0}})
+@example({**_BASE, "dimension": {"a": float("-inf")}, "y": 1, "x": 2})  # extras are named in sorted order
+@example({"arrows": {}, "extra": 1})
+@example([])
+def test_spec_validator_matches_jsonschema(document):
+    expected = best_match(_REFERENCE.iter_errors(document))
+    found = _best_schema_error(document)
+    if expected is None:
+        assert found is None
+        try:
+            parse_spec(document)
+        except SpecFileError:
+            pass  # a semantic check after the schema
+        return
+    assert found == (tuple(expected.absolute_path), expected.message)
+    location = ".".join(["$", *map(str, expected.absolute_path)])
+    with pytest.raises(SpecFileError) as info:
+        parse_spec(document)
+    assert str(info.value) == f"{location}: {expected.message}"
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec_documents())
+def test_parse_spec_gives_a_spec_or_a_spec_error(document):
+    try:
+        spec = parse_spec(document)
+    except SpecFileError:
+        return
+    assert parse_spec(spec_to_dict(spec)) == spec
+    if spec.framing is not None:
+        assert spec.framing.scale is None or type(spec.framing.scale) is int
+    if spec.oracle is not None:
+        assert all(type(value) is int for value in vars(spec.oracle).values())
