@@ -16,9 +16,10 @@ Everything in that search that depends only on the quiver, the prime and the
 dimensions (the subspace lists, their dimensions as plain ints, the budget
 refusal and the mask tables) is set up once per datum; a point reaches the
 search as its plain tuple of arrow matrices.  The framed description check
-sets up two searches per datum, base and framed, and checks each pairing
-once; its enumerated or sampled points stay matrix tuples, and a
-``FiniteFieldRepresentation`` is built only for a point that fails.
+sets up the base search only, since one enumeration of a base point
+decides its verdict and every framing of it (``_FramedKing``), and checks
+both pairings once; its enumerated or sampled points stay matrix tuples, and
+a ``FiniteFieldRepresentation`` is built only for a point that fails.
 
 The weight law of a path between thin vertices is sampled on the path alone:
 a trial draws only the path's arrow matrices and its vertices' group
@@ -415,25 +416,6 @@ def _king_weights(theta: StabilityParameter, d: DimensionVector, vertices: Seque
     return theta.aligned(vertices)
 
 
-def _king(
-    search: _SubrepSearch, weighed: Sequence[tuple[int, ...]], mats: Sequence[IntMatrix]
-) -> tuple[bool, bool, tuple[int, ...] | None]:
-    """King's test on one point: (semistable, stable, witness), the witness
-    being the first violating closed tuple as ``search.closed`` yields it;
-    ``weighed`` is ``search.weigh`` of the stability weights."""
-    sub_dims = search.sub_dims
-    total = search.total
-    first_zero_proper = None
-    for chosen in search.closed(mats):
-        value = sum(map(operator.getitem, weighed, chosen))
-        if value > 0:
-            return False, False, chosen
-        # Proper and nonzero iff 0 < total < total of dim M, as sub <= dim M.
-        if value == 0 and first_zero_proper is None and 0 < sum(map(operator.getitem, sub_dims, chosen)) < total:
-            first_zero_proper = chosen
-    return True, first_zero_proper is None, first_zero_proper
-
-
 def king_stability(
     m: FiniteFieldRepresentation, theta: StabilityParameter, budget: int = DEFAULT_BUDGET
 ) -> StabilityVerdict:
@@ -446,9 +428,16 @@ def king_stability(
     vertices = m.quiver.vertices
     weights = _king_weights(theta, m.dims, vertices)
     search = _SubrepSearch(m.quiver, m.prime, m.dims.aligned(vertices), budget)
-    semistable, stable, chosen = _king(search, search.weigh(weights), m.arrow_matrices)
-    witness = None if chosen is None else (search.subspaces(chosen), search.dimension(chosen))
-    return StabilityVerdict(semistable, stable, witness)
+    weighed, sub_dims, total = search.weigh(weights), search.sub_dims, search.total
+    first_zero_proper = None
+    for chosen in search.closed(m.arrow_matrices):
+        value = sum(map(operator.getitem, weighed, chosen))
+        if value > 0:
+            return StabilityVerdict(False, False, (search.subspaces(chosen), search.dimension(chosen)))
+        # Proper and nonzero iff 0 < total < total of dim M, as sub <= dim M.
+        if value == 0 and first_zero_proper is None and 0 < sum(map(operator.getitem, sub_dims, chosen)) < total:
+            first_zero_proper = (search.subspaces(chosen), search.dimension(chosen))
+    return StabilityVerdict(True, first_zero_proper is None, first_zero_proper)
 
 
 def has_cyclic_destabilizer(
@@ -578,55 +567,35 @@ def _framing_equivalence(
     if not _is_prime(prime):
         raise ValueError(f"{prime} is not prime")
     scale = framing.framing_scale
-    notes = []
-    if scale < 2:
-        notes.append("below minimal framing scale")
+    notes = ["below minimal framing scale"] if scale < 2 else []
 
-    fq = framing.framed_quiver
-    fd = framing.framed_dimension
-    fdims = fd.aligned(fq.vertices)
+    fq, fd = framing.framed_quiver, framing.framed_dimension
     shapes = _shapes(fq, fd)
     total_points = prime ** sum(r * c for r, c in shapes)
 
     # Per-point subrepresentation enumeration must fit the budget regardless
     # of sampling, otherwise no verdicts can be computed at all.
-    tuples = math.prod(subspace_count(n, prime) for n in fdims)
+    tuples = math.prod(subspace_count(n, prime) for n in fd.aligned(fq.vertices))
     if tuples > budget:
         raise BudgetExceededError("subspace tuples per point", tuples, budget)
 
     # One search set-up and one pairing check per datum; the points are plain
     # tuples of matrices, in range and shape by construction.
-    base_q, base_d = framing.base_quiver, framing.base_dimension
-    base_search = _SubrepSearch(base_q, prime, base_d.aligned(base_q.vertices), budget)
-    framed_search = _SubrepSearch(fq, prime, fdims, budget)
-    base_weighed = base_search.weigh(_king_weights(framing.base_stability, base_d, base_q.vertices))
-    framed_weighed = framed_search.weigh(_king_weights(framing.framed_stability, fd, fq.vertices))
+    _king_weights(framing.framed_stability, fd, fq.vertices)
+    king = _FramedKing(framing, prime, budget)
 
-    if total_points <= budget:
-        points: Iterator[tuple[IntMatrix, ...]] = _all_matrices(shapes, prime)
-        sampled = False
-        sample_size = None
-    else:
+    sampled = total_points > budget
+    points: Iterator[tuple[IntMatrix, ...]] = _all_matrices(shapes, prime)
+    if sampled:
         rng = random.Random(seed)
-        sampled = True
-        sample_size = budget
         points = (_random_matrices(rng, shapes, prime) for _ in range(budget))
-        notes.append(f"sampled {sample_size} of {total_points} points with seed {seed}")
+        notes.append(f"sampled {budget} of {total_points} points with seed {seed}")
 
-    n_base = len(base_q.arrows)
-    # Exhaustive points vary the two framing arrows (the last two) fastest, so
-    # runs of consecutive points share their base matrices and base verdict.
-    base_mats = base_stable = None
     failures = []
     checked = 0
     for mats in points:
         checked += 1
-        if mats[:n_base] != base_mats:
-            base_mats = mats[:n_base]
-            base_stable = _king(base_search, base_weighed, base_mats)[1]
-        framing_in, framing_out = mats[n_base:]  # source -> i, j -> sink
-        condition = base_stable and any(map(any, framing_in)) and any(map(any, framing_out))
-        semistable, stable, _ = _king(framed_search, framed_weighed, mats)
+        condition, semistable, stable = king.verdicts(mats)
         if not (stable == semistable == condition):
             failures.append(
                 (
@@ -641,9 +610,76 @@ def _framing_equivalence(
         prime=prime,
         scale=scale,
         sampled=sampled,
-        sample_size=sample_size,
+        sample_size=budget if sampled else None,
         notes=tuple(notes),
     )
+
+
+class _FramedKing:
+    """King's test on the points of a double framing (1, d, 1), weights
+    (1, N theta, -1), from one enumeration of each base point.  With v and w
+    the last two arrows (source -> i, j -> sink), a closed tuple of a framed
+    point is (a, E, b): E closed in the base point, a in {0, 1 if v in E_i},
+    b in {1, 0 if E_j in ker w}.  It weighs a + N theta(E) - b and is proper
+    and nonzero iff 0 < a + |E| + b < |d| + 2.  Only the current base point's
+    record is kept, with one "E_j in ker w" table per w."""
+
+    def __init__(self, framing: FramingResult, prime: int, budget: int):
+        q, d = framing.base_quiver, framing.base_dimension
+        self.prime, self.scale = prime, framing.framing_scale
+        self.search = _SubrepSearch(q, prime, d.aligned(q.vertices), budget)
+        self.weighed = self.search.weigh(_king_weights(framing.base_stability, d, q.vertices))
+        self.i, self.j = map(q.vertex_index, framing.framed_at)
+        self.v_masks = _span_masks(prime, d[framing.framed_at[0]])
+        self.base_mats, self.kernels = None, {}
+
+    def _base(self, mats: Sequence[IntMatrix]) -> tuple[bool, list[tuple[int, int, int, int]] | None]:
+        """(base stable, record): (N theta(E), |E|, E_i's index, E_j's index)
+        per closed E with a framed tuple that can weigh >= 0, or None when one
+        weighs > 0 whatever v and w are."""
+        search, total = self.search, self.search.total
+        stable, record = True, []
+        for chosen in search.closed(mats):
+            value = self.scale * sum(map(operator.getitem, self.weighed, chosen))
+            if value < -1:
+                continue
+            if value > 1:
+                return False, None
+            dim = sum(map(operator.getitem, search.sub_dims, chosen))
+            if value > 0 or value == 0 and 0 < dim < total:
+                stable = False
+            record.append((value, dim, chosen[self.i], chosen[self.j]))
+        return stable, record
+
+    def verdicts(self, mats: Sequence[IntMatrix]) -> tuple[bool, bool, bool]:
+        """(base stable with both framing maps nonzero, framed semistable,
+        framed stable) of one point.  Exhaustive points vary the framing
+        arrows fastest, so each base point is enumerated once."""
+        p, masks, total = self.prime, self.v_masks, self.search.total
+        base_mats, (framing_in, framing_out) = mats[:-2], mats[-2:]
+        if base_mats != self.base_mats:
+            self.base_mats = base_mats
+            self.base_stable, self.record = self._base(base_mats)
+            self.kernels.clear()
+        condition = self.base_stable and any(map(any, framing_in)) and any(map(any, framing_out))
+        if self.record is None:
+            return condition, False, False
+        v, w = [row[0] for row in framing_in], framing_out[0]
+        code = _code(v, p)
+        kernel = self.kernels.setdefault(w, {})
+        at_i, at_j = self.search.spaces[self.i], self.search.spaces[self.j]
+        stable = True
+        for value, dim, ci, cj in self.record:
+            v_in = at_i[ci].contains(v, p) if masks is None else masks[ci] >> code & 1
+            if cj not in kernel:
+                kernel[cj] = not any(sum(map(operator.mul, w, row)) % p for row in at_j[cj].rows)
+            for a in range(v_in + 1):
+                for b in range(1 - kernel[cj], 2):
+                    if a + value - b > 0:
+                        return condition, False, False
+                    if a + value == b and 0 < a + dim + b < total + 2:
+                        stable = False
+        return condition, True, stable
 
 
 def path_semiinvariant(m, path: Path):
@@ -673,7 +709,13 @@ def path_semiinvariant(m, path: Path):
 
 def _invertible(rng: random.Random, n: int, p: int) -> tuple[IntMatrix, list[list[int]]]:
     """A uniformly random element of GL_n(F_p) and its inverse, by rejection:
-    the elimination that inverts a draw is the test that accepts it."""
+    the elimination that inverts a draw is the test that accepts it.  A 1x1
+    draw is accepted when nonzero, which is the same test on the same draws."""
+    if n == 1:
+        x = rng.randrange(p)
+        while not x:
+            x = rng.randrange(p)
+        return ((x,),), linalg.mod_invert(((x,),), p)
     while True:
         g = tuple(tuple(rng.randrange(p) for _ in range(n)) for _ in range(n))
         try:
@@ -689,19 +731,17 @@ def random_group_element(
     return {v: _invertible(rng, m.dims[v], m.prime)[0] for v in m.quiver.vertices}
 
 
-def _acted_path_holds(q: Quiver, path: Path, mats: Sequence[IntMatrix], g, inverses, p: int) -> bool:
-    """The weight law on one path with arrow matrices ``mats``.  One vector
-    passed along the path from the thin source gives ``before``; passed along
-    the acted arrows g_t(a) . M_a . g_s(a)^{-1}, with the given inverses, it
-    gives ``after``, which must equal g_dst . g_src^{-1} . before."""
+def _acted_path_holds(mats: Sequence[IntMatrix], g: Sequence[IntMatrix], inverses, p: int) -> bool:
+    """The weight law on one path with arrow matrices ``mats``, given g and
+    its inverses at the path's vertices, source first.  One vector passed
+    along the path from the thin source gives ``before``; passed along the
+    acted arrows g_t(a) . M_a . g_s(a)^{-1} it gives ``after``, which must
+    equal g_dst . g_src^{-1} . before."""
     before = after = [1]
-    for a, mat in zip(path.arrows, mats):
-        s, t = q.arrows[a]
+    for mat, inverse, g_t in zip(mats, inverses, g[1:]):
         before = linalg.mod_mat_vec(mat, before, p)
-        acted = linalg.mod_mat_vec(mat, linalg.mod_mat_vec(inverses[s], after, p), p)
-        after = linalg.mod_mat_vec(g[t], acted, p)
-    g_src, g_dst = g[path.source][0][0], g[path.target(q)][0][0]
-    return after[0] == g_dst * pow(g_src, p - 2, p) * before[0] % p
+        after = linalg.mod_mat_vec(g_t, linalg.mod_mat_vec(mat, linalg.mod_mat_vec(inverse, after, p), p), p)
+    return after[0] == g[-1][0][0] * pow(g[0][0][0], p - 2, p) * before[0] % p
 
 
 def weight_law_trials(
@@ -718,21 +758,20 @@ def weight_law_trials(
     is then checked exactly over F_p.  With no source-to-sink paths the
     report records zero trials.
     """
-    fq = framing.framed_quiver
-    fd = framing.framed_dimension
+    fq, fd = framing.framed_quiver, framing.framed_dimension
     paths = enumerate_paths(fq, framing.source_vertex, framing.sink_vertex)
     if not paths:
         return WeightLawReport(trials=0, failures=0, paths_available=0)
+    arrow_shapes = _shapes(fq, fd)
+    path_shapes = [[arrow_shapes[a] for a in path.arrows] for path in paths]
     rng = random.Random(seed)
     failures = 0
     for _ in range(trials):
-        path = paths[rng.randrange(len(paths))]
-        ends = [fq.arrows[a] for a in path.arrows]
-        mats = [tuple(tuple(rng.randrange(prime) for _ in range(fd[s])) for _ in range(fd[t])) for s, t in ends]
-        g, inverses = {}, {}
-        for v in (path.source, *(t for _, t in ends)):
-            g[v], inverses[v] = _invertible(rng, fd[v], prime)
-        if not _acted_path_holds(fq, path, mats, g, inverses, prime):
+        shapes = path_shapes[rng.randrange(len(paths))]
+        mats = _random_matrices(rng, shapes, prime)
+        # The path's vertices, source first: the first arrow's columns, then each arrow's rows.
+        drawn = [_invertible(rng, n, prime) for n in (shapes[0][1], *(rows for rows, _ in shapes))]
+        if not _acted_path_holds(mats, [g for g, _ in drawn], [inverse for _, inverse in drawn], prime):
             failures += 1
     return WeightLawReport(trials=trials, failures=failures, paths_available=len(paths))
 
@@ -746,5 +785,6 @@ def verify_semiinvariant_weight(
     ValueError when g is singular at any vertex."""
     path_semiinvariant(m, path)  # raises unless both endpoints are thin
     inverses = {v: linalg.mod_invert(g[v], m.prime) for v in m.quiver.vertices}
+    along = [path.source, *(m.quiver.arrows[a][1] for a in path.arrows)]
     mats = [m.arrow_matrices[a] for a in path.arrows]
-    return _acted_path_holds(m.quiver, path, mats, g, inverses, m.prime)
+    return _acted_path_holds(mats, [g[v] for v in along], [inverses[v] for v in along], m.prime)

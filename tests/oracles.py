@@ -13,13 +13,18 @@ subspace tuple, found by filtering the whole product of per-vertex subspace
 lists, testing closure and cyclic closures by brute-force spans.  The
 group action on a whole representation inverts with sympy and multiplies
 every arrow matrix out, and group elements are accepted by the size of
-their brute-force row span.
+their brute-force row span.  The framed description check runs a second,
+separate King search on the whole framed point instead of reading the
+framed verdicts off the base point's closed tuples, and the weight-law
+trials are replayed path by path with span-accepted group elements and
+sympy inverses.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import networkx
@@ -291,3 +296,98 @@ def rank_rejection_group_element(rng, m):
                 out[v] = candidate
                 break
     return out
+
+
+# --- framed verify references -------------------------------------------------
+
+
+def _king(search, weighed, mats) -> tuple[bool, bool]:
+    """(semistable, stable) of one point by King's test over every closed
+    tuple that ``search`` yields, theta read off ``weighed`` per vertex."""
+    stable = True
+    for chosen in search.closed(mats):
+        value = sum(weights[c] for weights, c in zip(weighed, chosen))
+        if value > 0:
+            return False, False
+        if value == 0 and 0 < sum(dims[c] for dims, c in zip(search.sub_dims, chosen)) < search.total:
+            stable = False
+    return True, stable
+
+
+def two_search_framing_equivalence(framing, prime: int, budget: int, seed: int):
+    """(points checked, notes, failures) of the framed description check the
+    way it reads: per point, King's test on the base point for the base
+    verdict and a second, separate King search on the whole framed point for
+    the framed verdicts.  Points are enumerated, or sampled with the seed
+    when more than ``budget``, exactly as ``verify`` draws them."""
+    from quivercalc import ff_oracle
+
+    fq, fd = framing.framed_quiver, framing.framed_dimension
+    base_q, base_d = framing.base_quiver, framing.base_dimension
+    base_search = ff_oracle._SubrepSearch(base_q, prime, base_d.aligned(base_q.vertices), budget)
+    framed_search = ff_oracle._SubrepSearch(fq, prime, fd.aligned(fq.vertices), budget)
+    base_weighed = base_search.weigh(framing.base_stability.aligned(base_q.vertices))
+    framed_weighed = framed_search.weigh(framing.framed_stability.aligned(fq.vertices))
+    shapes = ff_oracle._shapes(fq, fd)
+    total_points = prime ** sum(r * c for r, c in shapes)
+    notes = ["below minimal framing scale"] if framing.framing_scale < 2 else []
+    if total_points <= budget:
+        points = ff_oracle._all_matrices(shapes, prime)
+    else:
+        rng = random.Random(seed)
+        points = (ff_oracle._random_matrices(rng, shapes, prime) for _ in range(budget))
+        notes.append(f"sampled {budget} of {total_points} points with seed {seed}")
+    n_base = len(base_q.arrows)
+    failures = []
+    checked = 0
+    for mats in points:
+        checked += 1
+        base_stable = _king(base_search, base_weighed, mats[:n_base])[1]
+        framing_in, framing_out = mats[n_base:]
+        condition = base_stable and any(map(any, framing_in)) and any(map(any, framing_out))
+        semistable, stable = _king(framed_search, framed_weighed, mats)
+        if not (stable == semistable == condition):
+            failures.append(
+                (
+                    mats,
+                    f"all three conditions equal to {condition}",
+                    f"stable={stable} semistable={semistable} base-condition={condition}",
+                )
+            )
+    return checked, tuple(notes), failures
+
+
+def path_by_path_weight_law_trials(framing, prime: int, trials: int, rng):
+    """(trials, failures, paths available) of the weight-law trials the way
+    they read: per trial a uniform path, a uniform matrix per arrow of the
+    path, then a group element per vertex of the path (source first), each
+    drawn whole and accepted when its brute-force row span is everything;
+    the law is checked with sympy inverses, vertex by vertex by name."""
+    from quivercalc import enumerate_paths
+
+    fq, fd = framing.framed_quiver, framing.framed_dimension
+    paths = enumerate_paths(fq, framing.source_vertex, framing.sink_vertex)
+    if not paths:
+        return 0, 0, 0
+    failures = 0
+    for _ in range(trials):
+        path = paths[rng.randrange(len(paths))]
+        ends = [fq.arrows[a] for a in path.arrows]
+        mats = [tuple(tuple(rng.randrange(prime) for _ in range(fd[s])) for _ in range(fd[t])) for s, t in ends]
+        g = {}
+        for v in (path.source, *(t for _, t in ends)):
+            n = fd[v]
+            while True:
+                candidate = tuple(tuple(rng.randrange(prime) for _ in range(n)) for _ in range(n))
+                if len(_span(candidate, n, prime)) == prime**n:
+                    g[v] = candidate
+                    break
+        before = after = (1,)
+        for (s, t), mat in zip(ends, mats):
+            before = _apply(mat, before, prime)
+            inverse = _inverse_mod(g[s], prime) if fd[s] else []
+            after = _apply(g[t], _apply(mat, _apply(inverse, after, prime), prime), prime)
+        g_src, g_dst = g[path.source][0][0], g[ends[-1][1] if ends else path.source][0][0]
+        if after[0] != g_dst * pow(g_src, -1, prime) * before[0] % prime:
+            failures += 1
+    return trials, failures, len(paths)

@@ -4,6 +4,7 @@ import random
 import re
 import sys
 import time
+import types
 
 import pytest
 from hypothesis import example, given, settings
@@ -20,6 +21,7 @@ from quivercalc import (
     RationalRepresentation,
     StabilityParameter,
     VertexSetMismatchError,
+    assumptions_report,
     canonical_stability,
     double_frame,
     enumerate_paths,
@@ -46,7 +48,9 @@ from oracles import (
     naive_closed_tuples,
     naive_cyclic_destabilizer,
     naive_king_stability,
+    path_by_path_weight_law_trials,
     rank_rejection_group_element,
+    two_search_framing_equivalence,
 )
 
 
@@ -610,26 +614,26 @@ def test_cyclic_destabilizer_refuses_over_budget_at_once():
 
 def test_exhaustive_verify_runs_one_base_king_test_per_base_point(kronecker, monkeypatch):
     # The framing arrows vary fastest, so 2^2 consecutive points share each
-    # base point: 4 base points, 16 framed points.
-    calls = []
-    original = ff_oracle._king
+    # base point: 4 base points, 16 framed points, and no framed search.
+    searched = []
+    original = ff_oracle._SubrepSearch.closed
 
-    def counting(search, weights, mats):
-        calls.append(search.quiver)
-        return original(search, weights, mats)
+    def recording(search, mats):
+        searched.append(search.quiver)
+        return original(search, mats)
 
-    monkeypatch.setattr(ff_oracle, "_king", counting)
+    monkeypatch.setattr(ff_oracle._SubrepSearch, "closed", recording)
     d = thin(kronecker)
     report = verify_double_framing_equivalence(kronecker, d, StabilityParameter({"1": 1, "2": -1}), "1", "2", 2, 2)
     assert report.passed and report.instances_checked == 16
-    assert sum(q == kronecker for q in calls) == 4
-    assert len(calls) == 16 + 4
+    assert searched == [kronecker] * 4
 
 
 @pytest.mark.parametrize("prime, budget", [(2, 10**6), (3, 10**6), (3, 20), (3, 40)])
 def test_verify_sets_up_two_searches_whatever_the_point_count(kronecker, monkeypatch, prime, budget):
-    """One search set-up for the base datum and one for the framed datum,
-    whether the points are enumerated (16 or 81) or sampled (20 or 40)."""
+    """One search set-up, for the base datum only (the framed verdicts come
+    from the base enumeration), whether the points are enumerated (16 or 81)
+    or sampled (20 or 40)."""
     built = []
     original = ff_oracle._SubrepSearch
 
@@ -639,10 +643,9 @@ def test_verify_sets_up_two_searches_whatever_the_point_count(kronecker, monkeyp
 
     monkeypatch.setattr(ff_oracle, "_SubrepSearch", recording)
     theta = StabilityParameter({"1": 1, "2": -1})
-    framing = double_frame(kronecker, thin(kronecker), theta, "1", "2", 2)
     report = verify_double_framing_equivalence(kronecker, thin(kronecker), theta, "1", "2", 2, prime, budget=budget)
     assert report.passed and report.instances_checked == min(prime**4, budget)
-    assert built == [kronecker, framing.framed_quiver]
+    assert built == [kronecker]
 
 
 def test_sampled_verify_checks_successive_random_representation_draws(three_vertex, monkeypatch):
@@ -652,14 +655,13 @@ def test_sampled_verify_checks_successive_random_representation_draws(three_vert
     theta = canonical_stability(three_vertex, d)
     framing = double_frame(three_vertex, d, theta, "2", "3", 2)
     checked = []
-    original = ff_oracle._king
+    original = ff_oracle._FramedKing.verdicts
 
-    def recording(search, weights, mats):
-        if search.quiver == framing.framed_quiver:
-            checked.append(mats)
-        return original(search, weights, mats)
+    def recording(king, mats):
+        checked.append(mats)
+        return original(king, mats)
 
-    monkeypatch.setattr(ff_oracle, "_king", recording)
+    monkeypatch.setattr(ff_oracle._FramedKing, "verdicts", recording)
     report = verify_double_framing_equivalence(three_vertex, d, theta, "2", "3", 2, 2, budget=40, seed=9)
     assert report.sampled and report.instances_checked == 40
     rng = random.Random(9)
@@ -670,13 +672,13 @@ def test_sampled_verify_checks_successive_random_representation_draws(three_vert
 def test_a_failing_point_is_reported_as_a_representation(kronecker, monkeypatch):
     """With every base verdict flipped, each point whose framing maps are
     both nonzero fails, and its failure entry holds that point's matrices."""
-    original = ff_oracle._king
+    original = ff_oracle._FramedKing._base
 
-    def wrong_base(search, weights, mats):
-        semistable, stable, witness = original(search, weights, mats)
-        return (semistable, not stable, witness) if search.quiver == kronecker else (semistable, stable, witness)
+    def wrong_base(king, mats):
+        stable, record = original(king, mats)
+        return not stable, record
 
-    monkeypatch.setattr(ff_oracle, "_king", wrong_base)
+    monkeypatch.setattr(ff_oracle._FramedKing, "_base", wrong_base)
     theta = StabilityParameter({"1": 1, "2": -1})
     report = verify_double_framing_equivalence(kronecker, thin(kronecker), theta, "1", "2", 2, 2)
     framing = double_frame(kronecker, thin(kronecker), theta, "1", "2", 2)
@@ -687,3 +689,110 @@ def test_a_failing_point_is_reported_as_a_representation(kronecker, monkeypatch)
         assert isinstance(rep, FiniteFieldRepresentation)
         assert rep.quiver == framing.framed_quiver and rep.dims == framing.framed_dimension
     assert not report.passed
+
+
+def _random_coprime_datum(rng):
+    """A 2- or 3-vertex datum with theta-coprime d (entries 0..2, 2 to 4 in
+    all), arrows in either direction and loops allowed, and a framing
+    pair; None when the draw is not coprime."""
+    names = ["1", "2", "3"][: rng.randint(2, 3)]
+    q = Quiver(names, [(rng.choice(names), rng.choice(names)) for _ in range(rng.randint(1, 3))])
+    d = DimensionVector({v: rng.randint(0, 2) for v in names})
+    if not 2 <= d.total() <= 4:
+        return None
+    theta = random_zero_pairing_parameter(rng, q, d, spread=2)
+    if not assumptions_report(q, d, theta).coprime:
+        return None
+    return q, d, theta, rng.choice(names), rng.choice(names)
+
+
+@pytest.mark.parametrize("masks", [True, False])
+@pytest.mark.parametrize("p", [2, 3])
+def test_framed_verdicts_match_the_two_search_reference(p, masks, monkeypatch):
+    """On every point, enumerated or sampled, the framed verdicts read off
+    the base enumeration give the report that a separate King search on the
+    framed point gives, at scales 1, 2 and 3 (half of the data at 1, where
+    points fail), with and without mask tables."""
+    if not masks:
+        monkeypatch.setattr(ff_oracle, "_MASK_TABLE_BITS", 0)
+    rng = random.Random(40 + p)
+    kronecker = Quiver(("1", "2"), [("1", "2")] * 2)
+    # Data that fail at scale 1, then random ones.
+    fixed = [
+        (kronecker, thin(kronecker), StabilityParameter({"1": 1, "2": -1}), "2", "1"),
+        (Quiver(("1", "2"), [("2", "1")]), thin(kronecker), StabilityParameter({"1": -1, "2": 1}), "1", "2"),
+    ]
+    cases = failing = 0
+    while cases < 60:
+        datum = fixed.pop() if fixed else _random_coprime_datum(rng)
+        if datum is None:
+            continue
+        q, d, theta, i, j = datum
+        scale = 1 if cases < 2 else rng.choice((1, 1, 2, 3))
+        budget = rng.choice((60, 400))
+        seed = rng.randrange(1000)
+        framing = double_frame(q, d, theta, i, j, scale)
+        try:
+            report = verify_double_framing_equivalence(q, d, theta, i, j, scale, p, budget=budget, seed=seed)
+        except BudgetExceededError:
+            continue
+        cases += 1
+        checked, notes, failures = two_search_framing_equivalence(framing, p, budget, seed)
+        assert (report.instances_checked, report.notes) == (checked, notes)
+        assert [(rep.arrow_matrices, want, got) for rep, want, got in report.failures] == failures
+        failing += bool(failures)
+    assert failing >= 2
+
+
+def test_kronecker_framed_the_other_way_fails_at_scale_one(kronecker):
+    """Kronecker (1, 1) with theta = (1, -1), framed at i = 2, j = 1: at
+    scale 1 four of the 16 points fail, exactly as the framed search says."""
+    d, theta = thin(kronecker), StabilityParameter({"1": 1, "2": -1})
+    report = verify_double_framing_equivalence(kronecker, d, theta, "2", "1", 1, 2)
+    assert (report.instances_checked, len(report.failures)) == (16, 4)
+    checked, notes, failures = two_search_framing_equivalence(double_frame(kronecker, d, theta, "2", "1", 1), 2, 10**6, 0)
+    assert (checked, notes) == (16, ("below minimal framing scale",))
+    assert [(rep.arrow_matrices, want, got) for rep, want, got in report.failures] == failures
+    assert verify_double_framing_equivalence(kronecker, d, theta, "2", "1", 2, 2).passed
+
+
+def _weight_law_framings(rng):
+    """Framings of thin acyclic data and of 2-vertex m-Kronecker data with
+    d_1, d_2 up to 3."""
+    if rng.random() < 0.5:
+        q = random_acyclic_quiver(rng, max_vertices=4, connected=True)
+        d = thin(q)
+    else:
+        q = Quiver(("1", "2"), [("1", "2")] * rng.randint(1, 3))
+        d = DimensionVector({"1": rng.randint(1, 3), "2": rng.randint(1, 3)})
+    theta = random_zero_pairing_parameter(rng, q, d)
+    i, j = rng.choice(q.vertices), rng.choice(q.vertices)
+    return double_frame(q, d, theta, i, j, rng.randint(1, 3))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_weight_law_trials_keep_their_draws(p, monkeypatch):
+    """Each trial draws what the path-by-path reference draws, in the same
+    order: the same report and the same final generator state."""
+    made = []
+
+    class Kept(random.Random):
+        def __init__(self, seed):
+            super().__init__(seed)
+            made.append(self)
+
+    monkeypatch.setattr(ff_oracle, "random", types.SimpleNamespace(Random=Kept))
+    rng = random.Random(p)
+    drawn = 0
+    while drawn < 12:
+        framing = _weight_law_framings(rng)
+        seed = rng.randrange(10**6)
+        report = weight_law_trials(framing, p, trials=30, seed=seed)
+        reference_rng = random.Random(seed)
+        want = path_by_path_weight_law_trials(framing, p, 30, reference_rng)
+        assert (report.trials, report.failures, report.paths_available) == want
+        if want == (0, 0, 0):  # no path from i to j, so nothing is drawn
+            assert not made
+            continue
+        assert made.pop().getstate() == reference_rng.getstate()
+        drawn += 1
