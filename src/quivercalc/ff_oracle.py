@@ -630,7 +630,6 @@ class _FramedKing:
         self.search = _SubrepSearch(q, prime, d.aligned(q.vertices), budget)
         self.weighed = self.search.weigh(_king_weights(framing.base_stability, d, q.vertices))
         self.i, self.j = map(q.vertex_index, framing.framed_at)
-        self.v_masks = _span_masks(prime, d[framing.framed_at[0]])
         self.base_mats, self.kernels = None, {}
 
     def _base(self, mats: Sequence[IntMatrix]) -> tuple[bool, list[tuple[int, int, int, int]] | None]:
@@ -655,7 +654,7 @@ class _FramedKing:
         """(base stable with both framing maps nonzero, framed semistable,
         framed stable) of one point.  Exhaustive points vary the framing
         arrows fastest, so each base point is enumerated once."""
-        p, masks, total = self.prime, self.v_masks, self.search.total
+        p, total = self.prime, self.search.total
         base_mats, (framing_in, framing_out) = mats[:-2], mats[-2:]
         if base_mats != self.base_mats:
             self.base_mats = base_mats
@@ -665,12 +664,11 @@ class _FramedKing:
         if self.record is None:
             return condition, False, False
         v, w = [row[0] for row in framing_in], framing_out[0]
-        code = _code(v, p)
         kernel = self.kernels.setdefault(w, {})
         at_i, at_j = self.search.spaces[self.i], self.search.spaces[self.j]
         stable = True
         for value, dim, ci, cj in self.record:
-            v_in = at_i[ci].contains(v, p) if masks is None else masks[ci] >> code & 1
+            v_in = at_i[ci].contains(v, p)
             if cj not in kernel:
                 kernel[cj] = not any(sum(map(operator.mul, w, row)) % p for row in at_j[cj].rows)
             for a in range(v_in + 1):

@@ -796,3 +796,23 @@ def test_weight_law_trials_keep_their_draws(p, monkeypatch):
             continue
         assert made.pop().getstate() == reference_rng.getstate()
         drawn += 1
+
+
+@pytest.mark.parametrize("prime, budget, most", [(3, 10**6, 3), (1000000007, 50, 1)])
+def test_kernel_tables_do_not_grow_with_the_points(kronecker, monkeypatch, prime, budget, most):
+    """The "E_j in ker w" tables live as long as their base point: at most
+    p^(d_j) of them over 81 exhaustive points, and one per sampled point
+    over F_p with p = 10^9 + 7, where every point has a new w."""
+    sizes = []
+    original = ff_oracle._FramedKing.verdicts
+
+    def recording(king, mats):
+        verdicts = original(king, mats)
+        sizes.append(len(king.kernels))
+        return verdicts
+
+    monkeypatch.setattr(ff_oracle._FramedKing, "verdicts", recording)
+    theta = StabilityParameter({"1": 1, "2": -1})
+    report = verify_double_framing_equivalence(kronecker, thin(kronecker), theta, "1", "2", 2, prime, budget=budget)
+    assert report.instances_checked == min(prime**4, budget)
+    assert max(sizes) == most
