@@ -315,11 +315,13 @@ def _king(search, weighed, mats) -> tuple[bool, bool]:
 
 
 def two_search_framing_equivalence(framing, prime: int, budget: int, seed: int):
-    """(points checked, notes, failures) of the framed description check the
-    way it reads: per point, King's test on the base point for the base
-    verdict and a second, separate King search on the whole framed point for
-    the framed verdicts.  Points are enumerated, or sampled with the seed
-    when more than ``budget``, exactly as ``verify`` draws them."""
+    """(points checked, notes, failures, verdicts) of the framed description
+    check the way it reads: per point, King's test on the base point for the
+    base verdict and a second, separate King search on the whole framed
+    point for the framed verdicts.  ``verdicts`` lists (matrices, base
+    condition, framed semistable, framed stable) for every point.  Points
+    are enumerated, or sampled with the seed when more than ``budget``,
+    exactly as ``verify`` draws them."""
     from quivercalc import ff_oracle
 
     fq, fd = framing.framed_quiver, framing.framed_dimension
@@ -338,7 +340,7 @@ def two_search_framing_equivalence(framing, prime: int, budget: int, seed: int):
         points = (ff_oracle._random_matrices(rng, shapes, prime) for _ in range(budget))
         notes.append(f"sampled {budget} of {total_points} points with seed {seed}")
     n_base = len(base_q.arrows)
-    failures = []
+    failures, verdicts = [], []
     checked = 0
     for mats in points:
         checked += 1
@@ -346,6 +348,7 @@ def two_search_framing_equivalence(framing, prime: int, budget: int, seed: int):
         framing_in, framing_out = mats[n_base:]
         condition = base_stable and any(map(any, framing_in)) and any(map(any, framing_out))
         semistable, stable = _king(framed_search, framed_weighed, mats)
+        verdicts.append((mats, condition, semistable, stable))
         if not (stable == semistable == condition):
             failures.append(
                 (
@@ -354,7 +357,7 @@ def two_search_framing_equivalence(framing, prime: int, budget: int, seed: int):
                     f"stable={stable} semistable={semistable} base-condition={condition}",
                 )
             )
-    return checked, tuple(notes), failures
+    return checked, tuple(notes), failures, verdicts
 
 
 def path_by_path_weight_law_trials(framing, prime: int, trials: int, rng):

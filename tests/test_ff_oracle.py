@@ -709,12 +709,21 @@ def _random_coprime_datum(rng):
 @pytest.mark.parametrize("masks", [True, False])
 @pytest.mark.parametrize("p", [2, 3])
 def test_framed_verdicts_match_the_two_search_reference(p, masks, monkeypatch):
-    """On every point, enumerated or sampled, the framed verdicts read off
-    the base enumeration give the report that a separate King search on the
-    framed point gives, at scales 1, 2 and 3 (half of the data at 1, where
-    points fail), with and without mask tables."""
+    """On every point, enumerated or sampled, the verdicts read off the base
+    enumeration equal those of a separate King search on the framed point,
+    and so do the reports, at scales 1, 2 and 3 (half of the data at 1,
+    where points fail), with and without mask tables."""
     if not masks:
         monkeypatch.setattr(ff_oracle, "_MASK_TABLE_BITS", 0)
+    seen = []
+    original = ff_oracle._FramedKing.verdicts
+
+    def recording(king, mats):
+        verdicts = original(king, mats)
+        seen.append((mats, *verdicts))
+        return verdicts
+
+    monkeypatch.setattr(ff_oracle._FramedKing, "verdicts", recording)
     rng = random.Random(40 + p)
     kronecker = Quiver(("1", "2"), [("1", "2")] * 2)
     # Data that fail at scale 1, then random ones.
@@ -732,12 +741,14 @@ def test_framed_verdicts_match_the_two_search_reference(p, masks, monkeypatch):
         budget = rng.choice((60, 400))
         seed = rng.randrange(1000)
         framing = double_frame(q, d, theta, i, j, scale)
+        seen.clear()
         try:
             report = verify_double_framing_equivalence(q, d, theta, i, j, scale, p, budget=budget, seed=seed)
         except BudgetExceededError:
             continue
         cases += 1
-        checked, notes, failures = two_search_framing_equivalence(framing, p, budget, seed)
+        checked, notes, failures, verdicts = two_search_framing_equivalence(framing, p, budget, seed)
+        assert seen == verdicts
         assert (report.instances_checked, report.notes) == (checked, notes)
         assert [(rep.arrow_matrices, want, got) for rep, want, got in report.failures] == failures
         failing += bool(failures)
@@ -750,7 +761,7 @@ def test_kronecker_framed_the_other_way_fails_at_scale_one(kronecker):
     d, theta = thin(kronecker), StabilityParameter({"1": 1, "2": -1})
     report = verify_double_framing_equivalence(kronecker, d, theta, "2", "1", 1, 2)
     assert (report.instances_checked, len(report.failures)) == (16, 4)
-    checked, notes, failures = two_search_framing_equivalence(double_frame(kronecker, d, theta, "2", "1", 1), 2, 10**6, 0)
+    checked, notes, failures, _ = two_search_framing_equivalence(double_frame(kronecker, d, theta, "2", "1", 1), 2, 10**6, 0)
     assert (checked, notes) == (16, ("below minimal framing scale",))
     assert [(rep.arrow_matrices, want, got) for rep, want, got in report.failures] == failures
     assert verify_double_framing_equivalence(kronecker, d, theta, "2", "1", 2, 2).passed
