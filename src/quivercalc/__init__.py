@@ -22,13 +22,10 @@ from .core import (
     weight_one_character,
 )
 from .cohomology import (
-    ConsistencyCheck,
     HomExtResult,
     RationalRepresentation,
     TangentPresentation,
     UnverifiedAssumptionWarning,
-    consistency_hh1_vs_vector_fields,
-    endomorphism_dimensions,
     hochschild1_dim,
     hom_ext,
     moduli_dimension,

@@ -11,8 +11,10 @@ path at vertex i to the signed sum of arrows at i.  For a connected acyclic
 quiver with a fully supported dimension vector satisfying the strong ample
 stability criterion, the cokernel dimension computes the space of vector
 fields on the moduli space, and it always computes the first Hochschild
-cohomology of the path algebra; both equal
-sum_a p(s(a), t(a)) - #vertices + 1.
+cohomology of the path algebra.  The only nonzero rows of psi are the signed
+incidence rows of the arrows, whose rank is #vertices - #components (the
+tests check this lemma against exact elimination), so both equal
+sum_a p(s(a), t(a)) - #vertices + 1 and no elimination runs for them.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from . import linalg
 from .core import (
     DimensionVector,
     Path,
-    PathCountMatrix,
     Quiver,
     StabilityParameter,
     _check_representation_shapes,
@@ -50,14 +51,11 @@ __all__ = [
     "TangentPresentation",
     "RationalRepresentation",
     "HomExtResult",
-    "ConsistencyCheck",
-    "endomorphism_dimensions",
     "tangent_presentation",
     "vector_fields_dim",
     "hochschild1_dim",
     "hom_ext",
     "projective_representation",
-    "consistency_hh1_vs_vector_fields",
     "moduli_dimension",
 ]
 
@@ -126,38 +124,6 @@ class HomExtResult:
     hom_basis: tuple[dict[str, Matrix], ...]
 
 
-@dataclass(frozen=True)
-class ConsistencyCheck:
-    passed: bool
-    vector_fields: int
-    hochschild1: int
-
-
-def endomorphism_dimensions(
-    q: Quiver,
-    d: DimensionVector,
-    *,
-    assumptions: AssumptionsReport | None = None,
-) -> PathCountMatrix:
-    """Dimension table of the graded endomorphism algebra of the universal
-    representation: the (i, j) entry is the path count p(i, j), and the total
-    is the dimension of the full endomorphism algebra.
-
-    The identification with path counts holds under the standing hypotheses
-    on (q, d, theta); pass their report to attest them, otherwise a warning
-    is emitted and the table is returned as formal bookkeeping.
-    """
-    d.aligned(q.vertices)
-    if assumptions is None or not assumptions.all_verified():
-        warnings.warn(
-            "endomorphism dimension table computed without verified standing "
-            "hypotheses; the values are formal path counts",
-            UnverifiedAssumptionWarning,
-            stacklevel=2,
-        )
-    return path_count_matrix(q)
-
-
 def _require_presentation_preconditions(q: Quiver, d: DimensionVector) -> None:
     if not is_acyclic(q):
         raise CyclicQuiverError("the presentation requires an acyclic quiver")
@@ -212,7 +178,7 @@ def vector_fields_dim(
     assumptions: AssumptionsReport | None = None,
 ) -> int:
     """Dimension of the space of vector fields on the moduli space, as the
-    cokernel dimension of psi (exact rational rank).
+    cokernel dimension of psi.
 
     Requires the datum to pass the strong ample stability criterion alongside
     the other standing hypotheses; ``override_assumptions`` computes the
@@ -239,23 +205,14 @@ def vector_fields_dim(
 
 def _presentation_cokernel_dim(q: Quiver, d: DimensionVector, theta: StabilityParameter) -> int:
     """codomain_dim - rank(psi) of :func:`tangent_presentation`, without
-    building it: the codomain has sum_a p(s(a), t(a)) basis paths, and the
-    only nonzero rows of psi are the signed incidence rows of the arrows,
-    whose rank is still computed by elimination.
+    building it.  The codomain has sum_a p(s(a), t(a)) basis paths and psi's
+    rank is #vertices - #components, so under the presentation's
+    preconditions the cokernel is :func:`hochschild1_dim`.
     """
     d.aligned(q.vertices)
     theta.aligned(q.vertices)
     _require_presentation_preconditions(q, d)
-    p = path_count_matrix(q)
-    codomain_dim = sum(p.entries[s][t] for s, t in q.arrow_indices)
-    n = len(q.vertices)
-    incidence = []
-    for s, t in q.arrow_indices:
-        row = [0] * n
-        row[t] += 1
-        row[s] -= 1
-        incidence.append(row)
-    return codomain_dim - linalg.rank(incidence)
+    return hochschild1_dim(q)
 
 
 def hochschild1_dim(q: Quiver) -> int:
@@ -362,21 +319,6 @@ def projective_representation(q: Quiver, i: str) -> RationalRepresentation:
             m[index[t][composed]][c] = Fraction(1)
         mats.append(tuple(tuple(row) for row in m))
     return RationalRepresentation(quiver=q, dims=dims, arrow_matrices=tuple(mats))
-
-
-def consistency_hh1_vs_vector_fields(
-    q: Quiver, d: DimensionVector, theta: StabilityParameter
-) -> ConsistencyCheck:
-    """Compare the vector-fields cokernel dimension with the first Hochschild
-    cohomology dimension; structurally equal for connected acyclic quivers.
-
-    This is a route-consistency check between the rank computation and the
-    closed formula, so the geometric hypothesis gate is bypassed here; the
-    shape preconditions (acyclic, connected, full support) still apply.
-    """
-    vf = _presentation_cokernel_dim(q, d, theta)
-    hh1 = hochschild1_dim(q)
-    return ConsistencyCheck(passed=vf == hh1, vector_fields=vf, hochschild1=hh1)
 
 
 def moduli_dimension(q: Quiver, d: DimensionVector) -> int:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from .cohomology import _presentation_cokernel_dim, hochschild1_dim, moduli_dimension
+from .cohomology import _require_presentation_preconditions, hochschild1_dim, moduli_dimension
 from .core import path_count_matrix
 from .errors import (
     AssumptionViolatedError,
@@ -181,10 +181,12 @@ def build_analyze_report(spec: QuiverSpec, override_assumptions: bool = False) -
         }
         dimensions["endomorphism_total"] = table.total()
         hh1 = dimensions["hh1"] = hochschild1_dim(q)
-        # One cokernel feeds both the vector-fields entry (behind the
-        # hypothesis gate, which is checked first) and the consistency check.
+        # Where the presentation applies, its cokernel is HH^1 (see
+        # cohomology._presentation_cokernel_dim); it feeds the vector-fields
+        # entry, behind the hypothesis gate checked first, and the check.
         try:
-            vector_fields, shape_error = _presentation_cokernel_dim(q, d, theta), None
+            _require_presentation_preconditions(q, d)
+            vector_fields, shape_error = hh1, None
         except (DisconnectedQuiverError, UnsupportedDimensionVectorError) as exc:
             vector_fields, shape_error = None, exc
         failed = report.refusals()
@@ -235,8 +237,6 @@ def build_frame_report(spec: QuiverSpec, i: str | None, j: str | None, scale: in
     check = _framed_partition_check(
         framing, _lattice_values(d.aligned(q.vertices), theta.aligned(q.vertices))
     )
-    framed_counts = path_count_matrix(framing.framed_quiver)
-    base_counts = path_count_matrix(q) if base_report.acyclic else None
 
     verifications = [
         {
@@ -255,11 +255,10 @@ def build_frame_report(spec: QuiverSpec, i: str | None, j: str | None, scale: in
     ]
     framing_block = _framing_dict(framing)
     framing_block["framed_ample_stability"] = framed_ample_stability(d, i, j)
-    if base_counts is not None:
-        framing_block["framed_path_space_dim"] = framed_counts.count(
-            framing.source_vertex, framing.sink_vertex
-        )
-        framing_block["base_path_space_dim"] = base_counts.count(i, j)
+    framing_block["framed_path_space_dim"] = path_count_matrix(framing.framed_quiver).count(
+        framing.source_vertex, framing.sink_vertex
+    )
+    framing_block["base_path_space_dim"] = path_count_matrix(q).count(i, j)
     return {
         **_header("frame", spec, base_report),
         "framing": framing_block,

@@ -446,9 +446,10 @@ def test_assumption_refusal_says_why_in_human_output(capsys, tmp_path, command, 
 @pytest.mark.parametrize("fixture", ["threevertex.json", "threevertex_alt.json"])
 def test_analyze_computes_the_cokernel_and_hh1_once(capsys, monkeypatch, fixture):
     import quivercalc.cohomology
+    import quivercalc.linalg
     import quivercalc.report
 
-    calls = {"path_count_matrix": 0, "hochschild1_dim": 0}
+    calls = {"path_count_matrix": 0, "hochschild1_dim": 0, "rref": 0}
 
     def counting(module, name):
         original = getattr(module, name)
@@ -465,9 +466,11 @@ def test_analyze_computes_the_cokernel_and_hh1_once(capsys, monkeypatch, fixture
     hh1 = counting(quivercalc.cohomology, "hochschild1_dim")
     monkeypatch.setattr(quivercalc.cohomology, "hochschild1_dim", hh1)
     monkeypatch.setattr(quivercalc.report, "hochschild1_dim", hh1)
+    monkeypatch.setattr(quivercalc.linalg, "rref", counting(quivercalc.linalg, "rref"))
     _, report, _ = run_json(capsys, "analyze", FIXTURES / fixture)
-    # One path count each for the endomorphism table, HH^1 and the cokernel.
-    assert calls == {"path_count_matrix": 3, "hochschild1_dim": 1}
+    # One path count each for the endomorphism table and HH^1, which is also
+    # the cokernel; no elimination runs.
+    assert calls == {"path_count_matrix": 2, "hochschild1_dim": 1, "rref": 0}
     check = report["verifications"][0]
     assert check["passed"] is True
     assert check["vector_fields"] == check["hh1"] == report["dimensions"]["hh1"] == 6
