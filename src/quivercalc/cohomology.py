@@ -44,7 +44,7 @@ from .errors import (
     QuiverMismatchError,
     UnsupportedDimensionVectorError,
 )
-from .stability import AssumptionsReport, assumptions_report
+from .stability import assumptions_report
 
 __all__ = [
     "UnverifiedAssumptionWarning",
@@ -175,21 +175,20 @@ def vector_fields_dim(
     theta: StabilityParameter,
     *,
     override_assumptions: bool = False,
-    assumptions: AssumptionsReport | None = None,
 ) -> int:
     """Dimension of the space of vector fields on the moduli space, as the
-    cokernel dimension of psi.
+    cokernel dimension of psi.  The rank of psi is #vertices - #components,
+    so under the presentation's preconditions the cokernel is
+    :func:`hochschild1_dim` and :func:`tangent_presentation` is not built.
 
     Requires the datum to pass the strong ample stability criterion alongside
     the other standing hypotheses; ``override_assumptions`` computes the
     formula value anyway, with a prominent warning, because the result is
     then only the formula and can differ from the true space of vector
     fields (the three-vertex example in the alternative chamber has 8 where
-    the formula gives 6).  Pass the datum's ``assumptions`` report when it
-    is already computed.
+    the formula gives 6).
     """
-    report = assumptions if assumptions is not None else assumptions_report(q, d, theta)
-    failed = report.refusals()
+    failed = assumptions_report(q, d, theta).refusals()
     if failed and not override_assumptions:
         raise AssumptionViolatedError(", ".join(failed))
     if failed:
@@ -200,17 +199,6 @@ def vector_fields_dim(
             UnverifiedAssumptionWarning,
             stacklevel=2,
         )
-    return _presentation_cokernel_dim(q, d, theta)
-
-
-def _presentation_cokernel_dim(q: Quiver, d: DimensionVector, theta: StabilityParameter) -> int:
-    """codomain_dim - rank(psi) of :func:`tangent_presentation`, without
-    building it.  The codomain has sum_a p(s(a), t(a)) basis paths and psi's
-    rank is #vertices - #components, so under the presentation's
-    preconditions the cokernel is :func:`hochschild1_dim`.
-    """
-    d.aligned(q.vertices)
-    theta.aligned(q.vertices)
     _require_presentation_preconditions(q, d)
     return hochschild1_dim(q)
 

@@ -45,9 +45,9 @@ from typing import Iterator, Sequence
 
 from . import linalg
 from .core import DimensionVector, Path, Quiver, StabilityParameter, _check_representation_shapes, _is_prime, enumerate_paths
-from .errors import BudgetExceededError, NotThinAtEndpointsError, PairingNonzeroError
+from .errors import BudgetExceededError, NotThinAtEndpointsError
 from .framing import FramingResult, double_frame
-from .stability import AssumptionsReport, assumptions_report
+from .stability import AssumptionsReport, _require_zero_pairing, assumptions_report
 
 __all__ = [
     "FiniteFieldRepresentation",
@@ -411,8 +411,7 @@ def enumerate_subrepresentations(
 
 def _king_weights(theta: StabilityParameter, d: DimensionVector, vertices: Sequence[str]) -> tuple[int, ...]:
     """theta aligned to ``vertices``, once theta(d) = 0 is checked."""
-    if theta(d) != 0:
-        raise PairingNonzeroError(f"theta(dim M) = {theta(d)}, expected 0")
+    _require_zero_pairing(theta, d)
     return theta.aligned(vertices)
 
 

@@ -6,9 +6,12 @@ extends the dimension vector by 1 at both new vertices, and scales the
 stability parameter into the middle block: (1, N*theta, -1).
 
 ``reduce`` removes whichever framing vertices are redundant because the base
-dimension vector is already thin at i or j, producing a datum whose marked
-vertices are thin and whose path space between them matches the base path
-space from i to j.  The four cases are keyed by (d_i > 1, d_j > 1).
+dimension vector is already thin at i or j: the reduced datum is the framed
+datum restricted to the vertices it keeps, the framing source exactly when
+d_i > 1 and the framing sink exactly when d_j > 1.  Its marked vertices are
+thin and the path space between them matches the base path space from i to
+j.  Only the reduced stability parameter depends on the case, keyed by
+(d_i > 1, d_j > 1).
 """
 
 from __future__ import annotations
@@ -301,27 +304,23 @@ def framed_assumptions_report(framing: FramingResult) -> AssumptionsReport:
     return replace(report, amply_stable=ThreeValued.YES if ample else ThreeValued.NO)
 
 
-def reduce(
-    framing: FramingResult,
-    d: DimensionVector,
-    *,
-    assumptions: AssumptionsReport | None = None,
-) -> ReductionResult:
+def reduce(framing: FramingResult, d: DimensionVector) -> ReductionResult:
     """Reduce the framed datum, dropping framing vertices made redundant by
     thinness of d at the framed vertices.
 
-    Case dispatch on (d_i > 1, d_j > 1), with |d| the total dimension and N
-    the framing scale:
+    The reduced datum is the framed datum restricted to the vertices it
+    keeps: the framing source exactly when d_i > 1, the framing sink exactly
+    when d_j > 1.  A kept framing vertex is its own mark; a dropped one hands
+    its mark to i (or j) and its arrow to q0 (or qinf).  Only the reduced
+    stability parameter depends on the case (d_i > 1, d_j > 1), with |d| the
+    total dimension and N the framing scale:
 
-    * both big: keep the framed datum, mark the framing source and sink.
-    * d_i > 1, d_j = 1: drop the sink; theta' is |d| at the framing source
-      and (|d| + 1) * N * theta_k - 1 on base vertices; qinf is the dropped
-      arrow j -> sink.
-    * d_i = 1, d_j > 1: drop the source; theta' is (|d| + 1) * N * theta_k + 1
-      on base vertices and -|d| at the framing sink; q0 is the dropped arrow
-      source -> i.
-    * both thin: the base datum itself, marked at (i, j), both connecting
-      paths of length 1.
+    * both big: the framed parameter.
+    * d_i > 1, d_j = 1: |d| at the framing source and
+      (|d| + 1) * N * theta_k - 1 on base vertices.
+    * d_i = 1, d_j > 1: (|d| + 1) * N * theta_k + 1 on base vertices and
+      -|d| at the framing sink.
+    * both thin: the base parameter.
 
     A framed vertex of dimension 0 has no reduction and is refused.
 
@@ -329,83 +328,55 @@ def reduce(
     reduced path space between the marked vertices matches the base path
     space from i to j.  The base datum must satisfy the decidable standing
     hypotheses (acyclicity, indivisibility, coprimality); ample stability is
-    not decidable at the base level and is not gated on.  Pass the base
-    datum's ``assumptions`` report when it is already computed.
+    not decidable at the base level and is not gated on.
     """
-    return _reduce_checked(framing, d, assumptions)[0]
+    return _reduce_checked(framing, d)[0]
 
 
 def _reduce_checked(
-    framing: FramingResult, d: DimensionVector, assumptions: AssumptionsReport | None
+    framing: FramingResult, d: DimensionVector, assumptions: AssumptionsReport | None = None
 ) -> tuple[ReductionResult, ReductionPairingCheck]:
     """:func:`reduce`, also returning the pairing check it ran, so that a
-    report can show the check without running it again."""
+    report can show the check without running it again.  Pass the base
+    datum's ``assumptions`` report when it is already computed."""
     if d != framing.base_dimension:
         raise ValueError("dimension vector does not match the framed base datum")
-    base_q = framing.base_quiver
     theta = framing.base_stability
-    report = assumptions if assumptions is not None else assumptions_report(base_q, d, theta)
+    report = assumptions if assumptions is not None else assumptions_report(framing.base_quiver, d, theta)
     report.require("acyclic", "indivisible", "coprime")
 
     i, j = framing.framed_at
     if d[i] == 0 or d[j] == 0:
         raise AssumptionViolatedError("nonzero dimension at both framed vertices", f"d_{i} = {d[i]}, d_{j} = {d[j]}")
-    scale = framing.framing_scale
-    total = d.total()
     fq = framing.framed_quiver
     source, sink = framing.source_vertex, framing.sink_vertex
-    n_base_arrows = len(base_q.arrows)
-    source_arrow = n_base_arrows       # source -> i in the framed quiver
-    sink_arrow = n_base_arrows + 1     # j -> sink in the framed quiver
+    source_arrow, sink_arrow = len(fq.arrows) - 2, len(fq.arrows) - 1  # source -> i, j -> sink
+    keep_source, keep_sink = d[i] > 1, d[j] > 1
+    dropped = {v for v, kept in ((source, keep_source), (sink, keep_sink)) if not kept}
+    arrow_map = tuple(k for k, (s, t) in enumerate(fq.arrows) if s not in dropped and t not in dropped)
 
-    big_i, big_j = d[i] > 1, d[j] > 1
-    if big_i and big_j:
-        case = ReductionCase.BOTH_BIG
-        reduced_q = fq
-        reduced_d = framing.framed_dimension
-        reduced_theta = framing.framed_stability
-        marked = (source, sink)
-        q0 = Path(source)
-        qinf = Path(sink)
-        arrow_map = tuple(range(len(fq.arrows)))
-    elif big_i:
+    total = d.total()
+    lift = (total + 1) * framing.framing_scale  # (|d| + 1) * N, on base vertices
+    if keep_source and keep_sink:
+        case, reduced_theta = ReductionCase.BOTH_BIG, framing.framed_stability
+    elif keep_source:
         case = ReductionCase.SOURCE_THIN
-        reduced_q = Quiver((source, *base_q.vertices), (*base_q.arrows, (source, i)))
-        reduced_d = DimensionVector({**d.as_dict(), source: 1})
-        reduced_theta = StabilityParameter(
-            {**{v: (total + 1) * scale * c - 1 for v, c in theta.entries}, source: total}
-        )
-        marked = (source, j)
-        q0 = Path(source)
-        qinf = Path(j, (sink_arrow,))
-        arrow_map = tuple(range(n_base_arrows)) + (source_arrow,)
-    elif big_j:
+        reduced_theta = StabilityParameter({**{v: lift * c - 1 for v, c in theta.entries}, source: total})
+    elif keep_sink:
         case = ReductionCase.TARGET_THIN
-        reduced_q = Quiver((*base_q.vertices, sink), (*base_q.arrows, (j, sink)))
-        reduced_d = DimensionVector({**d.as_dict(), sink: 1})
-        reduced_theta = StabilityParameter(
-            {**{v: (total + 1) * scale * c + 1 for v, c in theta.entries}, sink: -total}
-        )
-        marked = (i, sink)
-        q0 = Path(source, (source_arrow,))
-        qinf = Path(sink)
-        arrow_map = tuple(range(n_base_arrows)) + (sink_arrow,)
+        reduced_theta = StabilityParameter({**{v: lift * c + 1 for v, c in theta.entries}, sink: -total})
     else:
-        case = ReductionCase.BOTH_THIN
-        reduced_q = base_q
-        reduced_d = d
-        reduced_theta = theta
-        marked = (i, j)
-        q0 = Path(source, (source_arrow,))
-        qinf = Path(j, (sink_arrow,))
-        arrow_map = tuple(range(n_base_arrows))
+        case, reduced_theta = ReductionCase.BOTH_THIN, theta
 
     result = ReductionResult(
-        reduced_quiver=reduced_q,
-        reduced_dimension=reduced_d,
+        reduced_quiver=Quiver((v for v in fq.vertices if v not in dropped), (fq.arrows[k] for k in arrow_map)),
+        reduced_dimension=DimensionVector((v, c) for v, c in framing.framed_dimension.entries if v not in dropped),
         reduced_stability=reduced_theta,
-        marked_vertices=marked,
-        connecting_paths=(q0, qinf),
+        marked_vertices=(source if keep_source else i, sink if keep_sink else j),
+        connecting_paths=(
+            Path(source) if keep_source else Path(source, (source_arrow,)),
+            Path(sink) if keep_sink else Path(j, (sink_arrow,)),
+        ),
         case_tag=case,
         arrow_map=arrow_map,
         framing=framing,

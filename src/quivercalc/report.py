@@ -3,7 +3,7 @@
 Every report a command emits, full or refusal, is built here in the shape of
 ``REPORT_SCHEMA``, and ``_framed`` alone resolves a command's framing.  The
 tests validate reports against the schema; ``cli`` emits them without
-validating (validation at emit time is ROADMAP item 4).
+validating (validation at emit time is ROADMAP item 1).
 The human-readable rendering is derived from the dict alone, so every number
 a user sees in the text output is present in the machine-readable output.
 Every full report opens with the same header, and it always restates which
@@ -182,7 +182,7 @@ def build_analyze_report(spec: QuiverSpec, override_assumptions: bool = False) -
         dimensions["endomorphism_total"] = table.total()
         hh1 = dimensions["hh1"] = hochschild1_dim(q)
         # Where the presentation applies, its cokernel is HH^1 (see
-        # cohomology._presentation_cokernel_dim); it feeds the vector-fields
+        # cohomology.vector_fields_dim); it feeds the vector-fields
         # entry, behind the hypothesis gate checked first, and the check.
         try:
             _require_presentation_preconditions(q, d)

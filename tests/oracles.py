@@ -17,7 +17,9 @@ their brute-force row span.  The framed description check runs a second,
 separate King search on the whole framed point instead of reading the
 framed verdicts off the base point's closed tuples, and the weight-law
 trials are replayed path by path with span-accepted group elements and
-sympy inverses.
+sympy inverses.  The reduction of a framed datum is built case by case, each
+of its four cases spelled out field by field, instead of as one restriction
+of the framed datum to its kept vertices.
 """
 
 from __future__ import annotations
@@ -30,7 +32,15 @@ from fractions import Fraction
 import networkx
 import sympy
 
-from quivercalc import DimensionVector, FiniteFieldRepresentation, Quiver, StabilityParameter
+from quivercalc import (
+    DimensionVector,
+    FiniteFieldRepresentation,
+    Path,
+    Quiver,
+    ReductionCase,
+    ReductionResult,
+    StabilityParameter,
+)
 
 
 def dfs_path_count(q: Quiver, src: str, dst: str) -> int:
@@ -394,3 +404,72 @@ def path_by_path_weight_law_trials(framing, prime: int, trials: int, rng):
         if after[0] != g_dst * pow(g_src, -1, prime) * before[0] % prime:
             failures += 1
     return trials, failures, len(paths)
+
+
+def four_case_reduction(framing, d: DimensionVector) -> ReductionResult:
+    """The reduced datum built separately in each case (d_i > 1, d_j > 1):
+    quiver, dimension vector, parameter, marks, connecting paths and arrow
+    map written out per case.  No hypothesis is gated on."""
+    base_q = framing.base_quiver
+    theta = framing.base_stability
+    i, j = framing.framed_at
+    scale = framing.framing_scale
+    total = d.total()
+    fq = framing.framed_quiver
+    source, sink = framing.source_vertex, framing.sink_vertex
+    n_base_arrows = len(base_q.arrows)
+    source_arrow = n_base_arrows       # source -> i in the framed quiver
+    sink_arrow = n_base_arrows + 1     # j -> sink in the framed quiver
+
+    big_i, big_j = d[i] > 1, d[j] > 1
+    if big_i and big_j:
+        case = ReductionCase.BOTH_BIG
+        reduced_q = fq
+        reduced_d = framing.framed_dimension
+        reduced_theta = framing.framed_stability
+        marked = (source, sink)
+        q0 = Path(source)
+        qinf = Path(sink)
+        arrow_map = tuple(range(len(fq.arrows)))
+    elif big_i:
+        case = ReductionCase.SOURCE_THIN
+        reduced_q = Quiver((source, *base_q.vertices), (*base_q.arrows, (source, i)))
+        reduced_d = DimensionVector({**d.as_dict(), source: 1})
+        reduced_theta = StabilityParameter(
+            {**{v: (total + 1) * scale * c - 1 for v, c in theta.entries}, source: total}
+        )
+        marked = (source, j)
+        q0 = Path(source)
+        qinf = Path(j, (sink_arrow,))
+        arrow_map = tuple(range(n_base_arrows)) + (source_arrow,)
+    elif big_j:
+        case = ReductionCase.TARGET_THIN
+        reduced_q = Quiver((*base_q.vertices, sink), (*base_q.arrows, (j, sink)))
+        reduced_d = DimensionVector({**d.as_dict(), sink: 1})
+        reduced_theta = StabilityParameter(
+            {**{v: (total + 1) * scale * c + 1 for v, c in theta.entries}, sink: -total}
+        )
+        marked = (i, sink)
+        q0 = Path(source, (source_arrow,))
+        qinf = Path(sink)
+        arrow_map = tuple(range(n_base_arrows)) + (sink_arrow,)
+    else:
+        case = ReductionCase.BOTH_THIN
+        reduced_q = base_q
+        reduced_d = d
+        reduced_theta = theta
+        marked = (i, j)
+        q0 = Path(source, (source_arrow,))
+        qinf = Path(j, (sink_arrow,))
+        arrow_map = tuple(range(n_base_arrows))
+
+    return ReductionResult(
+        reduced_quiver=reduced_q,
+        reduced_dimension=reduced_d,
+        reduced_stability=reduced_theta,
+        marked_vertices=marked,
+        connecting_paths=(q0, qinf),
+        case_tag=case,
+        arrow_map=arrow_map,
+        framing=framing,
+    )

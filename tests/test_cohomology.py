@@ -113,7 +113,7 @@ def test_psi_rank_counts_components(q):
 @settings(max_examples=200)
 @given(multigraph_quivers())
 def test_incidence_rank_lemma_on_any_quiver(q):
-    # the lemma _presentation_cokernel_dim applies instead of an elimination
+    # the lemma vector_fields_dim applies instead of an elimination
     assert linalg.rank(_signed_incidence_rows(q)) == len(q.vertices) - union_find_component_count(q)
 
 

@@ -16,6 +16,7 @@ from quivercalc import (
     DimensionVector,
     FiniteFieldRepresentation,
     NotThinAtEndpointsError,
+    PairingNonzeroError,
     Path,
     Quiver,
     RationalRepresentation,
@@ -128,6 +129,14 @@ def test_king_stability_examples(kronecker):
     zero_theta = StabilityParameter({"1": 0, "2": 0})
     verdict = king_stability(kron_rep(kronecker, 1, 1), zero_theta)
     assert verdict.semistable and not verdict.stable  # proper subrep pairs to zero
+
+
+def test_king_searches_refuse_a_nonzero_pairing(kronecker):
+    m = kron_rep(kronecker, 1, 0)
+    theta = StabilityParameter({"1": 2, "2": -1})
+    for search in (king_stability, has_cyclic_destabilizer):
+        with pytest.raises(PairingNonzeroError, match=re.escape("theta(d) = 1, expected 0")):
+            search(m, theta)
 
 
 def test_king_stability_monotone_on_f2_instances():

@@ -1,4 +1,5 @@
 import random
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -10,9 +11,11 @@ from quivercalc import (
     PairingNonzeroError,
     Quiver,
     ReductionCase,
+    ReductionResult,
     StabilityParameter,
     ThreeValued,
     UnknownVertexError,
+    assumptions_report,
     canonical_stability,
     double_frame,
     enumerate_paths,
@@ -28,6 +31,7 @@ from quivercalc import (
     verify_reduction_pairing,
 )
 
+from oracles import four_case_reduction
 from conftest import (
     quiver_with_datum,
     random_acyclic_quiver,
@@ -272,6 +276,51 @@ def test_reduction_path_bijection(kronecker, three_kronecker, three_vertex):
         assert set(images) == framed_paths      # onto
         for image in images:
             assert image.target(fq) == framed.sink_vertex
+
+
+def reduction_catalog(rng: random.Random, size: int):
+    """Framings of random data passing the decidable hypotheses, with d_i and
+    d_j in 1..3 (so thin and non-thin at either end), i = j about one time in
+    four, and base vertices often renamed "0" and "∞", which primes the
+    framing vertices' names."""
+    catalog = []
+    while len(catalog) < size:
+        drawn = random_acyclic_quiver(rng, max_vertices=4)
+        names = list(drawn.vertices)
+        for special in ("0", "∞"):
+            if rng.random() < 0.5:
+                names[rng.randrange(len(names))] = special
+        if len(set(names)) < len(names):
+            continue
+        rename = dict(zip(drawn.vertices, names))
+        q = Quiver(names, ((rename[s], rename[t]) for s, t in drawn.arrows))
+        d = DimensionVector({v: rng.randint(1, 3) for v in q.vertices})
+        theta = random_zero_pairing_parameter(rng, q, d)
+        report = assumptions_report(q, d, theta)
+        if not (report.indivisible and report.coprime):
+            continue
+        i = rng.choice(q.vertices)
+        j = i if rng.random() < 0.25 else rng.choice(q.vertices)
+        catalog.append((double_frame(q, d, theta, i, j, rng.randint(1, 3)), d))
+    return catalog
+
+
+def test_reduce_matches_four_case_reference():
+    seen_cases, seen_same_ends, seen_primed = set(), False, False
+    for framed, d in reduction_catalog(random.Random(14), 120):
+        result = reduce(framed, d)
+        expected = four_case_reduction(framed, d)
+        for f in fields(ReductionResult):
+            assert getattr(result, f.name) == getattr(expected, f.name), f.name
+        mapping = reduction_path_map(result)
+        framed_paths = enumerate_paths(framed.framed_quiver, framed.source_vertex, framed.sink_vertex)
+        assert len(set(mapping.values())) == len(mapping) == len(framed_paths)
+        assert set(mapping.values()) == set(framed_paths)
+        seen_cases.add(result.case_tag)
+        seen_same_ends |= framed.framed_at[0] == framed.framed_at[1]
+        seen_primed |= framed.source_vertex != "0" and framed.sink_vertex != "∞"
+    assert seen_cases == set(ReductionCase)
+    assert seen_same_ends and seen_primed
 
 
 def test_framed_path_space_matches_base(kronecker, three_vertex):

@@ -20,8 +20,8 @@ from quivercalc import (
     is_acyclic,
     path_count_matrix,
     tangent_presentation,
+    vector_fields_dim,
 )
-from quivercalc.cohomology import _presentation_cokernel_dim
 from quivercalc.errors import QuiverCalcError
 
 
@@ -67,10 +67,13 @@ def test_enumerate_paths_matches_networkx(q):
             assert len(paths) == p.count(i, j)
 
 
+@pytest.mark.filterwarnings("ignore::quivercalc.UnverifiedAssumptionWarning")
 @settings(max_examples=40, deadline=None)
 @given(st.one_of(shuffled_dags(max_vertices=5, connected=True), shuffled_dags(max_vertices=5)), st.data())
 def test_presentation_cokernel_matches_full_presentation(q, data):
-    # d is zero at most at one vertex, so that most draws are fully supported
+    # d is zero at most at one vertex, so that most draws are fully supported;
+    # theta = 0 fails the hypotheses on most draws, so the formula value is
+    # taken by override
     zero_at = data.draw(st.none() | st.sampled_from(q.vertices))
     d = DimensionVector({v: 0 if v == zero_at else data.draw(st.integers(1, 2)) for v in q.vertices})
     theta = StabilityParameter({v: 0 for v in q.vertices})
@@ -79,10 +82,10 @@ def test_presentation_cokernel_matches_full_presentation(q, data):
     except QuiverCalcError as exc:
         # disconnected or not fully supported: the cokernel refuses alike
         with pytest.raises(type(exc), match=re.escape(str(exc))):
-            _presentation_cokernel_dim(q, d, theta)
+            vector_fields_dim(q, d, theta, override_assumptions=True)
         return
     rank = sympy_rank(pres.psi_matrix)
-    assert _presentation_cokernel_dim(q, d, theta) == pres.codomain_dim - rank
+    assert vector_fields_dim(q, d, theta, override_assumptions=True) == pres.codomain_dim - rank
 
 
 def test_enumerate_paths_beyond_recursion_limit():
