@@ -49,13 +49,13 @@ from .errors import (
     VertexSetMismatchError,
 )
 from .framing import (
+    MINIMAL_FRAMING_SCALE,
     FramingResult,
     ReductionCase,
     ReductionResult,
     double_frame,
     framed_ample_stability,
     framed_assumptions_report,
-    minimal_framing_scale,
     reduce,
     reduction_path_map,
     verify_framed_sign_partition,

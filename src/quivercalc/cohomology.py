@@ -133,7 +133,7 @@ def _require_presentation_preconditions(q: Quiver, d: DimensionVector) -> None:
         raise UnsupportedDimensionVectorError("full support required: every d_i >= 1")
 
 
-def tangent_presentation(q: Quiver, d: DimensionVector, theta: StabilityParameter) -> TangentPresentation:
+def tangent_presentation(q: Quiver, d: DimensionVector) -> TangentPresentation:
     """Build the matrices phi and psi over the path bases.
 
     Rows are indexed by (arrow index, basis path of that arrow's path space)
@@ -143,7 +143,6 @@ def tangent_presentation(q: Quiver, d: DimensionVector, theta: StabilityParamete
     psi . phi = 0 on the nose.
     """
     d.aligned(q.vertices)
-    theta.aligned(q.vertices)
     _require_presentation_preconditions(q, d)
     n = len(q.vertices)
     idx = {v: k for k, v in enumerate(q.vertices)}
@@ -219,7 +218,7 @@ def hochschild1_dim(q: Quiver) -> int:
     return arrow_paths - len(q.vertices) + len(connected_components(q))
 
 
-def hom_ext(q: Quiver, m: RationalRepresentation, n: RationalRepresentation) -> HomExtResult:
+def hom_ext(m: RationalRepresentation, n: RationalRepresentation) -> HomExtResult:
     """Hom and Ext^1 of representations, via the standard two-term complex.
 
     Hom is the kernel and Ext^1 the cokernel of
@@ -230,8 +229,9 @@ def hom_ext(q: Quiver, m: RationalRepresentation, n: RationalRepresentation) -> 
     with exact rational ranks.  hom_dim - ext_dim equals the Euler form of
     the dimension vectors by construction.
     """
-    if m.quiver != q or n.quiver != q:
-        raise QuiverMismatchError("representations must live over the given quiver")
+    if m.quiver != n.quiver:
+        raise QuiverMismatchError("representations must live over the same quiver")
+    q = m.quiver
     vertices = q.vertices
     m_dims = m.dims.aligned(vertices)
     n_dims = n.dims.aligned(vertices)

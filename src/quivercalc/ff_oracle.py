@@ -97,7 +97,6 @@ class FiniteFieldRepresentation:
 class Subspace:
     """A subspace of F_p^n in reduced row echelon form."""
 
-    ambient: int
     rows: tuple[tuple[int, ...], ...]
     pivots: tuple[int, ...]
 
@@ -191,7 +190,7 @@ def subspaces_of(p: int, n: int) -> tuple[Subspace, ...]:
                     rows[r][pivots[r]] = 1
                 for (r, c), val in zip(free_positions, values):
                     rows[r][c] = val
-                out.append(Subspace(n, tuple(tuple(r) for r in rows), pivots))
+                out.append(Subspace(tuple(tuple(r) for r in rows), pivots))
                 count_k += 1
         assert count_k == gaussian_binomial(n, k, p)
     return tuple(out)

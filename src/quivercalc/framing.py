@@ -3,7 +3,10 @@
 ``double_frame`` adjoins a fresh source vertex and a fresh sink vertex with
 one arrow into the chosen vertex i and one arrow out of the chosen vertex j,
 extends the dimension vector by 1 at both new vertices, and scales the
-stability parameter into the middle block: (1, N*theta, -1).
+stability parameter into the middle block: (1, N*theta, -1), where the CLI
+takes N = ``MINIMAL_FRAMING_SCALE`` unless told otherwise.  A
+``FramingResult`` carries its base datum (q, d, theta), so every function
+downstream of ``double_frame`` takes the framing alone.
 
 ``reduce`` removes whichever framing vertices are redundant because the base
 dimension vector is already thin at i or j: the reduced datum is the framed
@@ -17,7 +20,6 @@ j.  Only the reduced stability parameter depends on the case, keyed by
 from __future__ import annotations
 
 import enum
-import math
 import warnings
 from dataclasses import dataclass, replace
 
@@ -32,7 +34,6 @@ from .core import (
 from .errors import AssumptionViolatedError
 from .stability import (
     AssumptionsReport,
-    SignPartition,
     ThreeValued,
     _lattice_point,
     _lattice_values,
@@ -46,8 +47,8 @@ __all__ = [
     "ReductionResult",
     "FramedPartitionCheck",
     "ReductionPairingCheck",
+    "MINIMAL_FRAMING_SCALE",
     "double_frame",
-    "minimal_framing_scale",
     "verify_framed_sign_partition",
     "framed_ample_stability",
     "framed_assumptions_report",
@@ -122,6 +123,14 @@ class ReductionPairingCheck:
     base_path_count: int
 
 
+# The framing scale N used throughout.  A framed value a + N*theta(e) - b has
+# the sign of theta(e) for every subdimension vector e with theta(e) != 0 and
+# every a, b in {0, 1}: since |a - b| <= 1 and |theta(e)| >= 1 for an integer
+# parameter, N = 2 always suffices, and it is the least uniform choice (N = 1
+# breaks whenever some |theta(e)| = 1).
+MINIMAL_FRAMING_SCALE = 2
+
+
 def _fresh_names(taken: tuple[str, ...]) -> tuple[str, str]:
     # The framing vertices are called 0 and infinity; prime them on collision.
     source, sink = "0", "∞"
@@ -177,41 +186,30 @@ def double_frame(
     )
 
 
-def minimal_framing_scale(q: Quiver, d: DimensionVector, theta: StabilityParameter) -> int:
-    """The framing scale used throughout: always 2 for integer parameters.
-
-    The defining property is that a + N*theta(e) - b has the sign of theta(e)
-    for every subdimension vector e with theta(e) != 0 and every
-    a, b in {0, 1}.  Since |a - b| <= 1 and |theta(e)| >= 1, N = 2 always
-    suffices; it is the least uniform choice (N = 1 breaks whenever some
-    |theta(e)| = 1).  By convention 2 is also returned when the quantifier is
-    vacuous (theta = 0 on every subdimension vector).
-    """
-    _require_zero_pairing(theta, d)
-    d.aligned(q.vertices)
-    theta.aligned(q.vertices)
-    return 2
-
-
 _SIGN_NAMES = {1: "plus", -1: "minus", 0: "zero"}
 
 
-def _framed_partition_check(framing: FramingResult, base_values: list[int]) -> FramedPartitionCheck:
-    """The framed sign-partition check, given the sign of each base
-    subdimension vector as the sign of ``base_values[k]`` (index order of
-    ``_lattice_values``).
+def verify_framed_sign_partition(framing: FramingResult) -> FramedPartitionCheck:
+    """Check the framed sign partition against its predicted description.
 
-    The framed quiver's vertices are (source, base vertices, sink), so its
-    lattice is {0, 1} x base lattice x {0, 1} in that lexicographic order.
-    Each actual framed value is computed from the framed parameter's own
-    aligned entries: its middle block swept over the base lattice, plus a
-    times the source entry and b times the sink entry.
+    Prediction, writing (a, e, b) for a subdimension vector of (1, d, 1):
+    over a positive or negative base sign of e the framed vector has that
+    sign, and over a zero base sign it has the sign of a - b.  The framed
+    lattice is {0, 1} x base lattice x {0, 1}, in the framed vertex order
+    (source, base vertices, sink).  One sweep of the base parameter gives the
+    base signs; one sweep of the framed middle block, plus a times the source
+    entry and b times the sink entry, gives the framed values.  A
+    DimensionVector is built only for a mismatch; all mismatches are recorded
+    in lexicographic order.  At scale >= 2 the prediction is exact; at scale
+    1 it fails whenever some |theta(e)| = 1.
     """
     fq = framing.framed_quiver
     ftv = framing.framed_stability.aligned(fq.vertices)
     at_source, middle_weights, at_sink = ftv[0], ftv[1:-1], ftv[-1]
-    dv = framing.base_dimension.aligned(framing.base_quiver.vertices)
+    base_vertices = framing.base_quiver.vertices
+    dv = framing.base_dimension.aligned(base_vertices)
     middle = _lattice_values(dv, middle_weights)
+    base_values = _lattice_values(dv, framing.base_stability.aligned(base_vertices))
     base_signs = [(v > 0) - (v < 0) for v in base_values]
 
     mismatches = []  # (a, k, b, expected sign, actual sign)
@@ -236,32 +234,6 @@ def _framed_partition_check(framing: FramingResult, base_values: list[int]) -> F
         discrepancies=discrepancies,
         scale=framing.framing_scale,
     )
-
-
-def verify_framed_sign_partition(framing: FramingResult, base: SignPartition) -> FramedPartitionCheck:
-    """Check the framed sign partition against its predicted description.
-
-    Prediction, writing (a, e, b) for a subdimension vector of (1, d, 1):
-    vectors over e with a positive base sign are positive, vectors over a
-    negative base sign are negative, and over a zero base sign the framed
-    sign is that of a - b.  The check runs over every framed subdimension
-    vector in index space: the base signs are read off ``base`` once, the
-    actual framed values come from one sweep of the framed parameter, and a
-    DimensionVector is built only for a mismatch.  All mismatches are
-    recorded, in lexicographic order of the framed vertex order.  At scale
-    >= 2 the prediction is exact; at scale 1 it fails whenever some
-    |theta(e)| = 1.
-    """
-    base_vertices = framing.base_quiver.vertices
-    dv = framing.base_dimension.aligned(base_vertices)
-    signs = [0] * math.prod(c + 1 for c in dv)
-    for sign, bucket in ((1, base.plus), (-1, base.minus), (0, base.zero)):
-        for e in bucket:
-            k = 0
-            for c, x in zip(dv, e.aligned(base_vertices)):
-                k = k * (c + 1) + x
-            signs[k] = sign
-    return _framed_partition_check(framing, signs)
 
 
 def framed_ample_stability(d: DimensionVector, i: str, j: str) -> bool:
@@ -304,9 +276,9 @@ def framed_assumptions_report(framing: FramingResult) -> AssumptionsReport:
     return replace(report, amply_stable=ThreeValued.YES if ample else ThreeValued.NO)
 
 
-def reduce(framing: FramingResult, d: DimensionVector) -> ReductionResult:
+def reduce(framing: FramingResult) -> ReductionResult:
     """Reduce the framed datum, dropping framing vertices made redundant by
-    thinness of d at the framed vertices.
+    thinness of the base dimension vector d at the framed vertices.
 
     The reduced datum is the framed datum restricted to the vertices it
     keeps: the framing source exactly when d_i > 1, the framing sink exactly
@@ -330,18 +302,16 @@ def reduce(framing: FramingResult, d: DimensionVector) -> ReductionResult:
     hypotheses (acyclicity, indivisibility, coprimality); ample stability is
     not decidable at the base level and is not gated on.
     """
-    return _reduce_checked(framing, d)[0]
+    return _reduce_checked(framing)[0]
 
 
 def _reduce_checked(
-    framing: FramingResult, d: DimensionVector, assumptions: AssumptionsReport | None = None
+    framing: FramingResult, assumptions: AssumptionsReport | None = None
 ) -> tuple[ReductionResult, ReductionPairingCheck]:
     """:func:`reduce`, also returning the pairing check it ran, so that a
     report can show the check without running it again.  Pass the base
     datum's ``assumptions`` report when it is already computed."""
-    if d != framing.base_dimension:
-        raise ValueError("dimension vector does not match the framed base datum")
-    theta = framing.base_stability
+    d, theta = framing.base_dimension, framing.base_stability
     report = assumptions if assumptions is not None else assumptions_report(framing.base_quiver, d, theta)
     report.require("acyclic", "indivisible", "coprime")
 

@@ -29,16 +29,16 @@ from .errors import (
     UnsupportedDimensionVectorError,
 )
 from .framing import (
+    MINIMAL_FRAMING_SCALE,
     FramingResult,
     ReductionResult,
-    _framed_partition_check,
     _reduce_checked,
     double_frame,
     framed_ample_stability,
-    minimal_framing_scale,
+    verify_framed_sign_partition,
 )
 from .specfile import QuiverSpec, datum_dict
-from .stability import HYPOTHESES, AssumptionsReport, _lattice_values, assumptions_report
+from .stability import HYPOTHESES, AssumptionsReport, assumptions_report
 
 SCHEMA_VERSION = 1
 
@@ -147,8 +147,9 @@ def _framed(
     spec: QuiverSpec, i: str | None, j: str | None, scale: int | None
 ) -> tuple[AssumptionsReport, FramingResult]:
     """The base datum's assumptions and its double framing.  Explicit i and j
-    are framed at ``scale`` or the minimal scale; otherwise the spec's framing
-    block gives the vertices and, unless ``scale`` overrides it, the scale."""
+    are framed at ``scale`` or ``MINIMAL_FRAMING_SCALE``; otherwise the spec's
+    framing block gives the vertices and, unless ``scale`` overrides it, the
+    scale."""
     if i is None and j is None:
         if spec.framing is None:
             raise SpecFileError("no framing vertices: pass i and j or add a framing block to the spec")
@@ -158,8 +159,7 @@ def _framed(
     elif i is None or j is None:
         raise SpecFileError("either give both vertices i and j or neither")
     q, d, theta = spec.quiver, spec.dimension, spec.stability
-    if scale is None:
-        scale = minimal_framing_scale(q, d, theta)
+    scale = MINIMAL_FRAMING_SCALE if scale is None else scale
     return assumptions_report(q, d, theta), double_frame(q, d, theta, i, j, scale)
 
 
@@ -231,12 +231,10 @@ def _framing_dict(framing: FramingResult) -> dict[str, Any]:
 
 
 def build_frame_report(spec: QuiverSpec, i: str | None, j: str | None, scale: int | None) -> dict[str, Any]:
-    q, d, theta = spec.quiver, spec.dimension, spec.stability
+    q, d = spec.quiver, spec.dimension
     base_report, framing = _framed(spec, i, j, scale)
     i, j = framing.framed_at
-    check = _framed_partition_check(
-        framing, _lattice_values(d.aligned(q.vertices), theta.aligned(q.vertices))
-    )
+    check = verify_framed_sign_partition(framing)
 
     verifications = [
         {
@@ -284,7 +282,7 @@ def _reduction_dict(result: ReductionResult) -> dict[str, Any]:
 
 def build_reduce_report(spec: QuiverSpec, i: str | None, j: str | None, scale: int | None) -> dict[str, Any]:
     base_report, framing = _framed(spec, i, j, scale)
-    result, check = _reduce_checked(framing, spec.dimension, base_report)
+    result, check = _reduce_checked(framing, base_report)
     reduction = _reduction_dict(result)
     reduction["reduced_path_space_dim"] = check.reduced_path_count
     reduction["base_path_space_dim"] = check.base_path_count

@@ -29,7 +29,6 @@ from quivercalc import (
     path_count_matrix,
     projective_representation,
     reduce,
-    sign_partition,
     tangent_presentation,
     vector_fields_dim,
     verify_double_framing_equivalence,
@@ -103,7 +102,7 @@ def test_criterion_2_vector_fields_match_hochschild_on_random_catalog():
             continue
         q, d, theta = instance
         # the presentation's cokernel by elimination, independent of the lemma
-        pres = tangent_presentation(q, d, theta)
+        pres = tangent_presentation(q, d)
         cokernel = pres.codomain_dim - linalg.rank(pres.psi_matrix)
         assert vector_fields_dim(q, d, theta) == hochschild1_dim(q) == cokernel
         accepted += 1
@@ -128,7 +127,7 @@ def test_criterion_3_framed_sign_partition_catalog_and_counterexample():
             continue
         theta = random_zero_pairing_parameter(rng, q, d)
         framing = double_frame(q, d, theta, q.vertices[0], q.vertices[-1], 2)
-        check = verify_framed_sign_partition(framing, sign_partition(q, d, theta))
+        check = verify_framed_sign_partition(framing)
         assert check.passed, (q, d.as_dict(), theta.as_dict(), check.first_discrepancy)
         instances += 1
 
@@ -136,7 +135,7 @@ def test_criterion_3_framed_sign_partition_catalog_and_counterexample():
     d = thin(KRONECKER)
     theta = StabilityParameter({"1": 1, "2": -1})
     framing = double_frame(KRONECKER, d, theta, "1", "2", 1)
-    check = verify_framed_sign_partition(framing, sign_partition(KRONECKER, d, theta))
+    check = verify_framed_sign_partition(framing)
     assert not check.passed
     witness = DimensionVector({"0": 1, "1": 0, "2": 1, "∞": 0})
     assert (witness, "minus", "zero") in check.discrepancies
@@ -177,7 +176,7 @@ def test_criterion_5_projective_hom_ext_and_euler_form():
         projectives = {v: projective_representation(q, v) for v in q.vertices}
         for i in q.vertices:
             for j in q.vertices:
-                result = hom_ext(q, projectives[j], projectives[i])
+                result = hom_ext(projectives[j], projectives[i])
                 assert (result.hom_dim, result.ext_dim) == (counts.count(i, j), 0)
 
     checked = 0
@@ -186,7 +185,7 @@ def test_criterion_5_projective_hom_ext_and_euler_form():
         for _ in range(5):
             m = random_rational_representation(rng, q)
             n = random_rational_representation(rng, q)
-            result = hom_ext(q, m, n)
+            result = hom_ext(m, n)
             assert result.hom_dim - result.ext_dim == euler_form(q, m.dims, n.dims)
             checked += 1
     record("projective Hom/Ext dimensions and Euler form on random representations", started, bound=10.0)
@@ -203,7 +202,7 @@ def test_criterion_6_reduction_cases_and_arithmetic():
     for q, dd, tt, i, j, expected_case in fixtures:
         d = DimensionVector(dd)
         theta = StabilityParameter(tt)
-        result = reduce(double_frame(q, d, theta, i, j, 2), d)
+        result = reduce(double_frame(q, d, theta, i, j, 2))
         assert result.case_tag is expected_case
         check = verify_reduction_pairing(result)
         assert check.passed
@@ -215,7 +214,7 @@ def test_criterion_6_reduction_cases_and_arithmetic():
 
     d = DimensionVector({"1": 2, "2": 1})
     theta = StabilityParameter({"1": 1, "2": -2})
-    result = reduce(double_frame(KRONECKER, d, theta, "1", "2", 2), d)
+    result = reduce(double_frame(KRONECKER, d, theta, "1", "2", 2))
     assert result.reduced_stability.as_dict() == {"0": 3, "1": 7, "2": -17}
     record("reduction hits all four cases with exact arithmetic", started, bound=1.0)
 

@@ -279,11 +279,26 @@ def test_out_flag_unwritable_exits_two(capsys, tmp_path, target):
     assert err.count("\n") == 1
 
 
+# (argv, a line of the human rendering that the case exercises)
+HUMAN_CASES = [
+    *((("analyze", f), "dimensions:") for f in ("threevertex.json", "threevertex_alt.json", "kronecker.json")),
+    (("frame", "threevertex.json"), "path space source to sink: 2"),
+    (("frame", "kronecker.json", "--scale", "1"), "FAIL (checked=16)"),
+    *((("reduce", f), "path space at marks:") for f in (
+        "threekronecker_d23.json", "kronecker_d21.json", "kronecker_d12.json", "threevertex.json"
+    )),
+    (("verify", "kronecker.json"), "points_checked=16"),
+    (("verify", "threekronecker_d23.json", "--budget", "320"), "sampled=320, sampled 320 of"),
+]
+
+
 def test_human_output_numbers_subset_of_json(capsys):
-    for fixture in ("threevertex.json", "threevertex_alt.json", "kronecker.json"):
-        code_h, human, _ = run(capsys, "analyze", FIXTURES / fixture)
-        code_j, report, _ = run_json(capsys, "analyze", FIXTURES / fixture)
+    for (command, fixture, *flags), shown in HUMAN_CASES:
+        argv = (command, FIXTURES / fixture, *flags)
+        code_h, human, _ = run(capsys, *argv)
+        code_j, report, _ = run_json(capsys, *argv)
         assert code_h == code_j
+        assert shown in human, (command, fixture)
 
         numbers: set[int] = set()
 
@@ -307,7 +322,7 @@ def test_human_output_numbers_subset_of_json(capsys):
 
         collect(report)
         for match in re.findall(r"-?\d+", human):
-            assert int(match) in numbers or abs(int(match)) in numbers, (match, fixture)
+            assert int(match) in numbers or abs(int(match)) in numbers, (match, command, fixture)
 
 
 def test_exit_code_corpus(capsys, tmp_path):

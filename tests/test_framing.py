@@ -1,11 +1,12 @@
 import random
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quivercalc import (
+    MINIMAL_FRAMING_SCALE,
     AssumptionViolatedError,
     DimensionVector,
     PairingNonzeroError,
@@ -22,11 +23,9 @@ from quivercalc import (
     framed_ample_stability,
     framed_assumptions_report,
     is_acyclic,
-    minimal_framing_scale,
     path_count_matrix,
     reduce,
     reduction_path_map,
-    sign_partition,
     verify_framed_sign_partition,
     verify_reduction_pairing,
 )
@@ -97,13 +96,8 @@ def test_double_frame_preserves_acyclicity_and_pairing(datum):
     assert f.framed_stability(f.framed_dimension) == 0
 
 
-def test_minimal_framing_scale(kronecker, three_vertex):
-    d, theta = kronecker_datum(kronecker)
-    assert minimal_framing_scale(kronecker, d, theta) == 2
-    zero = StabilityParameter({v: 0 for v in kronecker.vertices})
-    assert minimal_framing_scale(kronecker, d, zero) == 2  # vacuous quantifier
-    d3 = thin(three_vertex)
-    assert minimal_framing_scale(three_vertex, d3, canonical_stability(three_vertex, d3)) == 2
+def test_framing_scale_constant_is_two():
+    assert MINIMAL_FRAMING_SCALE == 2
 
 
 def _sign(x):
@@ -112,7 +106,7 @@ def _sign(x):
 
 @given(st.integers().filter(lambda v: v != 0), st.sampled_from((0, 1)), st.sampled_from((0, 1)))
 def test_scale_two_keeps_the_sign_of_every_nonzero_theta_value(v, a, b):
-    # The lemma behind minimal_framing_scale: a framed value a + 2*theta(e) - b
+    # The lemma behind MINIMAL_FRAMING_SCALE: a framed value a + 2*theta(e) - b
     # has the sign of theta(e) whenever theta(e) != 0, for a, b in {0, 1}.
     assert _sign(a + 2 * v - b) == _sign(v)
 
@@ -124,23 +118,20 @@ def test_scale_one_breaks_the_sign_property_at_unit_theta_values(v):
 
 def test_framed_sign_partition_passes_at_scale_two(kronecker, three_vertex):
     d, theta = kronecker_datum(kronecker)
-    part = sign_partition(kronecker, d, theta)
-    check = verify_framed_sign_partition(double_frame(kronecker, d, theta, "1", "2", 2), part)
+    check = verify_framed_sign_partition(double_frame(kronecker, d, theta, "1", "2", 2))
     assert check.passed
     assert check.checked == 16
 
     d3 = thin(three_vertex)
     theta3 = canonical_stability(three_vertex, d3)
-    part3 = sign_partition(three_vertex, d3, theta3)
-    check3 = verify_framed_sign_partition(double_frame(three_vertex, d3, theta3, "2", "3", 2), part3)
+    check3 = verify_framed_sign_partition(double_frame(three_vertex, d3, theta3, "2", "3", 2))
     assert check3.passed
     assert check3.checked == 32
 
 
 def test_framed_sign_partition_fails_at_scale_one(kronecker):
     d, theta = kronecker_datum(kronecker)
-    part = sign_partition(kronecker, d, theta)
-    check = verify_framed_sign_partition(double_frame(kronecker, d, theta, "1", "2", 1), part)
+    check = verify_framed_sign_partition(double_frame(kronecker, d, theta, "1", "2", 1))
     assert not check.passed
     # the documented counterexample: (1, (0, 1), 0) pairs to 1 - 1 - 0 = 0
     # although (0, 1) has negative base sign
@@ -154,9 +145,8 @@ def test_framed_sign_partition_random_catalog():
         q = random_acyclic_quiver(rng, max_vertices=4)
         d = DimensionVector({v: rng.randint(0, 3) for v in q.vertices})
         theta = random_zero_pairing_parameter(rng, q, d)
-        part = sign_partition(q, d, theta)
         framed = double_frame(q, d, theta, q.vertices[0], q.vertices[-1], 2)
-        assert verify_framed_sign_partition(framed, part).passed
+        assert verify_framed_sign_partition(framed).passed
 
 
 def test_framed_ample_stability_cases():
@@ -199,7 +189,7 @@ def test_reduce_hits_all_four_cases(kronecker, three_kronecker, three_vertex):
         d = DimensionVector(dd)
         theta = StabilityParameter(tt)
         framed = double_frame(q, d, theta, i, j, 2)
-        result = reduce(framed, d)
+        result = reduce(framed)
         assert result.case_tag is expected
         check = verify_reduction_pairing(result)
         assert check.passed
@@ -210,7 +200,7 @@ def test_reduce_case_b_arithmetic(kronecker):
     d = DimensionVector({"1": 2, "2": 1})
     theta = StabilityParameter({"1": 1, "2": -2})
     framed = double_frame(kronecker, d, theta, "1", "2", 2)
-    result = reduce(framed, d)
+    result = reduce(framed)
     assert result.case_tag is ReductionCase.SOURCE_THIN
     # |d| = 3, so theta' = (3, 8*theta - 1) = (3, 7, -17), pairing 3+14-17 = 0
     assert result.reduced_stability.as_dict() == {"0": 3, "1": 7, "2": -17}
@@ -220,7 +210,7 @@ def test_reduce_case_b_arithmetic(kronecker):
 def test_reduce_case_d_keeps_base_datum(three_vertex):
     d = thin(three_vertex)
     theta = canonical_stability(three_vertex, d)
-    result = reduce(double_frame(three_vertex, d, theta, "2", "3", 2), d)
+    result = reduce(double_frame(three_vertex, d, theta, "2", "3", 2))
     assert result.case_tag is ReductionCase.BOTH_THIN
     assert result.reduced_quiver == three_vertex
     assert result.reduced_stability == theta
@@ -233,7 +223,7 @@ def test_reduce_refuses_on_failed_assumptions(kronecker):
     theta = StabilityParameter({"1": 1, "2": -1})
     framed = double_frame(kronecker, d, theta, "1", "2", 2)
     with pytest.raises(AssumptionViolatedError) as info:
-        reduce(framed, d)
+        reduce(framed)
     assert "indivisibility" in str(info.value)
 
 
@@ -243,23 +233,41 @@ def test_reduce_refuses_on_coprimality(a3):
     theta = canonical_stability(a3, d)
     framed = double_frame(a3, d, theta, "1", "3", 2)
     with pytest.raises(AssumptionViolatedError) as info:
-        reduce(framed, d)
+        reduce(framed)
     assert "coprimality" in str(info.value)
 
 
 def test_verify_reduction_pairing_detects_perturbation(kronecker):
     d = DimensionVector({"1": 2, "2": 1})
     theta = StabilityParameter({"1": 1, "2": -2})
-    result = reduce(double_frame(kronecker, d, theta, "1", "2", 2), d)
+    result = reduce(double_frame(kronecker, d, theta, "1", "2", 2))
     broken = StabilityParameter(
         {v: c + (1 if v == result.marked_vertices[0] else 0) for v, c in result.reduced_stability.entries}
     )
-    from dataclasses import replace
-
     perturbed = replace(result, reduced_stability=broken)
     check = verify_reduction_pairing(perturbed)
     assert not check.passed
     assert any("pairing" in f or "theta" in f for f in check.failures)
+
+
+def test_verify_reduction_pairing_names_thinness_and_path_count_failures(kronecker):
+    d = DimensionVector({"1": 2, "2": 1})
+    theta = StabilityParameter({"1": 1, "2": -2})
+    result = reduce(double_frame(kronecker, d, theta, "1", "2", 2))
+    marks = result.marked_vertices
+    assert marks == ("0", "2")
+    for mark, other in (marks, marks[::-1]):
+        thick = DimensionVector({v: 2 if v == mark else c for v, c in result.reduced_dimension.entries})
+        failures = verify_reduction_pairing(replace(result, reduced_dimension=thick)).failures
+        assert f"d' is not thin at {mark!r}" in failures
+        assert f"d' is not thin at {other!r}" not in failures
+
+    rq = result.reduced_quiver
+    parallel = Quiver(rq.vertices, (*rq.arrows, marks))
+    check = verify_reduction_pairing(replace(result, reduced_quiver=parallel))
+    assert not check.passed
+    assert check.failures == ("path count 3 != base path count 2",)
+    assert (check.reduced_path_count, check.base_path_count) == (3, 2)
 
 
 def test_reduction_path_bijection(kronecker, three_kronecker, three_vertex):
@@ -267,7 +275,7 @@ def test_reduction_path_bijection(kronecker, three_kronecker, three_vertex):
         d = DimensionVector(dd)
         theta = StabilityParameter(tt)
         framed = double_frame(q, d, theta, i, j, 2)
-        result = reduce(framed, d)
+        result = reduce(framed)
         mapping = reduction_path_map(result)
         fq = framed.framed_quiver
         framed_paths = set(enumerate_paths(fq, framed.source_vertex, framed.sink_vertex))
@@ -308,7 +316,7 @@ def reduction_catalog(rng: random.Random, size: int):
 def test_reduce_matches_four_case_reference():
     seen_cases, seen_same_ends, seen_primed = set(), False, False
     for framed, d in reduction_catalog(random.Random(14), 120):
-        result = reduce(framed, d)
+        result = reduce(framed)
         expected = four_case_reduction(framed, d)
         for f in fields(ReductionResult):
             assert getattr(result, f.name) == getattr(expected, f.name), f.name

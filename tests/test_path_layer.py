@@ -78,7 +78,7 @@ def test_presentation_cokernel_matches_full_presentation(q, data):
     d = DimensionVector({v: 0 if v == zero_at else data.draw(st.integers(1, 2)) for v in q.vertices})
     theta = StabilityParameter({v: 0 for v in q.vertices})
     try:
-        pres = tangent_presentation(q, d, theta)
+        pres = tangent_presentation(q, d)
     except QuiverCalcError as exc:
         # disconnected or not fully supported: the cokernel refuses alike
         with pytest.raises(type(exc), match=re.escape(str(exc))):

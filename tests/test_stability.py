@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,7 +9,6 @@ from quivercalc import (
     DimensionVector,
     PairingNonzeroError,
     Quiver,
-    SignPartition,
     StabilityParameter,
     ThreeValued,
     assumptions_report,
@@ -188,14 +189,18 @@ def test_lattice_sweep_matches_per_point_reference(datum, data):
     j = data.draw(st.sampled_from(q.vertices))
     for scale in (1, 2):
         framing = double_frame(q, d, theta, i, j, scale)
-        check = verify_framed_sign_partition(framing, part)
+        check = verify_framed_sign_partition(framing)
         expected = naive_framed_discrepancies(framing)
         assert list(check.discrepancies) == expected
         assert check.passed == (not expected)
         assert check.checked == 4 * part.size()
-        # a wrong prediction (plus and minus swapped) mismatches at several
-        # (a, b) per base vector; the list stays in framed lexicographic order
-        swapped = verify_framed_sign_partition(framing, SignPartition(part.minus, part.plus, part.zero))
+        # a framing whose middle block is negated mismatches its prediction at
+        # several (a, b) per base vector; the list stays in framed
+        # lexicographic order
+        negated = StabilityParameter(
+            {v: -c if v in q.vertices else c for v, c in framing.framed_stability.entries}
+        )
+        swapped = verify_framed_sign_partition(dataclasses.replace(framing, framed_stability=negated))
         order = [f.aligned(framing.framed_quiver.vertices) for f, _, _ in swapped.discrepancies]
         assert order == sorted(order)
 
