@@ -17,6 +17,7 @@ from .core import (
     euler_form,
     is_acyclic,
     is_connected,
+    path_count,
     path_count_matrix,
     slope,
     weight_one_character,

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from typing import Any
 
@@ -35,7 +34,7 @@ from .report import (
     build_verify_report,
     render_human,
 )
-from .specfile import OracleSpec, load_spec
+from .specfile import OracleSpec, _indented_json, load_spec
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -89,7 +88,7 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _emit(report: dict[str, Any], args) -> None:
-    text = json.dumps(report, indent=2) + "\n" if args.json else render_human(report)
+    text = _indented_json(report) + "\n" if args.json else render_human(report)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text)

@@ -83,6 +83,70 @@ class Quiver:
             rows[s][t] += 1
         return tuple(tuple(r) for r in rows)
 
+    @cached_property
+    def _acyclicity(self) -> AcyclicityCertificate:
+        """``is_acyclic``'s certificate.
+
+        Kahn's algorithm produces the order; on failure a directed cycle
+        inside the leftover subgraph is extracted by walking arrows (smallest
+        arrow index first) until a vertex repeats.
+        """
+        n = len(self.vertices)
+        indeg = [0] * n
+        out: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # (target, arrow index)
+        for k, (s, t) in enumerate(self.arrow_indices):
+            indeg[t] += 1
+            out[s].append((t, k))
+        queue = deque(v for v in range(n) if indeg[v] == 0)
+        order: list[int] = []
+        while queue:
+            v = queue.popleft()
+            order.append(v)
+            for t, _ in out[v]:
+                indeg[t] -= 1
+                if indeg[t] == 0:
+                    queue.append(t)
+        if len(order) == n:
+            return AcyclicityCertificate(True, topological_order=tuple(self.vertices[v] for v in order))
+
+        # Every leftover vertex keeps an incoming arrow from another leftover
+        # vertex (its residual in-degree is positive), so walking those arrows
+        # backwards must revisit a vertex; the revisited stretch is a cycle.
+        remaining = {v for v in range(n) if indeg[v] > 0}
+        incoming: dict[int, tuple[int, int]] = {}
+        for k, (s, t) in enumerate(self.arrow_indices):
+            if s in remaining and t in remaining and t not in incoming:
+                incoming[t] = (s, k)
+        seen: dict[int, int] = {}
+        walk: list[int] = []  # arrow indices, traversed target-to-source
+        at = min(remaining)
+        while at not in seen:
+            seen[at] = len(walk)
+            s, k = incoming[at]
+            walk.append(k)
+            at = s
+        cycle = tuple(reversed(walk[seen[at]:]))
+        return AcyclicityCertificate(False, cycle=cycle)
+
+    @cached_property
+    def _path_counts(self) -> PathCountMatrix:
+        """``path_count_matrix``'s table.  A cyclic quiver raises, so nothing
+        is cached and every call raises again.
+
+        Processing targets in topological order gives column j of p as e_j
+        plus the columns of the sources of j's incoming arrows.
+        """
+        n = len(self.vertices)
+        sources = _arrow_sources(self)
+        columns: list[list[int]] = [[] for _ in range(n)]
+        for j in _acyclic_order(self):
+            column = [0] * n
+            column[j] = 1
+            for s in sources[j]:
+                column = [x + y for x, y in zip(column, columns[s])]
+            columns[j] = column
+        return PathCountMatrix(self.vertices, tuple(zip(*columns)))
+
 
 class VertexVector:
     """An integer-valued function on a vertex set, stored canonically.
@@ -279,46 +343,9 @@ class Path:
 def is_acyclic(q: Quiver) -> AcyclicityCertificate:
     """Decide acyclicity, returning a topological order or a cycle witness.
 
-    Kahn's algorithm produces the order; on failure a directed cycle inside
-    the leftover subgraph is extracted by walking arrows (smallest arrow index
-    first) until a vertex repeats.
+    Decided once per quiver: the certificate is cached on it.
     """
-    n = len(q.vertices)
-    indeg = [0] * n
-    out: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # (target, arrow index)
-    for k, (s, t) in enumerate(q.arrow_indices):
-        indeg[t] += 1
-        out[s].append((t, k))
-    queue = deque(v for v in range(n) if indeg[v] == 0)
-    order: list[int] = []
-    while queue:
-        v = queue.popleft()
-        order.append(v)
-        for t, _ in out[v]:
-            indeg[t] -= 1
-            if indeg[t] == 0:
-                queue.append(t)
-    if len(order) == n:
-        return AcyclicityCertificate(True, topological_order=tuple(q.vertices[v] for v in order))
-
-    # Every leftover vertex keeps an incoming arrow from another leftover
-    # vertex (its residual in-degree is positive), so walking those arrows
-    # backwards must revisit a vertex; the revisited stretch is a cycle.
-    remaining = {v for v in range(n) if indeg[v] > 0}
-    incoming: dict[int, tuple[int, int]] = {}
-    for k, (s, t) in enumerate(q.arrow_indices):
-        if s in remaining and t in remaining and t not in incoming:
-            incoming[t] = (s, k)
-    seen: dict[int, int] = {}
-    walk: list[int] = []  # arrow indices, traversed target-to-source
-    at = min(remaining)
-    while at not in seen:
-        seen[at] = len(walk)
-        s, k = incoming[at]
-        walk.append(k)
-        at = s
-    cycle = tuple(reversed(walk[seen[at]:]))
-    return AcyclicityCertificate(False, cycle=cycle)
+    return q._acyclicity
 
 
 def connected_components(q: Quiver) -> tuple[frozenset[str], ...]:
@@ -416,29 +443,43 @@ def _arrow_sources(q: Quiver) -> list[list[int]]:
     return sources
 
 
-def path_count_matrix(q: Quiver) -> PathCountMatrix:
-    """Count directed paths between all vertex pairs by exact integer recursion.
-
-    Processing targets in topological order gives column j of p as e_j plus
-    the columns of the sources of j's incoming arrows, that is
-    p(i, j) = delta_ij + sum over arrows a with target j of p(i, source(a)),
-    the entrywise statement that p = (I - A)^{-1} for the arrow-count
-    adjacency matrix A.  Cost: O(#vertices * #arrows) integer additions.
-    """
+def _acyclic_order(q: Quiver) -> list[int]:
+    """Vertex indices in topological order; CyclicQuiverError on a cyclic
+    quiver, where path counts are infinite."""
     cert = is_acyclic(q)
     if not cert:
         raise CyclicQuiverError(f"path counts are infinite on a cyclic quiver (cycle arrows {cert.cycle})")
-    n = len(q.vertices)
+    return [q._index[v] for v in cert.topological_order or ()]
+
+
+def path_count_matrix(q: Quiver) -> PathCountMatrix:
+    """Count directed paths between all vertex pairs by exact integer recursion.
+
+    p(i, j) = delta_ij + sum over arrows a with target j of p(i, source(a)),
+    the entrywise statement that p = (I - A)^{-1} for the arrow-count
+    adjacency matrix A.  Cost: O(#vertices * #arrows) integer additions,
+    paid once per quiver: the table is cached on it.
+    """
+    return q._path_counts
+
+
+def path_count(q: Quiver, i: str, j: str) -> int:
+    """The one entry p(i, j) of ``path_count_matrix``, without the table.
+
+    The number of paths from i to a vertex is the sum, over its incoming
+    arrows, of that number at the arrow's source; one pass in topological
+    order from i to j gives it.  Cost: O(#vertices + #arrows).
+    """
+    order = _acyclic_order(q)
+    if i not in q._index or j not in q._index:
+        raise UnknownVertexError(f"unknown vertex in pair ({i!r}, {j!r})")
+    start, goal = q._index[i], q._index[j]
     sources = _arrow_sources(q)
-    columns: list[list[int]] = [[] for _ in range(n)]
-    for j_name in cert.topological_order or ():
-        j = q._index[j_name]
-        column = [0] * n
-        column[j] = 1
-        for s in sources[j]:
-            column = [x + y for x, y in zip(column, columns[s])]
-        columns[j] = column
-    return PathCountMatrix(q.vertices, tuple(zip(*columns)))
+    from_i = [0] * len(q.vertices)
+    from_i[start] = 1
+    for v in order[order.index(start) + 1 : order.index(goal) + 1]:
+        from_i[v] = sum(map(from_i.__getitem__, sources[v]))
+    return from_i[goal]
 
 
 def enumerate_paths(q: Quiver, src: str, dst: str) -> tuple[Path, ...]:

@@ -29,7 +29,7 @@ from .core import (
     Quiver,
     StabilityParameter,
     enumerate_paths,
-    path_count_matrix,
+    path_count,
 )
 from .errors import AssumptionViolatedError
 from .stability import (
@@ -369,9 +369,9 @@ def verify_reduction_pairing(result: ReductionResult) -> ReductionPairingCheck:
         failures.append(f"d' is not thin at {i_mark!r}")
     if d[j_mark] != 1:
         failures.append(f"d' is not thin at {j_mark!r}")
-    reduced_count = path_count_matrix(result.reduced_quiver).count(i_mark, j_mark)
+    reduced_count = path_count(result.reduced_quiver, i_mark, j_mark)
     framing = result.framing
-    base_count = path_count_matrix(framing.base_quiver).count(*framing.framed_at)
+    base_count = path_count(framing.base_quiver, *framing.framed_at)
     if reduced_count != base_count:
         failures.append(f"path count {reduced_count} != base path count {base_count}")
     return ReductionPairingCheck(

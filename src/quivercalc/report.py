@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Any
 
 from .cohomology import _require_presentation_preconditions, hochschild1_dim, moduli_dimension
-from .core import path_count_matrix
+from .core import path_count, path_count_matrix
 from .errors import (
     AssumptionViolatedError,
     BudgetExceededError,
@@ -253,10 +253,10 @@ def build_frame_report(spec: QuiverSpec, i: str | None, j: str | None, scale: in
     ]
     framing_block = _framing_dict(framing)
     framing_block["framed_ample_stability"] = framed_ample_stability(d, i, j)
-    framing_block["framed_path_space_dim"] = path_count_matrix(framing.framed_quiver).count(
-        framing.source_vertex, framing.sink_vertex
+    framing_block["framed_path_space_dim"] = path_count(
+        framing.framed_quiver, framing.source_vertex, framing.sink_vertex
     )
-    framing_block["base_path_space_dim"] = path_count_matrix(q).count(i, j)
+    framing_block["base_path_space_dim"] = path_count(q, i, j)
     return {
         **_header("frame", spec, base_report),
         "framing": framing_block,

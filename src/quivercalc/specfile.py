@@ -27,6 +27,7 @@ import json
 import numbers
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path as FsPath
 
 from .core import DimensionVector, Quiver, StabilityParameter, canonical_stability, is_acyclic
@@ -321,4 +322,43 @@ def spec_to_dict(spec: QuiverSpec) -> dict:
 
 
 def dump_spec(spec: QuiverSpec, path: str | FsPath) -> None:
-    FsPath(path).write_text(json.dumps(spec_to_dict(spec), indent=2) + "\n", encoding="utf-8")
+    FsPath(path).write_text(_indented_json(spec_to_dict(spec)) + "\n", encoding="utf-8")
+
+
+def _indented_json(value, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2)``, byte for byte; ``indent`` is the line
+    break and indentation that precede the value's closing bracket.
+
+    ``json.dumps`` takes its pure-Python encoder whenever ``indent`` is set;
+    this writes each dict and list in one ``str.join`` instead, and a list of
+    plain ints (a path count row) without a call per entry.  Floats,
+    subclasses and dicts with non-str keys go to ``json.dumps`` itself,
+    re-indented: a JSON text has no raw newline but its line breaks.  The
+    recursion is as deep as the value's nesting, as in ``json``.
+    """
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return int.__repr__(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    inner = indent + "  "
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        if set(map(type, value)) == {int}:
+            body = map(int.__repr__, value)
+        else:
+            body = [_indented_json(x, inner) for x in value]
+        return "[" + inner + ("," + inner).join(body) + indent + "]"
+    if kind is dict and set(map(type, value)) <= {str}:
+        if not value:
+            return "{}"
+        body = [encode_basestring_ascii(k) + ": " + _indented_json(v, inner) for k, v in value.items()]
+        return "{" + inner + ("," + inner).join(body) + indent + "}"
+    return json.dumps(value, indent=2).replace("\n", indent)

@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import io
 import json
 import re
@@ -270,6 +271,19 @@ def test_out_flag_writes_file(capsys, tmp_path):
     assert report["dimensions"]["hh1"] == 6
 
 
+@pytest.mark.parametrize("command", ["analyze", "frame", "reduce", "verify"])
+def test_json_output_is_json_dumps_indent_2(capsys, tmp_path, command):
+    budget = ["--budget", "400"] if command == "verify" else []
+    for path in sorted(FIXTURES.glob("*.json")):
+        code, out, _ = run(capsys, command, path, *budget, "--json")
+        if code == 2:
+            continue  # an input error writes no report
+        assert out == json.dumps(json.loads(out), indent=2) + "\n", path.name
+        target = tmp_path / "report.json"
+        assert run(capsys, command, path, *budget, "--json", "--out", target) == (code, "", "")
+        assert target.read_text(encoding="utf-8") == out, path.name
+
+
 @pytest.mark.parametrize("target", ["missing/report.json", "."], ids=["no_such_directory", "a_directory"])
 def test_out_flag_unwritable_exits_two(capsys, tmp_path, target):
     code, stdout, err = run(capsys, "analyze", FIXTURES / "threevertex.json", "--out", tmp_path / target)
@@ -463,8 +477,10 @@ def test_analyze_computes_the_cokernel_and_hh1_once(capsys, monkeypatch, fixture
     import quivercalc.cohomology
     import quivercalc.linalg
     import quivercalc.report
+    from quivercalc.core import Quiver
 
-    calls = {"path_count_matrix": 0, "hochschild1_dim": 0, "rref": 0}
+    calls = {"hochschild1_dim": 0, "rref": 0}
+    built = {"_acyclicity": [], "_path_counts": []}
 
     def counting(module, name):
         original = getattr(module, name)
@@ -475,17 +491,30 @@ def test_analyze_computes_the_cokernel_and_hh1_once(capsys, monkeypatch, fixture
 
         return wrapper
 
-    path_counts = counting(quivercalc.cohomology, "path_count_matrix")
-    monkeypatch.setattr(quivercalc.cohomology, "path_count_matrix", path_counts)
-    monkeypatch.setattr(quivercalc.report, "path_count_matrix", path_counts)
+    def building(name):
+        original = vars(Quiver)[name].func
+
+        def wrapper(q):
+            built[name].append(q)
+            return original(q)
+
+        prop = functools.cached_property(wrapper)
+        prop.__set_name__(Quiver, name)
+        return prop
+
+    for name in built:
+        monkeypatch.setattr(Quiver, name, building(name))
     hh1 = counting(quivercalc.cohomology, "hochschild1_dim")
     monkeypatch.setattr(quivercalc.cohomology, "hochschild1_dim", hh1)
     monkeypatch.setattr(quivercalc.report, "hochschild1_dim", hh1)
     monkeypatch.setattr(quivercalc.linalg, "rref", counting(quivercalc.linalg, "rref"))
     _, report, _ = run_json(capsys, "analyze", FIXTURES / fixture)
-    # One path count each for the endomorphism table and HH^1, which is also
-    # the cokernel; no elimination runs.
-    assert calls == {"path_count_matrix": 2, "hochschild1_dim": 1, "rref": 0}
+    # One quiver, so one acyclicity decision and one path count table, read
+    # by the endomorphism table and by HH^1, which is also the cokernel; no
+    # elimination runs.
+    assert len(built["_acyclicity"]) == len(built["_path_counts"]) == 1
+    assert built["_acyclicity"] == built["_path_counts"]
+    assert calls == {"hochschild1_dim": 1, "rref": 0}
     check = report["verifications"][0]
     assert check["passed"] is True
     assert check["vector_fields"] == check["hh1"] == report["dimensions"]["hh1"] == 6

@@ -3,6 +3,7 @@ against networkx and sympy, and at depths beyond the recursion limit."""
 
 from __future__ import annotations
 
+import random
 import re
 import time
 
@@ -17,12 +18,14 @@ from quivercalc import (
     StabilityParameter,
     enumerate_paths,
     hochschild1_dim,
+    UnknownVertexError,
     is_acyclic,
+    path_count,
     path_count_matrix,
     tangent_presentation,
     vector_fields_dim,
 )
-from quivercalc.errors import QuiverCalcError
+from quivercalc.errors import CyclicQuiverError, QuiverCalcError
 
 
 @st.composite
@@ -53,6 +56,45 @@ def test_path_count_matrix_matches_networkx(q):
     for i in q.vertices:
         for j in q.vertices:
             assert p.count(i, j) == len(networkx_paths(q, i, j))
+
+
+def _dag_catalog(seed, size):
+    """Random DAGs with parallel arrows, some disconnected, with vertex and
+    arrow lists out of topological order."""
+    rng = random.Random(seed)
+    for _ in range(size):
+        n = rng.randint(1, 9)
+        order = rng.sample([f"v{k}" for k in range(n)], n)  # a topological order
+        arrows = [
+            (order[i], order[j])
+            for i in range(n)
+            for j in range(i + 1, n)
+            for _ in range(rng.choice((0, 0, 0, 1, 2, 3)))
+        ]
+        yield Quiver(sorted(order), rng.sample(arrows, len(arrows)))
+
+
+def test_path_count_equals_the_table_entry():
+    pairs = set()
+    for q in _dag_catalog(seed=16, size=60):
+        table = path_count_matrix(q)
+        for i in q.vertices:
+            assert path_count(q, i, i) == 1
+            for j in q.vertices:
+                count = path_count(q, i, j)
+                assert count == table.count(i, j), (q, i, j)
+                pairs.add("trivial" if i == j else "reachable" if count else "unreachable")
+    assert pairs == {"trivial", "reachable", "unreachable"}
+
+
+def test_path_count_rejects_cycles_and_unknown_vertices():
+    cyclic = Quiver(("a", "b"), (("a", "b"), ("b", "a")))
+    with pytest.raises(CyclicQuiverError, match="path counts are infinite on a cyclic quiver"):
+        path_count(cyclic, "a", "b")
+    with pytest.raises(UnknownVertexError, match=re.escape("unknown vertex in pair ('a', 'z')")):
+        path_count(chain(3), "a", "z")
+    with pytest.raises(UnknownVertexError):
+        path_count(chain(3), "v9", "v0")
 
 
 @settings(max_examples=60, deadline=None)

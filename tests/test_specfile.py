@@ -1,4 +1,5 @@
 import copy
+import enum
 import json
 from pathlib import Path
 
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from jsonschema.exceptions import best_match
 
 from quivercalc import SpecFileError, load_spec, parse_spec, spec_to_dict
-from quivercalc.specfile import SPEC_SCHEMA, _best_schema_error, dump_spec
+from quivercalc.specfile import SPEC_SCHEMA, _best_schema_error, _indented_json, dump_spec
 
 from conftest import acyclic_quivers, spec_documents
 
@@ -36,6 +37,7 @@ def test_round_trip_fixtures(tmp_path):
         out = tmp_path / path.name
         dump_spec(spec, out)
         assert load_spec(out) == spec
+        assert out.read_text(encoding="utf-8") == json.dumps(spec_to_dict(spec), indent=2) + "\n"
 
 
 @settings(max_examples=30)
@@ -290,3 +292,45 @@ def test_parse_spec_gives_a_spec_or_a_spec_error(document):
         assert spec.framing.scale is None or type(spec.framing.scale) is int
     if spec.oracle is not None:
         assert all(type(value) is int for value in vars(spec.oracle).values())
+
+
+class _Colour(enum.IntEnum):
+    RED = 1
+
+
+class _Name(str):
+    pass
+
+
+_json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.sampled_from([0, 1, -1, 10**30, -(10**40)]),
+    st.integers(),
+    st.floats(),
+    st.just(_Colour.RED),
+    st.text().map(_Name),
+    st.sampled_from(["∞", '"', "\\", "\n\t\x00\x1f", "\u2028", "é", "\U0001f600"]),
+    st.text(),
+)
+_json_keys = st.one_of(st.text(), st.sampled_from(["∞", '"q"', "1"]), st.integers(-3, 3), st.booleans(), st.none())
+_json_values = st.recursive(
+    _json_scalars,
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.lists(st.integers(), max_size=5),  # a path count row
+        st.lists(st.one_of(st.booleans(), st.sampled_from([0, 1])), max_size=5),
+        st.dictionaries(_json_keys, children, max_size=5),
+        st.dictionaries(st.text(), children, max_size=5),
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_json_values)
+@example({"rows": [[1, 0], [], [True, 1]], "empty": {}, 1: (0.5, float("nan"))})
+@example({_Colour.RED: "∞", _Name("k"): [_Colour.RED, _Name("v")], None: float("-inf")})
+def test_indented_json_equals_json_dumps(value):
+    assert _indented_json(value) == json.dumps(value, indent=2)
