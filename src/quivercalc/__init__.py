@@ -87,7 +87,6 @@ _FF_ORACLE_NAMES = frozenset(
         "enumerate_representations",
         "enumerate_subrepresentations",
         "gaussian_binomial",
-        "has_cyclic_destabilizer",
         "king_stability",
         "path_semiinvariant",
         "subspace_count",

@@ -34,7 +34,6 @@ any stable-only conclusion is drawn.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 import operator
@@ -60,7 +59,6 @@ __all__ = [
     "subspaces_of",
     "enumerate_subrepresentations",
     "king_stability",
-    "has_cyclic_destabilizer",
     "enumerate_representations",
     "random_representation",
     "verify_double_framing_equivalence",
@@ -436,56 +434,6 @@ def king_stability(
         if value == 0 and first_zero_proper is None and 0 < sum(map(operator.getitem, sub_dims, chosen)) < total:
             first_zero_proper = (search.subspaces(chosen), search.dimension(chosen))
     return StabilityVerdict(True, first_zero_proper is None, first_zero_proper)
-
-
-def has_cyclic_destabilizer(
-    m: FiniteFieldRepresentation, theta: StabilityParameter
-) -> tuple[bool, DimensionVector | None]:
-    """Search for a destabilizing subrepresentation generated by one element.
-
-    Runs over every element of the direct sum of the vertex spaces, closes it
-    under all arrows, and tests the pairing.  For thin representations every
-    subrepresentation arises this way, so this agrees with the exhaustive
-    search; for higher dimension vectors it is only a screening (there are
-    unstable representations none of whose cyclic subrepresentations
-    destabilize).  The p^(sum of dims) elements must not exceed
-    ``DEFAULT_BUDGET``.
-    """
-    p = m.prime
-    vertices = m.quiver.vertices
-    weights = _king_weights(theta, m.dims, vertices)
-    dims = m.dims.aligned(vertices)
-    elements = p ** sum(dims)
-    if elements > DEFAULT_BUDGET:
-        raise BudgetExceededError("elements", elements, DEFAULT_BUDGET)
-    out_arrows: list[list[tuple[int, IntMatrix]]] = [[] for _ in vertices]  # (target, matrix)
-    for (s, t), mat in zip(m.quiver.arrow_indices, m.arrow_matrices):
-        out_arrows[s].append((t, mat))
-
-    for element in itertools.product(*(itertools.product(range(p), repeat=n) for n in dims)):
-        # Grow per-vertex echelon bases until closed under all arrows.  Each
-        # basis is kept sorted by pivot column, as the residual requires.
-        bases: list[tuple[list[list[int]], list[int]]] = [([], []) for _ in vertices]
-        queue: list[tuple[int, list[int]]] = [
-            (k, list(comp)) for k, comp in enumerate(element) if any(comp)
-        ]
-        while queue:
-            k, vec = queue.pop()
-            rows, pivots = bases[k]
-            residual = linalg.mod_residual(rows, pivots, vec, p)
-            if not any(residual):
-                continue
-            pivot = next(c for c, x in enumerate(residual) if x)
-            inv = pow(residual[pivot], -1, p)
-            at = bisect.bisect(pivots, pivot)
-            pivots.insert(at, pivot)
-            rows.insert(at, [x * inv % p for x in residual])
-            for t, mat in out_arrows[k]:
-                queue.append((t, linalg.mod_mat_vec(mat, residual, p)))
-        closure = [len(pivots) for _, pivots in bases]
-        if sum(map(operator.mul, weights, closure)) > 0:
-            return True, DimensionVector(zip(vertices, closure))
-    return False, None
 
 
 def _shapes(q: Quiver, d: DimensionVector) -> list[tuple[int, int]]:

@@ -196,12 +196,15 @@ def verify_framed_sign_partition(framing: FramingResult) -> FramedPartitionCheck
     over a positive or negative base sign of e the framed vector has that
     sign, and over a zero base sign it has the sign of a - b.  The framed
     lattice is {0, 1} x base lattice x {0, 1}, in the framed vertex order
-    (source, base vertices, sink).  One sweep of the base parameter gives the
-    base signs; one sweep of the framed middle block, plus a times the source
-    entry and b times the sink entry, gives the framed values.  A
-    DimensionVector is built only for a mismatch; all mismatches are recorded
-    in lexicographic order.  At scale >= 2 the prediction is exact; at scale
-    1 it fails whenever some |theta(e)| = 1.
+    (source, base vertices, sink).  One sweep of the framed middle block and
+    one of the base parameter give, for each base point e, the pair
+    (middle(e), theta(e)); the framed value at (a, e, b) is middle(e) plus a
+    times the source entry plus b times the sink entry, so the verdict at
+    (a, e, b) depends on e only through that pair.  Each distinct pair is
+    tested at the four (a, b), and the lattice is walked only for the pairs
+    that fail.  A DimensionVector is built only for a mismatch; all
+    mismatches are recorded in lexicographic order.  At scale >= 2 the
+    prediction is exact; at scale 1 it fails whenever some |theta(e)| = 1.
     """
     fq = framing.framed_quiver
     ftv = framing.framed_stability.aligned(fq.vertices)
@@ -210,15 +213,23 @@ def verify_framed_sign_partition(framing: FramingResult) -> FramedPartitionCheck
     dv = framing.base_dimension.aligned(base_vertices)
     middle = _lattice_values(dv, middle_weights)
     base_values = _lattice_values(dv, framing.base_stability.aligned(base_vertices))
-    base_signs = [(v > 0) - (v < 0) for v in base_values]
+    pairs = [(m, v, (v > 0) - (v < 0)) for m, v in set(zip(middle, base_values))]
 
     mismatches = []  # (a, k, b, expected sign, actual sign)
     for a in (0, 1):
         for b in (0, 1):
-            cut = -(a * at_source + b * at_sink)
-            actual = [(m > cut) - (m < cut) for m in middle]
-            expected = [s or a - b for s in base_signs]
-            mismatches += [(a, k, b, x, y) for k, (x, y) in enumerate(zip(expected, actual)) if x != y]
+            shift = a * at_source + b * at_sink
+            failing = {}  # (middle, theta) -> (expected sign, actual sign)
+            for m, v, sign in pairs:
+                expected, actual = sign or a - b, (m + shift > 0) - (m + shift < 0)
+                if expected != actual:
+                    failing[m, v] = (expected, actual)
+            if failing:
+                mismatches += [
+                    (a, k, b, *failing[pair])
+                    for k, pair in enumerate(zip(middle, base_values))
+                    if pair in failing
+                ]
     mismatches.sort()
     discrepancies = tuple(
         (

@@ -20,12 +20,13 @@ for what is returned (witnesses, partition members).
 
 from __future__ import annotations
 
+import collections
 import enum
 import itertools
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, NamedTuple
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .core import DimensionVector, Quiver, StabilityParameter, is_acyclic
 from .errors import AssumptionViolatedError, BudgetExceededError, CyclicQuiverError, PairingNonzeroError
@@ -171,17 +172,30 @@ def _lattice_values(dv: tuple[int, ...], tv: tuple[int, ...]) -> list[int]:
     Entry k belongs to the k-th vector of the lexicographic enumeration (the
     last coordinate varies fastest, as in ``itertools.product``), so entry 0
     is e = 0 and the last entry is e = d; ``_lattice_point`` inverts the
-    index.  The list is built coordinate by coordinate, one list
-    comprehension per vertex.  A lattice of more than ``LATTICE_BUDGET``
-    points is refused before anything is allocated.
+    index.  This is the one budgeted sweep: a lattice of more than
+    ``LATTICE_BUDGET`` points is refused before anything is allocated, and
+    ``_linear_sweep`` builds the list.
     """
     size = math.prod(c + 1 for c in dv)
     if size > LATTICE_BUDGET:
         raise BudgetExceededError("lattice points", size, LATTICE_BUDGET)
+    return _linear_sweep(dv, tv)
+
+
+def _linear_sweep(dv: Sequence[int], tv: Sequence[int]) -> list[int]:
+    """The values of e -> sum_k e_k t_k over 0 <= e <= d, in the index order
+    of ``_lattice_values``, with no budget check.
+
+    Built by blocks from the last vertex to the first: each new coordinate
+    varies slowest, so the list for e_k = x is the current list shifted by
+    x * t_k, appended with one C-level ``map`` per block.
+    """
     values = [0]
-    for c, t in zip(dv, tv):
-        steps = [x * t for x in range(c + 1)]
-        values = [v + s for v in values for s in steps]
+    for c, t in zip(reversed(dv), reversed(tv)):
+        blocks = values.copy()
+        for x in range(1, c + 1):
+            blocks += map(operator.add, values, itertools.repeat(x * t))
+        values = blocks
     return values
 
 
@@ -203,23 +217,44 @@ def _coprime_witness(values: list[int]) -> int | None:
 
 
 def _strong_violations(q: Quiver, dv: tuple[int, ...], values: list[int]) -> list[tuple[int, ...]]:
-    """Proper nonzero e with theta(e) >= 0 and <e, d - e> > -2, in order.
+    """Proper nonzero e with theta(e) >= 0 and <e, d - e> > -2, in order,
+    for an acyclic q (so no arrow is a loop).
 
-    The Euler form is evaluated only where theta(e) >= 0, column-wise over
-    those candidates: one lookup table per vertex for e_i (d_i - e_i) and
-    one product per arrow for -e_s (d_t - e_t), summed per candidate.
+    The Euler form is built over the whole lattice, in the index order of
+    ``values``, with no tuple per point:
+
+        <e, d - e> = sum_k e_k (d_k - out_k - e_k) + sum_arrows e_s e_t,
+
+    where out_k is the sum of d_t over the arrows k -> t.  Only vertices with
+    d_k > 0 take part (the others pin e_k = 0 and leave the index order
+    unchanged).  From the last such vertex to the first, the list for
+    e_k = x is the current list plus x (d_k - out_k - x) plus x times one
+    ``_linear_sweep`` over the later vertices, weighted by the number of
+    arrows between k and each of them.  The mask theta(e) >= 0 and form > -2
+    is one comprehension (it measured faster than C-level ``map``s over
+    ``operator`` on CPython 3.11); a tuple is built only for a violation.
     """
-    candidates = [v >= 0 for v in values]
-    candidates[0] = candidates[-1] = False
-    points = list(itertools.compress(_subvector_tuples(dv), candidates))
-    if not points:
-        return []
-    columns = list(zip(*points))
-    terms = [map([x * (c - x) for x in range(c + 1)].__getitem__, col) for c, col in zip(dv, columns)]
+    support = [k for k, c in enumerate(dv) if c]
+    out = [0] * len(dv)
+    links = collections.Counter()  # (k, t) with k < t -> arrows between them
     for s, t in q.arrow_indices:
-        minus_rest = [x - dv[t] for x in range(dv[t] + 1)]
-        terms.append(map(operator.mul, columns[s], map(minus_rest.__getitem__, columns[t])))
-    return [e for e, form in zip(points, map(sum, zip(*terms))) if form > -2]
+        out[s] += dv[t]
+        links[min(s, t), max(s, t)] += 1
+    form = [0]
+    for n in range(len(support) - 1, -1, -1):
+        k, later = support[n], support[n + 1:]
+        c = dv[k]
+        weights = [links[k, t] for t in later]
+        cross = _linear_sweep([dv[t] for t in later], weights) if any(weights) else None
+        blocks, shifted = [], form
+        for x in range(c + 1):
+            blocks += map(operator.add, shifted, itertools.repeat(x * (c - out[k] - x)))
+            if cross is not None and x < c:
+                shifted = list(map(operator.add, shifted, cross))
+        form = blocks
+    mask = [v >= 0 and f > -2 for v, f in zip(values, form)]
+    mask[0] = mask[-1] = False
+    return [_lattice_point(dv, k) for k in itertools.compress(range(len(mask)), mask)]
 
 
 def subdimension_vectors(q: Quiver, d: DimensionVector) -> Iterator[DimensionVector]:

@@ -20,12 +20,19 @@ trials are replayed path by path with span-accepted group elements and
 sympy inverses.  The reduction of a framed datum is built case by case, each
 of its four cases spelled out field by field, instead of as one restriction
 of the framed datum to its kept vertices.
+
+One entry is not a reference but a library routine with no caller left in
+the package: ``has_cyclic_destabilizer``, the single-generator screening of
+the King test, kept here with its tests and checked against
+``naive_cyclic_destabilizer``.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -33,6 +40,7 @@ import networkx
 import sympy
 
 from quivercalc import (
+    BudgetExceededError,
     DimensionVector,
     FiniteFieldRepresentation,
     Path,
@@ -41,6 +49,7 @@ from quivercalc import (
     ReductionResult,
     StabilityParameter,
 )
+from quivercalc import ff_oracle, linalg
 
 
 def dfs_path_count(q: Quiver, src: str, dst: str) -> int:
@@ -239,6 +248,61 @@ def naive_king_stability(m, theta: StabilityParameter):
         if value == 0 and not dims.is_zero() and dims != m.dims and first_zero_proper is None:
             first_zero_proper = (tup, dims)
     return True, first_zero_proper is None, first_zero_proper
+
+
+def has_cyclic_destabilizer(
+    m: FiniteFieldRepresentation, theta: StabilityParameter
+) -> tuple[bool, DimensionVector | None]:
+    """Search for a destabilizing subrepresentation generated by one element.
+
+    Runs over every element of the direct sum of the vertex spaces, closes it
+    under all arrows, and tests the pairing.  For thin representations every
+    subrepresentation arises this way, so this agrees with the exhaustive
+    search; for higher dimension vectors it is only a screening (there are
+    unstable representations none of whose cyclic subrepresentations
+    destabilize).  The p^(sum of dims) elements must not exceed
+    ``ff_oracle.DEFAULT_BUDGET``.
+
+    No command needs this screening; it lives here so that its tests, the
+    beyond-thin counterexample among them, keep running.  Each element is
+    closed with the library's F_p echelon residuals, and
+    ``naive_cyclic_destabilizer`` below is its brute-force reference.
+    """
+    p = m.prime
+    vertices = m.quiver.vertices
+    weights = ff_oracle._king_weights(theta, m.dims, vertices)
+    dims = m.dims.aligned(vertices)
+    elements = p ** sum(dims)
+    if elements > ff_oracle.DEFAULT_BUDGET:
+        raise BudgetExceededError("elements", elements, ff_oracle.DEFAULT_BUDGET)
+    out_arrows: list[list[tuple[int, tuple]]] = [[] for _ in vertices]  # (target, matrix)
+    for (s, t), mat in zip(m.quiver.arrow_indices, m.arrow_matrices):
+        out_arrows[s].append((t, mat))
+
+    for element in itertools.product(*(itertools.product(range(p), repeat=n) for n in dims)):
+        # Grow per-vertex echelon bases until closed under all arrows.  Each
+        # basis is kept sorted by pivot column, as the residual requires.
+        bases: list[tuple[list[list[int]], list[int]]] = [([], []) for _ in vertices]
+        queue: list[tuple[int, list[int]]] = [
+            (k, list(comp)) for k, comp in enumerate(element) if any(comp)
+        ]
+        while queue:
+            k, vec = queue.pop()
+            rows, pivots = bases[k]
+            residual = linalg.mod_residual(rows, pivots, vec, p)
+            if not any(residual):
+                continue
+            pivot = next(c for c, x in enumerate(residual) if x)
+            inv = pow(residual[pivot], -1, p)
+            at = bisect.bisect(pivots, pivot)
+            pivots.insert(at, pivot)
+            rows.insert(at, [x * inv % p for x in residual])
+            for t, mat in out_arrows[k]:
+                queue.append((t, linalg.mod_mat_vec(mat, residual, p)))
+        closure = [len(pivots) for _, pivots in bases]
+        if sum(map(operator.mul, weights, closure)) > 0:
+            return True, DimensionVector(zip(vertices, closure))
+    return False, None
 
 
 def naive_cyclic_destabilizer(m, theta: StabilityParameter):

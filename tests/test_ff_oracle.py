@@ -29,7 +29,6 @@ from quivercalc import (
     enumerate_representations,
     enumerate_subrepresentations,
     gaussian_binomial,
-    has_cyclic_destabilizer,
     king_stability,
     path_semiinvariant,
     subspace_count,
@@ -46,6 +45,7 @@ from oracles import (
     brute_force_row_span,
     gaussian_binomial_formula,
     group_act,
+    has_cyclic_destabilizer,
     naive_closed_tuples,
     naive_cyclic_destabilizer,
     naive_king_stability,

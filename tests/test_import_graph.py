@@ -38,7 +38,6 @@ FF_ORACLE_NAMES = [
     "enumerate_representations",
     "enumerate_subrepresentations",
     "gaussian_binomial",
-    "has_cyclic_destabilizer",
     "king_stability",
     "path_semiinvariant",
     "subspace_count",
@@ -47,6 +46,9 @@ FF_ORACLE_NAMES = [
     "verify_semiinvariant_weight",
     "weight_law_trials",
 ]
+
+# Library routines no command calls, moved to tests/oracles.py with their tests.
+MOVED_TO_TEST_ORACLES = ["has_cyclic_destabilizer"]
 
 
 def test_only_verify_loads_the_oracle_and_nothing_loads_jsonschema():
@@ -67,6 +69,13 @@ def test_only_verify_loads_the_oracle_and_nothing_loads_jsonschema():
 @pytest.mark.parametrize("name", FF_ORACLE_NAMES)
 def test_oracle_names_resolve_from_the_package(name):
     assert getattr(quivercalc, name) is getattr(ff_oracle, name)
+
+
+@pytest.mark.parametrize("name", MOVED_TO_TEST_ORACLES)
+def test_moved_names_are_gone_from_the_package(name):
+    assert name not in ff_oracle.__all__
+    assert not hasattr(ff_oracle, name)
+    assert not hasattr(quivercalc, name)
 
 
 def test_unknown_package_attribute_raises_attribute_error():

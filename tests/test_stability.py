@@ -1,4 +1,6 @@
 import dataclasses
+import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -21,9 +23,9 @@ from quivercalc import (
     subdimension_vectors,
     verify_framed_sign_partition,
 )
-from quivercalc.stability import LATTICE_BUDGET
+from quivercalc.stability import LATTICE_BUDGET, _lattice_point, _lattice_values, _strong_violations
 
-from conftest import quiver_with_datum, thin
+from conftest import quiver_with_datum, random_zero_pairing_parameter, thin
 from oracles import (
     naive_coprime_witness,
     naive_framed_discrepancies,
@@ -214,3 +216,82 @@ def test_lattice_budget_refuses_before_enumerating():
         with pytest.raises(BudgetExceededError) as excinfo:
             decision(q, d, theta)
         assert (excinfo.value.size, excinfo.value.budget) == (41**6, LATTICE_BUDGET)
+
+
+def _shuffled_dag(rng, n, max_parallel=3):
+    """An acyclic quiver whose vertex list is not in topological order, so
+    its arrows run both with and against the vertex order; pairs get up to
+    ``max_parallel`` parallel arrows."""
+    order = [f"v{k}" for k in range(n)]
+    arrows = [
+        (order[i], order[j])
+        for i in range(n)
+        for j in range(i + 1, n)
+        for _ in range(rng.choice((0, 0, 1, 2, max_parallel)))
+    ]
+    rng.shuffle(arrows)
+    vertices = order[:]
+    rng.shuffle(vertices)
+    return Quiver(vertices, arrows)
+
+
+def _sweep_catalog(seed, count, max_vertices, max_entry):
+    """Seeded (q, d, theta) with theta(d) = 0: fixed corner cases first (a
+    one-vertex quiver, all-zero d, zero entries of d between nonzero ones
+    with arrows through them), then random shuffled DAGs whose d has zeros
+    about a quarter of the time."""
+    rng = random.Random(seed)
+    point = Quiver(("x",), ())
+    through = Quiver(("a", "b", "c", "d"), (("c", "a"), ("a", "b"), ("a", "b"), ("b", "d"), ("c", "d")))
+    data = [
+        (point, DimensionVector({"x": 3})),
+        (point, DimensionVector({"x": 0})),
+        (through, DimensionVector({v: 0 for v in through.vertices})),
+        (through, DimensionVector({"a": 2, "b": 0, "c": 3, "d": 1})),
+        (through, DimensionVector({"a": 0, "b": 2, "c": 0, "d": 2})),
+    ]
+    for _ in range(count):
+        q = _shuffled_dag(rng, rng.randint(1, max_vertices))
+        data.append((q, DimensionVector({v: rng.choice((0, *range(1, max_entry + 1))) for v in q.vertices})))
+    for q, d in data:
+        yield q, d, random_zero_pairing_parameter(rng, q, d, spread=2)
+
+
+def test_lattice_values_pair_theta_with_each_lattice_point():
+    for q, d, theta in _sweep_catalog(31, 60, 5, 3):
+        dv, tv = d.aligned(q.vertices), theta.aligned(q.vertices)
+        values = _lattice_values(dv, tv)
+        points = [_lattice_point(dv, k) for k in range(len(values))]
+        assert points == list(itertools.product(*(range(c + 1) for c in dv)))
+        assert values == [sum(x * t for x, t in zip(e, tv)) for e in points]
+
+
+def test_strong_violations_equal_the_per_point_reference():
+    seen = set()
+    for q, d, theta in _sweep_catalog(37, 300, 5, 3):
+        dv = d.aligned(q.vertices)
+        violations = _strong_violations(q, dv, _lattice_values(dv, theta.aligned(q.vertices)))
+        expected = [e.aligned(q.vertices) for e in naive_strong_violations(q, d, theta)]
+        assert violations == expected
+        seen.add(bool(expected))
+    assert seen == {True, False}
+
+
+def test_framed_check_equals_the_per_point_reference_on_arbitrary_framed_parameters():
+    rng = random.Random(41)
+    failing = 0
+    for q, d, theta in _sweep_catalog(43, 150, 4, 2):
+        i, j = rng.choice(q.vertices), rng.choice(q.vertices)
+        framing = double_frame(q, d, theta, i, j, rng.randint(1, 3))
+        lattice = len(list(subdimension_vectors(q, d)))
+        weights = {v: rng.randint(-4, 4) for v in q.vertices}
+        weights[framing.source_vertex] = rng.randint(-3, 3)
+        weights[framing.sink_vertex] = rng.randint(-3, 3)
+        for candidate in (framing, dataclasses.replace(framing, framed_stability=StabilityParameter(weights))):
+            check = verify_framed_sign_partition(candidate)
+            expected = naive_framed_discrepancies(candidate)
+            assert list(check.discrepancies) == expected
+            assert check.checked == 4 * lattice
+            assert check.passed == (not expected)
+            failing += not check.passed
+    assert failing > 80
