@@ -23,7 +23,11 @@ a ``FiniteFieldRepresentation`` is built only for a point that fails.
 
 The weight law of a path between thin vertices is sampled on the path alone:
 a trial draws only the path's arrow matrices and its vertices' group
-elements, and passes one vector along the acted arrows.
+elements, and passes one vector along the acted arrows.  Every uniform value
+over F_p comes from ``_uniform_entries``, which draws exactly what successive
+``randrange(p)`` calls draw.  Within one call of the trials each distinct
+group-element candidate is eliminated once and each distinct trial is checked
+once; failures still count trials.
 
 These finite-field verdicts are evidence at desk scale, not proofs over the
 geometric ground field; reports are always worded "verified over F_p".  For
@@ -441,23 +445,44 @@ def _shapes(q: Quiver, d: DimensionVector) -> list[tuple[int, int]]:
     return [(d[t], d[s]) for s, t in q.arrows]
 
 
+def _as_matrices(values: tuple[int, ...], shapes: Sequence[tuple[int, int]]) -> tuple[IntMatrix, ...]:
+    """Matrices of the given shapes filled from ``values`` in order, entries
+    row by row."""
+    mats = []
+    pos = 0
+    for rows, cols in shapes:
+        mats.append(tuple(values[pos + r * cols : pos + (r + 1) * cols] for r in range(rows)))
+        pos += rows * cols
+    return tuple(mats)
+
+
 def _all_matrices(shapes: Sequence[tuple[int, int]], prime: int) -> Iterator[tuple[IntMatrix, ...]]:
     """Every tuple of matrices of the given shapes over F_p, entry-lexicographic
     (matrices in order, entries row by row)."""
     entry_count = sum(r * c for r, c in shapes)
     for values in itertools.product(range(prime), repeat=entry_count):
-        mats = []
-        pos = 0
-        for rows, cols in shapes:
-            mats.append(tuple(values[pos + r * cols : pos + (r + 1) * cols] for r in range(rows)))
-            pos += rows * cols
-        yield tuple(mats)
+        yield _as_matrices(values, shapes)
+
+
+def _uniform_entries(rng: random.Random, count: int, p: int) -> tuple[int, ...]:
+    """``count`` successive ``rng.randrange(p)`` values, drawn the way CPython
+    3.10-3.12 draws them: ``getrandbits(p.bit_length())``, redrawn while the
+    value is >= p.  The values and the final generator state are the same,
+    without ``randrange``'s argument handling per value."""
+    getrandbits, k = rng.getrandbits, p.bit_length()
+    values = []
+    for _ in range(count):
+        x = getrandbits(k)
+        while x >= p:
+            x = getrandbits(k)
+        values.append(x)
+    return tuple(values)
 
 
 def _random_matrices(rng: random.Random, shapes: Sequence[tuple[int, int]], prime: int) -> tuple[IntMatrix, ...]:
     """Uniform matrices of the given shapes over F_p, drawn in order, entries
     row by row."""
-    return tuple(tuple(tuple(rng.randrange(prime) for _ in range(cols)) for _ in range(rows)) for rows, cols in shapes)
+    return _as_matrices(_uniform_entries(rng, sum(r * c for r, c in shapes), prime), shapes)
 
 
 def enumerate_representations(
@@ -651,28 +676,35 @@ def path_semiinvariant(m, path: Path):
     return value
 
 
-def _invertible(rng: random.Random, n: int, p: int) -> tuple[IntMatrix, list[list[int]]]:
+def _invertible(
+    rng: random.Random, n: int, p: int, memo: dict | None = None
+) -> tuple[IntMatrix, list[list[int]]]:
     """A uniformly random element of GL_n(F_p) and its inverse, by rejection:
-    the elimination that inverts a draw is the test that accepts it.  A 1x1
-    draw is accepted when nonzero, which is the same test on the same draws."""
-    if n == 1:
-        x = rng.randrange(p)
-        while not x:
-            x = rng.randrange(p)
-        return ((x,),), linalg.mod_invert(((x,),), p)
+    the elimination that inverts a draw is the test that accepts it.  Each
+    candidate is drawn as its n^2 entries, row by row.  ``memo`` maps a
+    candidate's entries to its (g, inverse), or to None when it is singular,
+    so a caller that passes one dict eliminates each distinct candidate once;
+    a singular candidate is still redrawn."""
+    if memo is None:
+        memo = {}
     while True:
-        g = tuple(tuple(rng.randrange(p) for _ in range(n)) for _ in range(n))
-        try:
-            return g, linalg.mod_invert(g, p)
-        except ValueError:
-            pass
+        entries = _uniform_entries(rng, n * n, p)
+        if entries not in memo:
+            (g,) = _as_matrices(entries, ((n, n),))
+            try:
+                memo[entries] = g, linalg.mod_invert(g, p)
+            except ValueError:
+                memo[entries] = None
+        if memo[entries] is not None:
+            return memo[entries]
 
 
 def random_group_element(
     rng: random.Random, m: FiniteFieldRepresentation
 ) -> dict[str, IntMatrix]:
     """A uniformly random element of prod_i GL_{d_i}(F_p), by rejection."""
-    return {v: _invertible(rng, m.dims[v], m.prime)[0] for v in m.quiver.vertices}
+    inverted: dict = {}
+    return {v: _invertible(rng, m.dims[v], m.prime, inverted)[0] for v in m.quiver.vertices}
 
 
 def _acted_path_holds(mats: Sequence[IntMatrix], g: Sequence[IntMatrix], inverses, p: int) -> bool:
@@ -699,23 +731,36 @@ def weight_law_trials(
     index, a uniform matrix per arrow of the path (in path order, entries
     row by row), and a uniform invertible g_v per vertex of the path (source
     first), with its inverse from the elimination that accepts it.  The law
-    is then checked exactly over F_p.  With no source-to-sink paths the
-    report records zero trials.
+    is then checked exactly over F_p; a trial that recurs within the call is
+    checked once and counted as often as it is drawn.  With no source-to-sink
+    paths the report records zero trials.
     """
     fq, fd = framing.framed_quiver, framing.framed_dimension
     paths = enumerate_paths(fq, framing.source_vertex, framing.sink_vertex)
     if not paths:
         return WeightLawReport(trials=0, failures=0, paths_available=0)
     arrow_shapes = _shapes(fq, fd)
-    path_shapes = [[arrow_shapes[a] for a in path.arrows] for path in paths]
+    drawn_per_path = []
+    for path in paths:
+        shapes = [arrow_shapes[a] for a in path.arrows]
+        # The path's vertices, source first: the first arrow's columns, then each arrow's rows.
+        dims = (shapes[0][1], *(rows for rows, _ in shapes))
+        drawn_per_path.append((shapes, sum(r * c for r, c in shapes), dims))
     rng = random.Random(seed)
+    inverted: dict = {}
+    # The g's fix the dimensions along the path and so the matrix shapes:
+    # (entries, g's) determines a trial, and each distinct one is checked once.
+    holds: dict = {}
     failures = 0
     for _ in range(trials):
-        shapes = path_shapes[rng.randrange(len(paths))]
-        mats = _random_matrices(rng, shapes, prime)
-        # The path's vertices, source first: the first arrow's columns, then each arrow's rows.
-        drawn = [_invertible(rng, n, prime) for n in (shapes[0][1], *(rows for rows, _ in shapes))]
-        if not _acted_path_holds(mats, [g for g, _ in drawn], [inverse for _, inverse in drawn], prime):
+        shapes, entry_count, dims = drawn_per_path[rng.randrange(len(paths))]
+        entries = _uniform_entries(rng, entry_count, prime)
+        drawn = [_invertible(rng, n, prime, inverted) for n in dims]
+        g = tuple(element for element, _ in drawn)
+        key = entries, g
+        if key not in holds:
+            holds[key] = _acted_path_holds(_as_matrices(entries, shapes), g, [inverse for _, inverse in drawn], prime)
+        if not holds[key]:
             failures += 1
     return WeightLawReport(trials=trials, failures=failures, paths_available=len(paths))
 

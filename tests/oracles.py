@@ -434,38 +434,53 @@ def two_search_framing_equivalence(framing, prime: int, budget: int, seed: int):
     return checked, tuple(notes), failures, verdicts
 
 
-def path_by_path_weight_law_trials(framing, prime: int, trials: int, rng):
-    """(trials, failures, paths available) of the weight-law trials the way
-    they read: per trial a uniform path, a uniform matrix per arrow of the
-    path, then a group element per vertex of the path (source first), each
-    drawn whole and accepted when its brute-force row span is everything;
-    the law is checked with sympy inverses, vertex by vertex by name."""
+def weight_law_trial_draws(framing, prime: int, trials: int, rng):
+    """(paths, draws) of the weight-law trials the way they read: per trial
+    a uniform path, a uniform matrix per arrow of the path, then a group
+    element per vertex of the path (source first), each drawn whole and
+    accepted when its brute-force row span is everything.  Each draw is
+    (path, matrices, group elements along the path); no draws without a
+    source-to-sink path."""
     from quivercalc import enumerate_paths
 
     fq, fd = framing.framed_quiver, framing.framed_dimension
     paths = enumerate_paths(fq, framing.source_vertex, framing.sink_vertex)
     if not paths:
-        return 0, 0, 0
-    failures = 0
+        return paths, []
+    draws = []
     for _ in range(trials):
         path = paths[rng.randrange(len(paths))]
         ends = [fq.arrows[a] for a in path.arrows]
-        mats = [tuple(tuple(rng.randrange(prime) for _ in range(fd[s])) for _ in range(fd[t])) for s, t in ends]
-        g = {}
+        mats = tuple(tuple(tuple(rng.randrange(prime) for _ in range(fd[s])) for _ in range(fd[t])) for s, t in ends)
+        g = []
         for v in (path.source, *(t for _, t in ends)):
             n = fd[v]
             while True:
                 candidate = tuple(tuple(rng.randrange(prime) for _ in range(n)) for _ in range(n))
                 if len(_span(candidate, n, prime)) == prime**n:
-                    g[v] = candidate
+                    g.append(candidate)
                     break
+        draws.append((path, mats, tuple(g)))
+    return paths, draws
+
+
+def path_by_path_weight_law_trials(framing, prime: int, trials: int, rng):
+    """(trials, failures, paths available) of the weight-law trials drawn by
+    ``weight_law_trial_draws``; the law is checked with sympy inverses,
+    vertex by vertex along the path."""
+    fq, fd = framing.framed_quiver, framing.framed_dimension
+    paths, draws = weight_law_trial_draws(framing, prime, trials, rng)
+    if not paths:
+        return 0, 0, 0
+    failures = 0
+    for path, mats, g in draws:
+        ends = [fq.arrows[a] for a in path.arrows]
         before = after = (1,)
-        for (s, t), mat in zip(ends, mats):
+        for (s, _), mat, g_s, g_t in zip(ends, mats, g, g[1:]):
             before = _apply(mat, before, prime)
-            inverse = _inverse_mod(g[s], prime) if fd[s] else []
-            after = _apply(g[t], _apply(mat, _apply(inverse, after, prime), prime), prime)
-        g_src, g_dst = g[path.source][0][0], g[ends[-1][1] if ends else path.source][0][0]
-        if after[0] != g_dst * pow(g_src, -1, prime) * before[0] % prime:
+            inverse = _inverse_mod(g_s, prime) if fd[s] else []
+            after = _apply(g_t, _apply(mat, _apply(inverse, after, prime), prime), prime)
+        if after[0] != g[-1][0][0] * pow(g[0][0][0], -1, prime) * before[0] % prime:
             failures += 1
     return trials, failures, len(paths)
 

@@ -246,6 +246,24 @@ def test_verify_prime_flag(capsys):
     assert report["verifications"][0]["points_checked"] == 81
 
 
+RECORDED_VERIFY_RUNS = {
+    "threekronecker_d23_budget320_seed5": ["threekronecker_d23.json", "--budget", "320", "--seed", "5"],
+    "kronecker_prime3": ["kronecker.json", "--prime", "3"],
+    "threevertex": ["threevertex.json"],
+}
+
+
+@pytest.mark.parametrize("recorded", RECORDED_VERIFY_RUNS)
+def test_verify_json_bytes_equal_the_recorded_reports(capsys, recorded):
+    """A sampled run, an exhaustive run over F_3 and a default run print the
+    --json bytes recorded in tests/fixtures/verify, which fix every sampled
+    point and every weight-law count."""
+    spec, *flags = RECORDED_VERIFY_RUNS[recorded]
+    code, out, err = run(capsys, "verify", FIXTURES / spec, *flags, "--json")
+    assert (code, err) == (0, "")
+    assert out.encode("utf-8") == (FIXTURES / "verify" / f"{recorded}.json").read_bytes()
+
+
 def test_verify_non_prime_exits_two(capsys):
     code, _, err = run(capsys, "verify", FIXTURES / "kronecker.json", "--prime", "4")
     assert code == 2

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import random
@@ -52,6 +53,7 @@ from oracles import (
     path_by_path_weight_law_trials,
     rank_rejection_group_element,
     two_search_framing_equivalence,
+    weight_law_trial_draws,
 )
 
 
@@ -425,6 +427,18 @@ def test_invertible_draws_are_pinned(n, p, seed, g, inverse, next_bits):
     assert rng.getrandbits(32) == next_bits
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 101, 2**31 - 1, 10**9 + 7])
+def test_uniform_entries_are_successive_randrange_draws(p):
+    """The sampler gives what successive ``randrange(p)`` calls give and
+    leaves the generator where they leave it, for every count up to 60; an
+    interpreter that draws ``randrange`` another way fails here."""
+    for seed in range(50):
+        rng, reference_rng = random.Random(seed), random.Random(seed)
+        for count in range(61):
+            assert ff_oracle._uniform_entries(rng, count, p) == tuple(reference_rng.randrange(p) for _ in range(count))
+            assert rng.getstate() == reference_rng.getstate()
+
+
 def test_random_group_element_draws_are_pinned(a3):
     m = random_representation(random.Random(0), a3, DimensionVector({"1": 1, "2": 2, "3": 3}), 2)
     rng = random.Random(4)
@@ -777,20 +791,26 @@ def test_kronecker_framed_the_other_way_fails_at_scale_one(kronecker):
 
 
 def _weight_law_framings(rng):
-    """Framings of thin acyclic data and of 2-vertex m-Kronecker data with
-    d_1, d_2 up to 3."""
-    if rng.random() < 0.5:
+    """Framings of thin acyclic data, of 2-vertex m-Kronecker data with d_1,
+    d_2 up to 3, and of data whose source-to-sink paths may cross a
+    dimension-0 vertex, where a trial draws nothing."""
+    shape = rng.randrange(3)
+    if shape == 0:
         q = random_acyclic_quiver(rng, max_vertices=4, connected=True)
         d = thin(q)
-    else:
+    elif shape == 1:
         q = Quiver(("1", "2"), [("1", "2")] * rng.randint(1, 3))
         d = DimensionVector({"1": rng.randint(1, 3), "2": rng.randint(1, 3)})
+    else:  # framed at 1 and 2, so the path through 0 runs from source to sink
+        q = Quiver(("1", "0", "2"), [("1", "0"), ("0", "2")] + [("1", "2")] * rng.randint(0, 2))
+        d = DimensionVector({"1": rng.randint(1, 2), "0": 0, "2": rng.randint(1, 2)})
+        return double_frame(q, d, random_zero_pairing_parameter(rng, q, d), "1", "2", rng.randint(1, 3))
     theta = random_zero_pairing_parameter(rng, q, d)
     i, j = rng.choice(q.vertices), rng.choice(q.vertices)
     return double_frame(q, d, theta, i, j, rng.randint(1, 3))
 
 
-@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_weight_law_trials_keep_their_draws(p, monkeypatch):
     """Each trial draws what the path-by-path reference draws, in the same
     order: the same report and the same final generator state."""
@@ -816,6 +836,75 @@ def test_weight_law_trials_keep_their_draws(p, monkeypatch):
             continue
         assert made.pop().getstate() == reference_rng.getstate()
         drawn += 1
+
+
+def test_weight_law_framings_cross_a_dimension_zero_vertex():
+    """The framings drawn for each prime above include paths from source to
+    sink through a vertex of dimension 0."""
+    for p in (2, 3, 5, 7):
+        rng = random.Random(p)
+        crossing = 0
+        for _ in range(12):
+            framing = _weight_law_framings(rng)
+            rng.randrange(10**6)
+            fq, fd = framing.framed_quiver, framing.framed_dimension
+            for path in enumerate_paths(fq, framing.source_vertex, framing.sink_vertex):
+                crossing += any(fd[fq.arrows[a][1]] == 0 for a in path.arrows)
+        assert crossing > 0
+
+
+def _memo_framings():
+    """Framings whose draws recur over F_2: thin Kronecker at scale 2, where
+    trials recur, and 3-Kronecker (2, 3), where only group-element candidates
+    do."""
+    kronecker = Quiver(("1", "2"), [("1", "2")] * 2)
+    three = Quiver(("1", "2"), [("1", "2")] * 3)
+    return [
+        double_frame(kronecker, thin(kronecker), StabilityParameter({"1": 1, "2": -1}), "1", "2", 2),
+        double_frame(three, DimensionVector({"1": 2, "2": 3}), StabilityParameter({"1": 3, "2": -2}), "1", "2", 2),
+    ]
+
+
+def test_weight_law_trials_count_every_failing_trial(monkeypatch):
+    """Failures count trials, not distinct trials: with every check failing
+    they equal the trials, and with the check failing on the most frequent
+    trial only they equal that trial's count in the reference draws."""
+    framing = _memo_framings()[0]
+    monkeypatch.setattr(ff_oracle, "_acted_path_holds", lambda mats, g, inverses, p: False)
+    assert weight_law_trials(framing, 2, trials=100, seed=4).failures == 100
+
+    _, draws = weight_law_trial_draws(framing, 2, 100, random.Random(4))
+    counts = collections.Counter((mats, g) for _, mats, g in draws)
+    target, most = counts.most_common(1)[0]
+    assert most > 1
+    monkeypatch.setattr(ff_oracle, "_acted_path_holds", lambda mats, g, inverses, p: (mats, g) != target)
+    report = weight_law_trials(framing, 2, trials=100, seed=4)
+    assert (report.trials, report.failures) == (100, most)
+
+
+@pytest.mark.parametrize("which", [0, 1])
+def test_weight_law_trials_invert_and_check_each_distinct_draw_once(which, monkeypatch):
+    """Within one call, ``mod_invert`` runs once per distinct group-element
+    candidate and ``_acted_path_holds`` once per distinct trial, in the
+    order the reference draws them first."""
+    framing = _memo_framings()[which]
+    inverted, checked = [], []
+    original_invert, original_holds = linalg.mod_invert, ff_oracle._acted_path_holds
+
+    def counting_invert(m, p):
+        inverted.append(m)
+        return original_invert(m, p)
+
+    def counting_holds(mats, g, inverses, p):
+        checked.append((mats, g))
+        return original_holds(mats, g, inverses, p)
+
+    monkeypatch.setattr(linalg, "mod_invert", counting_invert)
+    monkeypatch.setattr(ff_oracle, "_acted_path_holds", counting_holds)
+    assert weight_law_trials(framing, 2, trials=100, seed=4).passed
+    assert len(inverted) == len(set(inverted))
+    _, draws = weight_law_trial_draws(framing, 2, 100, random.Random(4))
+    assert checked == list(dict.fromkeys((mats, g) for _, mats, g in draws))
 
 
 @pytest.mark.parametrize("prime, budget, most", [(3, 10**6, 3), (1000000007, 50, 1)])
