@@ -83,7 +83,6 @@ _FF_ORACLE_NAMES = frozenset(
         "EquivalenceReport",
         "FiniteFieldRepresentation",
         "StabilityVerdict",
-        "WeightLawReport",
         "enumerate_representations",
         "enumerate_subrepresentations",
         "gaussian_binomial",
@@ -93,7 +92,6 @@ _FF_ORACLE_NAMES = frozenset(
         "subspaces_of",
         "verify_double_framing_equivalence",
         "verify_semiinvariant_weight",
-        "weight_law_trials",
     }
 )
 

@@ -21,13 +21,8 @@ decides its verdict and every framing of it (``_FramedKing``), and checks
 both pairings once; its enumerated or sampled points stay matrix tuples, and
 a ``FiniteFieldRepresentation`` is built only for a point that fails.
 
-The weight law of a path between thin vertices is sampled on the path alone:
-a trial draws only the path's arrow matrices and its vertices' group
-elements, and passes one vector along the acted arrows.  Every uniform value
-over F_p comes from ``_uniform_entries``, which draws exactly what successive
-``randrange(p)`` calls draw.  Within one call of the trials each distinct
-group-element candidate is eliminated once and each distinct trial is checked
-once; failures still count trials.
+Every uniform value over F_p comes from ``_uniform_entries``, which draws
+exactly what successive ``randrange(p)`` calls draw.
 
 These finite-field verdicts are evidence at desk scale, not proofs over the
 geometric ground field; reports are always worded "verified over F_p".  For
@@ -47,7 +42,7 @@ from functools import lru_cache
 from typing import Iterator, Sequence
 
 from . import linalg
-from .core import DimensionVector, Path, Quiver, StabilityParameter, _check_representation_shapes, _is_prime, enumerate_paths
+from .core import DimensionVector, Path, Quiver, StabilityParameter, _check_representation_shapes, _is_prime
 from .errors import BudgetExceededError, NotThinAtEndpointsError
 from .framing import FramingResult, double_frame
 from .stability import AssumptionsReport, _require_zero_pairing, assumptions_report
@@ -56,7 +51,6 @@ __all__ = [
     "FiniteFieldRepresentation",
     "StabilityVerdict",
     "EquivalenceReport",
-    "WeightLawReport",
     "DEFAULT_BUDGET",
     "gaussian_binomial",
     "subspace_count",
@@ -69,7 +63,6 @@ __all__ = [
     "path_semiinvariant",
     "random_group_element",
     "verify_semiinvariant_weight",
-    "weight_law_trials",
 ]
 
 DEFAULT_BUDGET = 10**6
@@ -139,17 +132,6 @@ class EquivalenceReport:
     @property
     def passed(self) -> bool:
         return not self.failures
-
-
-@dataclass(frozen=True)
-class WeightLawReport:
-    trials: int
-    failures: int
-    paths_available: int
-
-    @property
-    def passed(self) -> bool:
-        return self.failures == 0
 
 
 def gaussian_binomial(n: int, k: int, q: int) -> int:
@@ -676,93 +658,23 @@ def path_semiinvariant(m, path: Path):
     return value
 
 
-def _invertible(
-    rng: random.Random, n: int, p: int, memo: dict | None = None
-) -> tuple[IntMatrix, list[list[int]]]:
+def _invertible(rng: random.Random, n: int, p: int) -> tuple[IntMatrix, list[list[int]]]:
     """A uniformly random element of GL_n(F_p) and its inverse, by rejection:
     the elimination that inverts a draw is the test that accepts it.  Each
-    candidate is drawn as its n^2 entries, row by row.  ``memo`` maps a
-    candidate's entries to its (g, inverse), or to None when it is singular,
-    so a caller that passes one dict eliminates each distinct candidate once;
-    a singular candidate is still redrawn."""
-    if memo is None:
-        memo = {}
+    candidate is drawn as its n^2 entries, row by row."""
     while True:
-        entries = _uniform_entries(rng, n * n, p)
-        if entries not in memo:
-            (g,) = _as_matrices(entries, ((n, n),))
-            try:
-                memo[entries] = g, linalg.mod_invert(g, p)
-            except ValueError:
-                memo[entries] = None
-        if memo[entries] is not None:
-            return memo[entries]
+        (g,) = _as_matrices(_uniform_entries(rng, n * n, p), ((n, n),))
+        try:
+            return g, linalg.mod_invert(g, p)
+        except ValueError:
+            continue
 
 
 def random_group_element(
     rng: random.Random, m: FiniteFieldRepresentation
 ) -> dict[str, IntMatrix]:
     """A uniformly random element of prod_i GL_{d_i}(F_p), by rejection."""
-    inverted: dict = {}
-    return {v: _invertible(rng, m.dims[v], m.prime, inverted)[0] for v in m.quiver.vertices}
-
-
-def _acted_path_holds(mats: Sequence[IntMatrix], g: Sequence[IntMatrix], inverses, p: int) -> bool:
-    """The weight law on one path with arrow matrices ``mats``, given g and
-    its inverses at the path's vertices, source first.  One vector passed
-    along the path from the thin source gives ``before``; passed along the
-    acted arrows g_t(a) . M_a . g_s(a)^{-1} it gives ``after``, which must
-    equal g_dst . g_src^{-1} . before."""
-    before = after = [1]
-    for mat, inverse, g_t in zip(mats, inverses, g[1:]):
-        before = linalg.mod_mat_vec(mat, before, p)
-        after = linalg.mod_mat_vec(g_t, linalg.mod_mat_vec(mat, linalg.mod_mat_vec(inverse, after, p), p), p)
-    return after[0] == g[-1][0][0] * pow(g[0][0][0], p - 2, p) * before[0] % p
-
-
-def weight_law_trials(
-    framing: FramingResult, prime: int, trials: int = 100, seed: int = 0
-) -> WeightLawReport:
-    """Randomized check of the path-evaluation weight law on a framed datum.
-
-    The framed dimension vector is thin at the framing source and sink, so
-    every source-to-sink path qualifies.  The law reads only the arrows and
-    vertices of the path, so each trial draws, in this order: a uniform path
-    index, a uniform matrix per arrow of the path (in path order, entries
-    row by row), and a uniform invertible g_v per vertex of the path (source
-    first), with its inverse from the elimination that accepts it.  The law
-    is then checked exactly over F_p; a trial that recurs within the call is
-    checked once and counted as often as it is drawn.  With no source-to-sink
-    paths the report records zero trials.
-    """
-    fq, fd = framing.framed_quiver, framing.framed_dimension
-    paths = enumerate_paths(fq, framing.source_vertex, framing.sink_vertex)
-    if not paths:
-        return WeightLawReport(trials=0, failures=0, paths_available=0)
-    arrow_shapes = _shapes(fq, fd)
-    drawn_per_path = []
-    for path in paths:
-        shapes = [arrow_shapes[a] for a in path.arrows]
-        # The path's vertices, source first: the first arrow's columns, then each arrow's rows.
-        dims = (shapes[0][1], *(rows for rows, _ in shapes))
-        drawn_per_path.append((shapes, sum(r * c for r, c in shapes), dims))
-    rng = random.Random(seed)
-    inverted: dict = {}
-    # The g's fix the dimensions along the path and so the matrix shapes:
-    # (entries, g's) determines a trial, and each distinct one is checked once.
-    holds: dict = {}
-    failures = 0
-    for _ in range(trials):
-        shapes, entry_count, dims = drawn_per_path[rng.randrange(len(paths))]
-        entries = _uniform_entries(rng, entry_count, prime)
-        drawn = [_invertible(rng, n, prime, inverted) for n in dims]
-        g = tuple(element for element, _ in drawn)
-        key = entries, g
-        if key not in holds:
-            holds[key] = _acted_path_holds(_as_matrices(entries, shapes), g, [inverse for _, inverse in drawn], prime)
-        if not holds[key]:
-            failures += 1
-    return WeightLawReport(trials=trials, failures=failures, paths_available=len(paths))
+    return {v: _invertible(rng, m.dims[v], m.prime)[0] for v in m.quiver.vertices}
 
 
 def verify_semiinvariant_weight(
@@ -773,7 +685,14 @@ def verify_semiinvariant_weight(
     source times the value on M (all scalars, endpoints being thin).  Raises
     ValueError when g is singular at any vertex."""
     path_semiinvariant(m, path)  # raises unless both endpoints are thin
-    inverses = {v: linalg.mod_invert(g[v], m.prime) for v in m.quiver.vertices}
-    along = [path.source, *(m.quiver.arrows[a][1] for a in path.arrows)]
-    mats = [m.arrow_matrices[a] for a in path.arrows]
-    return _acted_path_holds(mats, [g[v] for v in along], [inverses[v] for v in along], m.prime)
+    q, p = m.quiver, m.prime
+    inverses = {v: linalg.mod_invert(g[v], p) for v in q.vertices}
+    # One vector passed along the path gives ``before``; passed along the
+    # acted arrows g_t(a) . M_a . g_s(a)^{-1} it gives ``after``.
+    before = after = [1]
+    for a in path.arrows:
+        s, t = q.arrows[a]
+        mat = m.arrow_matrices[a]
+        before = linalg.mod_mat_vec(mat, before, p)
+        after = linalg.mod_mat_vec(g[t], linalg.mod_mat_vec(mat, linalg.mod_mat_vec(inverses[s], after, p), p), p)
+    return after[0] == g[path.target(q)][0][0] * pow(g[path.source][0][0], p - 2, p) * before[0] % p

@@ -10,7 +10,7 @@ Every full report opens with the same header, and it always restates which
 hypotheses were verified, which failed, and which are assumed without
 computation (higher cohomology vanishing of the endomorphism summands is
 always in the last group: it is consumed as a hypothesis, never computed).
-The labels and their order come from ``stability.HYPOTHESES``.
+The hypothesis names and their order come from ``stability.HYPOTHESES``.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .framing import (
 from .specfile import QuiverSpec, datum_dict
 from .stability import HYPOTHESES, AssumptionsReport, assumptions_report
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 REPORT_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -72,6 +72,7 @@ REPORT_SCHEMA = {
                         "items": {"type": "object", "additionalProperties": {"type": "integer"}},
                     },
                 },
+                "failing_witness_counts": {"type": "object", "additionalProperties": {"type": "integer"}},
             },
         },
         "hypotheses": {
@@ -104,11 +105,14 @@ def assumptions_dict(report: AssumptionsReport) -> dict[str, Any]:
         name: [w.as_dict() for w in ws]
         for name, ws in report.failing_witnesses.items()
     }
-    return {
+    out = {
         **{name: getattr(report, name) for name in HYPOTHESES},
         "amply_stable": report.amply_stable.value,
         "failing_witnesses": witnesses,
     }
+    if report.failing_witness_counts:
+        out["failing_witness_counts"] = dict(report.failing_witness_counts)
+    return out
 
 
 def _header(command: str, spec: QuiverSpec, report: AssumptionsReport) -> dict[str, Any]:
@@ -133,7 +137,7 @@ def build_refusal_report(command: str, exc: QuiverCalcError) -> dict[str, Any]:
     elif isinstance(exc, BudgetExceededError):
         error = {"counted": exc.counted, "size": exc.size, "budget": exc.budget, **error}
     elif isinstance(exc, CyclicQuiverError):
-        failed = [HYPOTHESES["acyclic"].refusal]
+        failed = [HYPOTHESES["acyclic"]]
     return {
         "schema_version": SCHEMA_VERSION,
         "command": command,
@@ -169,7 +173,6 @@ def build_analyze_report(spec: QuiverSpec, override_assumptions: bool = False) -
     out = _header("analyze", spec, report)
 
     dimensions: dict[str, Any] = {}
-    verifications: list[dict[str, Any]] = []
     if report.acyclic:
         # The endomorphism table is the path count table; the ledger states
         # the hypotheses under which they agree.
@@ -182,38 +185,26 @@ def build_analyze_report(spec: QuiverSpec, override_assumptions: bool = False) -
         dimensions["endomorphism_total"] = table.total()
         hh1 = dimensions["hh1"] = hochschild1_dim(q)
         # Where the presentation applies, its cokernel is HH^1 (see
-        # cohomology.vector_fields_dim); it feeds the vector-fields
-        # entry, behind the hypothesis gate checked first, and the check.
-        try:
-            _require_presentation_preconditions(q, d)
-            vector_fields, shape_error = hh1, None
-        except (DisconnectedQuiverError, UnsupportedDimensionVectorError) as exc:
-            vector_fields, shape_error = None, exc
+        # cohomology.vector_fields_dim), behind the hypothesis gate.
         failed = report.refusals()
         if failed and not override_assumptions:
             dimensions["vector_fields"] = {"refused": ", ".join(failed)}
-        elif shape_error is not None:
-            dimensions["vector_fields"] = {"refused": str(shape_error)}
         else:
-            entry: dict[str, Any] = {"value": vector_fields}
-            if failed:
-                entry["override"] = True
-                entry["caveat"] = (
-                    "hypotheses were overridden; this is the presentation formula, "
-                    "not a verified count of vector fields"
-                )
-            dimensions["vector_fields"] = entry
-        if vector_fields is not None:
-            verifications.append(
-                {
-                    "name": "vector fields formula equals first Hochschild cohomology",
-                    "passed": vector_fields == hh1,
-                    "vector_fields": vector_fields,
-                    "hh1": hh1,
-                }
-            )
+            try:
+                _require_presentation_preconditions(q, d)
+            except (DisconnectedQuiverError, UnsupportedDimensionVectorError) as exc:
+                dimensions["vector_fields"] = {"refused": str(exc)}
+            else:
+                entry: dict[str, Any] = {"value": hh1}
+                if failed:
+                    entry["override"] = True
+                    entry["caveat"] = (
+                        "hypotheses were overridden; this is the presentation formula, "
+                        "not a verified count of vector fields"
+                    )
+                dimensions["vector_fields"] = entry
     out["dimensions"] = dimensions
-    out["verifications"] = verifications
+    out["verifications"] = []
     out["exit_code"] = 0 if report.all_verified() else 1
     return out
 
@@ -304,36 +295,29 @@ def build_reduce_report(spec: QuiverSpec, i: str | None, j: str | None, scale: i
 def build_verify_report(
     spec: QuiverSpec, prime: int, budget: int, seed: int, scale: int | None
 ) -> dict[str, Any]:
-    from .ff_oracle import _framing_equivalence, weight_law_trials  # only verify pays its import
+    from .ff_oracle import _framing_equivalence  # only verify pays its import
 
     if spec.framing is None:
         raise AssumptionViolatedError("a framing block is required for verification")
     base_report, framing = _framed(spec, None, None, scale)
+    if not base_report.acyclic:  # before any other gate, as in reduce
+        raise CyclicQuiverError("path enumeration requires an acyclic quiver")
     equivalence = _framing_equivalence(framing, base_report, prime, budget, seed)
-    weights = weight_law_trials(framing, prime, seed=seed)
-    verifications = [
-        {
-            "name": f"framed stability description over F_{prime}",
-            "passed": equivalence.passed,
-            "points_checked": equivalence.instances_checked,
-            "failures": len(equivalence.failures),
-            "sampled": equivalence.sampled,
-            "sample_size": equivalence.sample_size,
-            "notes": list(equivalence.notes),
-        },
-        {
-            "name": f"path evaluation weight law over F_{prime}",
-            "passed": weights.passed,
-            "trials": weights.trials,
-            "failures": weights.failures,
-            "paths_available": weights.paths_available,
-        },
-    ]
     return {
         **_header("verify", spec, base_report),
         "framing": _framing_dict(framing),
-        "verifications": verifications,
-        "exit_code": 0 if equivalence.passed and weights.passed else 1,
+        "verifications": [
+            {
+                "name": f"framed stability description over F_{prime}",
+                "passed": equivalence.passed,
+                "points_checked": equivalence.instances_checked,
+                "failures": len(equivalence.failures),
+                "sampled": equivalence.sampled,
+                "sample_size": equivalence.sample_size,
+                "notes": list(equivalence.notes),
+            }
+        ],
+        "exit_code": 0 if equivalence.passed else 1,
     }
 
 
@@ -366,8 +350,11 @@ def render_human(report: dict[str, Any]) -> str:
         for key in HYPOTHESES:
             lines.append(f"  {key}: {'yes' if assumptions[key] else 'NO'}")
         lines.append(f"  amply_stable: {assumptions['amply_stable']}")
+        counts = assumptions.get("failing_witness_counts", {})
         for name, witnesses in assumptions.get("failing_witnesses", {}).items():
             rendered = ", ".join(_render_vector(w) for w in witnesses)
+            if name in counts:
+                rendered += f", ... and {counts[name] - len(witnesses)} more"
             lines.append(f"  witnesses against {name}: {rendered}")
     hypotheses = report.get("hypotheses")
     if hypotheses:
@@ -440,7 +427,7 @@ def render_human(report: dict[str, Any]) -> str:
     for check in report.get("verifications", ()):
         status = "pass" if check["passed"] else "FAIL"
         extras = []
-        for key in ("checked", "points_checked", "trials", "failures", "vector_fields", "hh1"):
+        for key in ("checked", "points_checked", "failures"):
             if key in check and not isinstance(check[key], list):
                 extras.append(f"{key}={check[key]}")
         if check.get("sampled"):

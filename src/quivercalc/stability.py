@@ -26,7 +26,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .core import DimensionVector, Quiver, StabilityParameter, is_acyclic
 from .errors import AssumptionViolatedError, BudgetExceededError, CyclicQuiverError, PairingNonzeroError
@@ -35,6 +35,7 @@ __all__ = [
     "ASSUMED_HYPOTHESES",
     "HYPOTHESES",
     "LATTICE_BUDGET",
+    "MAX_WITNESSES",
     "SignPartition",
     "ThreeValued",
     "AssumptionsReport",
@@ -51,20 +52,19 @@ __all__ = [
 LATTICE_BUDGET = 10**6
 
 
-class Hypothesis(NamedTuple):
-    label: str  # in the verified/failed ledger of a full report
-    refusal: str  # in a refusal: its error and its hypotheses.failed
-
+# Most witnesses a report keeps per failed check, the first in lattice order;
+# ``AssumptionsReport.failing_witness_counts`` gives the total of a cut list.
+MAX_WITNESSES = 32
 
 # The standing hypotheses on (q, d, theta), keyed by their AssumptionsReport
-# field, in the order reduce gates on them.
+# field, in the order reduce gates on them, each with its one name: in the
+# verified/failed ledger, in a refusal's error and in analyze's refused
+# vector fields.
 HYPOTHESES = {
-    "acyclic": Hypothesis("the quiver is acyclic", "acyclicity"),
-    "indivisible": Hypothesis("the dimension vector is indivisible", "indivisibility"),
-    "coprime": Hypothesis(
-        "semistable = stable (via theta-coprimality)", "semistable = stable (theta-coprimality)"
-    ),
-    "strongly_amply_stable": Hypothesis("strong ample stability", "strong ample stability"),
+    "acyclic": "acyclicity",
+    "indivisible": "indivisibility",
+    "coprime": "semistable = stable (theta-coprimality)",
+    "strongly_amply_stable": "strong ample stability",
 }
 
 # Listed as assumed, never computed, on every full report.
@@ -107,7 +107,9 @@ class AssumptionsReport:
     strong sufficient criterion holds and UNKNOWN otherwise (a NO can only be
     produced by the framing module's thin-framing special case).
     ``failing_witnesses`` maps a failed check name to the subdimension vectors
-    that violate it, lexicographically first.
+    that violate it, lexicographically first, at most ``MAX_WITNESSES`` of
+    them; ``failing_witness_counts`` maps the name of a list cut there to
+    its full count.
     """
 
     acyclic: bool
@@ -116,6 +118,7 @@ class AssumptionsReport:
     strongly_amply_stable: bool
     amply_stable: ThreeValued
     failing_witnesses: Mapping[str, tuple[DimensionVector, ...]] = field(default_factory=dict)
+    failing_witness_counts: Mapping[str, int] = field(default_factory=dict)
 
     def all_verified(self) -> bool:
         """True when every hypothesis is positively verified (amply stable
@@ -123,14 +126,14 @@ class AssumptionsReport:
         return all(getattr(self, name) for name in HYPOTHESES) and self.amply_stable is ThreeValued.YES
 
     def refusals(self) -> list[str]:
-        """The refusal names of the hypotheses that fail, in table order."""
-        return [h.refusal for name, h in HYPOTHESES.items() if not getattr(self, name)]
+        """The names of the hypotheses that fail, in table order."""
+        return [h for name, h in HYPOTHESES.items() if not getattr(self, name)]
 
     def ledger(self) -> dict[str, list[str]]:
         """The verified/failed/assumed block of a full report."""
         return {
-            "verified": [h.label for name, h in HYPOTHESES.items() if getattr(self, name)],
-            "failed": [h.label for name, h in HYPOTHESES.items() if not getattr(self, name)],
+            "verified": [h for name, h in HYPOTHESES.items() if getattr(self, name)],
+            "failed": self.refusals(),
             "assumed": list(ASSUMED_HYPOTHESES),
         }
 
@@ -141,14 +144,14 @@ class AssumptionsReport:
                 continue
             if name == "coprime":
                 raise _not_coprime_error(self.failing_witnesses["coprime"][0])
-            raise AssumptionViolatedError(HYPOTHESES[name].refusal)
+            raise AssumptionViolatedError(HYPOTHESES[name])
 
 
 def _not_coprime_error(witness: DimensionVector) -> AssumptionViolatedError:
     """The coprimality refusal, naming the witness in vertex-name order."""
     body = ", ".join(f"{v}: {c}" for v, c in witness.entries)
     detail = f"theta vanishes on proper subdimension vector ({body})"
-    return AssumptionViolatedError(HYPOTHESES["coprime"].refusal, detail=detail)
+    return AssumptionViolatedError(HYPOTHESES["coprime"], detail=detail)
 
 
 def _require_zero_pairing(theta: StabilityParameter, d: DimensionVector) -> None:
@@ -321,6 +324,7 @@ def assumptions_report(q: Quiver, d: DimensionVector, theta: StabilityParameter)
     acyclic = bool(is_acyclic(q))
     indivisible = d.is_indivisible()
     witnesses: dict[str, tuple[DimensionVector, ...]] = {}
+    counts: dict[str, int] = {}
 
     dv = d.aligned(q.vertices)
     values = _lattice_values(dv, theta.aligned(q.vertices))
@@ -333,7 +337,9 @@ def assumptions_report(q: Quiver, d: DimensionVector, theta: StabilityParameter)
         violations = _strong_violations(q, dv, values)
         strong = not violations
         if violations:
-            witnesses["strongly_amply_stable"] = tuple(_as_vector(q, e) for e in violations)
+            witnesses["strongly_amply_stable"] = tuple(_as_vector(q, e) for e in violations[:MAX_WITNESSES])
+        if len(violations) > MAX_WITNESSES:
+            counts["strongly_amply_stable"] = len(violations)
     else:
         strong = False
 
@@ -345,4 +351,5 @@ def assumptions_report(q: Quiver, d: DimensionVector, theta: StabilityParameter)
         strongly_amply_stable=strong,
         amply_stable=amply,
         failing_witnesses=witnesses,
+        failing_witness_counts=counts,
     )

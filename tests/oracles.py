@@ -15,11 +15,10 @@ group action on a whole representation inverts with sympy and multiplies
 every arrow matrix out, and group elements are accepted by the size of
 their brute-force row span.  The framed description check runs a second,
 separate King search on the whole framed point instead of reading the
-framed verdicts off the base point's closed tuples, and the weight-law
-trials are replayed path by path with span-accepted group elements and
-sympy inverses.  The reduction of a framed datum is built case by case, each
-of its four cases spelled out field by field, instead of as one restriction
-of the framed datum to its kept vertices.
+framed verdicts off the base point's closed tuples.  The reduction of a
+framed datum is built case by case, each of its four cases spelled out
+field by field, instead of as one restriction of the framed datum to its
+kept vertices.
 
 One entry is not a reference but a library routine with no caller left in
 the package: ``has_cyclic_destabilizer``, the single-generator screening of
@@ -432,57 +431,6 @@ def two_search_framing_equivalence(framing, prime: int, budget: int, seed: int):
                 )
             )
     return checked, tuple(notes), failures, verdicts
-
-
-def weight_law_trial_draws(framing, prime: int, trials: int, rng):
-    """(paths, draws) of the weight-law trials the way they read: per trial
-    a uniform path, a uniform matrix per arrow of the path, then a group
-    element per vertex of the path (source first), each drawn whole and
-    accepted when its brute-force row span is everything.  Each draw is
-    (path, matrices, group elements along the path); no draws without a
-    source-to-sink path."""
-    from quivercalc import enumerate_paths
-
-    fq, fd = framing.framed_quiver, framing.framed_dimension
-    paths = enumerate_paths(fq, framing.source_vertex, framing.sink_vertex)
-    if not paths:
-        return paths, []
-    draws = []
-    for _ in range(trials):
-        path = paths[rng.randrange(len(paths))]
-        ends = [fq.arrows[a] for a in path.arrows]
-        mats = tuple(tuple(tuple(rng.randrange(prime) for _ in range(fd[s])) for _ in range(fd[t])) for s, t in ends)
-        g = []
-        for v in (path.source, *(t for _, t in ends)):
-            n = fd[v]
-            while True:
-                candidate = tuple(tuple(rng.randrange(prime) for _ in range(n)) for _ in range(n))
-                if len(_span(candidate, n, prime)) == prime**n:
-                    g.append(candidate)
-                    break
-        draws.append((path, mats, tuple(g)))
-    return paths, draws
-
-
-def path_by_path_weight_law_trials(framing, prime: int, trials: int, rng):
-    """(trials, failures, paths available) of the weight-law trials drawn by
-    ``weight_law_trial_draws``; the law is checked with sympy inverses,
-    vertex by vertex along the path."""
-    fq, fd = framing.framed_quiver, framing.framed_dimension
-    paths, draws = weight_law_trial_draws(framing, prime, trials, rng)
-    if not paths:
-        return 0, 0, 0
-    failures = 0
-    for path, mats, g in draws:
-        ends = [fq.arrows[a] for a in path.arrows]
-        before = after = (1,)
-        for (s, _), mat, g_s, g_t in zip(ends, mats, g, g[1:]):
-            before = _apply(mat, before, prime)
-            inverse = _inverse_mod(g_s, prime) if fd[s] else []
-            after = _apply(g_t, _apply(mat, _apply(inverse, after, prime), prime), prime)
-        if after[0] != g[-1][0][0] * pow(g[0][0][0], -1, prime) * before[0] % prime:
-            failures += 1
-    return trials, failures, len(paths)
 
 
 def four_case_reduction(framing, d: DimensionVector) -> ReductionResult:

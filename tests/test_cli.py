@@ -210,8 +210,7 @@ def test_verify_kronecker(capsys):
     equivalence = report["verifications"][0]
     assert equivalence["passed"] is True
     assert equivalence["points_checked"] == 16
-    weight = report["verifications"][1]
-    assert weight["passed"] is True
+    assert len(report["verifications"]) == 1
     jsonschema.validate(report, REPORT_SCHEMA)
 
 
@@ -236,7 +235,7 @@ def test_verify_sweeps_the_lattice_and_frames_once(capsys, monkeypatch):
             monkeypatch.setattr(module, name, wrapper, raising=False)
     code, report, _ = run_json(capsys, "verify", FIXTURES / "kronecker.json")
     assert code == 0
-    assert [v["passed"] for v in report["verifications"]] == [True, True]
+    assert [v["passed"] for v in report["verifications"]] == [True]
     assert calls == {"_lattice_values": 1, "double_frame": 1}
 
 
@@ -257,7 +256,7 @@ RECORDED_VERIFY_RUNS = {
 def test_verify_json_bytes_equal_the_recorded_reports(capsys, recorded):
     """A sampled run, an exhaustive run over F_3 and a default run print the
     --json bytes recorded in tests/fixtures/verify, which fix every sampled
-    point and every weight-law count."""
+    point."""
     spec, *flags = RECORDED_VERIFY_RUNS[recorded]
     code, out, err = run(capsys, "verify", FIXTURES / spec, *flags, "--json")
     assert (code, err) == (0, "")
@@ -533,9 +532,8 @@ def test_analyze_computes_the_cokernel_and_hh1_once(capsys, monkeypatch, fixture
     assert len(built["_acyclicity"]) == len(built["_path_counts"]) == 1
     assert built["_acyclicity"] == built["_path_counts"]
     assert calls == {"hochschild1_dim": 1, "rref": 0}
-    check = report["verifications"][0]
-    assert check["passed"] is True
-    assert check["vector_fields"] == check["hh1"] == report["dimensions"]["hh1"] == 6
+    assert report["verifications"] == []
+    assert report["dimensions"]["hh1"] == 6
 
 
 def test_reduce_runs_the_pairing_check_once(capsys, monkeypatch):
@@ -616,7 +614,7 @@ def test_verify_on_a_huge_prime_ends_quickly(capsys, argv, code):
         assert out == ""
         assert err == f"quivercalc: input error: field sizes must be below {PRIME_LIMIT}, got {PRIME_LIMIT}\n"
     else:
-        assert [v["passed"] for v in json.loads(out)["verifications"]] == [True, True]
+        assert [v["passed"] for v in json.loads(out)["verifications"]] == [True]
 
 
 def test_oracle_prime_beyond_the_limit_exits_two(capsys, tmp_path):

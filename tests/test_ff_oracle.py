@@ -1,11 +1,9 @@
-import collections
 import itertools
 import math
 import random
 import re
 import sys
 import time
-import types
 
 import pytest
 from hypothesis import example, given, settings
@@ -36,7 +34,6 @@ from quivercalc import (
     subspaces_of,
     verify_double_framing_equivalence,
     verify_semiinvariant_weight,
-    weight_law_trials,
 )
 from quivercalc import ff_oracle, linalg
 from quivercalc.ff_oracle import _span_masks, random_group_element, random_representation
@@ -50,10 +47,8 @@ from oracles import (
     naive_closed_tuples,
     naive_cyclic_destabilizer,
     naive_king_stability,
-    path_by_path_weight_law_trials,
     rank_rejection_group_element,
     two_search_framing_equivalence,
-    weight_law_trial_draws,
 )
 
 
@@ -314,31 +309,25 @@ def test_weight_law_with_thick_middle(a3):
         assert verify_semiinvariant_weight(m, path, g)
 
 
-def test_weight_law_trials_report(kronecker):
-    d = thin(kronecker)
-    theta = StabilityParameter({"1": 1, "2": -1})
-    framing = double_frame(kronecker, d, theta, "1", "2", 2)
-    report = weight_law_trials(framing, 5, trials=60, seed=11)
-    assert report.passed
-    assert report.trials == 60
-    assert report.paths_available == 2
-
-
-def test_weight_law_trials_detect_a_wrong_inverse(kronecker, monkeypatch):
-    """Each trial acts with the inverses from the elimination: off by a
-    factor of 2 at every vertex, they break the law on the length-3 paths."""
+def test_weight_law_detects_a_wrong_inverse(kronecker, monkeypatch):
+    """The law acts with the inverses from the elimination: off by a factor
+    of 2 at every vertex, they break it on the framed length-3 paths."""
     theta = StabilityParameter({"1": 1, "2": -1})
     framing = double_frame(kronecker, thin(kronecker), theta, "1", "2", 2)
-    assert weight_law_trials(framing, 5, trials=20, seed=11).failures == 0
+    fq, fd = framing.framed_quiver, framing.framed_dimension
+    rng = random.Random(11)
+    m = random_representation(rng, fq, fd, 5)
+    g = random_group_element(rng, m)
+    paths = enumerate_paths(fq, framing.source_vertex, framing.sink_vertex)
+    assert [len(path.arrows) for path in paths] == [3, 3]
+    assert all(verify_semiinvariant_weight(m, path, g) for path in paths)
     original = linalg.mod_invert
 
     def off_by_two(m, p):
         return [[2 * x % p for x in row] for row in original(m, p)]
 
     monkeypatch.setattr(linalg, "mod_invert", off_by_two)
-    report = weight_law_trials(framing, 5, trials=20, seed=11)
-    assert report.failures > 0
-    assert not report.passed
+    assert not any(verify_semiinvariant_weight(m, path, g) for path in paths)
 
 
 @st.composite
@@ -788,123 +777,6 @@ def test_kronecker_framed_the_other_way_fails_at_scale_one(kronecker):
     assert (checked, notes) == (16, ("below minimal framing scale",))
     assert [(rep.arrow_matrices, want, got) for rep, want, got in report.failures] == failures
     assert verify_double_framing_equivalence(kronecker, d, theta, "2", "1", 2, 2).passed
-
-
-def _weight_law_framings(rng):
-    """Framings of thin acyclic data, of 2-vertex m-Kronecker data with d_1,
-    d_2 up to 3, and of data whose source-to-sink paths may cross a
-    dimension-0 vertex, where a trial draws nothing."""
-    shape = rng.randrange(3)
-    if shape == 0:
-        q = random_acyclic_quiver(rng, max_vertices=4, connected=True)
-        d = thin(q)
-    elif shape == 1:
-        q = Quiver(("1", "2"), [("1", "2")] * rng.randint(1, 3))
-        d = DimensionVector({"1": rng.randint(1, 3), "2": rng.randint(1, 3)})
-    else:  # framed at 1 and 2, so the path through 0 runs from source to sink
-        q = Quiver(("1", "0", "2"), [("1", "0"), ("0", "2")] + [("1", "2")] * rng.randint(0, 2))
-        d = DimensionVector({"1": rng.randint(1, 2), "0": 0, "2": rng.randint(1, 2)})
-        return double_frame(q, d, random_zero_pairing_parameter(rng, q, d), "1", "2", rng.randint(1, 3))
-    theta = random_zero_pairing_parameter(rng, q, d)
-    i, j = rng.choice(q.vertices), rng.choice(q.vertices)
-    return double_frame(q, d, theta, i, j, rng.randint(1, 3))
-
-
-@pytest.mark.parametrize("p", [2, 3, 5, 7])
-def test_weight_law_trials_keep_their_draws(p, monkeypatch):
-    """Each trial draws what the path-by-path reference draws, in the same
-    order: the same report and the same final generator state."""
-    made = []
-
-    class Kept(random.Random):
-        def __init__(self, seed):
-            super().__init__(seed)
-            made.append(self)
-
-    monkeypatch.setattr(ff_oracle, "random", types.SimpleNamespace(Random=Kept))
-    rng = random.Random(p)
-    drawn = 0
-    while drawn < 12:
-        framing = _weight_law_framings(rng)
-        seed = rng.randrange(10**6)
-        report = weight_law_trials(framing, p, trials=30, seed=seed)
-        reference_rng = random.Random(seed)
-        want = path_by_path_weight_law_trials(framing, p, 30, reference_rng)
-        assert (report.trials, report.failures, report.paths_available) == want
-        if want == (0, 0, 0):  # no path from i to j, so nothing is drawn
-            assert not made
-            continue
-        assert made.pop().getstate() == reference_rng.getstate()
-        drawn += 1
-
-
-def test_weight_law_framings_cross_a_dimension_zero_vertex():
-    """The framings drawn for each prime above include paths from source to
-    sink through a vertex of dimension 0."""
-    for p in (2, 3, 5, 7):
-        rng = random.Random(p)
-        crossing = 0
-        for _ in range(12):
-            framing = _weight_law_framings(rng)
-            rng.randrange(10**6)
-            fq, fd = framing.framed_quiver, framing.framed_dimension
-            for path in enumerate_paths(fq, framing.source_vertex, framing.sink_vertex):
-                crossing += any(fd[fq.arrows[a][1]] == 0 for a in path.arrows)
-        assert crossing > 0
-
-
-def _memo_framings():
-    """Framings whose draws recur over F_2: thin Kronecker at scale 2, where
-    trials recur, and 3-Kronecker (2, 3), where only group-element candidates
-    do."""
-    kronecker = Quiver(("1", "2"), [("1", "2")] * 2)
-    three = Quiver(("1", "2"), [("1", "2")] * 3)
-    return [
-        double_frame(kronecker, thin(kronecker), StabilityParameter({"1": 1, "2": -1}), "1", "2", 2),
-        double_frame(three, DimensionVector({"1": 2, "2": 3}), StabilityParameter({"1": 3, "2": -2}), "1", "2", 2),
-    ]
-
-
-def test_weight_law_trials_count_every_failing_trial(monkeypatch):
-    """Failures count trials, not distinct trials: with every check failing
-    they equal the trials, and with the check failing on the most frequent
-    trial only they equal that trial's count in the reference draws."""
-    framing = _memo_framings()[0]
-    monkeypatch.setattr(ff_oracle, "_acted_path_holds", lambda mats, g, inverses, p: False)
-    assert weight_law_trials(framing, 2, trials=100, seed=4).failures == 100
-
-    _, draws = weight_law_trial_draws(framing, 2, 100, random.Random(4))
-    counts = collections.Counter((mats, g) for _, mats, g in draws)
-    target, most = counts.most_common(1)[0]
-    assert most > 1
-    monkeypatch.setattr(ff_oracle, "_acted_path_holds", lambda mats, g, inverses, p: (mats, g) != target)
-    report = weight_law_trials(framing, 2, trials=100, seed=4)
-    assert (report.trials, report.failures) == (100, most)
-
-
-@pytest.mark.parametrize("which", [0, 1])
-def test_weight_law_trials_invert_and_check_each_distinct_draw_once(which, monkeypatch):
-    """Within one call, ``mod_invert`` runs once per distinct group-element
-    candidate and ``_acted_path_holds`` once per distinct trial, in the
-    order the reference draws them first."""
-    framing = _memo_framings()[which]
-    inverted, checked = [], []
-    original_invert, original_holds = linalg.mod_invert, ff_oracle._acted_path_holds
-
-    def counting_invert(m, p):
-        inverted.append(m)
-        return original_invert(m, p)
-
-    def counting_holds(mats, g, inverses, p):
-        checked.append((mats, g))
-        return original_holds(mats, g, inverses, p)
-
-    monkeypatch.setattr(linalg, "mod_invert", counting_invert)
-    monkeypatch.setattr(ff_oracle, "_acted_path_holds", counting_holds)
-    assert weight_law_trials(framing, 2, trials=100, seed=4).passed
-    assert len(inverted) == len(set(inverted))
-    _, draws = weight_law_trial_draws(framing, 2, 100, random.Random(4))
-    assert checked == list(dict.fromkeys((mats, g) for _, mats, g in draws))
 
 
 @pytest.mark.parametrize("prime, budget, most", [(3, 10**6, 3), (1000000007, 50, 1)])

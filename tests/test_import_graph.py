@@ -34,7 +34,6 @@ FF_ORACLE_NAMES = [
     "EquivalenceReport",
     "FiniteFieldRepresentation",
     "StabilityVerdict",
-    "WeightLawReport",
     "enumerate_representations",
     "enumerate_subrepresentations",
     "gaussian_binomial",
@@ -44,11 +43,12 @@ FF_ORACLE_NAMES = [
     "subspaces_of",
     "verify_double_framing_equivalence",
     "verify_semiinvariant_weight",
-    "weight_law_trials",
 ]
 
-# Library routines no command calls, moved to tests/oracles.py with their tests.
-MOVED_TO_TEST_ORACLES = ["has_cyclic_destabilizer"]
+# Library names no command calls: has_cyclic_destabilizer moved to
+# tests/oracles.py with its tests, and the weight-law trials went with
+# verify's weight-law entry (schema version 2).
+GONE_FROM_THE_PACKAGE = ["has_cyclic_destabilizer", "WeightLawReport", "weight_law_trials"]
 
 
 def test_only_verify_loads_the_oracle_and_nothing_loads_jsonschema():
@@ -71,7 +71,7 @@ def test_oracle_names_resolve_from_the_package(name):
     assert getattr(quivercalc, name) is getattr(ff_oracle, name)
 
 
-@pytest.mark.parametrize("name", MOVED_TO_TEST_ORACLES)
+@pytest.mark.parametrize("name", GONE_FROM_THE_PACKAGE)
 def test_moved_names_are_gone_from_the_package(name):
     assert name not in ff_oracle.__all__
     assert not hasattr(ff_oracle, name)

@@ -1,8 +1,8 @@
 """The verified/failed/assumed hypotheses ledger, pinned on every fixture and
 on data that fail each standing hypothesis.
 
-The expected labels and refusal names are spelled out here, independently
-of the program's own table, so that a change to either vocabulary shows.
+The expected hypothesis names are spelled out here, independently of the
+program's own table, so that a change to the vocabulary shows.
 """
 
 import dataclasses
@@ -13,18 +13,21 @@ from pathlib import Path
 import pytest
 
 from quivercalc.cli import main
+from quivercalc.core import DimensionVector, Quiver, canonical_stability
 from quivercalc.framing import double_frame, framed_ample_stability, framed_assumptions_report
 from quivercalc.specfile import load_spec
-from quivercalc.stability import ThreeValued, assumptions_report
+from quivercalc.stability import MAX_WITNESSES, ThreeValued, assumptions_report, is_strongly_amply_stable
+
+from oracles import naive_strong_violations
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
-# (assumptions field, ledger label, refusal name), in gate order.
+# (assumptions field, hypothesis name), in gate order.
 LEDGER = (
-    ("acyclic", "the quiver is acyclic", "acyclicity"),
-    ("indivisible", "the dimension vector is indivisible", "indivisibility"),
-    ("coprime", "semistable = stable (via theta-coprimality)", "semistable = stable (theta-coprimality)"),
-    ("strongly_amply_stable", "strong ample stability", "strong ample stability"),
+    ("acyclic", "acyclicity"),
+    ("indivisible", "indivisibility"),
+    ("coprime", "semistable = stable (theta-coprimality)"),
+    ("strongly_amply_stable", "strong ample stability"),
 )
 ASSUMED = [
     "vanishing of higher cohomology of the endomorphism summands (consumed as a hypothesis, never computed)",
@@ -75,8 +78,8 @@ def test_failing_data_cover_every_hypothesis(spec_paths):
     for path in spec_paths:
         spec = load_spec(path)
         report = assumptions_report(spec.quiver, spec.dimension, spec.stability)
-        failed |= {name for name, _, _ in LEDGER if not getattr(report, name)}
-    assert failed == {name for name, _, _ in LEDGER}
+        failed |= {name for name, _ in LEDGER if not getattr(report, name)}
+    assert failed == {name for name, _ in LEDGER}
 
 
 def test_analyze_ledger_matches_assumption_flags(capsys, spec_paths):
@@ -84,13 +87,12 @@ def test_analyze_ledger_matches_assumption_flags(capsys, spec_paths):
         _, report = _run_json(capsys, "analyze", path)
         flags = report["assumptions"]
         hypotheses = report["hypotheses"]
-        assert hypotheses["verified"] == [label for name, label, _ in LEDGER if flags[name]], path
-        assert hypotheses["failed"] == [label for name, label, _ in LEDGER if not flags[name]], path
+        assert hypotheses["verified"] == [label for name, label in LEDGER if flags[name]], path
+        assert hypotheses["failed"] == [label for name, label in LEDGER if not flags[name]], path
         assert hypotheses["assumed"] == ASSUMED, path
-        refusals = [refusal for name, _, refusal in LEDGER if not flags[name]]
         vector_fields = report["dimensions"].get("vector_fields")
-        if flags["acyclic"] and refusals:
-            assert vector_fields == {"refused": ", ".join(refusals)}, path
+        if flags["acyclic"] and hypotheses["failed"]:
+            assert vector_fields == {"refused": ", ".join(hypotheses["failed"])}, path
         elif flags["acyclic"]:
             assert "value" in vector_fields, path
         else:
@@ -104,7 +106,7 @@ def test_reduce_refuses_on_first_failing_gate(capsys, spec_paths):
         report = assumptions_report(q, spec.dimension, spec.stability)
         i, j = (spec.framing.i, spec.framing.j) if spec.framing else (q.vertices[0], q.vertices[-1])
         code, out = _run_json(capsys, "reduce", path, i, j)
-        failing = [refusal for name, _, refusal in LEDGER if name in REDUCE_GATES and not getattr(report, name)]
+        failing = [label for name, label in LEDGER if name in REDUCE_GATES and not getattr(report, name)]
         if failing:
             assert code == 1, path
             assert out["error"]["assumption"] == failing[0], path
@@ -112,6 +114,57 @@ def test_reduce_refuses_on_first_failing_gate(capsys, spec_paths):
         else:
             assert "error" not in out, path
             assert out["hypotheses"]["assumed"] == ASSUMED, path
+
+
+@pytest.mark.parametrize("datum, name", [("not_coprime", LEDGER[2][1]), ("cyclic", LEDGER[0][1])])
+def test_commands_give_a_failed_hypothesis_one_name(capsys, tmp_path, datum, name):
+    """analyze, reduce and verify on one datum spell its first failed
+    hypothesis alike: in analyze's hypotheses.failed and refused vector
+    fields (a cyclic quiver gets no vector-fields entry), and in each
+    refusal's hypotheses.failed and error.assumption (a cyclic quiver
+    stops verify before any hypothesis gate, with a message only)."""
+    path = tmp_path / f"{datum}.json"
+    path.write_text(json.dumps(FAILING[datum]), encoding="utf-8")
+    _, analyzed = _run_json(capsys, "analyze", path)
+    assert analyzed["hypotheses"]["failed"][0] == name
+    vector_fields = analyzed["dimensions"].get("vector_fields")
+    if datum == "cyclic":
+        assert vector_fields is None
+    else:
+        assert vector_fields["refused"].split(", ")[0] == name
+    for command in ("reduce", "verify"):
+        code, refused = _run_json(capsys, command, path)
+        assert code == 1, command
+        assert refused["hypotheses"]["failed"] == [name], command
+        if (datum, command) != ("cyclic", "verify"):
+            assert refused["error"]["assumption"] == name, command
+
+
+def test_witness_lists_stop_at_the_cap(capsys, tmp_path):
+    """analyze on the A6 chain with every d_i = 4 and canonical theta keeps
+    the first MAX_WITNESSES strong-ample violations of the library's full
+    list and counts them all, as a per-point sweep does."""
+    vertices = [str(k) for k in range(1, 7)]
+    arrows = list(zip(vertices, vertices[1:]))
+    q = Quiver(vertices, arrows)
+    d = DimensionVector(dict.fromkeys(vertices, 4))
+    theta = canonical_stability(q, d)
+    path = tmp_path / "a6.json"
+    path.write_text(json.dumps(_doc(vertices, arrows, [4] * 6, [theta[v] for v in vertices])), encoding="utf-8")
+    total = len(naive_strong_violations(q, d, theta))
+    assert total > MAX_WITNESSES
+
+    _, report = _run_json(capsys, "analyze", path)
+    assumptions = report["assumptions"]
+    assert assumptions["failing_witness_counts"] == {"strongly_amply_stable": total}
+    kept = is_strongly_amply_stable(q, d, theta)[1][:MAX_WITNESSES]
+    assert assumptions["failing_witnesses"]["strongly_amply_stable"] == [e.as_dict() for e in kept]
+
+    main(["analyze", str(path)])
+    lines = capsys.readouterr().out.splitlines()
+    (line,) = [x for x in lines if x.startswith("  witnesses against strongly_amply_stable: ")]
+    assert line.endswith(f"), ... and {total - MAX_WITNESSES} more")
+    assert line.count("), (") == MAX_WITNESSES - 1
 
 
 def test_framed_report_keeps_every_field_but_ample_stability(spec_paths):

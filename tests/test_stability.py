@@ -23,7 +23,7 @@ from quivercalc import (
     subdimension_vectors,
     verify_framed_sign_partition,
 )
-from quivercalc.stability import LATTICE_BUDGET, _lattice_point, _lattice_values, _strong_violations
+from quivercalc.stability import LATTICE_BUDGET, MAX_WITNESSES, _lattice_point, _lattice_values, _strong_violations
 
 from conftest import quiver_with_datum, random_zero_pairing_parameter, thin
 from oracles import (
@@ -185,7 +185,9 @@ def test_lattice_sweep_matches_per_point_reference(datum, data):
     assert is_strongly_amply_stable(q, d, theta) == (not violations, tuple(violations))
     report = assumptions_report(q, d, theta)
     assert report.failing_witnesses.get("coprime") == ((witness,) if witness else None)
-    assert report.failing_witnesses.get("strongly_amply_stable") == (tuple(violations) or None)
+    assert report.failing_witnesses.get("strongly_amply_stable") == (tuple(violations[:MAX_WITNESSES]) or None)
+    cut = len(violations) > MAX_WITNESSES
+    assert report.failing_witness_counts.get("strongly_amply_stable") == (len(violations) if cut else None)
 
     i = data.draw(st.sampled_from(q.vertices))
     j = data.draw(st.sampled_from(q.vertices))
