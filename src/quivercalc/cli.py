@@ -21,7 +21,6 @@ from .core import _is_prime
 from .errors import (
     AssumptionViolatedError,
     BudgetExceededError,
-    CyclicQuiverError,
     QuiverCalcError,
     SpecFileError,
     UnknownVertexError,
@@ -122,7 +121,7 @@ def main(argv: list[str] | None = None) -> int:
     except (SpecFileError, UnknownVertexError, ValueError) as exc:
         print(f"quivercalc: input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    except (AssumptionViolatedError, BudgetExceededError, CyclicQuiverError) as exc:
+    except (AssumptionViolatedError, BudgetExceededError) as exc:
         report = build_refusal_report(args.command, exc)
     except QuiverCalcError as exc:
         print(f"quivercalc: error: {exc}", file=sys.stderr)

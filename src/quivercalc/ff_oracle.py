@@ -15,8 +15,10 @@ cached mask, per subspace, of the vectors it contains.
 Everything in that search that depends only on the quiver, the prime and the
 dimensions (the subspace lists, their dimensions as plain ints, the budget
 refusal and the mask tables) is set up once per datum; a point reaches the
-search as its plain tuple of arrow matrices.  The framed description check
-sets up the base search only, since one enumeration of a base point
+search as its plain tuple of arrow matrices.  The framed description check,
+``verify_double_framing_equivalence``, takes a ``FramingResult`` alone, as
+every function downstream of the double framing does; it sets up the base
+search only, since one enumeration of a base point
 decides its verdict and every framing of it (``_FramedKing``), and checks
 both pairings once; its enumerated or sampled points stay matrix tuples, and
 a ``FiniteFieldRepresentation`` is built only for a point that fails.
@@ -27,8 +29,9 @@ exactly what successive ``randrange(p)`` calls draw.
 These finite-field verdicts are evidence at desk scale, not proofs over the
 geometric ground field; reports are always worded "verified over F_p".  For
 stability (as opposed to semistability) the verdict is only meaningful when
-semistable = stable is forced, which is asserted via theta-coprimality before
-any stable-only conclusion is drawn.
+semistable = stable is forced, which is asserted via theta-coprimality (the
+framing's cached ``base_assumptions``) before any stable-only conclusion is
+drawn.
 """
 
 from __future__ import annotations
@@ -44,8 +47,8 @@ from typing import Iterator, Sequence
 from . import linalg
 from .core import DimensionVector, Path, Quiver, StabilityParameter, _check_representation_shapes, _is_prime
 from .errors import BudgetExceededError, NotThinAtEndpointsError
-from .framing import FramingResult, double_frame
-from .stability import AssumptionsReport, _require_zero_pairing, assumptions_report
+from .framing import MINIMAL_FRAMING_SCALE, FramingResult
+from .stability import _require_zero_pairing
 
 __all__ = [
     "FiniteFieldRepresentation",
@@ -482,45 +485,25 @@ def random_representation(
 
 
 def verify_double_framing_equivalence(
-    q: Quiver,
-    d: DimensionVector,
-    theta: StabilityParameter,
-    i: str,
-    j: str,
-    scale: int,
-    prime: int,
-    budget: int = DEFAULT_BUDGET,
-    seed: int = 0,
+    framing: FramingResult, prime: int, budget: int = DEFAULT_BUDGET, seed: int = 0
 ) -> EquivalenceReport:
     """Check, point by point over F_p, that for a framed representation the
     three conditions agree: framed stable; framed semistable; base
     representation stable with both framing maps nonzero.
 
     The base datum must be theta-coprime so that base semistable = stable is
-    forced and the stable verdict is sound over the finite field.  All points
-    are enumerated when their number fits the budget; otherwise points are
-    sampled uniformly with the fixed seed and the sample size is reported.
-    Runs at any scale: below the minimal framing scale the report is labeled
-    accordingly, since the description is only claimed from the minimal scale
-    on.
+    forced and the stable verdict is sound over the finite field; the
+    framing's ``base_assumptions`` decide it.  All points are enumerated when
+    their number fits the budget; otherwise points are sampled uniformly with
+    the fixed seed and the sample size is reported.  Runs at any scale: below
+    ``MINIMAL_FRAMING_SCALE`` the report is labeled accordingly, since the
+    description is only claimed from the minimal scale on.
     """
     if not _is_prime(prime):
         raise ValueError(f"{prime} is not prime")
-    base_report = assumptions_report(q, d, theta)
-    base_report.require("coprime")  # the refusal comes before any framing error
-    return _framing_equivalence(double_frame(q, d, theta, i, j, scale), base_report, prime, budget, seed)
-
-
-def _framing_equivalence(
-    framing: FramingResult, base_report: AssumptionsReport, prime: int, budget: int, seed: int
-) -> EquivalenceReport:
-    """``verify_double_framing_equivalence`` on a framing already built, with
-    the base datum's assumptions already computed (one sweep, one framing)."""
-    base_report.require("coprime")
-    if not _is_prime(prime):
-        raise ValueError(f"{prime} is not prime")
+    framing.base_assumptions.require("coprime")
     scale = framing.framing_scale
-    notes = ["below minimal framing scale"] if scale < 2 else []
+    notes = ["below minimal framing scale"] if scale < MINIMAL_FRAMING_SCALE else []
 
     fq, fd = framing.framed_quiver, framing.framed_dimension
     shapes = _shapes(fq, fd)

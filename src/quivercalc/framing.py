@@ -5,16 +5,19 @@ one arrow into the chosen vertex i and one arrow out of the chosen vertex j,
 extends the dimension vector by 1 at both new vertices, and scales the
 stability parameter into the middle block: (1, N*theta, -1), where the CLI
 takes N = ``MINIMAL_FRAMING_SCALE`` unless told otherwise.  A
-``FramingResult`` carries its base datum (q, d, theta), so every function
-downstream of ``double_frame`` takes the framing alone.
+``FramingResult`` carries its base datum (q, d, theta) and, as
+``base_assumptions``, that datum's hypotheses report, computed at most once
+per framing; so every function downstream of ``double_frame`` takes the
+framing alone.
 
 ``reduce`` removes whichever framing vertices are redundant because the base
 dimension vector is already thin at i or j: the reduced datum is the framed
 datum restricted to the vertices it keeps, the framing source exactly when
 d_i > 1 and the framing sink exactly when d_j > 1.  Its marked vertices are
 thin and the path space between them matches the base path space from i to
-j.  Only the reduced stability parameter depends on the case, keyed by
-(d_i > 1, d_j > 1).
+j; ``ReductionResult.pairing`` is that check, run once and asserted by
+``reduce``.  Only the reduced stability parameter depends on the case, keyed
+by (d_i > 1, d_j > 1).
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from __future__ import annotations
 import enum
 import warnings
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 from .core import (
     DimensionVector,
@@ -73,6 +77,11 @@ class FramingResult:
     base_dimension: DimensionVector
     base_stability: StabilityParameter
 
+    @cached_property
+    def base_assumptions(self) -> AssumptionsReport:
+        """The base datum's hypotheses report, computed on first use."""
+        return assumptions_report(self.base_quiver, self.base_dimension, self.base_stability)
+
 
 class ReductionCase(enum.Enum):
     BOTH_BIG = "both_big"
@@ -99,6 +108,11 @@ class ReductionResult:
     case_tag: ReductionCase
     arrow_map: tuple[int, ...]
     framing: FramingResult
+
+    @cached_property
+    def pairing(self) -> ReductionPairingCheck:
+        """``verify_reduction_pairing`` of this reduction, run once."""
+        return verify_reduction_pairing(self)
 
 
 @dataclass(frozen=True)
@@ -267,10 +281,7 @@ def framed_assumptions_report(framing: FramingResult) -> AssumptionsReport:
     report can say NO, unlike the base report.  A warning is emitted when the
     base datum does not verifiably satisfy its own hypotheses.
     """
-    base_report = assumptions_report(
-        framing.base_quiver, framing.base_dimension, framing.base_stability
-    )
-    if not base_report.all_verified():
+    if not framing.base_assumptions.all_verified():
         warnings.warn(
             "framed ample stability is only meaningful when the base datum "
             "satisfies the standing hypotheses; the base report does not "
@@ -311,20 +322,11 @@ def reduce(framing: FramingResult) -> ReductionResult:
     reduced path space between the marked vertices matches the base path
     space from i to j.  The base datum must satisfy the decidable standing
     hypotheses (acyclicity, indivisibility, coprimality); ample stability is
-    not decidable at the base level and is not gated on.
+    not decidable at the base level and is not gated on.  The result's
+    ``pairing`` check runs here and must pass.
     """
-    return _reduce_checked(framing)[0]
-
-
-def _reduce_checked(
-    framing: FramingResult, assumptions: AssumptionsReport | None = None
-) -> tuple[ReductionResult, ReductionPairingCheck]:
-    """:func:`reduce`, also returning the pairing check it ran, so that a
-    report can show the check without running it again.  Pass the base
-    datum's ``assumptions`` report when it is already computed."""
+    framing.base_assumptions.require("acyclic", "indivisible", "coprime")
     d, theta = framing.base_dimension, framing.base_stability
-    report = assumptions if assumptions is not None else assumptions_report(framing.base_quiver, d, theta)
-    report.require("acyclic", "indivisible", "coprime")
 
     i, j = framing.framed_at
     if d[i] == 0 or d[j] == 0:
@@ -362,10 +364,9 @@ def _reduce_checked(
         arrow_map=arrow_map,
         framing=framing,
     )
-    check = verify_reduction_pairing(result)
-    if not check.passed:
-        raise AssertionError(f"reduction invariants failed: {check.failures}")
-    return result, check
+    if not result.pairing.passed:
+        raise AssertionError(f"reduction invariants failed: {result.pairing.failures}")
+    return result
 
 
 def verify_reduction_pairing(result: ReductionResult) -> ReductionPairingCheck:

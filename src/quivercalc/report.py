@@ -1,9 +1,13 @@
 """Analysis reports: schema-versioned dictionaries plus a text renderer.
 
 Every report a command emits, full or refusal, is built here in the shape of
-``REPORT_SCHEMA``, and ``_framed`` alone resolves a command's framing.  The
-tests validate reports against the schema; ``cli`` emits them without
-validating (validation at emit time is ROADMAP item 1).
+``REPORT_SCHEMA``.  ``_framed`` alone resolves the framing of ``frame``,
+``reduce`` and ``verify`` and is their one acyclicity gate; each command then
+calls its one public entry on the framing (``verify_framed_sign_partition``,
+``reduce``, ``verify_double_framing_equivalence``) and reads the base
+hypotheses from the framing's cached ``base_assumptions``.  The tests
+validate reports against the schema; ``cli`` emits them without validating
+(validation at emit time is ROADMAP item 1).
 The human-readable rendering is derived from the dict alone, so every number
 a user sees in the text output is present in the machine-readable output.
 Every full report opens with the same header, and it always restates which
@@ -18,11 +22,10 @@ from __future__ import annotations
 from typing import Any
 
 from .cohomology import _require_presentation_preconditions, hochschild1_dim, moduli_dimension
-from .core import path_count, path_count_matrix
+from .core import is_acyclic, path_count, path_count_matrix
 from .errors import (
     AssumptionViolatedError,
     BudgetExceededError,
-    CyclicQuiverError,
     DisconnectedQuiverError,
     QuiverCalcError,
     SpecFileError,
@@ -32,9 +35,9 @@ from .framing import (
     MINIMAL_FRAMING_SCALE,
     FramingResult,
     ReductionResult,
-    _reduce_checked,
     double_frame,
     framed_ample_stability,
+    reduce,
     verify_framed_sign_partition,
 )
 from .specfile import QuiverSpec, datum_dict
@@ -129,15 +132,13 @@ def _header(command: str, spec: QuiverSpec, report: AssumptionsReport) -> dict[s
 
 
 def build_refusal_report(command: str, exc: QuiverCalcError) -> dict[str, Any]:
-    """The exit-1 report of a command stopped by a failed hypothesis, an
-    enumeration over its budget, or a cyclic quiver."""
+    """The exit-1 report of a command stopped by a failed hypothesis or an
+    enumeration over its budget."""
     failed, error = [], {"message": str(exc)}
     if isinstance(exc, AssumptionViolatedError):
         failed, error = [exc.assumption], {"assumption": exc.assumption, **error}
     elif isinstance(exc, BudgetExceededError):
         error = {"counted": exc.counted, "size": exc.size, "budget": exc.budget, **error}
-    elif isinstance(exc, CyclicQuiverError):
-        failed = [HYPOTHESES["acyclic"]]
     return {
         "schema_version": SCHEMA_VERSION,
         "command": command,
@@ -147,13 +148,12 @@ def build_refusal_report(command: str, exc: QuiverCalcError) -> dict[str, Any]:
     }
 
 
-def _framed(
-    spec: QuiverSpec, i: str | None, j: str | None, scale: int | None
-) -> tuple[AssumptionsReport, FramingResult]:
-    """The base datum's assumptions and its double framing.  Explicit i and j
-    are framed at ``scale`` or ``MINIMAL_FRAMING_SCALE``; otherwise the spec's
-    framing block gives the vertices and, unless ``scale`` overrides it, the
-    scale."""
+def _framed(spec: QuiverSpec, i: str | None, j: str | None, scale: int | None) -> FramingResult:
+    """The double framing of the spec's datum.  Explicit i and j are framed
+    at ``scale`` or ``MINIMAL_FRAMING_SCALE``; otherwise the spec's framing
+    block gives the vertices and, unless ``scale`` overrides it, the scale.
+    A cyclic base quiver is refused here, after any unknown vertex, naming
+    its cycle."""
     if i is None and j is None:
         if spec.framing is None:
             raise SpecFileError("no framing vertices: pass i and j or add a framing block to the spec")
@@ -164,7 +164,11 @@ def _framed(
         raise SpecFileError("either give both vertices i and j or neither")
     q, d, theta = spec.quiver, spec.dimension, spec.stability
     scale = MINIMAL_FRAMING_SCALE if scale is None else scale
-    return assumptions_report(q, d, theta), double_frame(q, d, theta, i, j, scale)
+    framing = double_frame(q, d, theta, i, j, scale)
+    cycle = is_acyclic(q).cycle
+    if cycle is not None:
+        raise AssumptionViolatedError(HYPOTHESES["acyclic"], detail=f"cycle arrows {cycle}")
+    return framing
 
 
 def build_analyze_report(spec: QuiverSpec, override_assumptions: bool = False) -> dict[str, Any]:
@@ -223,7 +227,7 @@ def _framing_dict(framing: FramingResult) -> dict[str, Any]:
 
 def build_frame_report(spec: QuiverSpec, i: str | None, j: str | None, scale: int | None) -> dict[str, Any]:
     q, d = spec.quiver, spec.dimension
-    base_report, framing = _framed(spec, i, j, scale)
+    framing = _framed(spec, i, j, scale)
     i, j = framing.framed_at
     check = verify_framed_sign_partition(framing)
 
@@ -249,7 +253,7 @@ def build_frame_report(spec: QuiverSpec, i: str | None, j: str | None, scale: in
     )
     framing_block["base_path_space_dim"] = path_count(q, i, j)
     return {
-        **_header("frame", spec, base_report),
+        **_header("frame", spec, framing.base_assumptions),
         "framing": framing_block,
         "verifications": verifications,
         "exit_code": 0 if check.passed else 1,
@@ -272,13 +276,14 @@ def _reduction_dict(result: ReductionResult) -> dict[str, Any]:
 
 
 def build_reduce_report(spec: QuiverSpec, i: str | None, j: str | None, scale: int | None) -> dict[str, Any]:
-    base_report, framing = _framed(spec, i, j, scale)
-    result, check = _reduce_checked(framing, base_report)
+    framing = _framed(spec, i, j, scale)
+    result = reduce(framing)
+    check = result.pairing
     reduction = _reduction_dict(result)
     reduction["reduced_path_space_dim"] = check.reduced_path_count
     reduction["base_path_space_dim"] = check.base_path_count
     return {
-        **_header("reduce", spec, base_report),
+        **_header("reduce", spec, framing.base_assumptions),
         "framing": _framing_dict(framing),
         "reduction": reduction,
         "verifications": [
@@ -295,16 +300,14 @@ def build_reduce_report(spec: QuiverSpec, i: str | None, j: str | None, scale: i
 def build_verify_report(
     spec: QuiverSpec, prime: int, budget: int, seed: int, scale: int | None
 ) -> dict[str, Any]:
-    from .ff_oracle import _framing_equivalence  # only verify pays its import
+    from .ff_oracle import verify_double_framing_equivalence  # only verify pays its import
 
     if spec.framing is None:
         raise AssumptionViolatedError("a framing block is required for verification")
-    base_report, framing = _framed(spec, None, None, scale)
-    if not base_report.acyclic:  # before any other gate, as in reduce
-        raise CyclicQuiverError("path enumeration requires an acyclic quiver")
-    equivalence = _framing_equivalence(framing, base_report, prime, budget, seed)
+    framing = _framed(spec, None, None, scale)
+    equivalence = verify_double_framing_equivalence(framing, prime, budget, seed)
     return {
-        **_header("verify", spec, base_report),
+        **_header("verify", spec, framing.base_assumptions),
         "framing": _framing_dict(framing),
         "verifications": [
             {

@@ -155,7 +155,7 @@ def test_criterion_4_framed_stability_description_over_f2_and_f3():
         d = DimensionVector(dd)
         theta = StabilityParameter(tt)
         for prime in (2, 3):
-            report = verify_double_framing_equivalence(q, d, theta, i, j, 2, prime)
+            report = verify_double_framing_equivalence(double_frame(q, d, theta, i, j, 2), prime)
             assert report.passed, (q.vertices, prime, report.failures[:1])
             assert not report.sampled
             assert report.instances_checked <= 10**5

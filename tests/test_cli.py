@@ -436,14 +436,15 @@ def _cyclic_spec(tmp_path):
     return path
 
 
-@pytest.mark.parametrize(
-    "command, message",
-    [
-        ("frame", "path counts are infinite on a cyclic quiver (cycle arrows (0, 1, 2))"),
-        ("verify", "path enumeration requires an acyclic quiver"),
-    ],
-)
-def test_cyclic_quiver_refuses_with_report(capsys, tmp_path, command, message):
+# frame, reduce and verify pass one acyclicity gate, which names the cycle.
+CYCLIC_ERROR = {
+    "assumption": "acyclicity",
+    "message": "assumption violated: acyclicity (cycle arrows (0, 1, 2))",
+}
+
+
+@pytest.mark.parametrize("command", ["frame", "reduce", "verify"])
+def test_cyclic_quiver_refuses_with_report(capsys, tmp_path, command):
     spec = _cyclic_spec(tmp_path)
     code, report, err = run_json(capsys, command, spec)
     assert code == 1
@@ -451,13 +452,13 @@ def test_cyclic_quiver_refuses_with_report(capsys, tmp_path, command, message):
     assert report["exit_code"] == 1
     assert report["command"] == command
     assert report["hypotheses"]["failed"] == ["acyclicity"]
-    assert report["error"] == {"message": message}
+    assert report["error"] == CYCLIC_ERROR
     jsonschema.validate(report, REPORT_SCHEMA)
 
     code_h, human, err_h = run(capsys, command, spec)
     assert code_h == 1
     assert err_h == ""
-    assert human.endswith(f"refused: {message}\nexit code: 1\n")
+    assert human == f"command: {command}\nrefused: {CYCLIC_ERROR['message']}\nexit code: 1\n"
 
 
 def _non_coprime_framed_spec(tmp_path):
@@ -553,6 +554,33 @@ def test_reduce_runs_the_pairing_check_once(capsys, monkeypatch):
     assert code == 0
     assert report["verifications"][0]["passed"] is True
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("command", ["frame", "reduce", "verify"])
+def test_framed_commands_decide_the_base_hypotheses_once(capsys, monkeypatch, command):
+    """One sweep of the base datum per framed command, read through the
+    framing's cached base_assumptions; reduce runs its pairing check once."""
+    import quivercalc.framing
+    import quivercalc.report
+    import quivercalc.stability
+
+    holders = {
+        "assumptions_report": (quivercalc.stability, quivercalc.framing, quivercalc.report),
+        "verify_reduction_pairing": (quivercalc.framing,),
+    }
+    calls = dict.fromkeys(holders, 0)
+    for name, modules in holders.items():
+        original = getattr(quivercalc.framing, name)
+
+        def counting(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        for module in modules:
+            monkeypatch.setattr(module, name, counting)
+    code, _, _ = run_json(capsys, command, FIXTURES / "kronecker.json")
+    assert code == 0
+    assert calls == {"assumptions_report": 1, "verify_reduction_pairing": int(command == "reduce")}
 
 
 @pytest.mark.parametrize("command", ["reduce", "verify"])

@@ -182,12 +182,12 @@ def test_cyclic_destabilizer_is_only_a_screening_beyond_thin():
 def test_verify_double_framing_equivalence_kronecker(kronecker):
     d = thin(kronecker)
     theta = StabilityParameter({"1": 1, "2": -1})
-    report = verify_double_framing_equivalence(kronecker, d, theta, "1", "2", 2, 2)
+    report = verify_double_framing_equivalence(double_frame(kronecker, d, theta, "1", "2", 2), 2)
     assert report.passed
     assert report.instances_checked == 16
     assert not report.sampled
 
-    report3 = verify_double_framing_equivalence(kronecker, d, theta, "1", "2", 2, 3)
+    report3 = verify_double_framing_equivalence(double_frame(kronecker, d, theta, "1", "2", 2), 3)
     assert report3.passed
     assert report3.instances_checked == 81
 
@@ -195,7 +195,7 @@ def test_verify_double_framing_equivalence_kronecker(kronecker):
 def test_verify_double_framing_below_minimal_scale_is_labeled(kronecker):
     d = thin(kronecker)
     theta = StabilityParameter({"1": 1, "2": -1})
-    report = verify_double_framing_equivalence(kronecker, d, theta, "1", "2", 1, 2)
+    report = verify_double_framing_equivalence(double_frame(kronecker, d, theta, "1", "2", 1), 2)
     assert "below minimal framing scale" in report.notes
     assert report.instances_checked == 16
 
@@ -204,7 +204,7 @@ def test_verify_double_framing_requires_coprimality(kronecker):
     d = DimensionVector({"1": 2, "2": 2})
     theta = StabilityParameter({"1": 1, "2": -1})
     with pytest.raises(AssumptionViolatedError):
-        verify_double_framing_equivalence(kronecker, d, theta, "1", "2", 2, 2)
+        verify_double_framing_equivalence(double_frame(kronecker, d, theta, "1", "2", 2), 2)
 
 
 def test_verify_double_framing_sampling_fallback(three_vertex):
@@ -212,9 +212,8 @@ def test_verify_double_framing_sampling_fallback(three_vertex):
     theta = canonical_stability(three_vertex, d)
     # 2^6 = 64 points but only 2^5 = 32 subspace tuples per point, so a
     # budget of 40 forces sampling while per-point verdicts stay feasible
-    report = verify_double_framing_equivalence(
-        three_vertex, d, theta, "2", "3", 2, 2, budget=40, seed=1
-    )
+    framing = double_frame(three_vertex, d, theta, "2", "3", 2)
+    report = verify_double_framing_equivalence(framing, 2, budget=40, seed=1)
     assert report.sampled
     assert report.sample_size == 40
     assert report.instances_checked == 40
@@ -226,14 +225,14 @@ def test_verify_double_framing_infeasible_budget(a2):
     theta = StabilityParameter({"1": 1, "2": -1})
     # 2^4 = 16 subspace tuples per point exceed the budget: not even sampling helps
     with pytest.raises(BudgetExceededError):
-        verify_double_framing_equivalence(a2, d, theta, "1", "2", 2, 2, budget=5)
+        verify_double_framing_equivalence(double_frame(a2, d, theta, "1", "2", 2), 2, budget=5)
 
 
 def test_verify_double_framing_rejects_non_prime(kronecker):
     d = thin(kronecker)
     theta = StabilityParameter({"1": 1, "2": -1})
     with pytest.raises(ValueError):
-        verify_double_framing_equivalence(kronecker, d, theta, "1", "2", 2, 4)
+        verify_double_framing_equivalence(double_frame(kronecker, d, theta, "1", "2", 2), 4)
 
 
 def test_path_semiinvariant_values(three_vertex):
@@ -636,7 +635,7 @@ def test_exhaustive_verify_runs_one_base_king_test_per_base_point(kronecker, mon
 
     monkeypatch.setattr(ff_oracle._SubrepSearch, "closed", recording)
     d = thin(kronecker)
-    report = verify_double_framing_equivalence(kronecker, d, StabilityParameter({"1": 1, "2": -1}), "1", "2", 2, 2)
+    report = verify_double_framing_equivalence(double_frame(kronecker, d, StabilityParameter({"1": 1, "2": -1}), "1", "2", 2), 2)
     assert report.passed and report.instances_checked == 16
     assert searched == [kronecker] * 4
 
@@ -655,7 +654,7 @@ def test_verify_sets_up_two_searches_whatever_the_point_count(kronecker, monkeyp
 
     monkeypatch.setattr(ff_oracle, "_SubrepSearch", recording)
     theta = StabilityParameter({"1": 1, "2": -1})
-    report = verify_double_framing_equivalence(kronecker, thin(kronecker), theta, "1", "2", 2, prime, budget=budget)
+    report = verify_double_framing_equivalence(double_frame(kronecker, thin(kronecker), theta, "1", "2", 2), prime, budget=budget)
     assert report.passed and report.instances_checked == min(prime**4, budget)
     assert built == [kronecker]
 
@@ -674,7 +673,7 @@ def test_sampled_verify_checks_successive_random_representation_draws(three_vert
         return original(king, mats)
 
     monkeypatch.setattr(ff_oracle._FramedKing, "verdicts", recording)
-    report = verify_double_framing_equivalence(three_vertex, d, theta, "2", "3", 2, 2, budget=40, seed=9)
+    report = verify_double_framing_equivalence(framing, 2, budget=40, seed=9)
     assert report.sampled and report.instances_checked == 40
     rng = random.Random(9)
     want = [random_representation(rng, framing.framed_quiver, framing.framed_dimension, 2) for _ in range(40)]
@@ -692,8 +691,8 @@ def test_a_failing_point_is_reported_as_a_representation(kronecker, monkeypatch)
 
     monkeypatch.setattr(ff_oracle._FramedKing, "_base", wrong_base)
     theta = StabilityParameter({"1": 1, "2": -1})
-    report = verify_double_framing_equivalence(kronecker, thin(kronecker), theta, "1", "2", 2, 2)
     framing = double_frame(kronecker, thin(kronecker), theta, "1", "2", 2)
+    report = verify_double_framing_equivalence(framing, 2)
     points = list(enumerate_representations(framing.framed_quiver, framing.framed_dimension, 2))
     # both framing maps nonzero: the last of each run of four points
     assert [rep for rep, _, _ in report.failures] == points[3::4]
@@ -755,7 +754,7 @@ def test_framed_verdicts_match_the_two_search_reference(p, masks, monkeypatch):
         framing = double_frame(q, d, theta, i, j, scale)
         seen.clear()
         try:
-            report = verify_double_framing_equivalence(q, d, theta, i, j, scale, p, budget=budget, seed=seed)
+            report = verify_double_framing_equivalence(framing, p, budget=budget, seed=seed)
         except BudgetExceededError:
             continue
         cases += 1
@@ -771,12 +770,13 @@ def test_kronecker_framed_the_other_way_fails_at_scale_one(kronecker):
     """Kronecker (1, 1) with theta = (1, -1), framed at i = 2, j = 1: at
     scale 1 four of the 16 points fail, exactly as the framed search says."""
     d, theta = thin(kronecker), StabilityParameter({"1": 1, "2": -1})
-    report = verify_double_framing_equivalence(kronecker, d, theta, "2", "1", 1, 2)
+    framing = double_frame(kronecker, d, theta, "2", "1", 1)
+    report = verify_double_framing_equivalence(framing, 2)
     assert (report.instances_checked, len(report.failures)) == (16, 4)
-    checked, notes, failures, _ = two_search_framing_equivalence(double_frame(kronecker, d, theta, "2", "1", 1), 2, 10**6, 0)
+    checked, notes, failures, _ = two_search_framing_equivalence(framing, 2, 10**6, 0)
     assert (checked, notes) == (16, ("below minimal framing scale",))
     assert [(rep.arrow_matrices, want, got) for rep, want, got in report.failures] == failures
-    assert verify_double_framing_equivalence(kronecker, d, theta, "2", "1", 2, 2).passed
+    assert verify_double_framing_equivalence(double_frame(kronecker, d, theta, "2", "1", 2), 2).passed
 
 
 @pytest.mark.parametrize("prime, budget, most", [(3, 10**6, 3), (1000000007, 50, 1)])
@@ -794,6 +794,6 @@ def test_kernel_tables_do_not_grow_with_the_points(kronecker, monkeypatch, prime
 
     monkeypatch.setattr(ff_oracle._FramedKing, "verdicts", recording)
     theta = StabilityParameter({"1": 1, "2": -1})
-    report = verify_double_framing_equivalence(kronecker, thin(kronecker), theta, "1", "2", 2, prime, budget=budget)
+    report = verify_double_framing_equivalence(double_frame(kronecker, thin(kronecker), theta, "1", "2", 2), prime, budget=budget)
     assert report.instances_checked == min(prime**4, budget)
     assert max(sizes) == most

@@ -1,6 +1,7 @@
-"""What each command imports: no jsonschema at run time, and the finite-field
-oracle only for ``verify``."""
+"""What each command imports: no jsonschema at run time, the finite-field
+oracle only for ``verify``, and no private name of a framed computation."""
 
+import ast
 import json
 import os
 import subprocess
@@ -76,6 +77,18 @@ def test_moved_names_are_gone_from_the_package(name):
     assert name not in ff_oracle.__all__
     assert not hasattr(ff_oracle, name)
     assert not hasattr(quivercalc, name)
+
+
+def test_report_imports_only_public_names_of_the_framed_computations():
+    tree = ast.parse((SRC / "quivercalc" / "report.py").read_text(encoding="utf-8"))
+    imported = [
+        (node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module in ("framing", "ff_oracle")
+        for alias in node.names
+    ]
+    assert ("ff_oracle", "verify_double_framing_equivalence") in imported
+    assert [name for name in imported if name[1].startswith("_")] == []
 
 
 def test_unknown_package_attribute_raises_attribute_error():
