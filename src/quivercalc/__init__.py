@@ -1,11 +1,14 @@
-"""quivercalc: stability analysis of quiver dimension vectors, the double
-framing construction and its reduction, dimension formulas for endomorphism
-algebras / vector fields / first Hochschild cohomology of path algebras, and
-exhaustive finite-field verification of stability characterizations."""
+"""quivercalc: the standing hypotheses of a quiver datum (q, d, theta), the
+double framing construction and its reduction, dimension formulas for the
+endomorphism algebra, vector fields and first Hochschild cohomology of path
+algebras, and finite-field verification of the framed stability description.
+
+Each name exported here is called by a command, an acceptance criterion or
+a planned roadmap item; the README's "Library layout" table names the
+caller of each."""
 
 from .core import (
     AcyclicityCertificate,
-    Character,
     DimensionVector,
     Path,
     PathCountMatrix,
@@ -20,7 +23,6 @@ from .core import (
     path_count,
     path_count_matrix,
     slope,
-    weight_one_character,
 )
 from .cohomology import (
     HomExtResult,
@@ -39,7 +41,6 @@ from .errors import (
     BudgetExceededError,
     CyclicQuiverError,
     DisconnectedQuiverError,
-    DivisibleDimensionVectorError,
     NotThinAtEndpointsError,
     PairingNonzeroError,
     QuiverCalcError,
@@ -56,23 +57,12 @@ from .framing import (
     ReductionResult,
     double_frame,
     framed_ample_stability,
-    framed_assumptions_report,
     reduce,
-    reduction_path_map,
     verify_framed_sign_partition,
     verify_reduction_pairing,
 )
-from .specfile import QuiverSpec, load_spec, parse_spec, spec_to_dict
-from .stability import (
-    AssumptionsReport,
-    SignPartition,
-    ThreeValued,
-    assumptions_report,
-    is_strongly_amply_stable,
-    is_theta_coprime,
-    sign_partition,
-    subdimension_vectors,
-)
+from .specfile import QuiverSpec, load_spec, parse_spec
+from .stability import AssumptionsReport, ThreeValued, assumptions_report
 
 __version__ = "0.1.0"
 
@@ -83,11 +73,13 @@ _FF_ORACLE_NAMES = frozenset(
         "EquivalenceReport",
         "FiniteFieldRepresentation",
         "StabilityVerdict",
-        "enumerate_representations",
+        "Subspace",
         "enumerate_subrepresentations",
         "gaussian_binomial",
         "king_stability",
         "path_semiinvariant",
+        "random_group_element",
+        "random_representation",
         "subspace_count",
         "subspaces_of",
         "verify_double_framing_equivalence",

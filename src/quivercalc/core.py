@@ -25,12 +25,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
-from .errors import (
-    CyclicQuiverError,
-    DivisibleDimensionVectorError,
-    UnknownVertexError,
-    VertexSetMismatchError,
-)
+from .errors import CyclicQuiverError, UnknownVertexError, VertexSetMismatchError
 
 Arrow = tuple[str, str]
 
@@ -73,15 +68,6 @@ class Quiver:
             return self._index[v]
         except KeyError:
             raise UnknownVertexError(f"unknown vertex {v!r}") from None
-
-    @cached_property
-    def adjacency_matrix(self) -> tuple[tuple[int, ...], ...]:
-        """Arrow-count matrix A with A[i][j] = number of arrows i -> j."""
-        n = len(self.vertices)
-        rows = [[0] * n for _ in range(n)]
-        for s, t in self.arrow_indices:
-            rows[s][t] += 1
-        return tuple(tuple(r) for r in rows)
 
     @cached_property
     def _acyclicity(self) -> AcyclicityCertificate:
@@ -151,9 +137,9 @@ class Quiver:
 class VertexVector:
     """An integer-valued function on a vertex set, stored canonically.
 
-    Base class of :class:`DimensionVector`, :class:`StabilityParameter` and
-    :class:`Character`; equality and ordering helpers require matching vertex
-    sets and matching concrete type.  The values are one dict in vertex-name order.
+    Base class of :class:`DimensionVector` and :class:`StabilityParameter`;
+    equality and ordering helpers require matching vertex sets and matching
+    concrete type.  The values are one dict in vertex-name order.
     """
 
     __slots__ = ("_values",)
@@ -175,10 +161,6 @@ class VertexVector:
 
     def as_dict(self) -> dict[str, int]:
         return dict(self._values)
-
-    @property
-    def vertex_set(self) -> frozenset[str]:
-        return frozenset(self._values)
 
     def __getitem__(self, vertex: str) -> int:
         try:
@@ -245,29 +227,17 @@ class DimensionVector(VertexVector):
         return math.gcd(*self._values.values()) == 1
 
 
-class _PairingVector(VertexVector):
-    __slots__ = ()
-
-    def __call__(self, d: VertexVector) -> int:
-        """Pair with a vector on the same vertex set: sum of products."""
-        theirs = self._matched(d, "pairing of vectors on different vertex sets")
-        return sum(map(operator.mul, self._values.values(), theirs.values()))
-
-
-class StabilityParameter(_PairingVector):
+class StabilityParameter(VertexVector):
     """An integer weight for every vertex; paired with a designated dimension
     vector ``d`` it must satisfy ``theta(d) = 0`` before any stability query.
     """
 
     __slots__ = ()
 
-
-class Character(_PairingVector):
-    """An integer covector normalized against a designated dimension vector
-    ``d`` by ``a(d) = 1``.
-    """
-
-    __slots__ = ()
+    def __call__(self, d: VertexVector) -> int:
+        """Pair with a vector on the same vertex set: sum of products."""
+        theirs = self._matched(d, "pairing of vectors on different vertex sets")
+        return sum(map(operator.mul, self._values.values(), theirs.values()))
 
 
 @dataclass(frozen=True)
@@ -541,37 +511,3 @@ def canonical_stability(q: Quiver, d: DimensionVector) -> StabilityParameter:
         coeffs[t] -= dv[s]
         coeffs[s] += dv[t]
     return StabilityParameter({q.vertices[i]: coeffs[i] for i in range(n)})
-
-
-def weight_one_character(d: DimensionVector) -> Character:
-    """A covector a with a(d) = 1, by a deterministic extended-gcd sweep.
-
-    Entries are folded in vertex-name order; once the running gcd reaches 1
-    all later coefficients are 0, so d = (1, 1, 1) yields the first unit
-    covector.  Raises when gcd(d) > 1 (no weight-one character exists, i.e.
-    the dimension vector is divisible).
-    """
-    if d.is_zero():
-        raise ValueError("weight-one character undefined for the zero dimension vector")
-
-    def egcd(a: int, b: int) -> tuple[int, int, int]:
-        # Iterative: Euclid on long inputs would outrun the recursion limit.
-        x, y, u, v = 1, 0, 0, 1  # x * a0 + y * b0 = a, u * a0 + v * b0 = b
-        while b:
-            k = a // b
-            a, b, x, y, u, v = b, a - k * b, u, v, x - k * u, y - k * v
-        return a, x, y
-
-    g = 0
-    coeffs: list[int] = []
-    for _, c in d.entries:
-        if g == 1:
-            coeffs.append(0)
-            continue
-        g2, x, y = egcd(g, c)
-        coeffs = [cf * x for cf in coeffs]
-        coeffs.append(y)
-        g = g2
-    if g != 1:
-        raise DivisibleDimensionVectorError(f"dimension vector is divisible (gcd {g})")
-    return Character({v: coeffs[k] for k, (v, _) in enumerate(d.entries)})

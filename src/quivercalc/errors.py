@@ -21,10 +21,6 @@ class DisconnectedQuiverError(QuiverCalcError):
     """The operation requires a connected quiver."""
 
 
-class DivisibleDimensionVectorError(QuiverCalcError):
-    """The dimension vector has entry gcd > 1, so no weight-one character exists."""
-
-
 class PairingNonzeroError(QuiverCalcError):
     """The stability parameter does not pair to zero with the dimension vector."""
 

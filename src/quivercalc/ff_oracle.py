@@ -52,6 +52,7 @@ from .stability import _require_zero_pairing
 
 __all__ = [
     "FiniteFieldRepresentation",
+    "Subspace",
     "StabilityVerdict",
     "EquivalenceReport",
     "DEFAULT_BUDGET",
@@ -60,7 +61,6 @@ __all__ = [
     "subspaces_of",
     "enumerate_subrepresentations",
     "king_stability",
-    "enumerate_representations",
     "random_representation",
     "verify_double_framing_equivalence",
     "path_semiinvariant",
@@ -468,14 +468,6 @@ def _random_matrices(rng: random.Random, shapes: Sequence[tuple[int, int]], prim
     """Uniform matrices of the given shapes over F_p, drawn in order, entries
     row by row."""
     return _as_matrices(_uniform_entries(rng, sum(r * c for r, c in shapes), prime), shapes)
-
-
-def enumerate_representations(
-    q: Quiver, d: DimensionVector, prime: int
-) -> Iterator[FiniteFieldRepresentation]:
-    """All representation points of (q, d) over F_p, entry-lexicographic."""
-    for mats in _all_matrices(_shapes(q, d), prime):
-        yield FiniteFieldRepresentation(q, prime, d, mats)
 
 
 def random_representation(

@@ -23,8 +23,7 @@ by (d_i > 1, d_j > 1).
 from __future__ import annotations
 
 import enum
-import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 from .core import (
@@ -32,15 +31,14 @@ from .core import (
     Path,
     Quiver,
     StabilityParameter,
-    enumerate_paths,
     path_count,
 )
 from .errors import AssumptionViolatedError
 from .stability import (
     AssumptionsReport,
-    ThreeValued,
     _lattice_point,
     _lattice_values,
+    _require_acyclic,
     _require_zero_pairing,
     assumptions_report,
 )
@@ -55,10 +53,8 @@ __all__ = [
     "double_frame",
     "verify_framed_sign_partition",
     "framed_ample_stability",
-    "framed_assumptions_report",
     "reduce",
     "verify_reduction_pairing",
-    "reduction_path_map",
 ]
 
 
@@ -271,33 +267,6 @@ def framed_ample_stability(d: DimensionVector, i: str, j: str) -> bool:
     return d[i] > 1 and d[j] > 1
 
 
-def framed_assumptions_report(framing: FramingResult) -> AssumptionsReport:
-    """Assumptions report for the framed datum, with ample stability decided.
-
-    The framed datum always keeps acyclicity and indivisibility, and its
-    semistable and stable loci agree; theta-coprimality may nonetheless fail
-    (it is only a sufficient condition, and (0, d, 0) always pairs to zero).
-    Ample stability is decided exactly by the thin-framing criterion, so this
-    report can say NO, unlike the base report.  A warning is emitted when the
-    base datum does not verifiably satisfy its own hypotheses.
-    """
-    if not framing.base_assumptions.all_verified():
-        warnings.warn(
-            "framed ample stability is only meaningful when the base datum "
-            "satisfies the standing hypotheses; the base report does not "
-            "verify them",
-            stacklevel=2,
-        )
-    report = assumptions_report(
-        framing.framed_quiver, framing.framed_dimension, framing.framed_stability
-    )
-    i, j = framing.framed_at
-    ample = framed_ample_stability(framing.base_dimension, i, j)
-    if report.strongly_amply_stable and not ample:
-        raise AssertionError("strong ample stability cannot hold when ample stability fails")
-    return replace(report, amply_stable=ThreeValued.YES if ample else ThreeValued.NO)
-
-
 def reduce(framing: FramingResult) -> ReductionResult:
     """Reduce the framed datum, dropping framing vertices made redundant by
     thinness of the base dimension vector d at the framed vertices.
@@ -322,10 +291,12 @@ def reduce(framing: FramingResult) -> ReductionResult:
     reduced path space between the marked vertices matches the base path
     space from i to j.  The base datum must satisfy the decidable standing
     hypotheses (acyclicity, indivisibility, coprimality); ample stability is
-    not decidable at the base level and is not gated on.  The result's
-    ``pairing`` check runs here and must pass.
+    not decidable at the base level and is not gated on.  A cyclic base
+    quiver is refused first, naming its cycle, as the commands refuse it.
+    The result's ``pairing`` check runs here and must pass.
     """
-    framing.base_assumptions.require("acyclic", "indivisible", "coprime")
+    _require_acyclic(framing.base_quiver)
+    framing.base_assumptions.require("indivisible", "coprime")
     d, theta = framing.base_dimension, framing.base_stability
 
     i, j = framing.framed_at
@@ -392,19 +363,3 @@ def verify_reduction_pairing(result: ReductionResult) -> ReductionPairingCheck:
         reduced_path_count=reduced_count,
         base_path_count=base_count,
     )
-
-
-def reduction_path_map(result: ReductionResult) -> dict[Path, Path]:
-    """The map p -> qinf . p . q0 from marked paths in the reduced quiver to
-    source-to-sink paths in the framed quiver, by explicit enumeration.
-
-    Used to certify that the map is a bijection onto the framed path space.
-    """
-    framing = result.framing
-    i_mark, j_mark = result.marked_vertices
-    q0, qinf = result.connecting_paths
-    mapping: dict[Path, Path] = {}
-    for p in enumerate_paths(result.reduced_quiver, i_mark, j_mark):
-        translated = tuple(result.arrow_map[k] for k in p.arrows)
-        mapping[p] = Path(framing.source_vertex, q0.arrows + translated + qinf.arrows)
-    return mapping

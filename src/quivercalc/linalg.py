@@ -73,13 +73,6 @@ def nullspace_basis(m: Matrix) -> list[list[Fraction]]:
     return basis
 
 
-def mat_mul(a: Matrix, b: Matrix) -> list[list[Fraction]]:
-    """Exact matrix product over Q; shapes (m x k) (k x n) -> (m x n)."""
-    assert all(len(row) == len(b) for row in a)
-    cols = list(zip(*b))
-    return [[sum(map(mul, row, col), Fraction(0)) for col in cols] for row in a]
-
-
 def identity(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 

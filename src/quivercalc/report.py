@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Any
 
 from .cohomology import _require_presentation_preconditions, hochschild1_dim, moduli_dimension
-from .core import is_acyclic, path_count, path_count_matrix
+from .core import path_count, path_count_matrix
 from .errors import (
     AssumptionViolatedError,
     BudgetExceededError,
@@ -41,7 +41,7 @@ from .framing import (
     verify_framed_sign_partition,
 )
 from .specfile import QuiverSpec, datum_dict
-from .stability import HYPOTHESES, AssumptionsReport, assumptions_report
+from .stability import HYPOTHESES, AssumptionsReport, _require_acyclic, assumptions_report
 
 SCHEMA_VERSION = 2
 
@@ -165,9 +165,7 @@ def _framed(spec: QuiverSpec, i: str | None, j: str | None, scale: int | None) -
     q, d, theta = spec.quiver, spec.dimension, spec.stability
     scale = MINIMAL_FRAMING_SCALE if scale is None else scale
     framing = double_frame(q, d, theta, i, j, scale)
-    cycle = is_acyclic(q).cycle
-    if cycle is not None:
-        raise AssumptionViolatedError(HYPOTHESES["acyclic"], detail=f"cycle arrows {cycle}")
+    _require_acyclic(q)
     return framing
 
 

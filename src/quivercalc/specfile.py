@@ -41,8 +41,6 @@ __all__ = [
     "parse_spec",
     "load_spec",
     "datum_dict",
-    "spec_to_dict",
-    "dump_spec",
 ]
 
 SPEC_SCHEMA = {
@@ -302,27 +300,6 @@ def datum_dict(q: Quiver, d: DimensionVector, theta: StabilityParameter) -> dict
         "dimension": {v: d[v] for v in q.vertices},
         "stability": {v: theta[v] for v in q.vertices},
     }
-
-
-def spec_to_dict(spec: QuiverSpec) -> dict:
-    """Serialize back to the document form; parse(spec_to_dict(s)) == s."""
-    document = datum_dict(spec.quiver, spec.dimension, spec.stability)
-    if spec.framing is not None:
-        framing: dict = {"i": spec.framing.i, "j": spec.framing.j}
-        if spec.framing.scale is not None:
-            framing["scale"] = spec.framing.scale
-        document["framing"] = framing
-    if spec.oracle is not None:
-        document["oracle"] = {
-            "prime": spec.oracle.prime,
-            "budget": spec.oracle.budget,
-            "seed": spec.oracle.seed,
-        }
-    return document
-
-
-def dump_spec(spec: QuiverSpec, path: str | FsPath) -> None:
-    FsPath(path).write_text(_indented_json(spec_to_dict(spec)) + "\n", encoding="utf-8")
 
 
 def _indented_json(value, indent: str = "\n") -> str:

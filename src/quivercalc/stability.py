@@ -1,9 +1,11 @@
 """Dimension-vector-level stability decisions.
 
-Everything here is a statement about the pair (d, theta) alone: the sign
-partition of subdimension vectors, theta-coprimality (the implementable
-sufficient condition for "semistable = stable"), the strong ample stability
-criterion, and an aggregated report of the standing hypotheses.
+Everything here is a statement about the datum (q, d, theta), read through
+one entry, ``assumptions_report``: acyclicity, indivisibility,
+theta-coprimality (the implementable sufficient condition for "semistable =
+stable") and the strong ample stability criterion, each verdict with its
+witnesses.  ``framing.verify_framed_sign_partition`` reads the signs of
+theta(e) from the same sweep.
 
 ``HYPOTHESES`` is the one table of the standing hypotheses: every report's
 verified/failed ledger, every refusal and every gate reads its names there.
@@ -15,7 +17,7 @@ keeps the hot loop in integer arithmetic.
 Every decision over the lattice {e : 0 <= e <= d} reads one index-space
 sweep, ``_lattice_values``: theta(e) as a flat list of ints in lexicographic
 order, bounded by ``LATTICE_BUDGET``.  DimensionVector objects are built only
-for what is returned (witnesses, partition members).
+for what is returned (witnesses).
 """
 
 from __future__ import annotations
@@ -26,23 +28,18 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .core import DimensionVector, Quiver, StabilityParameter, is_acyclic
-from .errors import AssumptionViolatedError, BudgetExceededError, CyclicQuiverError, PairingNonzeroError
+from .errors import AssumptionViolatedError, BudgetExceededError, PairingNonzeroError
 
 __all__ = [
     "ASSUMED_HYPOTHESES",
     "HYPOTHESES",
     "LATTICE_BUDGET",
     "MAX_WITNESSES",
-    "SignPartition",
     "ThreeValued",
     "AssumptionsReport",
-    "subdimension_vectors",
-    "sign_partition",
-    "is_theta_coprime",
-    "is_strongly_amply_stable",
     "assumptions_report",
 ]
 
@@ -81,31 +78,14 @@ class ThreeValued(enum.Enum):
 
 
 @dataclass(frozen=True)
-class SignPartition:
-    """Partition of {e : 0 <= e <= d} by the sign of theta(e).
-
-    The three lists are disjoint, jointly exhaustive, and enumerated in
-    lexicographic order of the quiver's vertex order, so cardinalities sum to
-    prod_i (d_i + 1).
-    """
-
-    plus: tuple[DimensionVector, ...]
-    minus: tuple[DimensionVector, ...]
-    zero: tuple[DimensionVector, ...]
-
-    def size(self) -> int:
-        return len(self.plus) + len(self.minus) + len(self.zero)
-
-
-@dataclass(frozen=True)
 class AssumptionsReport:
     """Aggregated verdicts on the standing hypotheses for a datum (q, d, theta).
 
     ``coprime`` is the implementable sufficient condition for "every
     semistable representation of dimension vector d is stable".  Exact ample
     stability is *not* decided here: ``amply_stable`` is YES exactly when the
-    strong sufficient criterion holds and UNKNOWN otherwise (a NO can only be
-    produced by the framing module's thin-framing special case).
+    strong sufficient criterion holds and UNKNOWN otherwise (a definite NO
+    is decided only for framed data, by ``framing.framed_ample_stability``).
     ``failing_witnesses`` maps a failed check name to the subdimension vectors
     that violate it, lexicographically first, at most ``MAX_WITNESSES`` of
     them; ``failing_witness_counts`` maps the name of a list cut there to
@@ -138,13 +118,24 @@ class AssumptionsReport:
         }
 
     def require(self, *names: str) -> None:
-        """Raise the refusal of the first of the named hypotheses that fails."""
+        """Raise the refusal of the first of the named hypotheses that fails.
+
+        The gates refuse acyclicity before this, with ``_require_acyclic``,
+        which names the cycle."""
         for name in names:
             if getattr(self, name):
                 continue
             if name == "coprime":
                 raise _not_coprime_error(self.failing_witnesses["coprime"][0])
             raise AssumptionViolatedError(HYPOTHESES[name])
+
+
+def _require_acyclic(q: Quiver) -> None:
+    """The acyclicity refusal, naming the cycle of q's ``is_acyclic``
+    certificate; the commands' gate and the library's ``reduce`` raise it."""
+    cycle = is_acyclic(q).cycle
+    if cycle is not None:
+        raise AssumptionViolatedError(HYPOTHESES["acyclic"], detail=f"cycle arrows {cycle}")
 
 
 def _not_coprime_error(witness: DimensionVector) -> AssumptionViolatedError:
@@ -158,10 +149,6 @@ def _require_zero_pairing(theta: StabilityParameter, d: DimensionVector) -> None
     pairing = theta(d)
     if pairing != 0:
         raise PairingNonzeroError(f"theta(d) = {pairing}, expected 0")
-
-
-def _subvector_tuples(dv: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    return itertools.product(*(range(c + 1) for c in dv))
 
 
 def _as_vector(q: Quiver, values: tuple[int, ...]) -> DimensionVector:
@@ -258,57 +245,6 @@ def _strong_violations(q: Quiver, dv: tuple[int, ...], values: list[int]) -> lis
     mask = [v >= 0 and f > -2 for v, f in zip(values, form)]
     mask[0] = mask[-1] = False
     return [_lattice_point(dv, k) for k in itertools.compress(range(len(mask)), mask)]
-
-
-def subdimension_vectors(q: Quiver, d: DimensionVector) -> Iterator[DimensionVector]:
-    """All e with 0 <= e <= d, lexicographic in the quiver's vertex order."""
-    for values in _subvector_tuples(d.aligned(q.vertices)):
-        yield _as_vector(q, values)
-
-
-def sign_partition(q: Quiver, d: DimensionVector, theta: StabilityParameter) -> SignPartition:
-    """Split every subdimension vector of d by the sign of theta(e)."""
-    _require_zero_pairing(theta, d)
-    dv = d.aligned(q.vertices)
-    values = _lattice_values(dv, theta.aligned(q.vertices))
-    plus, minus, zero = [], [], []
-    for e, value in zip(_subvector_tuples(dv), values):
-        (plus if value > 0 else minus if value < 0 else zero).append(_as_vector(q, e))
-    return SignPartition(tuple(plus), tuple(minus), tuple(zero))
-
-
-def is_theta_coprime(
-    q: Quiver, d: DimensionVector, theta: StabilityParameter
-) -> tuple[bool, DimensionVector | None]:
-    """True iff theta(e) != 0 for every proper nonzero e <= d.
-
-    On failure the lexicographically first violating e is returned.
-    Coprimality forces "semistable = stable" in dimension vector d.
-    """
-    _require_zero_pairing(theta, d)
-    dv = d.aligned(q.vertices)
-    k = _coprime_witness(_lattice_values(dv, theta.aligned(q.vertices)))
-    if k is None:
-        return True, None
-    return False, _as_vector(q, _lattice_point(dv, k))
-
-
-def is_strongly_amply_stable(
-    q: Quiver, d: DimensionVector, theta: StabilityParameter
-) -> tuple[bool, tuple[DimensionVector, ...]]:
-    """Strong ample stability: <e, d-e> <= -2 whenever mu(e) >= mu(d-e).
-
-    The quantifier runs over proper nonzero subdimension vectors (the slope
-    condition is vacuous or degenerate at the endpoints), and as stated the
-    slope inequality is weak, i.e. equality theta(e) = 0 is included.  All
-    violating e are returned, in lexicographic order.
-    """
-    _require_zero_pairing(theta, d)
-    if not is_acyclic(q):
-        raise CyclicQuiverError("strong ample stability is defined for acyclic quivers")
-    dv = d.aligned(q.vertices)
-    violations = _strong_violations(q, dv, _lattice_values(dv, theta.aligned(q.vertices)))
-    return not violations, tuple(_as_vector(q, e) for e in violations)
 
 
 def assumptions_report(q: Quiver, d: DimensionVector, theta: StabilityParameter) -> AssumptionsReport:

@@ -2,8 +2,8 @@
 
 These deliberately avoid the library's own algorithms: path counting is a
 plain recursive walk on the arrow list, or networkx's simple edge paths on a
-multigraph, ranks and reduced echelon forms over Q and inverses and
-products over F_p come from sympy, row spans over F_p are enumerated
+multigraph, ranks, reduced echelon forms and products over Q and inverses
+and products over F_p come from sympy, row spans over F_p are enumerated
 coefficient by coefficient, connectivity is
 union-find, subspace counts come from the closed-form product formula, and
 the subdimension-lattice decisions build one DimensionVector per point and
@@ -18,7 +18,7 @@ separate King search on the whole framed point instead of reading the
 framed verdicts off the base point's closed tuples.  The reduction of a
 framed datum is built case by case, each of its four cases spelled out
 field by field, instead of as one restriction of the framed datum to its
-kept vertices.
+kept vertices, and its path map is built by enumerating the reduced paths.
 
 One entry is not a reference but a library routine with no caller left in
 the package: ``has_cyclic_destabilizer``, the single-generator screening of
@@ -47,6 +47,7 @@ from quivercalc import (
     ReductionCase,
     ReductionResult,
     StabilityParameter,
+    enumerate_paths,
 )
 from quivercalc import ff_oracle, linalg
 
@@ -92,6 +93,12 @@ def sympy_inverse_mod(rows, p: int) -> list[list[int]] | None:
     if m.det() % p == 0:
         return None
     return [[int(x) % p for x in m.inv_mod(p).row(r)] for r in range(m.rows)]
+
+
+def sympy_mat_mul(a, b) -> list[list[Fraction]]:
+    """The matrix product over Q from sympy."""
+    product = sympy.Matrix(a) * sympy.Matrix(b)
+    return [[Fraction(int(x.p), int(x.q)) for x in product.row(r)] for r in range(product.rows)]
 
 
 def sympy_mat_mul_mod(a, b, p: int) -> list[list[int]]:
@@ -500,3 +507,19 @@ def four_case_reduction(framing, d: DimensionVector) -> ReductionResult:
         arrow_map=arrow_map,
         framing=framing,
     )
+
+
+def reduction_path_map(result: ReductionResult) -> dict[Path, Path]:
+    """The map p -> qinf . p . q0 from marked paths in the reduced quiver to
+    source-to-sink paths in the framed quiver, by explicit enumeration.
+
+    Used to certify that the map is a bijection onto the framed path space.
+    """
+    framing = result.framing
+    i_mark, j_mark = result.marked_vertices
+    q0, qinf = result.connecting_paths
+    mapping: dict[Path, Path] = {}
+    for p in enumerate_paths(result.reduced_quiver, i_mark, j_mark):
+        translated = tuple(result.arrow_map[k] for k in p.arrows)
+        mapping[p] = Path(framing.source_vertex, q0.arrows + translated + qinf.arrows)
+    return mapping

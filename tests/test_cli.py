@@ -11,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from quivercalc import MINIMAL_FRAMING_SCALE, AssumptionViolatedError, double_frame, load_spec, reduce
 from quivercalc.cli import main
 from quivercalc.core import PRIME_LIMIT
 from quivercalc.report import REPORT_SCHEMA
@@ -459,6 +460,27 @@ def test_cyclic_quiver_refuses_with_report(capsys, tmp_path, command):
     assert code_h == 1
     assert err_h == ""
     assert human == f"command: {command}\nrefused: {CYCLIC_ERROR['message']}\nexit code: 1\n"
+
+
+def test_library_reduce_refuses_a_cyclic_quiver_as_the_commands_do(capsys, tmp_path):
+    doc = {
+        "vertices": ["a", "b"],
+        "arrows": [{"from": "a", "to": "b"}, {"from": "b", "to": "a"}],
+        "dimension": {"a": 1, "b": 1},
+        "stability": {"a": 1, "b": -1},
+        "framing": {"i": "a", "j": "b"},
+    }
+    path = tmp_path / "two_cycle.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, report, _ = run_json(capsys, "reduce", path)
+    assert code == 1
+
+    spec = load_spec(path)
+    framing = double_frame(spec.quiver, spec.dimension, spec.stability, "a", "b", MINIMAL_FRAMING_SCALE)
+    with pytest.raises(AssumptionViolatedError) as excinfo:
+        reduce(framing)
+    assert excinfo.value.assumption == report["error"]["assumption"] == "acyclicity"
+    assert str(excinfo.value) == report["error"]["message"] == "assumption violated: acyclicity (cycle arrows (0, 1))"
 
 
 def _non_coprime_framed_spec(tmp_path):

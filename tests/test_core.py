@@ -8,9 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quivercalc import (
-    Character,
     DimensionVector,
-    DivisibleDimensionVectorError,
     Path,
     Quiver,
     StabilityParameter,
@@ -23,7 +21,6 @@ from quivercalc import (
     is_acyclic,
     path_count_matrix,
     slope,
-    weight_one_character,
 )
 from quivercalc.core import PRIME_LIMIT, _is_prime
 from quivercalc.errors import CyclicQuiverError
@@ -131,7 +128,9 @@ def test_path_count_matrix_matches_dfs_oracle(q):
 @given(acyclic_quivers(max_vertices=6))
 def test_path_count_matrix_inverts_i_minus_a(q):
     n = len(q.vertices)
-    a = q.adjacency_matrix
+    a = [[0] * n for _ in range(n)]  # a[i][j] = number of arrows i -> j
+    for s, t in q.arrow_indices:
+        a[s][t] += 1
     p = path_count_matrix(q).entries
     for i in range(n):
         for j in range(n):
@@ -160,43 +159,6 @@ def test_canonical_stability_kronecker(kronecker):
 def test_canonical_stability_pairs_to_zero(qd):
     q, d = qd
     assert canonical_stability(q, d)(d) == 0
-
-
-def test_weight_one_character_examples():
-    assert weight_one_character(DimensionVector({"1": 2, "2": 3})).as_dict() == {"1": -1, "2": 1}
-    assert weight_one_character(DimensionVector({"1": 1, "2": 1, "3": 1})).as_dict() == {
-        "1": 1,
-        "2": 0,
-        "3": 0,
-    }
-    with pytest.raises(DivisibleDimensionVectorError):
-        weight_one_character(DimensionVector({"1": 2, "2": 4}))
-
-
-@settings(max_examples=80)
-@given(st.lists(st.integers(0, 12), min_size=1, max_size=5))
-def test_weight_one_character_pairs_to_one(entries):
-    d = DimensionVector({f"v{k}": c for k, c in enumerate(entries)})
-    if d.is_zero():
-        with pytest.raises(ValueError):
-            weight_one_character(d)
-    elif d.is_indivisible():
-        a = weight_one_character(d)
-        assert a(d) == 1
-    else:
-        with pytest.raises(DivisibleDimensionVectorError):
-            weight_one_character(d)
-
-
-def test_weight_one_character_on_consecutive_fibonacci_numbers():
-    # Euclid takes the most steps on consecutive Fibonacci numbers: about a
-    # thousand here, each a stack frame if the extended gcd recursed.
-    fib = [0, 1]
-    while len(fib) < 998:
-        fib.append(fib[-1] + fib[-2])
-    d = DimensionVector({"1": fib[996], "2": fib[997]})
-    assert len(str(fib[996])) == 208
-    assert weight_one_character(d)(d) == 1
 
 
 def test_slope_exact():
@@ -228,12 +190,6 @@ def test_connected_components_match_union_find(q):
     assert len(connected_components(q)) == union_find_component_count(q)
 
 
-def test_character_call_requires_same_vertices():
-    a = Character({"x": 1})
-    with pytest.raises(VertexSetMismatchError):
-        a(DimensionVector({"y": 1}))
-
-
 # Vertex names that sort differently from any order they are drawn in,
 # including a non-ASCII one.
 _vertex_names = st.text(alphabet="ab0Z_∞", min_size=1, max_size=3)
@@ -262,7 +218,6 @@ def test_vertex_vector_contract(case, data):
         d[unknown]
     assert d.entries == tuple(by_name)
     assert d.as_dict() == values and list(d.as_dict()) == [v for v, _ in by_name]
-    assert d.vertex_set == frozenset(values)
     assert repr(d) == "DimensionVector({" + ", ".join(f"{v}: {c}" for v, c in by_name) + "})"
     assert d.total() == sum(values.values())
     assert d.is_zero() == (not any(values.values()))
@@ -273,12 +228,10 @@ def test_vertex_vector_contract(case, data):
     assert reordered == d and hash(reordered) == hash(d)
     assert hash(d) == hash(("DimensionVector", tuple(by_name)))
     assert StabilityParameter(values) != d
-    assert Character(values) != StabilityParameter(values)
 
     weights = data.draw(st.lists(st.integers(-9, 9), min_size=len(order), max_size=len(order)))
     theta = StabilityParameter(dict(zip(order, weights)))
     assert theta(d) == sum(w * values[v] for v, w in zip(order, weights))
-    assert Character(dict(zip(order, weights)))(d) == theta(d)
     assert d + d == DimensionVector({v: 2 * c for v, c in values.items()})
     assert (d + d) - d == d and d <= d + d
 

@@ -25,7 +25,6 @@ from quivercalc import (
     canonical_stability,
     double_frame,
     enumerate_paths,
-    enumerate_representations,
     enumerate_subrepresentations,
     gaussian_binomial,
     king_stability,
@@ -440,7 +439,7 @@ def test_random_group_element_draws_are_pinned(a3):
 
 def test_enumerate_representations_count(a2):
     d = DimensionVector({"1": 1, "2": 2})
-    points = list(enumerate_representations(a2, d, 2))
+    points = list(ff_oracle._all_matrices(ff_oracle._shapes(a2, d), 2))
     assert len(points) == 4  # one 2x1 matrix over F_2
 
 
@@ -693,7 +692,8 @@ def test_a_failing_point_is_reported_as_a_representation(kronecker, monkeypatch)
     theta = StabilityParameter({"1": 1, "2": -1})
     framing = double_frame(kronecker, thin(kronecker), theta, "1", "2", 2)
     report = verify_double_framing_equivalence(framing, 2)
-    points = list(enumerate_representations(framing.framed_quiver, framing.framed_dimension, 2))
+    fq, fd = framing.framed_quiver, framing.framed_dimension
+    points = [FiniteFieldRepresentation(fq, 2, fd, mats) for mats in ff_oracle._all_matrices(ff_oracle._shapes(fq, fd), 2)]
     # both framing maps nonzero: the last of each run of four points
     assert [rep for rep, _, _ in report.failures] == points[3::4]
     for rep, _, _ in report.failures:

@@ -14,23 +14,20 @@ from quivercalc import (
     ReductionCase,
     ReductionResult,
     StabilityParameter,
-    ThreeValued,
     UnknownVertexError,
     assumptions_report,
     canonical_stability,
     double_frame,
     enumerate_paths,
     framed_ample_stability,
-    framed_assumptions_report,
     is_acyclic,
     path_count_matrix,
     reduce,
-    reduction_path_map,
     verify_framed_sign_partition,
     verify_reduction_pairing,
 )
 
-from oracles import four_case_reduction
+from oracles import four_case_reduction, reduction_path_map
 from conftest import (
     quiver_with_datum,
     random_acyclic_quiver,
@@ -153,23 +150,6 @@ def test_framed_ample_stability_cases():
     assert framed_ample_stability(DimensionVector({"1": 2, "2": 3}), "1", "2")
     assert not framed_ample_stability(DimensionVector({"1": 1, "2": 3}), "1", "2")
     assert not framed_ample_stability(DimensionVector({"1": 2, "2": 1}), "1", "2")
-
-
-def test_framed_assumptions_report_says_no_for_thin_framing(three_vertex):
-    d = thin(three_vertex)
-    theta = canonical_stability(three_vertex, d)
-    framed = double_frame(three_vertex, d, theta, "2", "3", 2)
-    report = framed_assumptions_report(framed)
-    assert report.acyclic and report.indivisible
-    assert report.amply_stable is ThreeValued.NO
-
-
-def test_framed_assumptions_report_yes_when_both_big(three_kronecker):
-    d = DimensionVector({"1": 2, "2": 3})
-    theta = StabilityParameter({"1": 3, "2": -2})
-    framed = double_frame(three_kronecker, d, theta, "1", "2", 2)
-    report = framed_assumptions_report(framed)
-    assert report.amply_stable is ThreeValued.YES
 
 
 def case_fixtures(kronecker, three_kronecker, three_vertex):

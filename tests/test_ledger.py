@@ -5,18 +5,15 @@ The expected hypothesis names are spelled out here, independently of the
 program's own table, so that a change to the vocabulary shows.
 """
 
-import dataclasses
 import json
-import warnings
 from pathlib import Path
 
 import pytest
 
 from quivercalc.cli import main
 from quivercalc.core import DimensionVector, Quiver, canonical_stability
-from quivercalc.framing import double_frame, framed_ample_stability, framed_assumptions_report
 from quivercalc.specfile import load_spec
-from quivercalc.stability import MAX_WITNESSES, ThreeValued, assumptions_report, is_strongly_amply_stable
+from quivercalc.stability import MAX_WITNESSES, assumptions_report
 
 from oracles import naive_strong_violations
 
@@ -142,8 +139,8 @@ def test_commands_give_a_failed_hypothesis_one_name(capsys, tmp_path, datum, nam
 
 def test_witness_lists_stop_at_the_cap(capsys, tmp_path):
     """analyze on the A6 chain with every d_i = 4 and canonical theta keeps
-    the first MAX_WITNESSES strong-ample violations of the library's full
-    list and counts them all, as a per-point sweep does."""
+    the first MAX_WITNESSES strong-ample violations of a per-point sweep and
+    counts them all."""
     vertices = [str(k) for k in range(1, 7)]
     arrows = list(zip(vertices, vertices[1:]))
     q = Quiver(vertices, arrows)
@@ -151,13 +148,14 @@ def test_witness_lists_stop_at_the_cap(capsys, tmp_path):
     theta = canonical_stability(q, d)
     path = tmp_path / "a6.json"
     path.write_text(json.dumps(_doc(vertices, arrows, [4] * 6, [theta[v] for v in vertices])), encoding="utf-8")
-    total = len(naive_strong_violations(q, d, theta))
+    violations = naive_strong_violations(q, d, theta)
+    total = len(violations)
     assert total > MAX_WITNESSES
 
     _, report = _run_json(capsys, "analyze", path)
     assumptions = report["assumptions"]
     assert assumptions["failing_witness_counts"] == {"strongly_amply_stable": total}
-    kept = is_strongly_amply_stable(q, d, theta)[1][:MAX_WITNESSES]
+    kept = violations[:MAX_WITNESSES]
     assert assumptions["failing_witnesses"]["strongly_amply_stable"] == [e.as_dict() for e in kept]
 
     main(["analyze", str(path)])
@@ -165,17 +163,3 @@ def test_witness_lists_stop_at_the_cap(capsys, tmp_path):
     (line,) = [x for x in lines if x.startswith("  witnesses against strongly_amply_stable: ")]
     assert line.endswith(f"), ... and {total - MAX_WITNESSES} more")
     assert line.count("), (") == MAX_WITNESSES - 1
-
-
-def test_framed_report_keeps_every_field_but_ample_stability(spec_paths):
-    for path in spec_paths:
-        spec = load_spec(path)
-        q, d, theta = spec.quiver, spec.dimension, spec.stability
-        i, j = q.vertices[0], q.vertices[-1]
-        framing = double_frame(q, d, theta, i, j, 1)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            framed = framed_assumptions_report(framing)
-        plain = assumptions_report(framing.framed_quiver, framing.framed_dimension, framing.framed_stability)
-        ample = ThreeValued.YES if framed_ample_stability(d, i, j) else ThreeValued.NO
-        assert framed == dataclasses.replace(plain, amply_stable=ample), path

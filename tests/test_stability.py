@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 import random
 
 import pytest
@@ -16,11 +17,7 @@ from quivercalc import (
     assumptions_report,
     canonical_stability,
     double_frame,
-    is_strongly_amply_stable,
-    is_theta_coprime,
-    sign_partition,
     slope,
-    subdimension_vectors,
     verify_framed_sign_partition,
 )
 from quivercalc.stability import LATTICE_BUDGET, MAX_WITNESSES, _lattice_point, _lattice_values, _strong_violations
@@ -31,83 +28,73 @@ from oracles import (
     naive_framed_discrepancies,
     naive_sign_partition,
     naive_strong_violations,
+    naive_subdimension_vectors,
 )
 
 
+def _signs(q, d, theta):
+    """The sign of theta(e) at every lattice point, in lattice order."""
+    values = _lattice_values(d.aligned(q.vertices), theta.aligned(q.vertices))
+    return [(v > 0) - (v < 0) for v in values]
+
+
 def test_sign_partition_kronecker(kronecker):
-    d = thin(kronecker)
-    theta = StabilityParameter({"1": 1, "2": -1})
-    part = sign_partition(kronecker, d, theta)
-    assert [e.as_dict() for e in part.plus] == [{"1": 1, "2": 0}]
-    assert [e.as_dict() for e in part.minus] == [{"1": 0, "2": 1}]
-    assert [e.as_dict() for e in part.zero] == [{"1": 0, "2": 0}, {"1": 1, "2": 1}]
+    # e = (0, 0), (0, 1), (1, 0), (1, 1)
+    assert _signs(kronecker, thin(kronecker), StabilityParameter({"1": 1, "2": -1})) == [0, -1, 1, 0]
 
 
 def test_sign_partition_zero_parameter(three_vertex):
-    d = thin(three_vertex)
     theta = StabilityParameter({v: 0 for v in three_vertex.vertices})
-    part = sign_partition(three_vertex, d, theta)
-    assert part.plus == () and part.minus == ()
-    assert len(part.zero) == 8
+    assert _signs(three_vertex, thin(three_vertex), theta) == [0] * 8
 
 
 def test_sign_partition_three_vertex_membership(three_vertex):
-    d = thin(three_vertex)
     theta = StabilityParameter({"1": 2, "2": 1, "3": -3})
-    part = sign_partition(three_vertex, d, theta)
-    assert DimensionVector({"1": 1, "2": 1, "3": 0}) in part.plus  # theta = 3
+    assert _signs(three_vertex, thin(three_vertex), theta)[0b110] == 1  # e = (1, 1, 0), theta = 3
 
 
 def test_sign_partition_requires_zero_pairing(kronecker):
     with pytest.raises(PairingNonzeroError):
-        sign_partition(kronecker, thin(kronecker), StabilityParameter({"1": 1, "2": 0}))
+        assumptions_report(kronecker, thin(kronecker), StabilityParameter({"1": 1, "2": 0}))
 
 
 @settings(max_examples=60)
 @given(quiver_with_datum())
 def test_sign_partition_cardinality_and_symmetry(datum):
     q, d, theta = datum
-    part = sign_partition(q, d, theta)
-    expected = 1
-    for v in q.vertices:
-        expected *= d[v] + 1
-    assert part.size() == expected
-    # theta(d) = 0 makes e <-> d - e swap plus and minus
-    plus = set(part.plus)
-    minus = set(part.minus)
-    zero = set(part.zero)
-    for e in plus:
-        assert d - e in minus
-    for e in zero:
-        assert d - e in zero
+    values = _lattice_values(d.aligned(q.vertices), theta.aligned(q.vertices))
+    assert len(values) == math.prod(d[v] + 1 for v in q.vertices)
+    # theta(d) = 0 makes e <-> d - e, which reverses the lattice order, swap
+    # plus and minus
+    assert values[::-1] == [-v for v in values]
 
 
 def test_theta_coprime_examples(kronecker, three_vertex):
     theta = StabilityParameter({"1": 1, "2": -1})
-    assert is_theta_coprime(kronecker, thin(kronecker), theta) == (True, None)
+    report = assumptions_report(kronecker, thin(kronecker), theta)
+    assert report.coprime and "coprime" not in report.failing_witnesses
 
-    d22 = DimensionVector({"1": 2, "2": 2})
-    ok, witness = is_theta_coprime(kronecker, d22, theta)
-    assert not ok
-    assert witness == DimensionVector({"1": 1, "2": 1})
+    report = assumptions_report(kronecker, DimensionVector({"1": 2, "2": 2}), theta)
+    assert not report.coprime
+    assert report.failing_witnesses["coprime"] == (DimensionVector({"1": 1, "2": 1}),)
 
     theta_can = StabilityParameter({"1": 2, "2": 1, "3": -3})
-    assert is_theta_coprime(three_vertex, thin(three_vertex), theta_can) == (True, None)
+    assert assumptions_report(three_vertex, thin(three_vertex), theta_can).coprime
 
 
 def test_strongly_amply_stable_three_vertex(three_vertex):
     d = thin(three_vertex)
-    ok, violations = is_strongly_amply_stable(three_vertex, d, StabilityParameter({"1": 2, "2": 1, "3": -3}))
-    assert ok and violations == ()
+    report = assumptions_report(three_vertex, d, StabilityParameter({"1": 2, "2": 1, "3": -3}))
+    assert report.strongly_amply_stable and "strongly_amply_stable" not in report.failing_witnesses
 
-    ok, violations = is_strongly_amply_stable(three_vertex, d, StabilityParameter({"1": 2, "2": -1, "3": -1}))
-    assert not ok
-    assert [v.as_dict() for v in violations] == [{"1": 1, "2": 0, "3": 1}]
+    report = assumptions_report(three_vertex, d, StabilityParameter({"1": 2, "2": -1, "3": -1}))
+    assert not report.strongly_amply_stable
+    assert [v.as_dict() for v in report.failing_witnesses["strongly_amply_stable"]] == [{"1": 1, "2": 0, "3": 1}]
 
 
 def test_strongly_amply_stable_kronecker(kronecker):
-    ok, _ = is_strongly_amply_stable(kronecker, thin(kronecker), StabilityParameter({"1": 1, "2": -1}))
-    assert ok  # single candidate (1,0), form -2
+    report = assumptions_report(kronecker, thin(kronecker), StabilityParameter({"1": 1, "2": -1}))
+    assert report.strongly_amply_stable  # single candidate (1,0), form -2
 
 
 @settings(max_examples=40)
@@ -116,8 +103,8 @@ def test_strong_ample_stability_invariant_under_rescaling(datum, factor):
     q, d, theta = datum
     scaled = StabilityParameter({v: factor * theta[v] for v in q.vertices})
     assert (
-        is_strongly_amply_stable(q, d, theta)[0]
-        == is_strongly_amply_stable(q, d, scaled)[0]
+        assumptions_report(q, d, theta).strongly_amply_stable
+        == assumptions_report(q, d, scaled).strongly_amply_stable
     )
 
 
@@ -125,7 +112,7 @@ def test_strong_ample_stability_invariant_under_rescaling(datum, factor):
 @given(quiver_with_datum(max_entry=2))
 def test_slope_comparison_equivalent_to_sign(datum):
     q, d, theta = datum
-    for e in subdimension_vectors(q, d):
+    for e in naive_subdimension_vectors(q, d):
         if e.is_zero() or e == d:
             continue
         complement = d - e
@@ -173,17 +160,16 @@ def test_report_strong_forces_amply_yes(datum):
 @given(quiver_with_datum(), st.data())
 def test_lattice_sweep_matches_per_point_reference(datum, data):
     q, d, theta = datum
-    part = sign_partition(q, d, theta)
+    lattice = naive_subdimension_vectors(q, d)
     reference = naive_sign_partition(q, d, theta)
-    assert list(part.plus) == reference["plus"]
-    assert list(part.minus) == reference["minus"]
-    assert list(part.zero) == reference["zero"]
+    for name, sign in (("plus", 1), ("minus", -1), ("zero", 0)):
+        assert [e for e, s in zip(lattice, _signs(q, d, theta)) if s == sign] == reference[name]
 
     witness = naive_coprime_witness(q, d, theta)
-    assert is_theta_coprime(q, d, theta) == (witness is None, witness)
     violations = naive_strong_violations(q, d, theta)
-    assert is_strongly_amply_stable(q, d, theta) == (not violations, tuple(violations))
     report = assumptions_report(q, d, theta)
+    assert report.coprime == (witness is None)
+    assert report.strongly_amply_stable == (not violations)
     assert report.failing_witnesses.get("coprime") == ((witness,) if witness else None)
     assert report.failing_witnesses.get("strongly_amply_stable") == (tuple(violations[:MAX_WITNESSES]) or None)
     cut = len(violations) > MAX_WITNESSES
@@ -197,7 +183,7 @@ def test_lattice_sweep_matches_per_point_reference(datum, data):
         expected = naive_framed_discrepancies(framing)
         assert list(check.discrepancies) == expected
         assert check.passed == (not expected)
-        assert check.checked == 4 * part.size()
+        assert check.checked == 4 * len(lattice)
         # a framing whose middle block is negated mismatches its prediction at
         # several (a, b) per base vector; the list stays in framed
         # lexicographic order
@@ -214,10 +200,9 @@ def test_lattice_budget_refuses_before_enumerating():
     q = Quiver([str(k) for k in range(1, 7)], [(str(k), str(k + 1)) for k in range(1, 6)])
     d = DimensionVector({v: 40 for v in q.vertices})
     theta = canonical_stability(q, d)
-    for decision in (sign_partition, is_theta_coprime, is_strongly_amply_stable, assumptions_report):
-        with pytest.raises(BudgetExceededError) as excinfo:
-            decision(q, d, theta)
-        assert (excinfo.value.size, excinfo.value.budget) == (41**6, LATTICE_BUDGET)
+    with pytest.raises(BudgetExceededError) as excinfo:
+        assumptions_report(q, d, theta)
+    assert (excinfo.value.size, excinfo.value.budget) == (41**6, LATTICE_BUDGET)
 
 
 def _shuffled_dag(rng, n, max_parallel=3):
@@ -285,7 +270,7 @@ def test_framed_check_equals_the_per_point_reference_on_arbitrary_framed_paramet
     for q, d, theta in _sweep_catalog(43, 150, 4, 2):
         i, j = rng.choice(q.vertices), rng.choice(q.vertices)
         framing = double_frame(q, d, theta, i, j, rng.randint(1, 3))
-        lattice = len(list(subdimension_vectors(q, d)))
+        lattice = math.prod(d[v] + 1 for v in q.vertices)
         weights = {v: rng.randint(-4, 4) for v in q.vertices}
         weights[framing.source_vertex] = rng.randint(-3, 3)
         weights[framing.sink_vertex] = rng.randint(-3, 3)
