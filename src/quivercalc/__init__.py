@@ -74,7 +74,6 @@ _FF_ORACLE_NAMES = frozenset(
         "FiniteFieldRepresentation",
         "StabilityVerdict",
         "Subspace",
-        "enumerate_subrepresentations",
         "gaussian_binomial",
         "king_stability",
         "path_semiinvariant",

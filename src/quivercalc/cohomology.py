@@ -29,17 +29,16 @@ from .core import (
     Path,
     Quiver,
     StabilityParameter,
+    _acyclic_order,
     _check_representation_shapes,
     connected_components,
     enumerate_paths,
     euler_form,
-    is_acyclic,
     is_connected,
     path_count_matrix,
 )
 from .errors import (
     AssumptionViolatedError,
-    CyclicQuiverError,
     DisconnectedQuiverError,
     QuiverMismatchError,
     UnsupportedDimensionVectorError,
@@ -125,8 +124,7 @@ class HomExtResult:
 
 
 def _require_presentation_preconditions(q: Quiver, d: DimensionVector) -> None:
-    if not is_acyclic(q):
-        raise CyclicQuiverError("the presentation requires an acyclic quiver")
+    _acyclic_order(q)
     if not is_connected(q):
         raise DisconnectedQuiverError("the presentation requires a connected quiver")
     if any(c < 1 for c in d.aligned(q.vertices)):
@@ -211,8 +209,6 @@ def hochschild1_dim(q: Quiver) -> int:
     this is sum_a p(s(a), t(a)) - #vertices + 1, matching the vector-fields
     formula; it is 0 exactly for trees.
     """
-    if not is_acyclic(q):
-        raise CyclicQuiverError("first Hochschild cohomology formula requires an acyclic quiver")
     p = path_count_matrix(q)
     arrow_paths = sum(p.count(s, t) for s, t in q.arrows)
     return arrow_paths - len(q.vertices) + len(connected_components(q))
@@ -291,8 +287,6 @@ def projective_representation(q: Quiver, i: str) -> RationalRepresentation:
     vector is row i of the path count matrix) and an arrow acts by
     post-composition, giving 0/1 matrices in the deterministic path bases.
     """
-    if not is_acyclic(q):
-        raise CyclicQuiverError("projective representations on path bases require an acyclic quiver")
     q.vertex_index(i)
     bases = {v: enumerate_paths(q, i, v) for v in q.vertices}
     index = {v: {p: k for k, p in enumerate(bases[v])} for v in q.vertices}

@@ -279,9 +279,6 @@ class PathCountMatrix:
         except KeyError:
             raise UnknownVertexError(f"unknown vertex in pair ({i!r}, {j!r})") from None
 
-    def __getitem__(self, pair: tuple[str, str]) -> int:
-        return self.count(*pair)
-
     def total(self) -> int:
         return sum(sum(row) for row in self.entries)
 
@@ -296,9 +293,6 @@ class Path:
 
     source: str
     arrows: tuple[int, ...] = ()
-
-    def __len__(self) -> int:
-        return len(self.arrows)
 
     def target(self, q: Quiver) -> str:
         at = self.source
@@ -415,7 +409,8 @@ def _arrow_sources(q: Quiver) -> list[list[int]]:
 
 def _acyclic_order(q: Quiver) -> list[int]:
     """Vertex indices in topological order; CyclicQuiverError on a cyclic
-    quiver, where path counts are infinite."""
+    quiver, where path counts are infinite.  The package's one refusal of a
+    cyclic quiver: every path count, path basis and HH^1 formula reaches it."""
     cert = is_acyclic(q)
     if not cert:
         raise CyclicQuiverError(f"path counts are infinite on a cyclic quiver (cycle arrows {cert.cycle})")
@@ -460,8 +455,7 @@ def enumerate_paths(q: Quiver, src: str, dst: str) -> tuple[Path, ...]:
     iterative and enters only vertices from which ``dst`` is reachable, so
     its cost is proportional to the total length of the paths it returns.
     """
-    if not is_acyclic(q):
-        raise CyclicQuiverError("path enumeration requires an acyclic quiver")
+    _acyclic_order(q)
     start = q.vertex_index(src)
     goal = q.vertex_index(dst)
     n = len(q.vertices)

@@ -10,7 +10,10 @@ arrows is never extended.  Every prefix of a closed tuple is closed, and each
 vertex tries its subspaces in the fixed order, so the closed tuples come out
 exactly in the order of the product of the per-vertex lists: witnesses are
 deterministic and reproducible.  Containment is a bitmask test against a
-cached mask, per subspace, of the vectors it contains.
+cached mask, per subspace, of the vectors it contains.  That search,
+``_SubrepSearch.closed``, is the package's one iteration over closed tuples:
+``king_stability`` and the framed description check both run it, and the
+test suite's oracles wrap it as the iterator its order tests read.
 
 Everything in that search that depends only on the quiver, the prime and the
 dimensions (the subspace lists, their dimensions as plain ints, the budget
@@ -59,7 +62,6 @@ __all__ = [
     "gaussian_binomial",
     "subspace_count",
     "subspaces_of",
-    "enumerate_subrepresentations",
     "king_stability",
     "random_representation",
     "verify_double_framing_equivalence",
@@ -382,19 +384,6 @@ def _closed_under_arrows(arrows, mats: Sequence[IntMatrix], spaces: Sequence[Sub
     return True
 
 
-def enumerate_subrepresentations(
-    m: FiniteFieldRepresentation, budget: int = DEFAULT_BUDGET
-) -> Iterator[tuple[tuple[Subspace, ...], DimensionVector]]:
-    """Every arrow-closed tuple of subspaces, including 0 and the whole space.
-
-    Tuples come in the order of the product of per-vertex subspace lists in
-    vertex order.  The product of subspace counts must not exceed ``budget``.
-    """
-    search = _SubrepSearch(m.quiver, m.prime, m.dims.aligned(m.quiver.vertices), budget)
-    for chosen in search.closed(m.arrow_matrices):
-        yield search.subspaces(chosen), search.dimension(chosen)
-
-
 def _king_weights(theta: StabilityParameter, d: DimensionVector, vertices: Sequence[str]) -> tuple[int, ...]:
     """theta aligned to ``vertices``, once theta(d) = 0 is checked."""
     _require_zero_pairing(theta, d)
@@ -659,15 +648,14 @@ def verify_semiinvariant_weight(
     the value on g . M equals g at the target times the inverse of g at the
     source times the value on M (all scalars, endpoints being thin).  Raises
     ValueError when g is singular at any vertex."""
-    path_semiinvariant(m, path)  # raises unless both endpoints are thin
+    before = path_semiinvariant(m, path)  # raises unless both endpoints are thin
     q, p = m.quiver, m.prime
     inverses = {v: linalg.mod_invert(g[v], p) for v in q.vertices}
-    # One vector passed along the path gives ``before``; passed along the
-    # acted arrows g_t(a) . M_a . g_s(a)^{-1} it gives ``after``.
-    before = after = [1]
+    # One vector passed along the acted arrows g_t(a) . M_a . g_s(a)^{-1}
+    # gives the value on g . M.
+    after, at = [1], path.source
     for a in path.arrows:
-        s, t = q.arrows[a]
-        mat = m.arrow_matrices[a]
-        before = linalg.mod_mat_vec(mat, before, p)
-        after = linalg.mod_mat_vec(g[t], linalg.mod_mat_vec(mat, linalg.mod_mat_vec(inverses[s], after, p), p), p)
-    return after[0] == g[path.target(q)][0][0] * pow(g[path.source][0][0], p - 2, p) * before[0] % p
+        s, at = q.arrows[a]
+        acted = linalg.mod_mat_vec(m.arrow_matrices[a], linalg.mod_mat_vec(inverses[s], after, p), p)
+        after = linalg.mod_mat_vec(g[at], acted, p)
+    return after[0] == g[at][0][0] * inverses[path.source][0][0] * before % p

@@ -4,9 +4,10 @@ Matrices are tuples/lists of rows.  One Gaussian elimination serves Q:
 entries may be int or Fraction and become Fractions, never rounded.  Sizes
 are desk scale (path-space and Hom-space dimensions), so plain elimination
 with a deterministic leftmost-pivot rule is the right tool; the rule also
-makes every computed basis reproducible.  The ``mod_`` helpers (products,
-residuals against an echelon basis and inverses over F_p, on ints with plain
-``% p`` arithmetic) run in the finite-field oracle's innermost loops.
+makes every computed basis reproducible.  The ``mod_`` helpers work over F_p
+on ints with plain ``% p`` arithmetic: products and residuals against an
+echelon basis run in the finite-field oracle's innermost loops, and the
+inverse serves the path evaluation's base-change law.
 """
 
 from __future__ import annotations
@@ -73,10 +74,6 @@ def nullspace_basis(m: Matrix) -> list[list[Fraction]]:
     return basis
 
 
-def identity(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
 def mod_mat_vec(m: Sequence[Sequence[int]], v: Sequence[int], p: int) -> list[int]:
     return [sum(map(mul, row, v)) % p for row in m]
 
@@ -99,12 +96,7 @@ def mod_invert(m: Sequence[Sequence[int]], p: int) -> list[list[int]]:
     """Inverse of a square matrix over F_p by Gauss-Jordan elimination of
     [m | I]; raises ValueError at the first column with no pivot."""
     n = len(m)
-    if n == 1:
-        x = m[0][0] % p
-        if not x:
-            raise ValueError("matrix is singular mod p")
-        return [[pow(x, -1, p)]]
-    rows = [[x % p for x in row] + unit for row, unit in zip(m, identity(n))]
+    rows = [[x % p for x in row] + [int(r == c) for c in range(n)] for r, row in enumerate(m)]
     for c in range(n):
         pivot_row = next((r for r in range(c, n) if rows[r][c]), None)
         if pivot_row is None:

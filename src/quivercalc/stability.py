@@ -120,8 +120,10 @@ class AssumptionsReport:
     def require(self, *names: str) -> None:
         """Raise the refusal of the first of the named hypotheses that fails.
 
-        The gates refuse acyclicity before this, with ``_require_acyclic``,
-        which names the cycle."""
+        Callers name only what this report decides from d and the lattice
+        sweep: indivisibility, coprimality (refused with its first witness)
+        and strong ample stability.  Acyclicity is ``_require_acyclic``'s,
+        which names the cycle; this report keeps only the verdict."""
         for name in names:
             if getattr(self, name):
                 continue

@@ -20,10 +20,12 @@ framed datum is built case by case, each of its four cases spelled out
 field by field, instead of as one restriction of the framed datum to its
 kept vertices, and its path map is built by enumerating the reduced paths.
 
-One entry is not a reference but a library routine with no caller left in
-the package: ``has_cyclic_destabilizer``, the single-generator screening of
-the King test, kept here with its tests and checked against
-``naive_cyclic_destabilizer``.
+Two entries are not references but library routines with no caller left in
+the package, kept here with their tests: ``enumerate_subrepresentations``,
+the closed-tuple search of ``ff_oracle._SubrepSearch`` as an iterator, which
+the search-order tests read and check against ``naive_closed_tuples``; and
+``has_cyclic_destabilizer``, the single-generator screening of the King
+test, checked against ``naive_cyclic_destabilizer``.
 """
 
 from __future__ import annotations
@@ -254,6 +256,16 @@ def naive_king_stability(m, theta: StabilityParameter):
         if value == 0 and not dims.is_zero() and dims != m.dims and first_zero_proper is None:
             first_zero_proper = (tup, dims)
     return True, first_zero_proper is None, first_zero_proper
+
+
+def enumerate_subrepresentations(m: FiniteFieldRepresentation, budget: int = ff_oracle.DEFAULT_BUDGET):
+    """Every arrow-closed tuple of subspaces of ``m`` with its dimension
+    vector, 0 and the whole space included, in the order of the product of
+    the per-vertex subspace lists in vertex order.  Refuses with
+    BudgetExceededError when that product exceeds ``budget``."""
+    search = ff_oracle._SubrepSearch(m.quiver, m.prime, m.dims.aligned(m.quiver.vertices), budget)
+    for chosen in search.closed(m.arrow_matrices):
+        yield search.subspaces(chosen), search.dimension(chosen)
 
 
 def has_cyclic_destabilizer(

@@ -25,7 +25,6 @@ from quivercalc import (
     euler_form,
     hochschild1_dim,
     hom_ext,
-    king_stability,
     path_count_matrix,
     projective_representation,
     reduce,

@@ -151,6 +151,31 @@ def test_framed_vertices_missing_exit_two(capsys, tmp_path, command):
         assert (code, out, err) == (2, "", f"quivercalc: input error: {message}\n")
 
 
+def _kronecker_framed_at(i, j):
+    doc = json.loads((FIXTURES / "kronecker.json").read_text())
+    doc["framing"].update(i=i, j=j)
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (_kronecker_framed_at("z", "2"), "$.framing.i: undeclared vertex 'z'"),
+        (_kronecker_framed_at("1", "y"), "$.framing.j: undeclared vertex 'y'"),
+        ('[{"vertices": ["1"]}]', "{path}: top-level value must be an object"),
+        ('{"vertices": [' + "[" * 100_000 + "]" * 100_000 + "]}", "{path}: values nested too deeply"),
+    ],
+    ids=["framing-i-undeclared", "framing-j-undeclared", "top-level-not-an-object", "nested-too-deeply"],
+)
+def test_spec_refusals_exit_two_with_one_input_error_line(capsys, tmp_path, text, message):
+    path = tmp_path / "spec.json"
+    path.write_text(text, encoding="utf-8")
+    for command in ("analyze", "frame", "reduce", "verify"):
+        for fmt in ([], ["--json"]):
+            code, out, err = run(capsys, command, path, *fmt)
+            assert (code, out, err) == (2, "", f"quivercalc: input error: {message.format(path=path)}\n")
+
+
 def test_main_builds_the_parser_once(capsys, monkeypatch):
     import argparse
 

@@ -110,6 +110,11 @@ def test_path_count_matrix_three_vertex(three_vertex):
     assert p.total() == 9
 
 
+def test_path_count_matrix_count_refuses_an_unknown_vertex(three_vertex):
+    with pytest.raises(UnknownVertexError, match=re.escape("unknown vertex in pair ('1', 'z')")):
+        path_count_matrix(three_vertex).count("1", "z")
+
+
 def test_path_count_matrix_rejects_cycles():
     with pytest.raises(CyclicQuiverError):
         path_count_matrix(Quiver(("a",), (("a", "a"),)))
@@ -177,6 +182,12 @@ def test_enumerate_paths_three_vertex(three_vertex):
     assert [p.arrows for p in paths] == [(0, 1), (0, 2), (3,)]
     assert enumerate_paths(three_vertex, "3", "3") == (Path("3"),)
     assert enumerate_paths(three_vertex, "3", "1") == ()
+
+
+def test_path_target_refuses_arrows_that_do_not_compose(three_vertex):
+    # arrow 0 is 1 -> 2 and arrow 3 is 1 -> 3
+    with pytest.raises(ValueError, match=re.escape("path not composable at arrow #3: at '2', arrow starts '1'")):
+        Path("1", (0, 3)).target(three_vertex)
 
 
 def test_connected_components():

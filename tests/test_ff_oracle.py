@@ -4,6 +4,7 @@ import random
 import re
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -25,7 +26,6 @@ from quivercalc import (
     canonical_stability,
     double_frame,
     enumerate_paths,
-    enumerate_subrepresentations,
     gaussian_binomial,
     king_stability,
     path_semiinvariant,
@@ -40,6 +40,7 @@ from quivercalc.ff_oracle import _span_masks, random_group_element, random_repre
 from conftest import random_acyclic_quiver, random_zero_pairing_parameter, thin
 from oracles import (
     brute_force_row_span,
+    enumerate_subrepresentations,
     gaussian_binomial_formula,
     group_act,
     has_cyclic_destabilizer,
@@ -248,6 +249,20 @@ def test_path_semiinvariant_values(three_vertex):
     ones = FiniteFieldRepresentation(three_vertex, 5, d, (((1,),), ((1,),), ((1,),), ((1,),)))
     for path in enumerate_paths(three_vertex, "1", "3"):
         assert path_semiinvariant(ones, path) == 1
+
+
+def test_path_semiinvariant_on_a_rational_representation(a3):
+    # endpoints thin, middle vertex 2-dimensional: (2, -1/3) . (1/2, 1)^T
+    d = DimensionVector({"1": 1, "2": 2, "3": 1})
+    m = RationalRepresentation(a3, d, (((Fraction(1, 2),), (Fraction(1),)), ((Fraction(2), Fraction(-1, 3)),)))
+    value = path_semiinvariant(m, Path("1", (0, 1)))
+    assert type(value) is Fraction and value == Fraction(2, 3)
+    assert path_semiinvariant(m, Path("3")) == 1
+
+
+def test_finite_field_representation_refuses_a_composite_field_size(kronecker):
+    with pytest.raises(ValueError, match="^4 is not prime$"):
+        FiniteFieldRepresentation(kronecker, 4, thin(kronecker), (((1,),), ((1,),)))
 
 
 def test_path_semiinvariant_multiplicative(three_vertex):

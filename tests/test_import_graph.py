@@ -41,7 +41,6 @@ FF_ORACLE_NAMES = [
     "FiniteFieldRepresentation",
     "StabilityVerdict",
     "Subspace",
-    "enumerate_subrepresentations",
     "gaussian_binomial",
     "king_stability",
     "path_semiinvariant",
@@ -54,14 +53,17 @@ FF_ORACLE_NAMES = [
 ]
 
 # Library names no command, acceptance criterion or roadmap item calls, each
-# with the module it left.  has_cyclic_destabilizer and reduction_path_map
-# moved to tests/oracles.py as references; the weight-law trials went with
-# verify's weight-law entry (schema version 2); the stability wrappers, the
-# framed assumptions report, weight-one characters, mat_mul, spec
-# serialization and enumerate_representations had only test callers.  A
-# dotted name is an attribute of a class.
+# with the module it left.  has_cyclic_destabilizer, enumerate_subrepresentations
+# and reduction_path_map moved to tests/oracles.py; the weight-law trials went
+# with verify's weight-law entry (schema version 2); the stability wrappers,
+# the framed assumptions report, weight-one characters, mat_mul, spec
+# serialization and enumerate_representations had only test callers;
+# identity was folded into mod_invert, its one caller; and the item and
+# length methods of path count tables and paths had no caller.  A dotted
+# name is an attribute of a class.
 GONE_FROM_THE_PACKAGE = {
     "has_cyclic_destabilizer": "ff_oracle",
+    "enumerate_subrepresentations": "ff_oracle",
     "WeightLawReport": "ff_oracle",
     "weight_law_trials": "ff_oracle",
     "enumerate_representations": "ff_oracle",
@@ -76,8 +78,11 @@ GONE_FROM_THE_PACKAGE = {
     "weight_one_character": "core",
     "Quiver.adjacency_matrix": "core",
     "VertexVector.vertex_set": "core",
+    "PathCountMatrix.__getitem__": "core",
+    "Path.__len__": "core",
     "DivisibleDimensionVectorError": "errors",
     "mat_mul": "linalg",
+    "identity": "linalg",
     "dump_spec": "specfile",
     "spec_to_dict": "specfile",
 }

@@ -22,6 +22,7 @@ from quivercalc import (
     is_acyclic,
     path_count,
     path_count_matrix,
+    projective_representation,
     tangent_presentation,
     vector_fields_dim,
 )
@@ -95,6 +96,37 @@ def test_path_count_rejects_cycles_and_unknown_vertices():
         path_count(chain(3), "a", "z")
     with pytest.raises(UnknownVertexError):
         path_count(chain(3), "v9", "v0")
+
+
+TWO_CYCLE = Quiver(("a", "b"), (("a", "b"), ("b", "a")))
+TWO_CYCLE_THIN = DimensionVector({"a": 1, "b": 1})
+
+# Every path count, path basis and presentation reaches one refusal of a
+# cyclic quiver, and it names the cycle.
+CYCLIC_CALLS = {
+    "path_count": lambda q: path_count(q, "a", "b"),
+    "path_count_matrix": path_count_matrix,
+    "enumerate_paths": lambda q: enumerate_paths(q, "a", "b"),
+    "hochschild1_dim": hochschild1_dim,
+    "projective_representation": lambda q: projective_representation(q, "a"),
+    "tangent_presentation": lambda q: tangent_presentation(q, TWO_CYCLE_THIN),
+    "vector_fields_dim": lambda q: vector_fields_dim(
+        q, TWO_CYCLE_THIN, StabilityParameter({"a": 1, "b": -1}), override_assumptions=True
+    ),
+}
+
+
+@pytest.mark.filterwarnings("ignore::quivercalc.UnverifiedAssumptionWarning")
+@pytest.mark.parametrize("name", CYCLIC_CALLS)
+def test_every_cyclic_refusal_names_the_cycle(name):
+    with pytest.raises(CyclicQuiverError) as excinfo:
+        CYCLIC_CALLS[name](TWO_CYCLE)
+    assert str(excinfo.value) == "path counts are infinite on a cyclic quiver (cycle arrows (0, 1))"
+
+
+def test_projective_representation_refuses_an_unknown_vertex_before_a_cycle():
+    with pytest.raises(UnknownVertexError, match=re.escape("unknown vertex 'z'")):
+        projective_representation(TWO_CYCLE, "z")
 
 
 @settings(max_examples=60, deadline=None)
