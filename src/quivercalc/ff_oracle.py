@@ -15,16 +15,18 @@ cached mask, per subspace, of the vectors it contains.  That search,
 ``king_stability`` and the framed description check both run it, and the
 test suite's oracles wrap it as the iterator its order tests read.
 
-Everything in that search that depends only on the quiver, the prime and the
-dimensions (the subspace lists, their dimensions as plain ints, the budget
-refusal and the mask tables) is set up once per datum; a point reaches the
-search as its plain tuple of arrow matrices.  The framed description check,
+``_require_tuples`` refuses an over-budget datum from the closed-form count
+of its subspace tuples, before any subspace is listed.  Everything in the
+search that depends only on the quiver, the prime and the dimensions (the
+subspace lists, their dimensions as plain ints and the mask tables) is then
+set up once per datum; a point reaches the search as its plain tuple of arrow
+matrices.  The framed description check,
 ``verify_double_framing_equivalence``, takes a ``FramingResult`` alone, as
 every function downstream of the double framing does; it sets up the base
-search only, since one enumeration of a base point
-decides its verdict and every framing of it (``_FramedKing``), and checks
-both pairings once; its enumerated or sampled points stay matrix tuples, and
-a ``FiniteFieldRepresentation`` is built only for a point that fails.
+search only, since one enumeration of a base point decides its verdict and
+every framing of it (``_FramedKing``); its enumerated or sampled points stay
+matrix tuples, and a ``FiniteFieldRepresentation`` is built only for a point
+that fails.
 
 Every uniform value over F_p comes from ``_uniform_entries``, which draws
 exactly what successive ``randrange(p)`` calls draw.
@@ -128,8 +130,6 @@ class EquivalenceReport:
 
     instances_checked: int
     failures: tuple[tuple[FiniteFieldRepresentation, str, str], ...]
-    prime: int
-    scale: int
     sampled: bool = False
     sample_size: int | None = None
     notes: tuple[str, ...] = ()
@@ -153,6 +153,14 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
 
 def subspace_count(n: int, q: int) -> int:
     return sum(gaussian_binomial(n, k, q) for k in range(n + 1))
+
+
+def _require_tuples(prime: int, dims: Sequence[int], budget: int, counted: str) -> None:
+    """Refuse, before any subspace is listed, when the tuples of one subspace
+    of F_p^n per entry n of ``dims`` number more than ``budget``."""
+    count = math.prod(subspace_count(n, prime) for n in dims)
+    if count > budget:
+        raise BudgetExceededError(counted, count, budget)
 
 
 @lru_cache(maxsize=None)
@@ -188,10 +196,12 @@ def subspaces_of(p: int, n: int) -> tuple[Subspace, ...]:
 # A containment mask has one bit per vector of F_p^n: bit c is set when the
 # vector whose base-p numeral (first coordinate leading) is c lies in the
 # subspace.  A table of them, one per subspace of F_p^n, takes
-# subspace_count(n, p) * p^n bits; beyond this many, enumeration falls back to
-# testing whole product tuples.  On a King test of dims (1, n, n, 1) the masks
-# win 4-9x at (257, 2) (1.7e7 bits), break even at (509, 2) (1.3e8 bits) and
-# lose 2-4x at (1009, 2) (1.0e9 bits), where each test moves a 127 KB integer.
+# subspace_count(n, p) * p^n bits, more than the one helper integer of p^n
+# bits per coordinate that its build keeps; beyond this many bits, enumeration
+# falls back to testing whole product tuples.  On a King test of dims
+# (1, n, n, 1) the masks win 4-9x at (257, 2) (1.7e7 bits), break even at
+# (509, 2) (1.3e8 bits) and lose 2-4x at (1009, 2) (1.0e9 bits), where each
+# test moves a 127 KB integer.
 _MASK_TABLE_BITS = 1 << 27
 
 
@@ -217,17 +227,15 @@ def _span_masks(p: int, n: int) -> tuple[int, ...] | None:
     if subspace_count(n, p) * size > _MASK_TABLE_BITS:
         return None
     weights = [p ** (n - 1 - j) for j in range(n)]
-    # below[j][b]: the codes whose digit j is less than b.
-    below = [
-        [((1 << (b * w)) - 1) * sum(1 << start for start in range(0, size, p * w)) for b in range(p)]
-        for w in weights
-    ]
+    # ones[j]: the codes whose digits from j on are all 0.
+    ones = [sum(1 << start for start in range(0, size, p * w)) for w in weights]
 
     def translate(mask: int, v: Sequence[int]) -> int:
         for j, a in enumerate(v):
             if a:
-                stay = below[j][p - a]
-                mask = (mask & stay) << (a * weights[j]) | (mask & ~stay) >> ((p - a) * weights[j])
+                w = weights[j]
+                stay = ((1 << (p - a) * w) - 1) * ones[j]  # digit j below p - a
+                mask = (mask & stay) << (a * w) | (mask & ~stay) >> ((p - a) * w)
         return mask
 
     prefix = {(): 1}
@@ -275,20 +283,17 @@ class _SubrepSearch:
     up once and run on any number of points.
 
     The set-up lists every vertex's subspaces with their dimensions as plain
-    ints, refuses when their product exceeds ``budget``, and fixes which
-    vertices an arrow touches, their containment masks and whether the
-    search falls back to filtering the whole product.  ``closed`` runs the
-    search on one point, given as its tuple of arrow matrices.
+    ints, and fixes which vertices an arrow touches, their containment masks
+    and whether the search falls back to filtering the whole product; its
+    caller has passed ``_require_tuples`` first.  ``closed`` runs the search
+    on one point, given as its tuple of arrow matrices.
     """
 
-    def __init__(self, quiver: Quiver, prime: int, dims: Sequence[int], budget: int):
+    def __init__(self, quiver: Quiver, prime: int, dims: Sequence[int]):
         self.quiver = quiver
         self.prime = prime
         self.total = sum(dims)
         self.spaces = [subspaces_of(prime, n) for n in dims]
-        count = math.prod(map(len, self.spaces))
-        if count > budget:
-            raise BudgetExceededError("subspace tuples", count, budget)
         self.sub_dims = [tuple(len(space.rows) for space in spaces) for spaces in self.spaces]
         self.all_indices = [range(len(spaces)) for spaces in self.spaces]
         arrows = quiver.arrow_indices
@@ -384,12 +389,6 @@ def _closed_under_arrows(arrows, mats: Sequence[IntMatrix], spaces: Sequence[Sub
     return True
 
 
-def _king_weights(theta: StabilityParameter, d: DimensionVector, vertices: Sequence[str]) -> tuple[int, ...]:
-    """theta aligned to ``vertices``, once theta(d) = 0 is checked."""
-    _require_zero_pairing(theta, d)
-    return theta.aligned(vertices)
-
-
 def king_stability(
     m: FiniteFieldRepresentation, theta: StabilityParameter, budget: int = DEFAULT_BUDGET
 ) -> StabilityVerdict:
@@ -399,10 +398,11 @@ def king_stability(
     <= 0; stable iff additionally < 0 on every proper nonzero one.  The first
     violating subrepresentation in enumeration order is reported.
     """
-    vertices = m.quiver.vertices
-    weights = _king_weights(theta, m.dims, vertices)
-    search = _SubrepSearch(m.quiver, m.prime, m.dims.aligned(vertices), budget)
-    weighed, sub_dims, total = search.weigh(weights), search.sub_dims, search.total
+    _require_zero_pairing(theta, m.dims)
+    vertices, dims = m.quiver.vertices, m.dims.aligned(m.quiver.vertices)
+    _require_tuples(m.prime, dims, budget, "subspace tuples")
+    search = _SubrepSearch(m.quiver, m.prime, dims)
+    weighed, sub_dims, total = search.weigh(theta.aligned(vertices)), search.sub_dims, search.total
     first_zero_proper = None
     for chosen in search.closed(m.arrow_matrices):
         value = sum(map(operator.getitem, weighed, chosen))
@@ -492,14 +492,11 @@ def verify_double_framing_equivalence(
 
     # Per-point subrepresentation enumeration must fit the budget regardless
     # of sampling, otherwise no verdicts can be computed at all.
-    tuples = math.prod(subspace_count(n, prime) for n in fd.aligned(fq.vertices))
-    if tuples > budget:
-        raise BudgetExceededError("subspace tuples per point", tuples, budget)
+    _require_tuples(prime, fd.aligned(fq.vertices), budget, "subspace tuples per point")
 
-    # One search set-up and one pairing check per datum; the points are plain
-    # tuples of matrices, in range and shape by construction.
-    _king_weights(framing.framed_stability, fd, fq.vertices)
-    king = _FramedKing(framing, prime, budget)
+    # One search set-up per datum; the points are plain tuples of matrices,
+    # in range and shape by construction.
+    king = _FramedKing(framing, prime)
 
     sampled = total_points > budget
     points: Iterator[tuple[IntMatrix, ...]] = _all_matrices(shapes, prime)
@@ -524,8 +521,6 @@ def verify_double_framing_equivalence(
     return EquivalenceReport(
         instances_checked=checked,
         failures=tuple(failures),
-        prime=prime,
-        scale=scale,
         sampled=sampled,
         sample_size=budget if sampled else None,
         notes=tuple(notes),
@@ -541,11 +536,11 @@ class _FramedKing:
     and nonzero iff 0 < a + |E| + b < |d| + 2.  Only the current base point's
     record is kept, with one "E_j in ker w" table per w."""
 
-    def __init__(self, framing: FramingResult, prime: int, budget: int):
-        q, d = framing.base_quiver, framing.base_dimension
+    def __init__(self, framing: FramingResult, prime: int):
+        q = framing.base_quiver
         self.prime, self.scale = prime, framing.framing_scale
-        self.search = _SubrepSearch(q, prime, d.aligned(q.vertices), budget)
-        self.weighed = self.search.weigh(_king_weights(framing.base_stability, d, q.vertices))
+        self.search = _SubrepSearch(q, prime, framing.base_dimension.aligned(q.vertices))
+        self.weighed = self.search.weigh(framing.base_stability.aligned(q.vertices))
         self.i, self.j = map(q.vertex_index, framing.framed_at)
         self.base_mats, self.kernels = None, {}
 

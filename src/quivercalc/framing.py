@@ -118,7 +118,6 @@ class FramedPartitionCheck:
     passed: bool
     checked: int
     discrepancies: tuple[tuple[DimensionVector, str, str], ...]
-    scale: int
 
     @property
     def first_discrepancy(self) -> tuple[DimensionVector, str, str] | None:
@@ -253,7 +252,6 @@ def verify_framed_sign_partition(framing: FramingResult) -> FramedPartitionCheck
         passed=not discrepancies,
         checked=4 * len(middle),
         discrepancies=discrepancies,
-        scale=framing.framing_scale,
     )
 
 

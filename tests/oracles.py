@@ -52,6 +52,7 @@ from quivercalc import (
     enumerate_paths,
 )
 from quivercalc import ff_oracle, linalg
+from quivercalc.stability import _require_zero_pairing
 
 
 def dfs_path_count(q: Quiver, src: str, dst: str) -> int:
@@ -263,7 +264,9 @@ def enumerate_subrepresentations(m: FiniteFieldRepresentation, budget: int = ff_
     vector, 0 and the whole space included, in the order of the product of
     the per-vertex subspace lists in vertex order.  Refuses with
     BudgetExceededError when that product exceeds ``budget``."""
-    search = ff_oracle._SubrepSearch(m.quiver, m.prime, m.dims.aligned(m.quiver.vertices), budget)
+    dims = m.dims.aligned(m.quiver.vertices)
+    ff_oracle._require_tuples(m.prime, dims, budget, "subspace tuples")
+    search = ff_oracle._SubrepSearch(m.quiver, m.prime, dims)
     for chosen in search.closed(m.arrow_matrices):
         yield search.subspaces(chosen), search.dimension(chosen)
 
@@ -288,7 +291,8 @@ def has_cyclic_destabilizer(
     """
     p = m.prime
     vertices = m.quiver.vertices
-    weights = ff_oracle._king_weights(theta, m.dims, vertices)
+    _require_zero_pairing(theta, m.dims)
+    weights = theta.aligned(vertices)
     dims = m.dims.aligned(vertices)
     elements = p ** sum(dims)
     if elements > ff_oracle.DEFAULT_BUDGET:
@@ -418,8 +422,8 @@ def two_search_framing_equivalence(framing, prime: int, budget: int, seed: int):
 
     fq, fd = framing.framed_quiver, framing.framed_dimension
     base_q, base_d = framing.base_quiver, framing.base_dimension
-    base_search = ff_oracle._SubrepSearch(base_q, prime, base_d.aligned(base_q.vertices), budget)
-    framed_search = ff_oracle._SubrepSearch(fq, prime, fd.aligned(fq.vertices), budget)
+    base_search = ff_oracle._SubrepSearch(base_q, prime, base_d.aligned(base_q.vertices))
+    framed_search = ff_oracle._SubrepSearch(fq, prime, fd.aligned(fq.vertices))
     base_weighed = base_search.weigh(framing.base_stability.aligned(base_q.vertices))
     framed_weighed = framed_search.weigh(framing.framed_stability.aligned(fq.vertices))
     shapes = ff_oracle._shapes(fq, fd)

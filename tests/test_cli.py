@@ -176,6 +176,18 @@ def test_spec_refusals_exit_two_with_one_input_error_line(capsys, tmp_path, text
             assert (code, out, err) == (2, "", f"quivercalc: input error: {message.format(path=path)}\n")
 
 
+def test_a_library_error_exits_one_with_one_error_line(capsys, monkeypatch):
+    from quivercalc import cli
+    from quivercalc.errors import DisconnectedQuiverError
+
+    def failing(spec, override_assumptions):
+        raise DisconnectedQuiverError("quiver is not connected")
+
+    monkeypatch.setattr(cli, "build_analyze_report", failing)
+    code, out, err = run(capsys, "analyze", FIXTURES / "kronecker.json", "--json")
+    assert (code, out, err) == (1, "", "quivercalc: error: quiver is not connected\n")
+
+
 def test_main_builds_the_parser_once(capsys, monkeypatch):
     import argparse
 

@@ -259,6 +259,16 @@ def test_vertex_vector_contract(case, data):
             op(other, d)
 
 
+def test_dimension_vectors_are_nonnegative_and_vertex_vectors_immutable():
+    with pytest.raises(ValueError, match="dimension vector entry at 'b' is negative"):
+        DimensionVector({"a": 1, "b": -1})
+    for vector in (DimensionVector({"a": 1}), StabilityParameter({"a": -1})):
+        values = vector.as_dict()
+        with pytest.raises(AttributeError, match=f"{type(vector).__name__} is immutable"):
+            vector._values = {"a": 2}
+        assert vector.as_dict() == values
+
+
 def _trial_division_is_prime(n):
     return n >= 2 and all(n % k for k in range(2, math.isqrt(n) + 1))
 

@@ -4,6 +4,7 @@ import random
 import re
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -63,6 +64,7 @@ def test_subspace_counts_match_gaussian_binomials():
             for k in range(n + 1):
                 assert by_dim.get(k, 0) == gaussian_binomial_formula(n, k, p)
                 assert gaussian_binomial(n, k, p) == gaussian_binomial_formula(n, k, p)
+            assert gaussian_binomial(n, -1, p) == gaussian_binomial(n, n + 1, p) == 0
 
 
 def test_subspaces_of_f2_squared():
@@ -553,7 +555,14 @@ def test_enumerate_subrepresentations_matches_the_filtered_product(m):
     assert got == want
 
 
-@pytest.mark.parametrize("p, n", [(2, n) for n in range(5)] + [(3, n) for n in range(4)])
+@pytest.mark.parametrize(
+    "p, n",
+    [(2, n) for n in range(5)]
+    + [(3, n) for n in range(4)]
+    + [(5, n) for n in range(4)]
+    + [(7, n) for n in range(3)]
+    + [(1009, 1), (8191, 1)],
+)
 def test_span_masks_are_the_brute_force_spans(p, n):
     # bit c stands for the vector whose base-p numeral, first coordinate
     # leading, is c
@@ -570,6 +579,36 @@ def test_mask_tables_stop_at_their_bit_limit():
     # 1012 subspaces of F_1009^2 times 1009^2 bits is about 10^9 bits
     assert _span_masks(1009, 2) is None
     assert _span_masks(67, 2) is not None  # 70 masks of 4489 bits
+
+
+def test_a_mask_table_build_stays_near_the_size_of_its_table():
+    """F_8191^1 has two subspaces, so its table is two masks of 8191 bits
+    (about 2 KB); its build keeps one helper integer of 8191 bits, not a
+    helper table of 8191 of them (about 4 MB)."""
+    _span_masks.cache_clear()
+    tracemalloc.start()
+    try:
+        _span_masks(8191, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        _span_masks.cache_clear()
+    assert peak < 64 * 1024
+
+
+def test_king_stability_refuses_over_budget_before_listing_a_subspace(monkeypatch):
+    # dims (1, 10) over F_2: 2 * 229,755,605 = 459,511,210 subspace tuples,
+    # refused from their closed-form count alone
+    def unreachable(p, n):
+        pytest.fail(f"subspaces_of({p}, {n}) called by an over-budget King test")
+
+    monkeypatch.setattr(ff_oracle, "subspaces_of", unreachable)
+    q = Quiver(("1", "2"), (("1", "2"),))
+    m = FiniteFieldRepresentation(q, 2, DimensionVector({"1": 1, "2": 10}), (((0,),) * 10,))
+    with pytest.raises(BudgetExceededError) as caught:
+        king_stability(m, StabilityParameter({"1": 10, "2": -1}), budget=1000)
+    error = caught.value
+    assert (error.counted, error.size, error.budget) == ("subspace tuples", 459_511_210, 1000)
 
 
 @pytest.fixture

@@ -72,6 +72,8 @@ def test_double_frame_errors(kronecker):
         double_frame(kronecker, d, theta, "1", "nope", 2)
     with pytest.raises(PairingNonzeroError):
         double_frame(kronecker, d, StabilityParameter({"1": 1, "2": 0}), "1", "2", 2)
+    with pytest.raises(ValueError, match="framing scale must be a positive integer"):
+        double_frame(kronecker, d, theta, "1", "2", 0)
 
 
 def test_double_frame_avoids_vertex_name_collisions():

@@ -127,6 +127,12 @@ def test_dimension_must_cover_vertex_set():
             }
         )
     assert "dimension" in str(info.value)
+    for section in ("dimension", "stability"):
+        document = {"vertices": ["a", "b"], "arrows": [], "dimension": {"a": 1, "b": 1}, "stability": {"a": 0, "b": 0}}
+        document[section] = {"a": 0, "c": 0}
+        with pytest.raises(SpecFileError) as info:
+            parse_spec(document)
+        assert str(info.value) == f"$.{section}: must cover exactly the vertex set: missing ['b'], undeclared ['c']"
 
 
 def test_nonzero_pairing_suggests_canonical_parameter():
