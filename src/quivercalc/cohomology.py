@@ -68,7 +68,7 @@ Matrix = tuple[tuple[Fraction, ...], ...]
 
 @dataclass(frozen=True)
 class TangentPresentation:
-    """The two integer matrices of the presentation, with path-basis labels.
+    """The two integer matrices of the presentation.
 
     ``phi_matrix`` is the all-ones column over the trivial-path basis;
     ``psi_matrix`` has a row per basis path of each arrow's path space and a
@@ -80,16 +80,14 @@ class TangentPresentation:
 
     phi_matrix: tuple[tuple[int, ...], ...]
     psi_matrix: tuple[tuple[int, ...], ...]
-    row_labels: tuple[tuple[int, Path], ...]
-    column_labels: tuple[str, ...]
 
     @property
     def domain_dim(self) -> int:
-        return len(self.column_labels)
+        return len(self.phi_matrix)
 
     @property
     def codomain_dim(self) -> int:
-        return len(self.row_labels)
+        return len(self.psi_matrix)
 
 
 @dataclass(frozen=True)
@@ -145,12 +143,10 @@ def tangent_presentation(q: Quiver, d: DimensionVector) -> TangentPresentation:
     n = len(q.vertices)
     idx = {v: k for k, v in enumerate(q.vertices)}
     phi = tuple((1,) for _ in range(n))
-    row_labels: list[tuple[int, Path]] = []
     rows: list[tuple[int, ...]] = []
     for a, (s, t) in enumerate(q.arrows):
         own = Path(s, (a,))
         for p in enumerate_paths(q, s, t):
-            row_labels.append((a, p))
             if p == own:
                 row = [0] * n
                 row[idx[t]] += 1
@@ -158,12 +154,7 @@ def tangent_presentation(q: Quiver, d: DimensionVector) -> TangentPresentation:
                 rows.append(tuple(row))
             else:
                 rows.append((0,) * n)
-    return TangentPresentation(
-        phi_matrix=phi,
-        psi_matrix=tuple(rows),
-        row_labels=tuple(row_labels),
-        column_labels=q.vertices,
-    )
+    return TangentPresentation(phi_matrix=phi, psi_matrix=tuple(rows))
 
 
 def vector_fields_dim(

@@ -41,7 +41,7 @@ from .framing import (
     verify_framed_sign_partition,
 )
 from .specfile import QuiverSpec, datum_dict
-from .stability import HYPOTHESES, AssumptionsReport, _require_acyclic, assumptions_report
+from .stability import HYPOTHESES, AssumptionsReport, ThreeValued, _require_acyclic, assumptions_report
 
 SCHEMA_VERSION = 2
 
@@ -55,19 +55,10 @@ REPORT_SCHEMA = {
         "exit_code": {"enum": [0, 1]},
         "assumptions": {
             "type": "object",
-            "required": [
-                "acyclic",
-                "indivisible",
-                "coprime",
-                "strongly_amply_stable",
-                "amply_stable",
-            ],
+            "required": [*HYPOTHESES, "amply_stable"],
             "properties": {
-                "acyclic": {"type": "boolean"},
-                "indivisible": {"type": "boolean"},
-                "coprime": {"type": "boolean"},
-                "strongly_amply_stable": {"type": "boolean"},
-                "amply_stable": {"enum": ["yes", "no", "unknown"]},
+                **{name: {"type": "boolean"} for name in HYPOTHESES},
+                "amply_stable": {"enum": [v.value for v in ThreeValued]},
                 "failing_witnesses": {
                     "type": "object",
                     "additionalProperties": {

@@ -14,8 +14,9 @@ Example::
 ``framing`` and ``oracle`` are optional, and the framing scale may be spelled
 ``scale`` or ``N``.  Structural validation runs against ``SPEC_SCHEMA``, by a
 private validator that gives jsonschema's (Draft 2020-12) decision, location
-and ``best_match`` message for this schema's keywords without importing it;
-semantic validation then checks vertex references and the zero-pairing
+and ``best_match`` message for this schema's keywords without importing it.
+The schema states shapes only; semantic validation then checks the vertex
+names (distinct, and every reference declared) and the zero-pairing
 convention for the stability parameter, suggesting the canonical stability
 parameter as a repair when the pairing is nonzero.  Integral floats such as
 ``2.0`` pass as integers, as in JSON Schema, and are read as ``int``.
@@ -25,7 +26,6 @@ from __future__ import annotations
 
 import json
 import numbers
-from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from pathlib import Path as FsPath
@@ -53,7 +53,6 @@ SPEC_SCHEMA = {
             "type": "array",
             "items": {"type": "string"},
             "minItems": 1,
-            "uniqueItems": True,
         },
         "arrows": {
             "type": "array",
@@ -111,39 +110,6 @@ def _is_type(value, name: str) -> bool:
     return isinstance(value, _TYPES[name])
 
 
-def _unbool(value, true=object(), false=object()):
-    """True and False as tokens distinct from 1 and 0 (JSON equality)."""
-    return true if value is True else false if value is False else value
-
-
-def _equal(a, b) -> bool:
-    if a is b:
-        return True
-    if isinstance(a, str) or isinstance(b, str):
-        return a == b
-    if isinstance(a, Sequence) and isinstance(b, Sequence):
-        return len(a) == len(b) and all(_equal(x, y) for x, y in zip(a, b))
-    if isinstance(a, Mapping) and isinstance(b, Mapping):
-        return len(a) == len(b) and all(k in b and _equal(v, b[k]) for k, v in a.items())
-    return _unbool(a) == _unbool(b)
-
-
-def _unique(items: list) -> bool:
-    """jsonschema's ``uniq``: compare neighbours after sorting when the items
-    sort, else every pair.  The sorted pass can miss a duplicate that sorts
-    apart (``[[1], [True], [1]]``); that is the reference's answer too."""
-    try:
-        ordered = sorted(_unbool(x) for x in items)
-        return not any(_equal(a, b) for a, b in zip(ordered, ordered[1:]))
-    except TypeError:
-        seen: list = []
-        for x in map(_unbool, items):
-            if any(_equal(y, x) for y in seen):
-                return False
-            seen.append(x)
-        return True
-
-
 def _schema_errors(value, schema: dict, path: tuple):
     """Yield ``(path, message)`` for each violation, in the order jsonschema
     reports them: keywords in schema order, children where they appear."""
@@ -160,8 +126,6 @@ def _schema_errors(value, schema: dict, path: tuple):
                     yield from _schema_errors(item, rule, path + (k,))
             elif keyword == "minItems" and len(value) < rule:
                 yield path, f"{value!r} {'should be non-empty' if rule == 1 else 'is too short'}"
-            elif keyword == "uniqueItems" and rule and not _unique(value):
-                yield path, f"{value!r} has non-unique elements"
         elif isinstance(value, dict):
             if keyword == "required":
                 for key in rule:
@@ -219,7 +183,11 @@ def parse_spec(document: dict) -> QuiverSpec:
         raise SpecFileError(message, location=".".join(["$", *map(str, path)]))
 
     vertices = document["vertices"]
-    declared = set(vertices)
+    declared = set()
+    for k, name in enumerate(vertices):
+        if name in declared:
+            raise SpecFileError(f"duplicate vertex {name!r}", location=f"$.vertices.{k}")
+        declared.add(name)
     for k, arrow in enumerate(document["arrows"]):
         for key in ("from", "to"):
             if arrow[key] not in declared:
@@ -288,7 +256,7 @@ def load_spec(path: str | FsPath) -> QuiverSpec:
         raise SpecFileError(
             f"invalid JSON: {exc.msg}", location=f"{path}:{exc.lineno}:{exc.colno}"
         ) from None
-    except RecursionError:  # decoding and comparing values recurse on nesting
+    except RecursionError:  # decoding recurses on nesting
         raise SpecFileError("values nested too deeply", location=str(path)) from None
 
 

@@ -123,7 +123,10 @@ class AssumptionsReport:
         Callers name only what this report decides from d and the lattice
         sweep: indivisibility, coprimality (refused with its first witness)
         and strong ample stability.  Acyclicity is ``_require_acyclic``'s,
-        which names the cycle; this report keeps only the verdict."""
+        which names the cycle; this report keeps only the verdict, so the
+        name ``"acyclic"`` raises ValueError."""
+        if "acyclic" in names:
+            raise ValueError("acyclicity is required by _require_acyclic, which names the cycle")
         for name in names:
             if getattr(self, name):
                 continue

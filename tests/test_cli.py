@@ -157,15 +157,28 @@ def _kronecker_framed_at(i, j):
     return json.dumps(doc)
 
 
+def _kronecker_with_vertices(vertices):
+    doc = json.loads((FIXTURES / "kronecker.json").read_text())
+    doc["vertices"] = vertices
+    return json.dumps(doc)
+
+
 @pytest.mark.parametrize(
     "text, message",
     [
         (_kronecker_framed_at("z", "2"), "$.framing.i: undeclared vertex 'z'"),
         (_kronecker_framed_at("1", "y"), "$.framing.j: undeclared vertex 'y'"),
+        (_kronecker_with_vertices(["1", "2", "1"]), "$.vertices.2: duplicate vertex '1'"),
         ('[{"vertices": ["1"]}]', "{path}: top-level value must be an object"),
         ('{"vertices": [' + "[" * 100_000 + "]" * 100_000 + "]}", "{path}: values nested too deeply"),
     ],
-    ids=["framing-i-undeclared", "framing-j-undeclared", "top-level-not-an-object", "nested-too-deeply"],
+    ids=[
+        "framing-i-undeclared",
+        "framing-j-undeclared",
+        "duplicate-vertex",
+        "top-level-not-an-object",
+        "nested-too-deeply",
+    ],
 )
 def test_spec_refusals_exit_two_with_one_input_error_line(capsys, tmp_path, text, message):
     path = tmp_path / "spec.json"

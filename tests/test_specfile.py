@@ -88,7 +88,6 @@ def test_spec_schema_is_valid():
     [
         {"vertices": []},
         {"vertices": ["a"], "arrows": [{"from": "a"}], "dimension": {"a": 1}, "stability": {"a": 0}},
-        {"vertices": ["a", "a"], "arrows": [], "dimension": {}, "stability": {}},
         {"vertices": ["a"], "arrows": [], "dimension": {"a": "1"}, "stability": {"a": 0}, "extra": 1},
         {"vertices": ["a"], "arrows": [], "dimension": {"a": 1}, "stability": {"a": 0}, "oracle": {"budget": 0}},
         {"vertices": ["a"], "arrows": [], "dimension": {"a": 1}, "stability": {"a": 0}, "framing": {"i": "a"}},
@@ -101,6 +100,18 @@ def test_schema_errors_match_jsonschema_validate(document):
         parse_spec(document)
     location = ".".join(["$"] + [str(p) for p in expected.value.absolute_path])
     assert str(info.value) == f"{location}: {expected.value.message}"
+
+
+def test_a_repeated_vertex_name_is_refused_at_its_first_repeat():
+    document = {"vertices": ["a", "b", "a", "b"], "arrows": [], "dimension": {"a": 1}, "stability": {"a": 0}}
+    with pytest.raises(SpecFileError) as info:
+        parse_spec(document)
+    assert str(info.value) == "$.vertices.2: duplicate vertex 'a'"
+    # A schema error anywhere in the document comes first.
+    document = {"vertices": ["a", "a"], "arrows": [], "dimension": {"a": "x"}, "stability": {"a": 0}}
+    with pytest.raises(SpecFileError) as info:
+        parse_spec(document)
+    assert str(info.value) == "$.dimension.a: 'x' is not of type 'integer'"
 
 
 def test_undeclared_vertex_in_arrow():
@@ -265,8 +276,8 @@ _BASE = {"vertices": ["a"], "arrows": [], "dimension": {"a": 1}, "stability": {"
 @given(mutated_documents())
 @example({**_BASE, "dimension": {"a": "x", "b": 1.5}})  # siblings at one depth: the larger path wins
 @example({**_BASE, "arrows": [{"from": 1}, {"to": 2}]})
-@example({**_BASE, "vertices": [1, 1]})  # uniqueItems is shallower than items
-@example({**_BASE, "vertices": [[1], [True], [1]]})  # the sorted duplicate check misses this one
+@example({**_BASE, "vertices": [1, 1]})  # repeated non-strings: one item-type error each
+@example({**_BASE, "vertices": [[1], [True], [1]]})
 @example({**_BASE, "vertices": [True, 1, 1.0]})
 @example({**_BASE, "vertices": [{"a": 1}, {"a": 1.0}]})
 @example({**_BASE, "vertices": []})

@@ -144,6 +144,15 @@ def test_assumptions_report_cyclic_quiver():
     assert not report.strongly_amply_stable
 
 
+def test_require_refuses_the_acyclicity_name():
+    # Only _require_acyclic refuses acyclicity: it names the cycle, which
+    # the report does not keep.
+    q = Quiver(("a", "b"), (("a", "b"), ("b", "a")))
+    report = assumptions_report(q, DimensionVector({"a": 1, "b": 1}), StabilityParameter({"a": 1, "b": -1}))
+    with pytest.raises(ValueError, match="_require_acyclic"):
+        report.require("acyclic")
+
+
 @settings(max_examples=40)
 @given(quiver_with_datum(max_entry=2))
 def test_report_strong_forces_amply_yes(datum):
