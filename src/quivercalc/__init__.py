@@ -28,7 +28,6 @@ from .cohomology import (
     HomExtResult,
     RationalRepresentation,
     TangentPresentation,
-    UnverifiedAssumptionWarning,
     hochschild1_dim,
     hom_ext,
     moduli_dimension,

@@ -19,7 +19,6 @@ sum_a p(s(a), t(a)) - #vertices + 1 and no elimination runs for them.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -46,7 +45,6 @@ from .errors import (
 from .stability import assumptions_report
 
 __all__ = [
-    "UnverifiedAssumptionWarning",
     "TangentPresentation",
     "RationalRepresentation",
     "HomExtResult",
@@ -57,10 +55,6 @@ __all__ = [
     "projective_representation",
     "moduli_dimension",
 ]
-
-
-class UnverifiedAssumptionWarning(UserWarning):
-    """A result was produced without its geometric hypotheses being verified."""
 
 
 Matrix = tuple[tuple[Fraction, ...], ...]
@@ -157,37 +151,29 @@ def tangent_presentation(q: Quiver, d: DimensionVector) -> TangentPresentation:
     return TangentPresentation(phi_matrix=phi, psi_matrix=tuple(rows))
 
 
-def vector_fields_dim(
-    q: Quiver,
-    d: DimensionVector,
-    theta: StabilityParameter,
-    *,
-    override_assumptions: bool = False,
-) -> int:
+def _require_vector_fields(q: Quiver, d: DimensionVector, failed: list[str]) -> None:
+    """The vector-fields gate: the failed standing hypotheses named in
+    ``failed`` refuse first, as one AssumptionViolatedError, then the
+    presentation's preconditions.  ``analyze --override-assumptions`` passes
+    no names, so only the preconditions refuse its formula value."""
+    if failed:
+        raise AssumptionViolatedError(", ".join(failed))
+    _require_presentation_preconditions(q, d)
+
+
+def vector_fields_dim(q: Quiver, d: DimensionVector, theta: StabilityParameter) -> int:
     """Dimension of the space of vector fields on the moduli space, as the
     cokernel dimension of psi.  The rank of psi is #vertices - #components,
     so under the presentation's preconditions the cokernel is
     :func:`hochschild1_dim` and :func:`tangent_presentation` is not built.
 
     Requires the datum to pass the strong ample stability criterion alongside
-    the other standing hypotheses; ``override_assumptions`` computes the
-    formula value anyway, with a prominent warning, because the result is
-    then only the formula and can differ from the true space of vector
-    fields (the three-vertex example in the alternative chamber has 8 where
-    the formula gives 6).
+    the other standing hypotheses.  ``analyze --override-assumptions`` reports
+    the bare formula value where they fail; it can differ from the true space
+    of vector fields (the three-vertex example in the alternative chamber has
+    8 where the formula gives 6).
     """
-    failed = assumptions_report(q, d, theta).refusals()
-    if failed and not override_assumptions:
-        raise AssumptionViolatedError(", ".join(failed))
-    if failed:
-        warnings.warn(
-            "standing hypotheses not verified (%s): the returned value is the "
-            "presentation formula and may differ from the actual space of "
-            "vector fields" % ", ".join(failed),
-            UnverifiedAssumptionWarning,
-            stacklevel=2,
-        )
-    _require_presentation_preconditions(q, d)
+    _require_vector_fields(q, d, assumptions_report(q, d, theta).refusals())
     return hochschild1_dim(q)
 
 

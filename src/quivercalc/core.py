@@ -186,9 +186,6 @@ class VertexVector:
     def total(self) -> int:
         return sum(self._values.values())
 
-    def is_zero(self) -> bool:
-        return not any(self._values.values())
-
     def __eq__(self, other) -> bool:
         return type(self) is type(other) and self._values == other._values
 

@@ -102,10 +102,6 @@ class Subspace:
     rows: tuple[tuple[int, ...], ...]
     pivots: tuple[int, ...]
 
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
-
     def contains(self, v: Sequence[int], p: int) -> bool:
         return not any(linalg.mod_residual(self.rows, self.pivots, v, p))
 
@@ -203,6 +199,13 @@ def subspaces_of(p: int, n: int) -> tuple[Subspace, ...]:
 # (509, 2) (1.3e8 bits) and lose 2-4x at (1009, 2) (1.0e9 bits), where each
 # test moves a 127 KB integer.
 _MASK_TABLE_BITS = 1 << 27
+# One mask is bounded too, since the table bound alone admits a thin vertex
+# up to p of about 6.7e7.  A thin vertex has two subspaces, so its product
+# filter is cheap, while each mask test moves p^n bits.  In alternating
+# verify runs (shared 2-core machine, Python 3.11) the masks lost 1.4-1.6x on the thin Kronecker at p = 65537
+# and 262147 and 4.6x at 1000003; on a vertex of dimension 2 they won 1.6x
+# at p = 331 (1.1e5 bits) and lost 1.6x at p = 509 (2.6e5 bits).
+_MASK_BITS = 1 << 17
 
 
 def _code(v: Sequence[int], p: int) -> int:
@@ -215,7 +218,8 @@ def _code(v: Sequence[int], p: int) -> int:
 @lru_cache(maxsize=None)
 def _span_masks(p: int, n: int) -> tuple[int, ...] | None:
     """Containment masks of ``subspaces_of(p, n)``, index for index, or None
-    when the table would exceed ``_MASK_TABLE_BITS``.
+    when one mask would exceed ``_MASK_BITS`` or the table
+    ``_MASK_TABLE_BITS``.
 
     Built one echelon row at a time: the span of rows[:k + 1] is the span of
     rows[:k] translated by every multiple of row k, and echelon forms sharing
@@ -224,7 +228,7 @@ def _span_masks(p: int, n: int) -> tuple[int, ...] | None:
     and doubling the multiplier reaches every multiple in log2(p) of them.
     """
     size = p**n
-    if subspace_count(n, p) * size > _MASK_TABLE_BITS:
+    if size > _MASK_BITS or subspace_count(n, p) * size > _MASK_TABLE_BITS:
         return None
     weights = [p ** (n - 1 - j) for j in range(n)]
     # ones[j]: the codes whose digits from j on are all 0.

@@ -119,10 +119,6 @@ class FramedPartitionCheck:
     checked: int
     discrepancies: tuple[tuple[DimensionVector, str, str], ...]
 
-    @property
-    def first_discrepancy(self) -> tuple[DimensionVector, str, str] | None:
-        return self.discrepancies[0] if self.discrepancies else None
-
 
 @dataclass(frozen=True)
 class ReductionPairingCheck:

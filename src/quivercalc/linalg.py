@@ -1,13 +1,15 @@
-"""Exact linear algebra over the rationals, plus F_p helpers for the oracle.
+"""Exact linear algebra over the rationals and over prime fields.
 
-Matrices are tuples/lists of rows.  One Gaussian elimination serves Q:
-entries may be int or Fraction and become Fractions, never rounded.  Sizes
-are desk scale (path-space and Hom-space dimensions), so plain elimination
-with a deterministic leftmost-pivot rule is the right tool; the rule also
-makes every computed basis reproducible.  The ``mod_`` helpers work over F_p
-on ints with plain ``% p`` arithmetic: products and residuals against an
-echelon basis run in the finite-field oracle's innermost loops, and the
-inverse serves the path evaluation's base-change law.
+Matrices are tuples/lists of rows.  One Gaussian elimination serves both
+fields, selected by the field argument ``p``: ``p = 0`` is Q, where entries
+may be int or Fraction and become Fractions, never rounded; a prime ``p`` is
+F_p, where entries are ints reduced to 0..p-1 with plain ``% p`` arithmetic.
+Sizes are desk scale (path-space and Hom-space dimensions), so plain
+elimination with a deterministic leftmost-pivot rule is the right tool; the
+rule also makes every computed basis reproducible.  The other ``mod_``
+helpers work on ints over F_p: products and residuals against an echelon
+basis run in the finite-field oracle's innermost loops, and the inverse,
+read off the elimination, serves the path evaluation's base-change law.
 """
 
 from __future__ import annotations
@@ -19,13 +21,18 @@ from typing import Sequence
 Matrix = Sequence[Sequence[int | Fraction]]
 
 
-def rref(m: Matrix) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form over Q, leftmost pivots.
+def _reduced(row: list, p: int) -> list:
+    return [x % p for x in row] if p else row
 
-    Returns (rows of Fractions, pivot column indices); rows of zeros are kept
-    at the bottom.  Deterministic: the first nonzero entry in scan order pivots.
+
+def rref(m: Matrix, p: int = 0) -> tuple[list[list], list[int]]:
+    """Reduced row echelon form over Q (``p = 0``) or F_p, leftmost pivots.
+
+    Returns (rows, pivot column indices); rows of zeros are kept at the
+    bottom.  Over Q the rows hold Fractions, over F_p ints in 0..p-1.
+    Deterministic: the first nonzero entry in scan order pivots.
     """
-    rows = [[Fraction(x) for x in row] for row in m]
+    rows = [[x % p for x in row] if p else [Fraction(x) for x in row] for row in m]
     pivots: list[int] = []
     for c in range(len(rows[0]) if rows else 0):
         r = len(pivots)
@@ -35,20 +42,20 @@ def rref(m: Matrix) -> tuple[list[list[Fraction]], list[int]]:
         else:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = 1 / rows[r][c]
-        pivot = rows[r] = [x * inv for x in rows[r]]
+        inv = pow(rows[r][c], -1, p) if p else 1 / rows[r][c]
+        pivot = rows[r] = _reduced([x * inv for x in rows[r]], p)
         for k, row in enumerate(rows):
             factor = row[c]
             if factor and k != r:
-                rows[k] = [x - factor * y for x, y in zip(row, pivot)]
+                rows[k] = _reduced([x - factor * y for x, y in zip(row, pivot)], p)
         pivots.append(c)
         if len(pivots) == len(rows):
             break
     return rows, pivots
 
 
-def rank(m: Matrix) -> int:
-    return len(rref(m)[1])
+def rank(m: Matrix, p: int = 0) -> int:
+    return len(rref(m, p)[1])
 
 
 def nullspace_basis(m: Matrix) -> list[list[Fraction]]:
@@ -93,19 +100,11 @@ def mod_residual(
 
 
 def mod_invert(m: Sequence[Sequence[int]], p: int) -> list[list[int]]:
-    """Inverse of a square matrix over F_p by Gauss-Jordan elimination of
-    [m | I]; raises ValueError at the first column with no pivot."""
+    """Inverse of a square matrix over F_p, the right half of the reduced
+    echelon form of [m | I]; raises ValueError unless every pivot falls in
+    the left half."""
     n = len(m)
-    rows = [[x % p for x in row] + [int(r == c) for c in range(n)] for r, row in enumerate(m)]
-    for c in range(n):
-        pivot_row = next((r for r in range(c, n) if rows[r][c]), None)
-        if pivot_row is None:
-            raise ValueError("matrix is singular mod p")
-        rows[c], rows[pivot_row] = rows[pivot_row], rows[c]
-        inv = pow(rows[c][c], -1, p)
-        pivot = rows[c] = [x * inv % p for x in rows[c]]
-        for k, row in enumerate(rows):
-            factor = row[c]
-            if factor and k != c:
-                rows[k] = [(x - factor * y) % p for x, y in zip(row, pivot)]
+    rows, pivots = rref([[*row, *(int(r == c) for c in range(n))] for r, row in enumerate(m)], p)
+    if pivots != list(range(n)):
+        raise ValueError("matrix is singular mod p")
     return [row[n:] for row in rows]

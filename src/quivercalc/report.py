@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from .cohomology import _require_presentation_preconditions, hochschild1_dim, moduli_dimension
+from .cohomology import _require_vector_fields, hochschild1_dim, moduli_dimension
 from .core import path_count, path_count_matrix
 from .errors import (
     AssumptionViolatedError,
@@ -177,25 +177,24 @@ def build_analyze_report(spec: QuiverSpec, override_assumptions: bool = False) -
         }
         dimensions["endomorphism_total"] = table.total()
         hh1 = dimensions["hh1"] = hochschild1_dim(q)
-        # Where the presentation applies, its cokernel is HH^1 (see
-        # cohomology.vector_fields_dim), behind the hypothesis gate.
+        # Where the presentation applies, its cokernel is HH^1, behind
+        # cohomology.vector_fields_dim's gate.
         failed = report.refusals()
-        if failed and not override_assumptions:
-            dimensions["vector_fields"] = {"refused": ", ".join(failed)}
+        try:
+            _require_vector_fields(q, d, [] if override_assumptions else failed)
+        except AssumptionViolatedError as exc:
+            dimensions["vector_fields"] = {"refused": exc.assumption}
+        except (DisconnectedQuiverError, UnsupportedDimensionVectorError) as exc:
+            dimensions["vector_fields"] = {"refused": str(exc)}
         else:
-            try:
-                _require_presentation_preconditions(q, d)
-            except (DisconnectedQuiverError, UnsupportedDimensionVectorError) as exc:
-                dimensions["vector_fields"] = {"refused": str(exc)}
-            else:
-                entry: dict[str, Any] = {"value": hh1}
-                if failed:
-                    entry["override"] = True
-                    entry["caveat"] = (
-                        "hypotheses were overridden; this is the presentation formula, "
-                        "not a verified count of vector fields"
-                    )
-                dimensions["vector_fields"] = entry
+            entry: dict[str, Any] = {"value": hh1}
+            if failed:
+                entry["override"] = True
+                entry["caveat"] = (
+                    "hypotheses were overridden; this is the presentation formula, "
+                    "not a verified count of vector fields"
+                )
+            dimensions["vector_fields"] = entry
     out["dimensions"] = dimensions
     out["verifications"] = []
     out["exit_code"] = 0 if report.all_verified() else 1

@@ -39,6 +39,7 @@ from fractions import Fraction
 
 import networkx
 import sympy
+from sympy.polys.matrices import DomainMatrix
 
 from quivercalc import (
     BudgetExceededError,
@@ -87,6 +88,15 @@ def sympy_rref(rows) -> tuple[list[list[Fraction]], list[int]]:
     reduced, pivots = sympy.Matrix(rows).rref()
     entries = [[Fraction(int(x.p), int(x.q)) for x in reduced.row(r)] for r in range(reduced.rows)]
     return entries, list(pivots)
+
+
+def sympy_rref_mod(rows, p: int) -> tuple[list[list[int]], list[int]]:
+    """Reduced row echelon form over F_p from sympy's DomainMatrix, entries
+    in 0..p-1."""
+    field = sympy.GF(p)
+    m = DomainMatrix([[field(x) for x in row] for row in rows], (len(rows), len(rows[0])), field)
+    reduced, pivots = m.rref()
+    return [[int(field.to_int(x)) % p for x in row] for row in reduced.to_list()], list(pivots)
 
 
 def sympy_inverse_mod(rows, p: int) -> list[list[int]] | None:
@@ -175,7 +185,7 @@ def naive_sign_partition(q: Quiver, d: DimensionVector, theta: StabilityParamete
 def naive_coprime_witness(q: Quiver, d: DimensionVector, theta: StabilityParameter):
     """The first proper nonzero e with theta(e) = 0, or None."""
     for e in naive_subdimension_vectors(q, d):
-        if not e.is_zero() and e != d and theta(e) == 0:
+        if e.total() and e != d and theta(e) == 0:
             return e
     return None
 
@@ -184,7 +194,7 @@ def naive_strong_violations(q: Quiver, d: DimensionVector, theta: StabilityParam
     """Proper nonzero e with theta(e) >= 0 and <e, d - e> > -2, in order."""
     violations = []
     for e in naive_subdimension_vectors(q, d):
-        if e.is_zero() or e == d or theta(e) < 0:
+        if e.total() == 0 or e == d or theta(e) < 0:
             continue
         f = d - e
         form = sum(e[v] * f[v] for v in q.vertices) - sum(e[s] * f[t] for s, t in q.arrows)
@@ -254,7 +264,7 @@ def naive_king_stability(m, theta: StabilityParameter):
         value = theta(dims)
         if value > 0:
             return False, False, (tup, dims)
-        if value == 0 and not dims.is_zero() and dims != m.dims and first_zero_proper is None:
+        if value == 0 and dims.total() and dims != m.dims and first_zero_proper is None:
             first_zero_proper = (tup, dims)
     return True, first_zero_proper is None, first_zero_proper
 

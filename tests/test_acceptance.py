@@ -127,7 +127,7 @@ def test_criterion_3_framed_sign_partition_catalog_and_counterexample():
         theta = random_zero_pairing_parameter(rng, q, d)
         framing = double_frame(q, d, theta, q.vertices[0], q.vertices[-1], 2)
         check = verify_framed_sign_partition(framing)
-        assert check.passed, (q, d.as_dict(), theta.as_dict(), check.first_discrepancy)
+        assert check.passed, (q, d.as_dict(), theta.as_dict(), check.discrepancies[:1])
         instances += 1
 
     # the documented scale-1 counterexample on the 2-Kronecker datum

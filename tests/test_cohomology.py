@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,6 @@ from quivercalc import (
     RationalRepresentation,
     StabilityParameter,
     UnsupportedDimensionVectorError,
-    UnverifiedAssumptionWarning,
     canonical_stability,
     euler_form,
     hochschild1_dim,
@@ -25,9 +25,17 @@ from quivercalc import (
     tangent_presentation,
     vector_fields_dim,
 )
-from quivercalc import linalg
+from quivercalc import QuiverSpec, linalg
+from quivercalc.core import is_connected
+from quivercalc.report import build_analyze_report
 
-from conftest import acyclic_quivers, random_acyclic_quiver, thin
+from conftest import (
+    acyclic_quivers,
+    random_acyclic_quiver,
+    random_zero_pairing_parameter,
+    strong_catalog_instance,
+    thin,
+)
 from oracles import sympy_mat_mul, union_find_component_count
 
 
@@ -145,10 +153,58 @@ def test_vector_fields_dim_refusal_and_override(three_vertex):
     with pytest.raises(AssumptionViolatedError) as info:
         vector_fields_dim(three_vertex, d, bad)
     assert "strong ample stability" in info.value.assumption
-    with pytest.warns(UnverifiedAssumptionWarning):
-        value = vector_fields_dim(three_vertex, d, bad, override_assumptions=True)
-    # the formula value; the actual moduli space in this chamber has 8
-    assert value == 6
+    # analyze --override-assumptions reports the formula value, HH^1; the
+    # actual moduli space in this chamber has 8
+    assert hochschild1_dim(three_vertex) == 6
+
+
+def test_analyze_reports_what_vector_fields_dim_returns_or_raises():
+    """On a seeded catalog of acyclic data, some disconnected, some without
+    full support, some failing a hypothesis and some passing every one,
+    analyze reports the value vector_fields_dim returns or, where it raises,
+    the error's assumption or message as the refusal; under
+    --override-assumptions only the presentation's preconditions refuse,
+    and the value is HH^1."""
+    rng = random.Random(26)
+    outcomes = Counter()
+    for k in range(160):
+        instance = strong_catalog_instance(rng) if k % 4 else None
+        if instance is None:
+            q = random_acyclic_quiver(rng, max_vertices=4, connected=rng.random() < 0.6)
+            d = DimensionVector({v: rng.choice((0, 1, 1, 2)) for v in q.vertices})
+            if not d.total():
+                continue
+            theta = random_zero_pairing_parameter(rng, q, d)
+        else:
+            q, d, theta = instance
+            if k % 4 > 1:
+                # A vertex of dimension 0 keeps every hypothesis; isolated, it
+                # disconnects the quiver, and attached, it breaks full support.
+                arrows = q.arrows + ((rng.choice(q.vertices), "z"),) * (k % 4 - 2)
+                q = Quiver(q.vertices + ("z",), arrows)
+                d = DimensionVector({**d.as_dict(), "z": 0})
+                theta = StabilityParameter({**theta.as_dict(), "z": rng.randint(-2, 2)})
+        spec = QuiverSpec(q, d, theta)
+        try:
+            expected, outcome = {"value": vector_fields_dim(q, d, theta)}, "value"
+        except AssumptionViolatedError as exc:
+            expected, outcome = {"refused": exc.assumption}, type(exc).__name__
+        except (DisconnectedQuiverError, UnsupportedDimensionVectorError) as exc:
+            expected, outcome = {"refused": str(exc)}, type(exc).__name__
+        outcomes[outcome] += 1
+        assert build_analyze_report(spec)["dimensions"]["vector_fields"] == expected
+
+        overridden = build_analyze_report(spec, override_assumptions=True)["dimensions"]["vector_fields"]
+        applies = is_connected(q) and 0 not in d.aligned(q.vertices)
+        assert ("value" in overridden) == applies
+        if applies:
+            assert overridden["value"] == hochschild1_dim(q)
+        else:
+            assert overridden["refused"] in (
+                "the presentation requires a connected quiver",
+                "full support required: every d_i >= 1",
+            )
+    assert min(outcomes.values()) >= 5 and len(outcomes) == 4, outcomes
 
 
 def test_hochschild1_values(three_vertex, kronecker, a2):

@@ -231,7 +231,6 @@ def test_vertex_vector_contract(case, data):
     assert d.as_dict() == values and list(d.as_dict()) == [v for v, _ in by_name]
     assert repr(d) == "DimensionVector({" + ", ".join(f"{v}: {c}" for v, c in by_name) + "})"
     assert d.total() == sum(values.values())
-    assert d.is_zero() == (not any(values.values()))
     assert d.is_indivisible() == (math.gcd(*values.values()) == 1)
 
     # Equality and hash depend on the values and the concrete type only.

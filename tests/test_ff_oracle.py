@@ -60,7 +60,7 @@ def test_subspace_counts_match_gaussian_binomials():
             assert len(spaces) == subspace_count(n, p)
             by_dim = {}
             for s in spaces:
-                by_dim[s.dim] = by_dim.get(s.dim, 0) + 1
+                by_dim[len(s.rows)] = by_dim.get(len(s.rows), 0) + 1
             for k in range(n + 1):
                 assert by_dim.get(k, 0) == gaussian_binomial_formula(n, k, p)
                 assert gaussian_binomial(n, k, p) == gaussian_binomial_formula(n, k, p)
@@ -579,6 +579,9 @@ def test_mask_tables_stop_at_their_bit_limit():
     # 1012 subspaces of F_1009^2 times 1009^2 bits is about 10^9 bits
     assert _span_masks(1009, 2) is None
     assert _span_masks(67, 2) is not None  # 70 masks of 4489 bits
+    # two masks of 1000003 bits fit the table, but one mask is over its bound
+    assert _span_masks(1000003, 1) is None
+    assert _span_masks(3, 3) is not None  # the oracle workload's fields
 
 
 def test_a_mask_table_build_stays_near_the_size_of_its_table():

@@ -58,9 +58,13 @@ FF_ORACLE_NAMES = [
 # with verify's weight-law entry (schema version 2); the stability wrappers,
 # the framed assumptions report, weight-one characters, mat_mul, spec
 # serialization and enumerate_representations had only test callers;
-# identity was folded into mod_invert, its one caller; and the item and
-# length methods of path count tables and paths had no caller.  A dotted
-# name is an attribute of a class.
+# identity was folded into mod_invert, its one caller; the item and length
+# methods of path count tables and paths had no caller; the zero test of
+# vertex vectors, the dimension of F_p subspaces and the first discrepancy
+# of a framed check were read only by tests; and the warning of overridden
+# vector fields went with the library's override, which only
+# ``analyze --override-assumptions`` keeps.  A dotted name is an attribute
+# of a class.
 GONE_FROM_THE_PACKAGE = {
     "has_cyclic_destabilizer": "ff_oracle",
     "enumerate_subrepresentations": "ff_oracle",
@@ -80,6 +84,10 @@ GONE_FROM_THE_PACKAGE = {
     "VertexVector.vertex_set": "core",
     "PathCountMatrix.__getitem__": "core",
     "Path.__len__": "core",
+    "VertexVector.is_zero": "core",
+    "Subspace.dim": "ff_oracle",
+    "FramedPartitionCheck.first_discrepancy": "framing",
+    "UnverifiedAssumptionWarning": "cohomology",
     "DivisibleDimensionVectorError": "errors",
     "mat_mul": "linalg",
     "identity": "linalg",

@@ -1,5 +1,5 @@
-"""Differential tests of the one exact elimination over Q and of the F_p
-residual and inverse."""
+"""Differential tests of the one exact elimination over Q and F_p and of the
+F_p residual and inverse."""
 
 import itertools
 
@@ -7,7 +7,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_force_row_span, sympy_inverse_mod, sympy_mat_mul_mod, sympy_rank, sympy_rref
+from oracles import (
+    brute_force_row_span,
+    sympy_inverse_mod,
+    sympy_mat_mul_mod,
+    sympy_rank,
+    sympy_rref,
+    sympy_rref_mod,
+)
 from quivercalc import linalg, subspaces_of
 
 
@@ -28,6 +35,16 @@ def test_rref_over_q_equals_sympy(m):
     assert (rows, pivots) == sympy_rref(m)
 
 
+@settings(max_examples=150)
+@given(int_matrices(), st.sampled_from((2, 3, 5)))
+@example([[0, 0], [0, 0]], 2)
+@example([[2, 4, 1], [4, 3, 2], [1, 2, 3]], 5)
+def test_rref_over_fp_equals_sympy(m, p):
+    rows, pivots = linalg.rref(m, p)
+    assert linalg.rank(m, p) == len(pivots)
+    assert (rows, pivots) == sympy_rref_mod(m, p)
+
+
 def test_rank_and_residual_over_fp_match_the_brute_force_span():
     # Every echelon basis of every subspace of F_p^n, p in {2, 3, 5}, n <= 3.
     for p, n in itertools.product((2, 3, 5), (1, 2, 3)):
@@ -41,6 +58,9 @@ def test_rank_and_residual_over_fp_match_the_brute_force_span():
             unreduced = [
                 [sum(col) % p for col in zip(*reduced[k:])] for k in range(len(reduced))
             ]
+            if reduced:
+                assert linalg.rref(unreduced, p) == (reduced, list(pivots))
+                assert linalg.rank(unreduced, p) == len(reduced)
             for v in itertools.product(range(p), repeat=n):
                 for basis in (reduced, unreduced):
                     residual = linalg.mod_residual(basis, pivots, v, p)

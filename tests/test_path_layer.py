@@ -15,7 +15,6 @@ from oracles import networkx_paths, sympy_rank
 from quivercalc import (
     DimensionVector,
     Quiver,
-    StabilityParameter,
     enumerate_paths,
     hochschild1_dim,
     UnknownVertexError,
@@ -24,8 +23,8 @@ from quivercalc import (
     path_count_matrix,
     projective_representation,
     tangent_presentation,
-    vector_fields_dim,
 )
+from quivercalc.cohomology import _require_vector_fields
 from quivercalc.errors import CyclicQuiverError, QuiverCalcError
 
 
@@ -101,8 +100,9 @@ def test_path_count_rejects_cycles_and_unknown_vertices():
 TWO_CYCLE = Quiver(("a", "b"), (("a", "b"), ("b", "a")))
 TWO_CYCLE_THIN = DimensionVector({"a": 1, "b": 1})
 
-# Every path count, path basis and presentation reaches one refusal of a
-# cyclic quiver, and it names the cycle.
+# Every path count, path basis and presentation, and the vector-fields gate
+# once no hypothesis is named as failed, reaches one refusal of a cyclic
+# quiver, and it names the cycle.
 CYCLIC_CALLS = {
     "path_count": lambda q: path_count(q, "a", "b"),
     "path_count_matrix": path_count_matrix,
@@ -110,13 +110,10 @@ CYCLIC_CALLS = {
     "hochschild1_dim": hochschild1_dim,
     "projective_representation": lambda q: projective_representation(q, "a"),
     "tangent_presentation": lambda q: tangent_presentation(q, TWO_CYCLE_THIN),
-    "vector_fields_dim": lambda q: vector_fields_dim(
-        q, TWO_CYCLE_THIN, StabilityParameter({"a": 1, "b": -1}), override_assumptions=True
-    ),
+    "_require_vector_fields": lambda q: _require_vector_fields(q, TWO_CYCLE_THIN, []),
 }
 
 
-@pytest.mark.filterwarnings("ignore::quivercalc.UnverifiedAssumptionWarning")
 @pytest.mark.parametrize("name", CYCLIC_CALLS)
 def test_every_cyclic_refusal_names_the_cycle(name):
     with pytest.raises(CyclicQuiverError) as excinfo:
@@ -141,25 +138,24 @@ def test_enumerate_paths_matches_networkx(q):
             assert len(paths) == p.count(i, j)
 
 
-@pytest.mark.filterwarnings("ignore::quivercalc.UnverifiedAssumptionWarning")
 @settings(max_examples=40, deadline=None)
 @given(st.one_of(shuffled_dags(max_vertices=5, connected=True), shuffled_dags(max_vertices=5)), st.data())
 def test_presentation_cokernel_matches_full_presentation(q, data):
     # d is zero at most at one vertex, so that most draws are fully supported;
-    # theta = 0 fails the hypotheses on most draws, so the formula value is
-    # taken by override
+    # no hypothesis is named as failed, so only the presentation's
+    # preconditions gate the cokernel, HH^1 (as under analyze's override)
     zero_at = data.draw(st.none() | st.sampled_from(q.vertices))
     d = DimensionVector({v: 0 if v == zero_at else data.draw(st.integers(1, 2)) for v in q.vertices})
-    theta = StabilityParameter({v: 0 for v in q.vertices})
     try:
         pres = tangent_presentation(q, d)
     except QuiverCalcError as exc:
-        # disconnected or not fully supported: the cokernel refuses alike
+        # disconnected or not fully supported: the gate refuses alike
         with pytest.raises(type(exc), match=re.escape(str(exc))):
-            vector_fields_dim(q, d, theta, override_assumptions=True)
+            _require_vector_fields(q, d, [])
         return
+    _require_vector_fields(q, d, [])
     rank = sympy_rank(pres.psi_matrix)
-    assert vector_fields_dim(q, d, theta, override_assumptions=True) == pres.codomain_dim - rank
+    assert hochschild1_dim(q) == pres.codomain_dim - rank
 
 
 def test_enumerate_paths_beyond_recursion_limit():

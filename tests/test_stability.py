@@ -113,7 +113,7 @@ def test_strong_ample_stability_invariant_under_rescaling(datum, factor):
 def test_slope_comparison_equivalent_to_sign(datum):
     q, d, theta = datum
     for e in naive_subdimension_vectors(q, d):
-        if e.is_zero() or e == d:
+        if e.total() == 0 or e == d:
             continue
         complement = d - e
         assert (theta(e) >= 0) == (slope(theta, e) >= slope(theta, complement))
