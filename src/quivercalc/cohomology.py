@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from . import linalg
 from .core import (
@@ -115,14 +116,6 @@ class HomExtResult:
     hom_basis: tuple[dict[str, Matrix], ...]
 
 
-def _require_presentation_preconditions(q: Quiver, d: DimensionVector) -> None:
-    _acyclic_order(q)
-    if not is_connected(q):
-        raise DisconnectedQuiverError("the presentation requires a connected quiver")
-    if any(c < 1 for c in d.aligned(q.vertices)):
-        raise UnsupportedDimensionVectorError("full support required: every d_i >= 1")
-
-
 def tangent_presentation(q: Quiver, d: DimensionVector) -> TangentPresentation:
     """Build the matrices phi and psi over the path bases.
 
@@ -133,7 +126,7 @@ def tangent_presentation(q: Quiver, d: DimensionVector) -> TangentPresentation:
     psi . phi = 0 on the nose.
     """
     d.aligned(q.vertices)
-    _require_presentation_preconditions(q, d)
+    _require_vector_fields(q, d)
     n = len(q.vertices)
     idx = {v: k for k, v in enumerate(q.vertices)}
     phi = tuple((1,) for _ in range(n))
@@ -151,14 +144,20 @@ def tangent_presentation(q: Quiver, d: DimensionVector) -> TangentPresentation:
     return TangentPresentation(phi_matrix=phi, psi_matrix=tuple(rows))
 
 
-def _require_vector_fields(q: Quiver, d: DimensionVector, failed: list[str]) -> None:
-    """The vector-fields gate: the failed standing hypotheses named in
-    ``failed`` refuse first, as one AssumptionViolatedError, then the
-    presentation's preconditions.  ``analyze --override-assumptions`` passes
-    no names, so only the preconditions refuse its formula value."""
+def _require_vector_fields(q: Quiver, d: DimensionVector, failed: Sequence[str] = ()) -> None:
+    """The vector-fields gate, one refusal per failed condition: a cycle
+    first, named by ``core._acyclic_order``, then the failed standing
+    hypotheses named in ``failed`` as one AssumptionViolatedError, then the
+    presentation's preconditions, connectivity and full support.
+    ``tangent_presentation`` and ``analyze --override-assumptions`` name no
+    hypotheses, so only the cycle and the preconditions refuse them."""
+    _acyclic_order(q)
     if failed:
         raise AssumptionViolatedError(", ".join(failed))
-    _require_presentation_preconditions(q, d)
+    if not is_connected(q):
+        raise DisconnectedQuiverError("the presentation requires a connected quiver")
+    if any(c < 1 for c in d.aligned(q.vertices)):
+        raise UnsupportedDimensionVectorError("full support required: every d_i >= 1")
 
 
 def vector_fields_dim(q: Quiver, d: DimensionVector, theta: StabilityParameter) -> int:

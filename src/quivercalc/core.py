@@ -138,8 +138,8 @@ class VertexVector:
     """An integer-valued function on a vertex set, stored canonically.
 
     Base class of :class:`DimensionVector` and :class:`StabilityParameter`;
-    equality and ordering helpers require matching vertex sets and matching
-    concrete type.  The values are one dict in vertex-name order.
+    equality requires matching values and matching concrete type.  The
+    values are one dict in vertex-name order.
     """
 
     __slots__ = ("_values",)
@@ -177,12 +177,6 @@ class VertexVector:
             )
         return tuple(map(values.__getitem__, vertices))
 
-    def _matched(self, other: "VertexVector", message="dimension vectors on different vertex sets") -> dict[str, int]:
-        """The other vector's values, in the same (name) order as this one's."""
-        if self._values.keys() != other._values.keys():
-            raise VertexSetMismatchError(message)
-        return other._values
-
     def total(self) -> int:
         return sum(self._values.values())
 
@@ -207,18 +201,6 @@ class DimensionVector(VertexVector):
             if c < 0:
                 raise ValueError(f"dimension vector entry at {v!r} is negative")
 
-    def __le__(self, other: "DimensionVector") -> bool:
-        theirs = self._matched(other)
-        return all(map(operator.le, self._values.values(), theirs.values()))
-
-    def __sub__(self, other: "DimensionVector") -> "DimensionVector":
-        theirs = self._matched(other)
-        return DimensionVector(zip(self._values, map(operator.sub, self._values.values(), theirs.values())))
-
-    def __add__(self, other: "DimensionVector") -> "DimensionVector":
-        theirs = self._matched(other)
-        return DimensionVector(zip(self._values, map(operator.add, self._values.values(), theirs.values())))
-
     def is_indivisible(self) -> bool:
         """True when the gcd of the entries is 1."""
         return math.gcd(*self._values.values()) == 1
@@ -233,8 +215,9 @@ class StabilityParameter(VertexVector):
 
     def __call__(self, d: VertexVector) -> int:
         """Pair with a vector on the same vertex set: sum of products."""
-        theirs = self._matched(d, "pairing of vectors on different vertex sets")
-        return sum(map(operator.mul, self._values.values(), theirs.values()))
+        if self._values.keys() != d._values.keys():
+            raise VertexSetMismatchError("pairing of vectors on different vertex sets")
+        return sum(map(operator.mul, self._values.values(), d._values.values()))
 
 
 @dataclass(frozen=True)
@@ -405,12 +388,14 @@ def _arrow_sources(q: Quiver) -> list[list[int]]:
 
 
 def _acyclic_order(q: Quiver) -> list[int]:
-    """Vertex indices in topological order; CyclicQuiverError on a cyclic
-    quiver, where path counts are infinite.  The package's one refusal of a
-    cyclic quiver: every path count, path basis and HH^1 formula reaches it."""
+    """Vertex indices in topological order; CyclicQuiverError, naming the
+    cycle of q's ``is_acyclic`` certificate, on a cyclic quiver, where path
+    counts are infinite.  The package's one refusal of a cyclic quiver: every
+    path count, path basis and HH^1 formula reaches it, and so do the gates
+    of the commands, of ``framing.reduce`` and of the vector fields."""
     cert = is_acyclic(q)
     if not cert:
-        raise CyclicQuiverError(f"path counts are infinite on a cyclic quiver (cycle arrows {cert.cycle})")
+        raise CyclicQuiverError(cert.cycle)
     return [q._index[v] for v in cert.topological_order or ()]
 
 

@@ -13,20 +13,8 @@ class VertexSetMismatchError(QuiverCalcError):
     """A vertex-indexed vector is not defined on exactly the quiver's vertex set."""
 
 
-class CyclicQuiverError(QuiverCalcError):
-    """The operation requires an acyclic quiver."""
-
-
-class DisconnectedQuiverError(QuiverCalcError):
-    """The operation requires a connected quiver."""
-
-
 class PairingNonzeroError(QuiverCalcError):
     """The stability parameter does not pair to zero with the dimension vector."""
-
-
-class UnsupportedDimensionVectorError(QuiverCalcError):
-    """The dimension vector has an unsupported shape (e.g. a zero entry where full support is required)."""
 
 
 class QuiverMismatchError(QuiverCalcError):
@@ -52,9 +40,13 @@ class NotThinAtEndpointsError(QuiverCalcError):
 
 
 class AssumptionViolatedError(QuiverCalcError):
-    """A required hypothesis on the input datum fails.
+    """A required hypothesis on the input datum fails: the one type of a
+    failed condition, raised where the condition is decided.
 
-    The failing hypothesis is named in ``assumption``.
+    The failing hypothesis is named in ``assumption``; the commands turn the
+    error into an exit-1 refusal report.  The subclasses below are the
+    conditions that the path layer and the presentation of vector fields
+    decide.
     """
 
     def __init__(self, assumption: str, detail: str = ""):
@@ -63,6 +55,28 @@ class AssumptionViolatedError(QuiverCalcError):
         if detail:
             message += f" ({detail})"
         super().__init__(message)
+
+
+class CyclicQuiverError(AssumptionViolatedError):
+    """The quiver has a directed cycle, so its path counts are infinite.
+
+    ``cycle`` holds the arrow indices of one directed cycle; ``hypothesis``
+    is the one name of acyclicity, which the ledger reads from here.
+    """
+
+    hypothesis = "acyclicity"
+
+    def __init__(self, cycle: tuple[int, ...]):
+        self.cycle = cycle
+        super().__init__(self.hypothesis, f"cycle arrows {cycle}")
+
+
+class DisconnectedQuiverError(AssumptionViolatedError):
+    """The presentation of vector fields requires a connected quiver."""
+
+
+class UnsupportedDimensionVectorError(AssumptionViolatedError):
+    """The presentation of vector fields requires full support: every d_i >= 1."""
 
 
 class SpecFileError(QuiverCalcError):

@@ -15,9 +15,9 @@ dimension vector is already thin at i or j: the reduced datum is the framed
 datum restricted to the vertices it keeps, the framing source exactly when
 d_i > 1 and the framing sink exactly when d_j > 1.  Its marked vertices are
 thin and the path space between them matches the base path space from i to
-j; ``ReductionResult.pairing`` is that check, run once and asserted by
-``reduce``.  Only the reduced stability parameter depends on the case, keyed
-by (d_i > 1, d_j > 1).
+j; ``ReductionResult.pairing`` is that check, run once, and the ``reduce``
+command reports it as a verification.  Only the reduced stability parameter
+depends on the case, keyed by (d_i > 1, d_j > 1).
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .core import (
     Path,
     Quiver,
     StabilityParameter,
+    _acyclic_order,
     path_count,
 )
 from .errors import AssumptionViolatedError
@@ -38,7 +39,6 @@ from .stability import (
     AssumptionsReport,
     _lattice_point,
     _lattice_values,
-    _require_acyclic,
     _require_zero_pairing,
     assumptions_report,
 )
@@ -107,7 +107,8 @@ class ReductionResult:
 
     @cached_property
     def pairing(self) -> ReductionPairingCheck:
-        """``verify_reduction_pairing`` of this reduction, run once."""
+        """``verify_reduction_pairing`` of this reduction, run once on first
+        use; a failed check is the result's verdict, not an error."""
         return verify_reduction_pairing(self)
 
 
@@ -287,9 +288,10 @@ def reduce(framing: FramingResult) -> ReductionResult:
     hypotheses (acyclicity, indivisibility, coprimality); ample stability is
     not decidable at the base level and is not gated on.  A cyclic base
     quiver is refused first, naming its cycle, as the commands refuse it.
-    The result's ``pairing`` check runs here and must pass.
+    The invariants are not asserted: the result's ``pairing`` check states
+    them, and a failed one is the ``reduce`` report's exit-1 verification.
     """
-    _require_acyclic(framing.base_quiver)
+    _acyclic_order(framing.base_quiver)
     framing.base_assumptions.require("indivisible", "coprime")
     d, theta = framing.base_dimension, framing.base_stability
 
@@ -316,7 +318,7 @@ def reduce(framing: FramingResult) -> ReductionResult:
     else:
         case, reduced_theta = ReductionCase.BOTH_THIN, theta
 
-    result = ReductionResult(
+    return ReductionResult(
         reduced_quiver=Quiver((v for v in fq.vertices if v not in dropped), (fq.arrows[k] for k in arrow_map)),
         reduced_dimension=DimensionVector((v, c) for v, c in framing.framed_dimension.entries if v not in dropped),
         reduced_stability=reduced_theta,
@@ -329,9 +331,6 @@ def reduce(framing: FramingResult) -> ReductionResult:
         arrow_map=arrow_map,
         framing=framing,
     )
-    if not result.pairing.passed:
-        raise AssertionError(f"reduction invariants failed: {result.pairing.failures}")
-    return result
 
 
 def verify_reduction_pairing(result: ReductionResult) -> ReductionPairingCheck:

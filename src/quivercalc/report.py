@@ -22,15 +22,8 @@ from __future__ import annotations
 from typing import Any
 
 from .cohomology import _require_vector_fields, hochschild1_dim, moduli_dimension
-from .core import path_count, path_count_matrix
-from .errors import (
-    AssumptionViolatedError,
-    BudgetExceededError,
-    DisconnectedQuiverError,
-    QuiverCalcError,
-    SpecFileError,
-    UnsupportedDimensionVectorError,
-)
+from .core import _acyclic_order, path_count, path_count_matrix
+from .errors import AssumptionViolatedError, BudgetExceededError, QuiverCalcError, SpecFileError
 from .framing import (
     MINIMAL_FRAMING_SCALE,
     FramingResult,
@@ -41,7 +34,7 @@ from .framing import (
     verify_framed_sign_partition,
 )
 from .specfile import QuiverSpec, datum_dict
-from .stability import HYPOTHESES, AssumptionsReport, ThreeValued, _require_acyclic, assumptions_report
+from .stability import HYPOTHESES, AssumptionsReport, ThreeValued, assumptions_report
 
 SCHEMA_VERSION = 2
 
@@ -143,8 +136,8 @@ def _framed(spec: QuiverSpec, i: str | None, j: str | None, scale: int | None) -
     """The double framing of the spec's datum.  Explicit i and j are framed
     at ``scale`` or ``MINIMAL_FRAMING_SCALE``; otherwise the spec's framing
     block gives the vertices and, unless ``scale`` overrides it, the scale.
-    A cyclic base quiver is refused here, after any unknown vertex, naming
-    its cycle."""
+    A cyclic base quiver is refused here, after any unknown vertex, by the
+    path layer's one refusal, which names its cycle."""
     if i is None and j is None:
         if spec.framing is None:
             raise SpecFileError("no framing vertices: pass i and j or add a framing block to the spec")
@@ -156,7 +149,7 @@ def _framed(spec: QuiverSpec, i: str | None, j: str | None, scale: int | None) -
     q, d, theta = spec.quiver, spec.dimension, spec.stability
     scale = MINIMAL_FRAMING_SCALE if scale is None else scale
     framing = double_frame(q, d, theta, i, j, scale)
-    _require_acyclic(q)
+    _acyclic_order(q)
     return framing
 
 
@@ -184,8 +177,6 @@ def build_analyze_report(spec: QuiverSpec, override_assumptions: bool = False) -
             _require_vector_fields(q, d, [] if override_assumptions else failed)
         except AssumptionViolatedError as exc:
             dimensions["vector_fields"] = {"refused": exc.assumption}
-        except (DisconnectedQuiverError, UnsupportedDimensionVectorError) as exc:
-            dimensions["vector_fields"] = {"refused": str(exc)}
         else:
             entry: dict[str, Any] = {"value": hh1}
             if failed:

@@ -9,6 +9,8 @@ theta(e) from the same sweep.
 
 ``HYPOTHESES`` is the one table of the standing hypotheses: every report's
 verified/failed ledger, every refusal and every gate reads its names there.
+Acyclicity alone is refused outside, by ``core._acyclic_order``, which
+names the cycle.
 
 The condition mu(e) >= mu(d - e) is implemented as theta(e) >= 0, which is
 algebraically equivalent when theta(d) = 0 and both slopes are defined, and
@@ -31,7 +33,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .core import DimensionVector, Quiver, StabilityParameter, is_acyclic
-from .errors import AssumptionViolatedError, BudgetExceededError, PairingNonzeroError
+from .errors import AssumptionViolatedError, BudgetExceededError, CyclicQuiverError, PairingNonzeroError
 
 __all__ = [
     "ASSUMED_HYPOTHESES",
@@ -56,9 +58,10 @@ MAX_WITNESSES = 32
 # The standing hypotheses on (q, d, theta), keyed by their AssumptionsReport
 # field, in the order reduce gates on them, each with its one name: in the
 # verified/failed ledger, in a refusal's error and in analyze's refused
-# vector fields.
+# vector fields.  Acyclicity's name is spelled by its refusal,
+# ``CyclicQuiverError``.
 HYPOTHESES = {
-    "acyclic": "acyclicity",
+    "acyclic": CyclicQuiverError.hypothesis,
     "indivisible": "indivisibility",
     "coprime": "semistable = stable (theta-coprimality)",
     "strongly_amply_stable": "strong ample stability",
@@ -122,25 +125,17 @@ class AssumptionsReport:
 
         Callers name only what this report decides from d and the lattice
         sweep: indivisibility, coprimality (refused with its first witness)
-        and strong ample stability.  Acyclicity is ``_require_acyclic``'s,
-        which names the cycle; this report keeps only the verdict, so the
-        name ``"acyclic"`` raises ValueError."""
+        and strong ample stability.  Acyclicity is refused by
+        ``core._acyclic_order``, which names the cycle; this report keeps
+        only the verdict, so the name ``"acyclic"`` raises ValueError."""
         if "acyclic" in names:
-            raise ValueError("acyclicity is required by _require_acyclic, which names the cycle")
+            raise ValueError("acyclicity is refused by the quiver's topological order, which names the cycle")
         for name in names:
             if getattr(self, name):
                 continue
             if name == "coprime":
                 raise _not_coprime_error(self.failing_witnesses["coprime"][0])
             raise AssumptionViolatedError(HYPOTHESES[name])
-
-
-def _require_acyclic(q: Quiver) -> None:
-    """The acyclicity refusal, naming the cycle of q's ``is_acyclic``
-    certificate; the commands' gate and the library's ``reduce`` raise it."""
-    cycle = is_acyclic(q).cycle
-    if cycle is not None:
-        raise AssumptionViolatedError(HYPOTHESES["acyclic"], detail=f"cycle arrows {cycle}")
 
 
 def _not_coprime_error(witness: DimensionVector) -> AssumptionViolatedError:
@@ -211,9 +206,10 @@ def _coprime_witness(values: list[int]) -> int | None:
         return None
 
 
-def _strong_violations(q: Quiver, dv: tuple[int, ...], values: list[int]) -> list[tuple[int, ...]]:
-    """Proper nonzero e with theta(e) >= 0 and <e, d - e> > -2, in order,
-    for an acyclic q (so no arrow is a loop).
+def _strong_violations(q: Quiver, dv: tuple[int, ...], values: list[int]) -> tuple[list[tuple[int, ...]], int]:
+    """The first ``MAX_WITNESSES`` proper nonzero e with theta(e) >= 0 and
+    <e, d - e> > -2, in order, and the count of all of them, for an acyclic
+    q (so no arrow is a loop).
 
     The Euler form is built over the whole lattice, in the index order of
     ``values``, with no tuple per point:
@@ -227,7 +223,7 @@ def _strong_violations(q: Quiver, dv: tuple[int, ...], values: list[int]) -> lis
     ``_linear_sweep`` over the later vertices, weighted by the number of
     arrows between k and each of them.  The mask theta(e) >= 0 and form > -2
     is one comprehension (it measured faster than C-level ``map``s over
-    ``operator`` on CPython 3.11); a tuple is built only for a violation.
+    ``operator`` on CPython 3.11); a tuple is built only for a kept witness.
     """
     support = [k for k, c in enumerate(dv) if c]
     out = [0] * len(dv)
@@ -249,7 +245,8 @@ def _strong_violations(q: Quiver, dv: tuple[int, ...], values: list[int]) -> lis
         form = blocks
     mask = [v >= 0 and f > -2 for v, f in zip(values, form)]
     mask[0] = mask[-1] = False
-    return [_lattice_point(dv, k) for k in itertools.compress(range(len(mask)), mask)]
+    first = itertools.islice(itertools.compress(range(len(mask)), mask), MAX_WITNESSES)
+    return [_lattice_point(dv, k) for k in first], mask.count(True)
 
 
 def assumptions_report(q: Quiver, d: DimensionVector, theta: StabilityParameter) -> AssumptionsReport:
@@ -275,12 +272,12 @@ def assumptions_report(q: Quiver, d: DimensionVector, theta: StabilityParameter)
         witnesses["coprime"] = (_as_vector(q, _lattice_point(dv, k)),)
 
     if acyclic:
-        violations = _strong_violations(q, dv, values)
-        strong = not violations
-        if violations:
-            witnesses["strongly_amply_stable"] = tuple(_as_vector(q, e) for e in violations[:MAX_WITNESSES])
-        if len(violations) > MAX_WITNESSES:
-            counts["strongly_amply_stable"] = len(violations)
+        violations, count = _strong_violations(q, dv, values)
+        strong = not count
+        if count:
+            witnesses["strongly_amply_stable"] = tuple(_as_vector(q, e) for e in violations)
+        if count > MAX_WITNESSES:
+            counts["strongly_amply_stable"] = count
     else:
         strong = False
 

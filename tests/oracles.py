@@ -196,8 +196,7 @@ def naive_strong_violations(q: Quiver, d: DimensionVector, theta: StabilityParam
     for e in naive_subdimension_vectors(q, d):
         if e.total() == 0 or e == d or theta(e) < 0:
             continue
-        f = d - e
-        form = sum(e[v] * f[v] for v in q.vertices) - sum(e[s] * f[t] for s, t in q.arrows)
+        form = sum(e[v] * (d[v] - e[v]) for v in q.vertices) - sum(e[s] * (d[t] - e[t]) for s, t in q.arrows)
         if form > -2:
             violations.append(e)
     return violations

@@ -191,14 +191,14 @@ def test_spec_refusals_exit_two_with_one_input_error_line(capsys, tmp_path, text
 
 def test_a_library_error_exits_one_with_one_error_line(capsys, monkeypatch):
     from quivercalc import cli
-    from quivercalc.errors import DisconnectedQuiverError
+    from quivercalc.errors import QuiverMismatchError
 
     def failing(spec, override_assumptions):
-        raise DisconnectedQuiverError("quiver is not connected")
+        raise QuiverMismatchError("representations must live over the same quiver")
 
     monkeypatch.setattr(cli, "build_analyze_report", failing)
     code, out, err = run(capsys, "analyze", FIXTURES / "kronecker.json", "--json")
-    assert (code, out, err) == (1, "", "quivercalc: error: quiver is not connected\n")
+    assert (code, out, err) == (1, "", "quivercalc: error: representations must live over the same quiver\n")
 
 
 def test_main_builds_the_parser_once(capsys, monkeypatch):
@@ -626,6 +626,33 @@ def test_reduce_runs_the_pairing_check_once(capsys, monkeypatch):
     assert code == 0
     assert report["verifications"][0]["passed"] is True
     assert len(calls) == 1
+
+
+def test_a_failed_pairing_check_is_an_exit_one_verification(capsys, monkeypatch):
+    """reduce asserts nothing: a failed pairing check of the reduction is
+    the report's failing verification, exit 1, with no traceback."""
+    import quivercalc.framing
+
+    def failing(result):
+        return quivercalc.framing.ReductionPairingCheck(False, ("theta'(d') = 1 != 0", "d' is not thin at '2'"), 2, 3)
+
+    monkeypatch.setattr(quivercalc.framing, "verify_reduction_pairing", failing)
+    code, report, err = run_json(capsys, "reduce", FIXTURES / "threevertex.json", "2", "3")
+    assert (code, err, report["exit_code"]) == (1, "", 1)
+    assert report["verifications"] == [
+        {
+            "name": "reduction pairing, thinness, and path count",
+            "passed": False,
+            "failures": ["theta'(d') = 1 != 0", "d' is not thin at '2'"],
+        }
+    ]
+    assert report["reduction"]["reduced_path_space_dim"] == 2 and report["reduction"]["base_path_space_dim"] == 3
+    jsonschema.validate(report, REPORT_SCHEMA)
+
+    code, out, err = run(capsys, "reduce", FIXTURES / "threevertex.json", "2", "3")
+    assert (code, err) == (1, "")
+    assert "verification: reduction pairing, thinness, and path count: FAIL\n" in out
+    assert out.endswith("exit code: 1\n")
 
 
 @pytest.mark.parametrize("command", ["frame", "reduce", "verify"])

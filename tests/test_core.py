@@ -1,4 +1,5 @@
 import math
+import operator
 import re
 from fractions import Fraction
 
@@ -98,8 +99,9 @@ def test_euler_form_bilinear(qd, data):
     q, e = qd
     f = DimensionVector({v: data.draw(st.integers(0, 3)) for v in q.vertices})
     g = DimensionVector({v: data.draw(st.integers(0, 3)) for v in q.vertices})
-    assert euler_form(q, e + f, g) == euler_form(q, e, g) + euler_form(q, f, g)
-    assert euler_form(q, g, e + f) == euler_form(q, g, e) + euler_form(q, g, f)
+    e_plus_f = DimensionVector({v: e[v] + f[v] for v in q.vertices})
+    assert euler_form(q, e_plus_f, g) == euler_form(q, e, g) + euler_form(q, f, g)
+    assert euler_form(q, g, e_plus_f) == euler_form(q, g, e) + euler_form(q, g, f)
 
 
 def test_path_count_matrix_three_vertex(three_vertex):
@@ -242,8 +244,11 @@ def test_vertex_vector_contract(case, data):
     weights = data.draw(st.lists(st.integers(-9, 9), min_size=len(order), max_size=len(order)))
     theta = StabilityParameter(dict(zip(order, weights)))
     assert theta(d) == sum(w * values[v] for v, w in zip(order, weights))
-    assert d + d == DimensionVector({v: 2 * c for v, c in values.items()})
-    assert (d + d) - d == d and d <= d + d
+    # No arithmetic or ordering: ``object`` keeps a ``__le__`` slot, so the
+    # operator itself is pinned, not the attribute.
+    for op in (operator.add, operator.sub, operator.le):
+        with pytest.raises(TypeError):
+            op(d, d)
 
     expected = f"vector defined on {[v for v, _ in by_name]} but expected vertex set {sorted(order + (unknown,))}"
     with pytest.raises(VertexSetMismatchError, match=re.escape(expected)):
@@ -251,11 +256,6 @@ def test_vertex_vector_contract(case, data):
     other = DimensionVector({**values, unknown: 1})
     with pytest.raises(VertexSetMismatchError, match="pairing of vectors on different vertex sets"):
         theta(other)
-    for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a <= b):
-        with pytest.raises(VertexSetMismatchError, match="dimension vectors on different vertex sets"):
-            op(d, other)
-        with pytest.raises(VertexSetMismatchError, match="dimension vectors on different vertex sets"):
-            op(other, d)
 
 
 def test_dimension_vectors_are_nonnegative_and_vertex_vectors_immutable():

@@ -15,6 +15,7 @@ from oracles import networkx_paths, sympy_rank
 from quivercalc import (
     DimensionVector,
     Quiver,
+    StabilityParameter,
     enumerate_paths,
     hochschild1_dim,
     UnknownVertexError,
@@ -23,9 +24,10 @@ from quivercalc import (
     path_count_matrix,
     projective_representation,
     tangent_presentation,
+    vector_fields_dim,
 )
 from quivercalc.cohomology import _require_vector_fields
-from quivercalc.errors import CyclicQuiverError, QuiverCalcError
+from quivercalc.errors import AssumptionViolatedError, CyclicQuiverError, QuiverCalcError
 
 
 @st.composite
@@ -89,7 +91,7 @@ def test_path_count_equals_the_table_entry():
 
 def test_path_count_rejects_cycles_and_unknown_vertices():
     cyclic = Quiver(("a", "b"), (("a", "b"), ("b", "a")))
-    with pytest.raises(CyclicQuiverError, match="path counts are infinite on a cyclic quiver"):
+    with pytest.raises(CyclicQuiverError, match=re.escape("assumption violated: acyclicity (cycle arrows (0, 1))")):
         path_count(cyclic, "a", "b")
     with pytest.raises(UnknownVertexError, match=re.escape("unknown vertex in pair ('a', 'z')")):
         path_count(chain(3), "a", "z")
@@ -101,7 +103,7 @@ TWO_CYCLE = Quiver(("a", "b"), (("a", "b"), ("b", "a")))
 TWO_CYCLE_THIN = DimensionVector({"a": 1, "b": 1})
 
 # Every path count, path basis and presentation, and the vector-fields gate
-# once no hypothesis is named as failed, reaches one refusal of a cyclic
+# before it names the failed hypotheses, reaches one refusal of a cyclic
 # quiver, and it names the cycle.
 CYCLIC_CALLS = {
     "path_count": lambda q: path_count(q, "a", "b"),
@@ -111,14 +113,17 @@ CYCLIC_CALLS = {
     "projective_representation": lambda q: projective_representation(q, "a"),
     "tangent_presentation": lambda q: tangent_presentation(q, TWO_CYCLE_THIN),
     "_require_vector_fields": lambda q: _require_vector_fields(q, TWO_CYCLE_THIN, []),
+    "vector_fields_dim": lambda q: vector_fields_dim(q, TWO_CYCLE_THIN, StabilityParameter({"a": 1, "b": -1})),
 }
 
 
 @pytest.mark.parametrize("name", CYCLIC_CALLS)
 def test_every_cyclic_refusal_names_the_cycle(name):
-    with pytest.raises(CyclicQuiverError) as excinfo:
+    with pytest.raises(AssumptionViolatedError) as excinfo:
         CYCLIC_CALLS[name](TWO_CYCLE)
-    assert str(excinfo.value) == "path counts are infinite on a cyclic quiver (cycle arrows (0, 1))"
+    assert type(excinfo.value) is CyclicQuiverError and excinfo.value.cycle == (0, 1)
+    assert excinfo.value.assumption == "acyclicity"
+    assert str(excinfo.value) == "assumption violated: acyclicity (cycle arrows (0, 1))"
 
 
 def test_projective_representation_refuses_an_unknown_vertex_before_a_cycle():

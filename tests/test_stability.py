@@ -115,7 +115,7 @@ def test_slope_comparison_equivalent_to_sign(datum):
     for e in naive_subdimension_vectors(q, d):
         if e.total() == 0 or e == d:
             continue
-        complement = d - e
+        complement = DimensionVector({v: d[v] - e[v] for v in q.vertices})
         assert (theta(e) >= 0) == (slope(theta, e) >= slope(theta, complement))
 
 
@@ -145,11 +145,11 @@ def test_assumptions_report_cyclic_quiver():
 
 
 def test_require_refuses_the_acyclicity_name():
-    # Only _require_acyclic refuses acyclicity: it names the cycle, which
-    # the report does not keep.
+    # Only the path layer's topological order refuses acyclicity: it names
+    # the cycle, which the report does not keep.
     q = Quiver(("a", "b"), (("a", "b"), ("b", "a")))
     report = assumptions_report(q, DimensionVector({"a": 1, "b": 1}), StabilityParameter({"a": 1, "b": -1}))
-    with pytest.raises(ValueError, match="_require_acyclic"):
+    with pytest.raises(ValueError, match="^acyclicity is refused by the quiver's topological order, which names the cycle$"):
         report.require("acyclic")
 
 
@@ -268,9 +268,9 @@ def test_strong_violations_equal_the_per_point_reference():
         dv = d.aligned(q.vertices)
         violations = _strong_violations(q, dv, _lattice_values(dv, theta.aligned(q.vertices)))
         expected = [e.aligned(q.vertices) for e in naive_strong_violations(q, d, theta)]
-        assert violations == expected
-        seen.add(bool(expected))
-    assert seen == {True, False}
+        assert violations == (expected[:MAX_WITNESSES], len(expected))
+        seen.add(min(len(expected), MAX_WITNESSES + 1))
+    assert {0, 1, MAX_WITNESSES + 1} <= seen
 
 
 def test_framed_check_equals_the_per_point_reference_on_arbitrary_framed_parameters():

@@ -4,12 +4,14 @@
 
 REV is checked out with ``git worktree add`` into a temporary directory,
 which is removed afterwards.  The invocations are every op and probe of the
-four perfbench workloads at seeds 3 and 7, and analyze, frame, reduce and
-verify (at ``--budget 320``) on each spec in ``tests/fixtures``, human and
-``--json``.  All of them read one shared set of spec files, written once
-into the temporary directory, so paths in messages are the same on both
-sides.  Each tree gets one child process, which runs ``quivercalc.cli.main``
-in-process on every invocation.  The exit code, stdout and stderr of each
+four perfbench workloads at seeds 3 and 7, and ``SPEC_ARGVS`` on each spec
+in ``tests/fixtures`` and in ``REFUSAL_SPECS``, human and ``--json``: each
+command on the spec's framing block, with explicit vertices and ``--scale
+1``, with ``--prime 3 --seed 5`` and with ``--out FILE``.  All of them read
+one shared set of spec files, written once into the temporary directory, so
+paths in messages are the same on both sides.  Each tree gets one child
+process, which runs ``quivercalc.cli.main`` in-process on every invocation.
+The exit code, stdout, stderr and the bytes written to ``--out`` of each
 pair are compared; the script prints the counts and the first difference,
 and exits 1 on any difference.
 """
@@ -28,13 +30,59 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (3, 7)
 WORKLOADS = ("desk", "lattice", "paths", "oracle")
-FIXTURE_COMMANDS = ("analyze", "frame", "reduce", "verify")
+
+# The argv of each spec invocation after the command's spec path, "{first}"
+# and "{last}" standing for the spec's first and last vertex and "{out}" for
+# a report file; each runs human and with --json.
+SPEC_ARGVS = (
+    ("analyze",),
+    ("analyze", "--override-assumptions"),
+    ("analyze", "--out", "{out}"),
+    ("frame",),
+    ("frame", "{last}", "{first}", "--scale", "1"),
+    ("frame", "--out", "{out}"),
+    ("reduce",),
+    ("reduce", "{last}", "{first}"),
+    ("reduce", "--out", "{out}"),
+    ("verify", "--budget", "320"),
+    ("verify", "--prime", "3", "--seed", "5", "--budget", "320"),
+    ("verify", "--budget", "320", "--out", "{out}"),
+)
+
+
+def _three_vertex_with_z(arrows: list[dict]) -> dict:
+    """The three-vertex fixture plus a vertex z of dimension 0, joined by
+    ``arrows``: it keeps every hypothesis of the datum."""
+    doc = json.loads((ROOT / "tests" / "fixtures" / "threevertex.json").read_text(encoding="utf-8"))
+    doc["vertices"].append("z")
+    doc["arrows"] += arrows
+    doc["dimension"]["z"] = doc["stability"]["z"] = 0
+    return doc
+
+
+# Specs of the refusals that no workload reaches: a two-cycle with a framing
+# block reaches every command's acyclicity gate, and analyze refuses the
+# vector fields of an isolated z for connectivity and of an attached one for
+# full support, with and without --override-assumptions.
+REFUSAL_SPECS = {
+    "two_cycle.json": {
+        "vertices": ["a", "b"],
+        "arrows": [{"from": "a", "to": "b"}, {"from": "b", "to": "a"}],
+        "dimension": {"a": 1, "b": 1},
+        "stability": {"a": 1, "b": -1},
+        "framing": {"i": "a", "j": "b"},
+    },
+    "disconnected.json": _three_vertex_with_z([]),
+    "zero_dimension.json": _three_vertex_with_z([{"from": "3", "to": "z"}]),
+}
 
 # Runs in a child whose first argument is the ``src`` directory of a tree;
 # reads a JSON list of argv lists on stdin and writes one [exit code,
-# stdout, stderr] per argv.  An exception escaping main is an outcome too.
+# stdout, stderr, --out text] per argv, the last null without --out; the
+# report file is removed once read.  An exception escaping main is an
+# outcome too.
 _CHILD = """
-import contextlib, io, json, sys
+import contextlib, io, json, os, sys
 sys.path.insert(0, sys.argv[1])
 from quivercalc.cli import main
 outcomes = []
@@ -47,7 +95,12 @@ for argv in json.load(sys.stdin):
             code = exc.code
         except Exception as exc:
             code = f"raised {type(exc).__name__}: {exc}"
-    outcomes.append([code, out.getvalue(), err.getvalue()])
+    path, written = argv[argv.index("--out") + 1] if "--out" in argv else None, None
+    if path and os.path.exists(path):
+        with open(path, "rb") as handle:
+            written = handle.read().decode("utf-8")
+        os.remove(path)
+    outcomes.append([code, out.getvalue(), err.getvalue(), written])
 json.dump(outcomes, sys.stdout)
 """
 
@@ -71,12 +124,18 @@ def invocations(specs: Path) -> list[list[str]]:
     folder = specs / "fixtures"
     folder.mkdir(parents=True)
     for fixture in sorted((ROOT / "tests" / "fixtures").glob("*.json")):
-        spec = folder / fixture.name
-        spec.write_bytes(fixture.read_bytes())
-        for command in FIXTURE_COMMANDS:
-            budget = ["--budget", "320"] if command == "verify" else []
+        (folder / fixture.name).write_bytes(fixture.read_bytes())
+    for name, doc in REFUSAL_SPECS.items():
+        (folder / name).write_text(json.dumps(doc), encoding="utf-8")
+    out = str(specs / "report.out")
+    for spec in sorted(folder.glob("*.json")):
+        vertices = json.loads(spec.read_text(encoding="utf-8"))["vertices"]
+        names = {"first": vertices[0], "last": vertices[-1], "out": out}
+        for command, *flags in SPEC_ARGVS:
             for fmt in ([], ["--json"]):
-                argvs.append([command, str(spec), *fmt, *budget])
+                argvs.append([command, str(spec), *(f.format(**names) for f in flags), *fmt])
+    # A report file that cannot be written is an input error.
+    argvs.append(["analyze", str(folder / "kronecker.json"), "--out", str(specs / "missing" / "report.out")])
     return argvs
 
 
@@ -99,7 +158,7 @@ def compare(argvs: list[list[str]], ours: list[list], theirs: list[list], out=sy
     if differing:
         k = differing[0]
         print("first difference: quivercalc " + " ".join(argvs[k]), file=out)
-        for label, mine, other in zip(("exit code", "stdout", "stderr"), ours[k], theirs[k]):
+        for label, mine, other in zip(("exit code", "stdout", "stderr", "--out file"), ours[k], theirs[k]):
             if mine != other:
                 lines = difflib.unified_diff(
                     str(other).splitlines(keepends=True), str(mine).splitlines(keepends=True),
