@@ -10,7 +10,8 @@ arrows is never extended.  Every prefix of a closed tuple is closed, and each
 vertex tries its subspaces in the fixed order, so the closed tuples come out
 exactly in the order of the product of the per-vertex lists: witnesses are
 deterministic and reproducible.  Containment is a bitmask test against a
-cached mask, per subspace, of the vectors it contains.  That search,
+cached mask, per subspace, of the vectors it contains, or a residual per
+image vector at a vertex whose masks would be too large.  That search,
 ``_SubrepSearch.closed``, is the package's one iteration over closed tuples:
 ``king_stability`` and the framed description check both run it, and the
 test suite's oracles wrap it as the iterator its order tests read.
@@ -25,8 +26,8 @@ matrices.  The framed description check,
 every function downstream of the double framing does; it sets up the base
 search only, since one enumeration of a base point decides its verdict and
 every framing of it (``_FramedKing``); its enumerated or sampled points stay
-matrix tuples, and a ``FiniteFieldRepresentation`` is built only for a point
-that fails.
+matrix tuples, and a ``FiniteFieldRepresentation`` is built only for the
+first ``MAX_WITNESSES`` points that fail.
 
 Every uniform value over F_p comes from ``_uniform_entries``, which draws
 exactly what successive ``randrange(p)`` calls draw.
@@ -53,7 +54,7 @@ from . import linalg
 from .core import DimensionVector, Path, Quiver, StabilityParameter, _check_representation_shapes, _is_prime
 from .errors import BudgetExceededError, NotThinAtEndpointsError
 from .framing import MINIMAL_FRAMING_SCALE, FramingResult
-from .stability import _require_zero_pairing
+from .stability import MAX_WITNESSES, _require_zero_pairing
 
 __all__ = [
     "FiniteFieldRepresentation",
@@ -122,17 +123,19 @@ class StabilityVerdict:
 
 @dataclass(frozen=True)
 class EquivalenceReport:
-    """Outcome of a point-by-point check of the framed stability description."""
+    """Outcome of a point-by-point check of the framed stability description:
+    ``failures`` holds the first ``MAX_WITNESSES`` failing points in point
+    order, ``failure_count`` counts them all."""
 
     instances_checked: int
     failures: tuple[tuple[FiniteFieldRepresentation, str, str], ...]
+    failure_count: int
     sampled: bool = False
-    sample_size: int | None = None
     notes: tuple[str, ...] = ()
 
     @property
     def passed(self) -> bool:
-        return not self.failures
+        return not self.failure_count
 
 
 def gaussian_binomial(n: int, k: int, q: int) -> int:
@@ -193,18 +196,18 @@ def subspaces_of(p: int, n: int) -> tuple[Subspace, ...]:
 # vector whose base-p numeral (first coordinate leading) is c lies in the
 # subspace.  A table of them, one per subspace of F_p^n, takes
 # subspace_count(n, p) * p^n bits, more than the one helper integer of p^n
-# bits per coordinate that its build keeps; beyond this many bits, enumeration
-# falls back to testing whole product tuples.  On a King test of dims
+# bits per coordinate that its build keeps; beyond this many bits, a vertex
+# tests containment by residuals instead.  On a King test of dims
 # (1, n, n, 1) the masks win 4-9x at (257, 2) (1.7e7 bits), break even at
 # (509, 2) (1.3e8 bits) and lose 2-4x at (1009, 2) (1.0e9 bits), where each
 # test moves a 127 KB integer.
 _MASK_TABLE_BITS = 1 << 27
 # One mask is bounded too, since the table bound alone admits a thin vertex
-# up to p of about 6.7e7.  A thin vertex has two subspaces, so its product
-# filter is cheap, while each mask test moves p^n bits.  In alternating
-# verify runs (shared 2-core machine, Python 3.11) the masks lost 1.4-1.6x on the thin Kronecker at p = 65537
-# and 262147 and 4.6x at 1000003; on a vertex of dimension 2 they won 1.6x
-# at p = 331 (1.1e5 bits) and lost 1.6x at p = 509 (2.6e5 bits).
+# up to p of about 6.7e7, and each mask test moves p^n bits where a residual
+# per image moves n entries.  In verify runs (shared 2-core machine, Python
+# 3.11) the masks tied with residuals on the thin Kronecker at p = 65537 and
+# 262147 and lost 3-4x at 1000003; on Kronecker (1, 2) they tied at p = 331
+# (1.1e5 bits) and lost 2.4x at p = 509 (2.6e5 bits).
 _MASK_BITS = 1 << 17
 
 
@@ -261,23 +264,27 @@ def _span_masks(p: int, n: int) -> tuple[int, ...] | None:
     return tuple(out)
 
 
-def _image_masks(mat: IntMatrix, spaces: Sequence[Subspace], p: int):
-    """image(c): the mask of the images under ``mat`` of the echelon rows of
-    ``spaces[c]``; each mask and each row's image is computed on first use."""
-    masks: list[int | None] = [None] * len(spaces)
-    bits: dict[tuple[int, ...], int] = {}
+def _images(mat: IntMatrix, spaces: Sequence[Subspace], p: int, masked: bool):
+    """image(c): the images under ``mat`` of the echelon rows of
+    ``spaces[c]``, joined by ``|`` as one containment mask when ``masked``
+    (the target vertex has masks), else as a frozenset of the nonzero ones;
+    each image and each row's is computed on first use."""
+    empty = 0 if masked else frozenset()
+    images: list = [None] * len(spaces)
+    parts: dict = {}
 
-    def image(c: int) -> int:
-        mask = masks[c]
-        if mask is None:
-            mask = 0
+    def image(c: int):
+        found = images[c]
+        if found is None:
+            found = empty
             for row in spaces[c].rows:
-                bit = bits.get(row)
-                if bit is None:
-                    bit = bits[row] = 1 << _code(linalg.mod_mat_vec(mat, row, p), p)
-                mask |= bit
-            masks[c] = mask
-        return mask
+                part = parts.get(row)
+                if part is None:
+                    u = linalg.mod_mat_vec(mat, row, p)
+                    part = parts[row] = 1 << _code(u, p) if masked else (frozenset((tuple(u),)) if any(u) else empty)
+                found |= part
+            images[c] = found
+        return found
 
     return image
 
@@ -287,8 +294,8 @@ class _SubrepSearch:
     up once and run on any number of points.
 
     The set-up lists every vertex's subspaces with their dimensions as plain
-    ints, and fixes which vertices an arrow touches, their containment masks
-    and whether the search falls back to filtering the whole product; its
+    ints, and fixes which vertices an arrow touches and, per touched vertex,
+    its containment masks, or None when they are over either bound; its
     caller has passed ``_require_tuples`` first.  ``closed`` runs the search
     on one point, given as its tuple of arrow matrices.
     """
@@ -302,8 +309,7 @@ class _SubrepSearch:
         self.all_indices = [range(len(spaces)) for spaces in self.spaces]
         arrows = quiver.arrow_indices
         touched = {v for arrow in arrows for v in arrow}
-        masks = [_span_masks(prime, n) if v in touched else None for v, n in enumerate(dims)]
-        self.masks = None if not dims or any(masks[v] is None for v in touched) else masks
+        self.masks = [_span_masks(prime, n) if v in touched else None for v, n in enumerate(dims)]
         self.into: list[list[tuple[int, int]]] = [[] for _ in dims]  # (arrow, earlier source)
         self.out_of: list[list[tuple[int, int]]] = [[] for _ in dims]  # (arrow, earlier or same target)
         for k, (s, t) in enumerate(arrows):
@@ -331,42 +337,41 @@ class _SubrepSearch:
         Backtracks over the vertices in vertex order with an explicit stack.
         An arrow is checked at the later of its endpoints: an arrow from an
         earlier vertex asks the candidate to contain the images of the chosen
-        subspace (one mask per choice), an arrow to an earlier vertex or a
-        loop asks the images of the candidate to lie in the chosen subspace or
-        in itself.  A vertex that no arrow touches keeps every candidate.
-        When a touched vertex space is too large for containment masks, every
-        tuple of the product is tested instead.
+        subspace, an arrow to an earlier vertex or a loop asks the images of
+        the candidate to lie in the chosen subspace or in itself.  A subspace
+        of a vertex with masks contains images by one mask test, and one of a
+        vertex without them by a residual per image.  A vertex that no arrow
+        touches keeps every candidate.
         """
-        p, spaces, masks = self.prime, self.spaces, self.masks
-        if masks is None:
-            arrows = self.quiver.arrow_indices
-            for chosen in itertools.product(*self.all_indices):
-                if _closed_under_arrows(arrows, mats, self.subspaces(chosen), p):
-                    yield chosen
+        p, spaces, masks, all_indices = self.prime, self.spaces, self.masks, self.all_indices
+        if not spaces:
+            yield ()
             return
-        into = [[(s, _image_masks(mats[k], spaces[s], p)) for k, s in arrows] for arrows in self.into]
-        out_of = [[(t, _image_masks(mats[k], spaces[v], p)) for k, t in arrows] for v, arrows in enumerate(self.out_of)]
-        chosen = [0] * len(spaces)
-        all_indices = self.all_indices
+        into = [[(s, _images(mats[k], spaces[s], p, masks[v] is not None)) for k, s in arrows] for v, arrows in enumerate(self.into)]
+        out_of = [[(t, _images(mats[k], spaces[v], p, masks[t] is not None)) for k, t in arrows] for v, arrows in enumerate(self.out_of)]
+
+        def holds(v: int, c: int, image) -> bool:
+            """Whether subspace c of vertex v contains ``image``."""
+            own = masks[v]
+            if own is None:
+                return all(spaces[v][c].contains(u, p) for u in image)
+            return own[c] & image == image
 
         def candidates(v: int) -> Iterator[int]:
             own = masks[v]
-            if own is None:
-                return iter(all_indices[v])
-            required = 0
+            found, required = all_indices[v], frozenset() if own is None else 0
             for s, image in into[v]:
                 required |= image(chosen[s])
-            found = all_indices[v]
-            if required > 1:  # bit 0 is the zero vector, in every subspace
+            if own is None:
+                if required:
+                    found = [c for c in found if holds(v, c, required)]
+            elif required > 1:  # bit 0 is the zero vector, in every subspace
                 found = [c for c, mask in enumerate(own) if mask & required == required]
             for t, image in out_of[v]:
-                if t == v:
-                    found = [c for c in found if own[c] & image(c) == image(c)]
-                else:
-                    target = masks[t][chosen[t]]
-                    found = [c for c in found if target & image(c) == image(c)]
+                found = [c for c in found if holds(t, c if t == v else chosen[t], image(c))]
             return iter(found)
 
+        chosen = [0] * len(spaces)
         last = len(spaces) - 1
         stack = [candidates(0)]
         while stack:
@@ -382,15 +387,6 @@ class _SubrepSearch:
             else:
                 chosen[v] = c
                 stack.append(candidates(v + 1))
-
-
-def _closed_under_arrows(arrows, mats: Sequence[IntMatrix], spaces: Sequence[Subspace], p: int) -> bool:
-    for (s, t), mat in zip(arrows, mats):
-        target = spaces[t]
-        for u in spaces[s].rows:
-            if not target.contains(linalg.mod_mat_vec(mat, u, p), p):
-                return False
-    return True
 
 
 def king_stability(
@@ -480,9 +476,9 @@ def verify_double_framing_equivalence(
     forced and the stable verdict is sound over the finite field; the
     framing's ``base_assumptions`` decide it.  All points are enumerated when
     their number fits the budget; otherwise points are sampled uniformly with
-    the fixed seed and the sample size is reported.  Runs at any scale: below
-    ``MINIMAL_FRAMING_SCALE`` the report is labeled accordingly, since the
-    description is only claimed from the minimal scale on.
+    the fixed seed.  Runs at any scale: below ``MINIMAL_FRAMING_SCALE`` the
+    report is labeled accordingly, since the description is only claimed
+    from the minimal scale on.
     """
     if not _is_prime(prime):
         raise ValueError(f"{prime} is not prime")
@@ -510,11 +506,14 @@ def verify_double_framing_equivalence(
         notes.append(f"sampled {budget} of {total_points} points with seed {seed}")
 
     failures = []
-    checked = 0
+    checked = failure_count = 0
     for mats in points:
         checked += 1
         condition, semistable, stable = king.verdicts(mats)
-        if not (stable == semistable == condition):
+        if stable == semistable == condition:
+            continue
+        failure_count += 1
+        if failure_count <= MAX_WITNESSES:
             failures.append(
                 (
                     FiniteFieldRepresentation(fq, prime, fd, mats),
@@ -525,8 +524,8 @@ def verify_double_framing_equivalence(
     return EquivalenceReport(
         instances_checked=checked,
         failures=tuple(failures),
+        failure_count=failure_count,
         sampled=sampled,
-        sample_size=budget if sampled else None,
         notes=tuple(notes),
     )
 

@@ -293,9 +293,9 @@ def build_verify_report(
                 "name": f"framed stability description over F_{prime}",
                 "passed": equivalence.passed,
                 "points_checked": equivalence.instances_checked,
-                "failures": len(equivalence.failures),
+                "failures": equivalence.failure_count,
                 "sampled": equivalence.sampled,
-                "sample_size": equivalence.sample_size,
+                "sample_size": equivalence.instances_checked if equivalence.sampled else None,
                 "notes": list(equivalence.notes),
             }
         ],

@@ -37,6 +37,7 @@ from quivercalc import (
 )
 from quivercalc import ff_oracle, linalg
 from quivercalc.ff_oracle import _span_masks, random_group_element, random_representation
+from quivercalc.stability import MAX_WITNESSES
 
 from conftest import random_acyclic_quiver, random_zero_pairing_parameter, thin
 from oracles import (
@@ -217,7 +218,7 @@ def test_verify_double_framing_sampling_fallback(three_vertex):
     framing = double_frame(three_vertex, d, theta, "2", "3", 2)
     report = verify_double_framing_equivalence(framing, 2, budget=40, seed=1)
     assert report.sampled
-    assert report.sample_size == 40
+    assert report.notes == ("sampled 40 of 64 points with seed 1",)
     assert report.instances_checked == 40
     assert report.passed
 
@@ -615,19 +616,47 @@ def test_king_stability_refuses_over_budget_before_listing_a_subspace(monkeypatc
 
 
 @pytest.fixture
-def no_mask_tables(monkeypatch):
-    monkeypatch.setattr(ff_oracle, "_MASK_TABLE_BITS", 0)
-    _span_masks.cache_clear()
-    yield
+def mask_bound(monkeypatch):
+    """set_bound(name, bits) lowers one of the two mask bounds for the test,
+    with the cached mask tables cleared on both sides of it."""
+
+    def set_bound(name, bits):
+        monkeypatch.setattr(ff_oracle, name, bits)
+        _span_masks.cache_clear()
+
+    yield set_bound
     _span_masks.cache_clear()
 
 
-def test_enumeration_without_mask_tables_filters_the_product(no_mask_tables):
+def test_enumeration_without_mask_tables_tests_containment_by_residuals(mask_bound):
+    mask_bound("_MASK_TABLE_BITS", 0)
     m = _rep(3, [2, 1, 1], [(0, 1), (2, 0), (1, 2)], [1, 2, 1, 0, 2])
     assert _span_masks(3, 2) is None
     got = [(tup, dims.as_dict()) for tup, dims in enumerate_subrepresentations(m)]
     want = [(tup, {v: len(s.rows) for v, s in zip(m.quiver.vertices, tup)}) for tup in naive_closed_tuples(m)]
     assert got == want and len(got) > 2
+
+
+def test_a_search_with_masks_on_thin_vertices_only_matches_the_filtered_product(mask_bound):
+    """Over F_2 and F_3 a mask of p bits fits a bound of 3 bits and one of
+    p^2 bits does not: thin vertices test containment by masks, vertices of
+    dimension 2 by residuals, in one search, with the closed tuples in
+    product order."""
+    mask_bound("_MASK_BITS", 3)
+    rng = random.Random(28)
+    mixed = loops = 0
+    for _ in range(200):
+        p = rng.choice((2, 3))
+        dims = [rng.randint(0, 2) for _ in range(rng.randint(1, 4))]
+        arrows = [(rng.randrange(len(dims)), rng.randrange(len(dims))) for _ in range(rng.randint(1, 5))]
+        m = _rep(p, dims, arrows, [rng.randrange(p) for _ in range(12)])
+        search = ff_oracle._SubrepSearch(m.quiver, p, dims)
+        touched = {v for arrow in arrows for v in arrow}
+        assert all((search.masks[v] is None) == (dims[v] == 2) for v in touched)
+        mixed += len({dims[v] == 2 for v in touched}) == 2
+        loops += any(s == t for s, t in arrows)
+        assert [tup for tup, _ in enumerate_subrepresentations(m)] == list(naive_closed_tuples(m))
+    assert mixed >= 50 and loops >= 50
 
 
 def test_a_vertex_no_arrow_touches_needs_no_mask_table(monkeypatch):
@@ -753,6 +782,7 @@ def test_a_failing_point_is_reported_as_a_representation(kronecker, monkeypatch)
     points = [FiniteFieldRepresentation(fq, 2, fd, mats) for mats in ff_oracle._all_matrices(ff_oracle._shapes(fq, fd), 2)]
     # both framing maps nonzero: the last of each run of four points
     assert [rep for rep, _, _ in report.failures] == points[3::4]
+    assert report.failure_count == 4
     for rep, _, _ in report.failures:
         assert isinstance(rep, FiniteFieldRepresentation)
         assert rep.quiver == framing.framed_quiver and rep.dims == framing.framed_dimension
@@ -774,15 +804,18 @@ def _random_coprime_datum(rng):
     return q, d, theta, rng.choice(names), rng.choice(names)
 
 
-@pytest.mark.parametrize("masks", [True, False])
+@pytest.mark.parametrize("masks", [True, False, "mixed"])
 @pytest.mark.parametrize("p", [2, 3])
-def test_framed_verdicts_match_the_two_search_reference(p, masks, monkeypatch):
+def test_framed_verdicts_match_the_two_search_reference(p, masks, monkeypatch, mask_bound):
     """On every point, enumerated or sampled, the verdicts read off the base
     enumeration equal those of a separate King search on the framed point,
     and so do the reports, at scales 1, 2 and 3 (half of the data at 1,
-    where points fail), with and without mask tables."""
-    if not masks:
-        monkeypatch.setattr(ff_oracle, "_MASK_TABLE_BITS", 0)
+    where points fail), with mask tables, without them, and with masks on
+    thin vertices only (a mask of p bits fits, one of p^2 bits does not)."""
+    if masks is False:
+        mask_bound("_MASK_TABLE_BITS", 0)
+    elif masks == "mixed":
+        mask_bound("_MASK_BITS", p)
     seen = []
     original = ff_oracle._FramedKing.verdicts
 
@@ -817,8 +850,8 @@ def test_framed_verdicts_match_the_two_search_reference(p, masks, monkeypatch):
         cases += 1
         checked, notes, failures, verdicts = two_search_framing_equivalence(framing, p, budget, seed)
         assert seen == verdicts
-        assert (report.instances_checked, report.notes) == (checked, notes)
-        assert [(rep.arrow_matrices, want, got) for rep, want, got in report.failures] == failures
+        assert (report.instances_checked, report.notes, report.failure_count) == (checked, notes, len(failures))
+        assert [(rep.arrow_matrices, want, got) for rep, want, got in report.failures] == failures[:MAX_WITNESSES]
         failing += bool(failures)
     assert failing >= 2
 
@@ -829,11 +862,41 @@ def test_kronecker_framed_the_other_way_fails_at_scale_one(kronecker):
     d, theta = thin(kronecker), StabilityParameter({"1": 1, "2": -1})
     framing = double_frame(kronecker, d, theta, "2", "1", 1)
     report = verify_double_framing_equivalence(framing, 2)
-    assert (report.instances_checked, len(report.failures)) == (16, 4)
+    assert (report.instances_checked, report.failure_count) == (16, 4)
     checked, notes, failures, _ = two_search_framing_equivalence(framing, 2, 10**6, 0)
     assert (checked, notes) == (16, ("below minimal framing scale",))
-    assert [(rep.arrow_matrices, want, got) for rep, want, got in report.failures] == failures
+    assert [(rep.arrow_matrices, want, got) for rep, want, got in report.failures] == failures[:MAX_WITNESSES]
     assert verify_double_framing_equivalence(double_frame(kronecker, d, theta, "2", "1", 2), 2).passed
+
+
+def test_a_failing_verify_keeps_its_first_failures_and_counts_them_all(kronecker):
+    """Kronecker (1, 1) framed at i = 2, j = 1, scale 1, over F_5 fails at 400
+    of its 625 points: the report holds the first ``MAX_WITNESSES`` of them,
+    as the framed search finds them, and counts all 400."""
+    theta = StabilityParameter({"1": 1, "2": -1})
+    framing = double_frame(kronecker, thin(kronecker), theta, "2", "1", 1)
+    report = verify_double_framing_equivalence(framing, 5)
+    checked, _, failures, _ = two_search_framing_equivalence(framing, 5, 10**6, 0)
+    assert (report.instances_checked, report.failure_count) == (checked, len(failures)) == (625, 400)
+    assert [(rep.arrow_matrices, want, got) for rep, want, got in report.failures] == failures[:MAX_WITNESSES]
+    assert not report.passed
+
+
+def test_a_failing_verify_keeps_a_bounded_failure_record(kronecker):
+    """5,000 sampled points of that datum over F_101, nearly all of them
+    failing, keep ``MAX_WITNESSES`` representations: the peak of traced
+    memory stays below 1 MiB, where a record per failing point would take
+    about 4 MiB."""
+    theta = StabilityParameter({"1": 1, "2": -1})
+    framing = double_frame(kronecker, thin(kronecker), theta, "2", "1", 1)
+    tracemalloc.start()
+    try:
+        report = verify_double_framing_equivalence(framing, 101, budget=5_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.failure_count > 4_800 and len(report.failures) == MAX_WITNESSES
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("prime, budget, most", [(3, 10**6, 3), (1000000007, 50, 1)])

@@ -7,7 +7,8 @@ which is removed afterwards.  The invocations are every op and probe of the
 four perfbench workloads at seeds 3 and 7, and ``SPEC_ARGVS`` on each spec
 in ``tests/fixtures`` and in ``REFUSAL_SPECS``, human and ``--json``: each
 command on the spec's framing block, with explicit vertices and ``--scale
-1``, with ``--prime 3 --seed 5`` and with ``--out FILE``.  All of them read
+1``, with ``--prime 3 --seed 5``, with ``--out FILE`` and, for vertices too
+large for containment masks, with ``--prime 1000003``.  All of them read
 one shared set of spec files, written once into the temporary directory, so
 paths in messages are the same on both sides.  Each tree gets one child
 process, which runs ``quivercalc.cli.main`` in-process on every invocation.
@@ -47,6 +48,7 @@ SPEC_ARGVS = (
     ("verify", "--budget", "320"),
     ("verify", "--prime", "3", "--seed", "5", "--budget", "320"),
     ("verify", "--budget", "320", "--out", "{out}"),
+    ("verify", "--prime", "1000003", "--budget", "200"),
 )
 
 
