@@ -25,9 +25,9 @@ matrices.  The framed description check,
 ``verify_double_framing_equivalence``, takes a ``FramingResult`` alone, as
 every function downstream of the double framing does; it sets up the base
 search only, since one enumeration of a base point decides its verdict and
-every framing of it (``_FramedKing``); its enumerated or sampled points stay
-matrix tuples, and a ``FiniteFieldRepresentation`` is built only for the
-first ``MAX_WITNESSES`` points that fail.
+every framing of it (``_FramedKing``); its loop runs over base points, as
+matrix tuples, and inside over their framings, as the entries of v and w; a
+``FiniteFieldRepresentation`` is built only for the first failing ones.
 
 Every uniform value over F_p comes from ``_uniform_entries``, which draws
 exactly what successive ``randrange(p)`` calls draw.
@@ -48,7 +48,7 @@ import operator
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from . import linalg
 from .core import DimensionVector, Path, Quiver, StabilityParameter, _check_representation_shapes, _is_prime
@@ -453,16 +453,11 @@ def _uniform_entries(rng: random.Random, count: int, p: int) -> tuple[int, ...]:
     return tuple(values)
 
 
-def _random_matrices(rng: random.Random, shapes: Sequence[tuple[int, int]], prime: int) -> tuple[IntMatrix, ...]:
-    """Uniform matrices of the given shapes over F_p, drawn in order, entries
-    row by row."""
-    return _as_matrices(_uniform_entries(rng, sum(r * c for r, c in shapes), prime), shapes)
-
-
 def random_representation(
     rng: random.Random, q: Quiver, d: DimensionVector, prime: int
 ) -> FiniteFieldRepresentation:
-    return FiniteFieldRepresentation(q, prime, d, _random_matrices(rng, _shapes(q, d), prime))
+    shapes = _shapes(q, d)
+    return FiniteFieldRepresentation(q, prime, d, _as_matrices(_uniform_entries(rng, sum(r * c for r, c in shapes), prime), shapes))
 
 
 def verify_double_framing_equivalence(
@@ -488,39 +483,45 @@ def verify_double_framing_equivalence(
 
     fq, fd = framing.framed_quiver, framing.framed_dimension
     shapes = _shapes(fq, fd)
-    total_points = prime ** sum(r * c for r, c in shapes)
+    base_shapes, framing_shapes = shapes[:-2], shapes[-2:]  # the framing maps v and w come last
+    base_count, framing_count = (sum(r * c for r, c in part) for part in (base_shapes, framing_shapes))
+    total_points = prime ** (base_count + framing_count)
 
     # Per-point subrepresentation enumeration must fit the budget regardless
     # of sampling, otherwise no verdicts can be computed at all.
     _require_tuples(prime, fd.aligned(fq.vertices), budget, "subspace tuples per point")
 
-    # One search set-up per datum; the points are plain tuples of matrices,
-    # in range and shape by construction.
+    # One search set-up per datum.  The points come in the order of
+    # ``_all_matrices(shapes, prime)`` or of ``random_representation`` draws.
     king = _FramedKing(framing, prime)
 
     sampled = total_points > budget
-    points: Iterator[tuple[IntMatrix, ...]] = _all_matrices(shapes, prime)
     if sampled:
         rng = random.Random(seed)
-        points = (_random_matrices(rng, shapes, prime) for _ in range(budget))
+        draws = (_uniform_entries(rng, base_count + framing_count, prime) for _ in range(budget))
+        points = ((_as_matrices(entries[:base_count], base_shapes), (entries[base_count:],)) for entries in draws)
         notes.append(f"sampled {budget} of {total_points} points with seed {seed}")
+    else:
+        points = ((base, itertools.product(range(prime), repeat=framing_count)) for base in _all_matrices(base_shapes, prime))
 
     failures = []
     checked = failure_count = 0
-    for mats in points:
-        checked += 1
-        condition, semistable, stable = king.verdicts(mats)
-        if stable == semistable == condition:
-            continue
-        failure_count += 1
-        if failure_count <= MAX_WITNESSES:
-            failures.append(
-                (
-                    FiniteFieldRepresentation(fq, prime, fd, mats),
-                    f"all three conditions equal to {condition}",
-                    f"stable={stable} semistable={semistable} base-condition={condition}",
+    for base, framings in points:
+        verdicts = king.verdicts(base)
+        for entries in framings:
+            checked += 1
+            condition, semistable, stable = verdicts(entries)
+            if stable == semistable == condition:
+                continue
+            failure_count += 1
+            if failure_count <= MAX_WITNESSES:
+                failures.append(
+                    (
+                        FiniteFieldRepresentation(fq, prime, fd, base + _as_matrices(entries, framing_shapes)),
+                        f"all three conditions equal to {condition}",
+                        f"stable={stable} semistable={semistable} base-condition={condition}",
+                    )
                 )
-            )
     return EquivalenceReport(
         instances_checked=checked,
         failures=tuple(failures),
@@ -533,11 +534,11 @@ def verify_double_framing_equivalence(
 class _FramedKing:
     """King's test on the points of a double framing (1, d, 1), weights
     (1, N theta, -1), from one enumeration of each base point.  With v and w
-    the last two arrows (source -> i, j -> sink), a closed tuple of a framed
+    the framing maps (source -> i, j -> sink), a closed tuple of a framed
     point is (a, E, b): E closed in the base point, a in {0, 1 if v in E_i},
     b in {1, 0 if E_j in ker w}.  It weighs a + N theta(E) - b and is proper
-    and nonzero iff 0 < a + |E| + b < |d| + 2.  Only the current base point's
-    record is kept, with one "E_j in ker w" table per w."""
+    and nonzero iff 0 < a + |E| + b < |d| + 2.  Holds the base search's
+    set-up only; ``verdicts`` enumerates one base point."""
 
     def __init__(self, framing: FramingResult, prime: int):
         q = framing.base_quiver
@@ -545,13 +546,14 @@ class _FramedKing:
         self.search = _SubrepSearch(q, prime, framing.base_dimension.aligned(q.vertices))
         self.weighed = self.search.weigh(framing.base_stability.aligned(q.vertices))
         self.i, self.j = map(q.vertex_index, framing.framed_at)
-        self.base_mats, self.kernels = None, {}
+        self.d_i = framing.base_dimension[framing.framed_at[0]]
 
-    def _base(self, mats: Sequence[IntMatrix]) -> tuple[bool, list[tuple[int, int, int, int]] | None]:
-        """(base stable, record): (N theta(E), |E|, E_i's index, E_j's index)
-        per closed E with a framed tuple that can weigh >= 0, or None when one
-        weighs > 0 whatever v and w are."""
+    def _base(self, mats: Sequence[IntMatrix]) -> tuple[bool, list[tuple[int, int, Subspace, Subspace]] | None]:
+        """(base stable, record): (N theta(E), |E|, E_i, E_j) per closed E
+        with a framed tuple that can weigh >= 0, or None when one weighs > 0
+        whatever v and w are."""
         search, total = self.search, self.search.total
+        at_i, at_j = search.spaces[self.i], search.spaces[self.j]
         stable, record = True, []
         for chosen in search.closed(mats):
             value = self.scale * sum(map(operator.getitem, self.weighed, chosen))
@@ -562,37 +564,34 @@ class _FramedKing:
             dim = sum(map(operator.getitem, search.sub_dims, chosen))
             if value > 0 or value == 0 and 0 < dim < total:
                 stable = False
-            record.append((value, dim, chosen[self.i], chosen[self.j]))
+            record.append((value, dim, at_i[chosen[self.i]], at_j[chosen[self.j]]))
         return stable, record
 
-    def verdicts(self, mats: Sequence[IntMatrix]) -> tuple[bool, bool, bool]:
-        """(base stable with both framing maps nonzero, framed semistable,
-        framed stable) of one point.  Exhaustive points vary the framing
-        arrows fastest, so each base point is enumerated once."""
-        p, total = self.prime, self.search.total
-        base_mats, (framing_in, framing_out) = mats[:-2], mats[-2:]
-        if base_mats != self.base_mats:
-            self.base_mats = base_mats
-            self.base_stable, self.record = self._base(base_mats)
-            self.kernels.clear()
-        condition = self.base_stable and any(map(any, framing_in)) and any(map(any, framing_out))
-        if self.record is None:
-            return condition, False, False
-        v, w = [row[0] for row in framing_in], framing_out[0]
-        kernel = self.kernels.setdefault(w, {})
-        at_i, at_j = self.search.spaces[self.i], self.search.spaces[self.j]
-        stable = True
-        for value, dim, ci, cj in self.record:
-            v_in = at_i[ci].contains(v, p)
-            if cj not in kernel:
-                kernel[cj] = not any(sum(map(operator.mul, w, row)) % p for row in at_j[cj].rows)
-            for a in range(v_in + 1):
-                for b in range(1 - kernel[cj], 2):
-                    if a + value - b > 0:
-                        return condition, False, False
-                    if a + value == b and 0 < a + dim + b < total + 2:
-                        stable = False
-        return condition, True, stable
+    def verdicts(self, base: Sequence[IntMatrix]) -> Callable[[tuple[int, ...]], tuple[bool, bool, bool]]:
+        """The verdicts of the framings of one base point, as a function of
+        a framing's entries (v's, then w's): (base stable with both framing
+        maps nonzero, framed semistable, framed stable)."""
+        p, total, d_i = self.prime, self.search.total, self.d_i
+        base_stable, record = self._base(base)
+
+        def framed(entries: tuple[int, ...]) -> tuple[bool, bool, bool]:
+            v, w = entries[:d_i], entries[d_i:]
+            condition = base_stable and any(v) and any(w)
+            if record is None:
+                return condition, False, False
+            stable = True
+            for value, dim, e_i, e_j in record:
+                v_in = e_i.contains(v, p)
+                w_kills = not any(sum(map(operator.mul, w, row)) % p for row in e_j.rows)
+                for a in range(v_in + 1):
+                    for b in range(1 - w_kills, 2):
+                        if a + value - b > 0:
+                            return condition, False, False
+                        if a + value == b and 0 < a + dim + b < total + 2:
+                            stable = False
+            return condition, True, stable
+
+        return framed
 
 
 def path_semiinvariant(m, path: Path):

@@ -442,7 +442,7 @@ def two_search_framing_equivalence(framing, prime: int, budget: int, seed: int):
         points = ff_oracle._all_matrices(shapes, prime)
     else:
         rng = random.Random(seed)
-        points = (ff_oracle._random_matrices(rng, shapes, prime) for _ in range(budget))
+        points = (ff_oracle.random_representation(rng, fq, fd, prime).arrow_matrices for _ in range(budget))
         notes.append(f"sampled {budget} of {total_points} points with seed {seed}")
     n_base = len(base_q.arrows)
     failures, verdicts = [], []

@@ -744,25 +744,41 @@ def test_verify_sets_up_two_searches_whatever_the_point_count(kronecker, monkeyp
     assert built == [kronecker]
 
 
-def test_sampled_verify_checks_successive_random_representation_draws(three_vertex, monkeypatch):
+@pytest.fixture
+def framed_points(monkeypatch):
+    """The points that ``verify`` decides, in order, each as (its arrow
+    matrices, base condition, framed semistable, framed stable), read off
+    the verdict function that ``_FramedKing.verdicts`` returns per base
+    point."""
+    seen = []
+    original = ff_oracle._FramedKing.verdicts
+
+    def recording(king, base):
+        verdicts = original(king, base)
+
+        def framed(entries):
+            found = verdicts(entries)
+            framing_shapes = ((king.d_i, 1), (1, len(entries) - king.d_i))
+            seen.append(((*base, *ff_oracle._as_matrices(entries, framing_shapes)), *found))
+            return found
+
+        return framed
+
+    monkeypatch.setattr(ff_oracle._FramedKing, "verdicts", recording)
+    return seen
+
+
+def test_sampled_verify_checks_successive_random_representation_draws(three_vertex, framed_points):
     """A seeded sampled verify checks, in order, the points that successive
     random_representation calls draw from the same seed."""
     d = thin(three_vertex)
     theta = canonical_stability(three_vertex, d)
     framing = double_frame(three_vertex, d, theta, "2", "3", 2)
-    checked = []
-    original = ff_oracle._FramedKing.verdicts
-
-    def recording(king, mats):
-        checked.append(mats)
-        return original(king, mats)
-
-    monkeypatch.setattr(ff_oracle._FramedKing, "verdicts", recording)
     report = verify_double_framing_equivalence(framing, 2, budget=40, seed=9)
     assert report.sampled and report.instances_checked == 40
     rng = random.Random(9)
     want = [random_representation(rng, framing.framed_quiver, framing.framed_dimension, 2) for _ in range(40)]
-    assert checked == [m.arrow_matrices for m in want]
+    assert [mats for mats, *_ in framed_points] == [m.arrow_matrices for m in want]
 
 
 def test_a_failing_point_is_reported_as_a_representation(kronecker, monkeypatch):
@@ -806,7 +822,7 @@ def _random_coprime_datum(rng):
 
 @pytest.mark.parametrize("masks", [True, False, "mixed"])
 @pytest.mark.parametrize("p", [2, 3])
-def test_framed_verdicts_match_the_two_search_reference(p, masks, monkeypatch, mask_bound):
+def test_framed_verdicts_match_the_two_search_reference(p, masks, framed_points, mask_bound):
     """On every point, enumerated or sampled, the verdicts read off the base
     enumeration equal those of a separate King search on the framed point,
     and so do the reports, at scales 1, 2 and 3 (half of the data at 1,
@@ -816,15 +832,6 @@ def test_framed_verdicts_match_the_two_search_reference(p, masks, monkeypatch, m
         mask_bound("_MASK_TABLE_BITS", 0)
     elif masks == "mixed":
         mask_bound("_MASK_BITS", p)
-    seen = []
-    original = ff_oracle._FramedKing.verdicts
-
-    def recording(king, mats):
-        verdicts = original(king, mats)
-        seen.append((mats, *verdicts))
-        return verdicts
-
-    monkeypatch.setattr(ff_oracle._FramedKing, "verdicts", recording)
     rng = random.Random(40 + p)
     kronecker = Quiver(("1", "2"), [("1", "2")] * 2)
     # Data that fail at scale 1, then random ones.
@@ -842,14 +849,14 @@ def test_framed_verdicts_match_the_two_search_reference(p, masks, monkeypatch, m
         budget = rng.choice((60, 400))
         seed = rng.randrange(1000)
         framing = double_frame(q, d, theta, i, j, scale)
-        seen.clear()
+        framed_points.clear()
         try:
             report = verify_double_framing_equivalence(framing, p, budget=budget, seed=seed)
         except BudgetExceededError:
             continue
         cases += 1
         checked, notes, failures, verdicts = two_search_framing_equivalence(framing, p, budget, seed)
-        assert seen == verdicts
+        assert framed_points == verdicts
         assert (report.instances_checked, report.notes, report.failure_count) == (checked, notes, len(failures))
         assert [(rep.arrow_matrices, want, got) for rep, want, got in report.failures] == failures[:MAX_WITNESSES]
         failing += bool(failures)
@@ -899,21 +906,41 @@ def test_a_failing_verify_keeps_a_bounded_failure_record(kronecker):
     assert peak < 1 << 20
 
 
-@pytest.mark.parametrize("prime, budget, most", [(3, 10**6, 3), (1000000007, 50, 1)])
-def test_kernel_tables_do_not_grow_with_the_points(kronecker, monkeypatch, prime, budget, most):
-    """The "E_j in ker w" tables live as long as their base point: at most
-    p^(d_j) of them over 81 exhaustive points, and one per sampled point
-    over F_p with p = 10^9 + 7, where every point has a new w."""
-    sizes = []
-    original = ff_oracle._FramedKing.verdicts
+def test_a_failing_exhaustive_verify_enumerates_each_base_point_once(kronecker, monkeypatch, framed_points):
+    """Kronecker (1, 1) with theta = (1, -1), framed at i = 2, j = 1, scale 1,
+    over F_3: the base search runs once on each of the 3^2 base points, in
+    order, and the verdicts of the 81 points equal the two-search
+    reference's, in order, with 36 points failing."""
+    searched = []
+    original = ff_oracle._SubrepSearch.closed
 
-    def recording(king, mats):
-        verdicts = original(king, mats)
-        sizes.append(len(king.kernels))
-        return verdicts
+    def recording(search, mats):
+        searched.append(mats)
+        return original(search, mats)
 
-    monkeypatch.setattr(ff_oracle._FramedKing, "verdicts", recording)
+    monkeypatch.setattr(ff_oracle._SubrepSearch, "closed", recording)
+    d, theta = thin(kronecker), StabilityParameter({"1": 1, "2": -1})
+    framing = double_frame(kronecker, d, theta, "2", "1", 1)
+    report = verify_double_framing_equivalence(framing, 3)
+    assert searched == list(ff_oracle._all_matrices(ff_oracle._shapes(kronecker, d), 3))
+    checked, _, failures, verdicts = two_search_framing_equivalence(framing, 3, 10**6, 0)
+    assert framed_points == verdicts
+    assert (report.instances_checked, report.failure_count) == (checked, len(failures)) == (81, 36)
+
+
+@pytest.mark.parametrize("prime, budget", [(3, 10**6), (1000000007, 50)])
+def test_verify_memory_does_not_grow_with_the_points(kronecker, prime, budget):
+    """Nothing is kept from one base point to the next: the peak of traced
+    memory over 81 exhaustive points over F_3, or 50 sampled ones over F_p
+    with p = 10^9 + 7, where every point has a new w, stays below 32 KiB
+    (6-18 KiB measured, with caches warm or cold)."""
     theta = StabilityParameter({"1": 1, "2": -1})
-    report = verify_double_framing_equivalence(double_frame(kronecker, thin(kronecker), theta, "1", "2", 2), prime, budget=budget)
+    framing = double_frame(kronecker, thin(kronecker), theta, "1", "2", 2)
+    tracemalloc.start()
+    try:
+        report = verify_double_framing_equivalence(framing, prime, budget=budget)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert report.instances_checked == min(prime**4, budget)
-    assert max(sizes) == most
+    assert peak < 32 << 10

@@ -5,7 +5,7 @@
 REV is checked out with ``git worktree add`` into a temporary directory,
 which is removed afterwards.  The invocations are every op and probe of the
 four perfbench workloads at seeds 3 and 7, and ``SPEC_ARGVS`` on each spec
-in ``tests/fixtures`` and in ``REFUSAL_SPECS``, human and ``--json``: each
+in ``tests/fixtures`` and in ``EXTRA_SPECS``, human and ``--json``: each
 command on the spec's framing block, with explicit vertices and ``--scale
 1``, with ``--prime 3 --seed 5``, with ``--out FILE`` and, for vertices too
 large for containment masks, with ``--prime 1000003``.  All of them read
@@ -62,11 +62,13 @@ def _three_vertex_with_z(arrows: list[dict]) -> dict:
     return doc
 
 
-# Specs of the refusals that no workload reaches: a two-cycle with a framing
-# block reaches every command's acyclicity gate, and analyze refuses the
-# vector fields of an isolated z for connectivity and of an attached one for
-# full support, with and without --override-assumptions.
-REFUSAL_SPECS = {
+# Specs of paths that no workload reaches: a two-cycle with a framing block
+# reaches every command's acyclicity gate; analyze refuses the vector fields
+# of an isolated z for connectivity and of an attached one for full support,
+# with and without --override-assumptions; and the Kronecker datum framed at
+# (2, 1), scale 1, fails verify at 4 of 16 points over F_2, 36 of 81 over
+# F_3 and all 200 points sampled over F_1000003.
+EXTRA_SPECS = {
     "two_cycle.json": {
         "vertices": ["a", "b"],
         "arrows": [{"from": "a", "to": "b"}, {"from": "b", "to": "a"}],
@@ -76,6 +78,13 @@ REFUSAL_SPECS = {
     },
     "disconnected.json": _three_vertex_with_z([]),
     "zero_dimension.json": _three_vertex_with_z([{"from": "3", "to": "z"}]),
+    "kronecker_failing.json": {
+        "vertices": ["1", "2"],
+        "arrows": [{"from": "1", "to": "2"}, {"from": "1", "to": "2"}],
+        "dimension": {"1": 1, "2": 1},
+        "stability": {"1": 1, "2": -1},
+        "framing": {"i": "2", "j": "1", "scale": 1},
+    },
 }
 
 # Runs in a child whose first argument is the ``src`` directory of a tree;
@@ -127,7 +136,7 @@ def invocations(specs: Path) -> list[list[str]]:
     folder.mkdir(parents=True)
     for fixture in sorted((ROOT / "tests" / "fixtures").glob("*.json")):
         (folder / fixture.name).write_bytes(fixture.read_bytes())
-    for name, doc in REFUSAL_SPECS.items():
+    for name, doc in EXTRA_SPECS.items():
         (folder / name).write_text(json.dumps(doc), encoding="utf-8")
     out = str(specs / "report.out")
     for spec in sorted(folder.glob("*.json")):
