@@ -12,14 +12,17 @@ Example::
     }
 
 ``framing`` and ``oracle`` are optional, and the framing scale may be spelled
-``scale`` or ``N``.  Structural validation runs against ``SPEC_SCHEMA``, by a
-private validator that gives jsonschema's (Draft 2020-12) decision, location
-and ``best_match`` message for this schema's keywords without importing it.
-The schema states shapes only; semantic validation then checks the vertex
-names (distinct, and every reference declared) and the zero-pairing
-convention for the stability parameter, suggesting the canonical stability
-parameter as a repair when the pairing is nonzero.  Integral floats such as
-``2.0`` pass as integers, as in JSON Schema, and are read as ``int``.
+``scale`` or ``N``.  Structural validation runs against ``SPEC_SCHEMA``.  A
+valid spec is accepted by one type-exact pass over the schema's shape;
+anything that pass does not certify goes to a private walker that gives
+jsonschema's (Draft 2020-12) decision, location and ``best_match`` message
+for this schema's keywords without importing it, so every refusal reads as
+jsonschema words it.  The schema states shapes only; semantic validation
+then checks the vertex names (distinct, and every reference declared) and
+the zero-pairing convention for the stability parameter, suggesting the
+canonical stability parameter as a repair when the pairing is nonzero.
+Integral floats such as ``2.0`` pass as integers, as in JSON Schema, and
+are read as ``int``.
 """
 
 from __future__ import annotations
@@ -152,6 +155,31 @@ def _best_schema_error(document) -> tuple[tuple, str] | None:
     return max(_schema_errors(document, SPEC_SCHEMA, ()), key=lambda e: (-len(e[0]), e[0]), default=None)
 
 
+def _certainly_valid(document) -> bool:
+    """True only where ``_schema_errors`` finds no error: one type-exact pass
+    over ``SPEC_SCHEMA``'s shape.  A bool, a float, a ``str`` subclass or any
+    other unusual value answers False, and the walker decides."""
+    top = document.keys() if type(document) is dict else set()
+    if not {"vertices", "arrows", "dimension", "stability"} <= top <= SPEC_SCHEMA["properties"].keys():
+        return False
+    vertices, arrows, dimension, stability = (document[key] for key in ("vertices", "arrows", "dimension", "stability"))
+    framing = document.get("framing", {"i": "", "j": ""})
+    oracle = document.get("oracle", {})
+    return (
+        type(vertices) is list and set(map(type, vertices)) == {str}
+        and type(arrows) is list
+        and all(type(a) is dict and len(a) == 2 and type(a.get("from")) is type(a.get("to")) is str for a in arrows)
+        and type(dimension) is dict and set(map(type, dimension.values())) <= {int} and min(dimension.values(), default=0) >= 0
+        and type(stability) is dict and set(map(type, stability.values())) <= {int}
+        and type(framing) is dict and {"i", "j"} <= framing.keys() <= {"i", "j", "scale", "N"}
+        and type(framing["i"]) is type(framing["j"]) is str
+        and all(type(framing[k]) is int and framing[k] >= 1 for k in framing.keys() & {"scale", "N"})
+        and type(oracle) is dict and oracle.keys() <= {"prime", "budget", "seed"}
+        and set(map(type, oracle.values())) <= {int}
+        and oracle.get("prime", 2) >= 2 and oracle.get("budget", 1) >= 1
+    )
+
+
 @dataclass(frozen=True)
 class FramingSpec:
     i: str
@@ -177,7 +205,7 @@ class QuiverSpec:
 
 def parse_spec(document: dict) -> QuiverSpec:
     """Validate a decoded JSON document and build the datum it describes."""
-    error = _best_schema_error(document)
+    error = None if _certainly_valid(document) else _best_schema_error(document)
     if error is not None:
         path, message = error
         raise SpecFileError(message, location=".".join(["$", *map(str, path)]))

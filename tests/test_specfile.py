@@ -11,7 +11,14 @@ from hypothesis import strategies as st
 from jsonschema.exceptions import best_match
 
 from quivercalc import SpecFileError, load_spec, parse_spec
-from quivercalc.specfile import SPEC_SCHEMA, FramingSpec, _best_schema_error, _indented_json, datum_dict
+from quivercalc.specfile import (
+    SPEC_SCHEMA,
+    FramingSpec,
+    _best_schema_error,
+    _certainly_valid,
+    _indented_json,
+    datum_dict,
+)
 
 from conftest import acyclic_quivers, spec_documents
 
@@ -19,9 +26,13 @@ FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def test_fixtures_parse():
-    for path in sorted(FIXTURES.glob("*.json")):
+    paths = sorted(FIXTURES.glob("*.json"))
+    assert len(paths) == 8
+    for path in paths:
         spec = load_spec(path)
         assert spec.stability(spec.dimension) == 0
+        # real specs take the fast path, not the walker
+        assert _certainly_valid(json.loads(path.read_text(encoding="utf-8")))
 
 
 def test_parse_three_vertex_fixture():
@@ -40,6 +51,7 @@ def _datum(spec):
 def test_round_trip_fixtures(tmp_path):
     for path in sorted(FIXTURES.glob("*.json")):
         spec = load_spec(path)
+        assert _certainly_valid(_datum(spec))
         out = tmp_path / path.name
         out.write_text(_indented_json(_datum(spec)) + "\n", encoding="utf-8")
         assert load_spec(out) == dataclasses.replace(spec, framing=None, oracle=None)
@@ -57,6 +69,7 @@ def test_round_trip_random_specs(q, data):
         "stability": {v: 0 for v in q.vertices},
     }
     spec = parse_spec(document)
+    assert _certainly_valid(_datum(spec))
     assert parse_spec(_datum(spec)) == spec
 
 
@@ -196,7 +209,11 @@ def test_integral_floats_are_read_as_integers():
     document["framing"]["N"] = 2.0
     del document["framing"]["scale"]
     document["oracle"] = {"prime": 3.0, "budget": 1e3, "seed": -1.0}
+    document["dimension"] = {vertex: float(n) for vertex, n in document["dimension"].items()}
+    assert not _certainly_valid(document)  # left to the walker, which accepts it
     spec = parse_spec(document)
+    assert spec.dimension.as_dict() == document["dimension"]
+    assert all(type(n) is int for n in spec.dimension.as_dict().values())
     fields = (spec.framing.scale, spec.oracle.prime, spec.oracle.budget, spec.oracle.seed)
     assert fields == (2, 3, 1000, -1)
     assert all(type(x) is int for x in fields)
@@ -269,6 +286,10 @@ def mutated_documents(draw):
     return document
 
 
+class _Name(str):
+    pass
+
+
 _BASE = {"vertices": ["a"], "arrows": [], "dimension": {"a": 1}, "stability": {"a": 0}}
 
 
@@ -286,9 +307,29 @@ _BASE = {"vertices": ["a"], "arrows": [], "dimension": {"a": 1}, "stability": {"
 @example({**_BASE, "dimension": {"a": float("-inf")}, "y": 1, "x": 2})  # extras are named in sorted order
 @example({"arrows": {}, "extra": 1})
 @example([])
+@example([_BASE])
+# bools for integers, and the integral float and str subclass the fast check leaves to the walker
+@example({**_BASE, "dimension": {"a": True}})
+@example({**_BASE, "dimension": {"a": 2.0}})
+@example({**_BASE, "stability": {"a": False}})
+@example({**_BASE, "framing": {"i": "a", "j": "a", "scale": True}})
+@example({**_BASE, "oracle": {"prime": True}})
+@example({**_BASE, "vertices": [_Name("a")]})
+# an extra key at each level
+@example({**_BASE, "extra": 1})
+@example({**_BASE, "arrows": [{"from": "a", "to": "a", "via": "a"}]})
+@example({**_BASE, "arrows": [{"from": "a", "via": "a"}]})  # an arrow's key count, one key wrong
+@example({**_BASE, "framing": {"i": "a", "j": 1}})
+@example({**_BASE, "framing": {"i": "a", "j": "a", "k": 1}})
+@example({**_BASE, "oracle": {"seed": 0, "salt": 1}})
+# each minimum, one below
+@example({**_BASE, "framing": {"i": "a", "j": "a", "scale": 0}})
+@example({**_BASE, "oracle": {"prime": 1}})
+@example({**_BASE, "oracle": {"budget": 0}})
 def test_spec_validator_matches_jsonschema(document):
     expected = best_match(_REFERENCE.iter_errors(document))
     found = _best_schema_error(document)
+    assert not _certainly_valid(document) or expected is None
     if expected is None:
         assert found is None
         try:
@@ -301,6 +342,20 @@ def test_spec_validator_matches_jsonschema(document):
     with pytest.raises(SpecFileError) as info:
         parse_spec(document)
     assert str(info.value) == f"{location}: {expected.message}"
+
+
+def _keywords(schema: dict):
+    """Every keyword in a schema and its subschemas; property names are not keywords."""
+    for keyword, rule in schema.items():
+        yield keyword
+        for sub in rule.values() if keyword == "properties" else [rule] if isinstance(rule, dict) else []:
+            yield from _keywords(sub)
+
+
+def test_spec_schema_uses_only_the_keywords_both_checks_handle():
+    # _schema_errors and _certainly_valid skip any other keyword silently
+    handled = {"$schema", "type", "required", "properties", "additionalProperties", "items", "minItems", "minimum"}
+    assert set(_keywords(SPEC_SCHEMA)) == handled
 
 
 @settings(max_examples=200, deadline=None)
@@ -319,10 +374,6 @@ def test_parse_spec_gives_a_spec_or_a_spec_error(document):
 
 class _Colour(enum.IntEnum):
     RED = 1
-
-
-class _Name(str):
-    pass
 
 
 _json_scalars = st.one_of(
