@@ -21,7 +21,10 @@ of its subspace tuples, before any subspace is listed.  Everything in the
 search that depends only on the quiver, the prime and the dimensions (the
 subspace lists, their dimensions as plain ints and the mask tables) is then
 set up once per datum; a point reaches the search as its plain tuple of arrow
-matrices.  The framed description check,
+matrices.  An arrow's images depend on the point only through its matrix, so
+the search keeps one image table per matrix it meets, for one ``verify``
+call, where a bound allows; and it hands over each prefix of the closed
+tuples once, with its last-vertex choices.  The framed description check,
 ``verify_double_framing_equivalence``, takes a ``FramingResult`` alone, as
 every function downstream of the double framing does; it sets up the base
 search only, since one enumeration of a base point decides its verdict and
@@ -46,8 +49,10 @@ import itertools
 import math
 import operator
 import random
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
+from time import monotonic
 from typing import Callable, Iterator, Sequence
 
 from . import linalg
@@ -264,29 +269,20 @@ def _span_masks(p: int, n: int) -> tuple[int, ...] | None:
     return tuple(out)
 
 
-def _images(mat: IntMatrix, spaces: Sequence[Subspace], p: int, masked: bool):
-    """image(c): the images under ``mat`` of the echelon rows of
-    ``spaces[c]``, joined by ``|`` as one containment mask when ``masked``
-    (the target vertex has masks), else as a frozenset of the nonzero ones;
-    each image and each row's is computed on first use."""
-    empty = 0 if masked else frozenset()
-    images: list = [None] * len(spaces)
-    parts: dict = {}
-
-    def image(c: int):
-        found = images[c]
-        if found is None:
-            found = empty
-            for row in spaces[c].rows:
-                part = parts.get(row)
-                if part is None:
-                    u = linalg.mod_mat_vec(mat, row, p)
-                    part = parts[row] = 1 << _code(u, p) if masked else (frozenset((tuple(u),)) if any(u) else empty)
-                found |= part
-            images[c] = found
-        return found
-
-    return image
+def _image_table(mat: IntMatrix, steps: Sequence[tuple[int, tuple[int, ...]]], p: int, masked: bool) -> list:
+    """The images under ``mat`` of the zero space and of each subspace that
+    ``steps`` builds from an earlier one (its index) and one more echelon
+    row: per subspace, the images of its echelon rows, joined by ``|`` as
+    one containment mask when ``masked`` (the target vertex has masks), else
+    as a frozenset of the nonzero ones."""
+    table = [0 if masked else frozenset()]
+    for prefix, row in steps:
+        u = linalg.mod_mat_vec(mat, row, p)
+        if masked:
+            table.append(table[prefix] | 1 << _code(u, p))
+        else:
+            table.append(table[prefix] | {tuple(u)} if any(u) else table[prefix])
+    return table
 
 
 class _SubrepSearch:
@@ -298,6 +294,12 @@ class _SubrepSearch:
     its containment masks, or None when they are over either bound; its
     caller has passed ``_require_tuples`` first.  ``closed`` runs the search
     on one point, given as its tuple of arrow matrices.
+
+    Per source dimension it keeps the image table of each matrix it meets,
+    on an arrow whose shape fits ``_MASK_BITS``: p^(rows * cols) matrices
+    times the source's subspaces times p^rows bits, one mask's width.  So
+    at most 2^17 entries and 2^17 mask bits per shape; other arrows build
+    their tables per point, with None in ``arrows``.
     """
 
     def __init__(self, quiver: Quiver, prime: int, dims: Sequence[int]):
@@ -312,11 +314,20 @@ class _SubrepSearch:
         self.masks = [_span_masks(prime, n) if v in touched else None for v, n in enumerate(dims)]
         self.into: list[list[tuple[int, int]]] = [[] for _ in dims]  # (arrow, earlier source)
         self.out_of: list[list[tuple[int, int]]] = [[] for _ in dims]  # (arrow, earlier or same target)
+        self.arrows = []  # (echelon steps of the source, target has masks, kept tables or None)
+        steps, kept = {}, {}
         for k, (s, t) in enumerate(arrows):
             if s < t:
                 self.into[t].append((k, s))
             else:
                 self.out_of[s].append((k, t))
+            rows, cols, spaces = dims[t], dims[s], self.spaces[s]
+            if cols not in steps:  # each prefix of an echelon basis is listed, and earlier
+                index = {space.rows: c for c, space in enumerate(spaces)}
+                steps[cols] = tuple((index[space.rows[:-1]], space.rows[-1]) for space in spaces[1:])
+            fits = prime ** (rows * cols + rows) * len(spaces) <= _MASK_BITS
+            # A matrix fixes its target's dimension, so whether that has masks.
+            self.arrows.append((steps[cols], self.masks[t] is not None, kept.setdefault(cols, {}) if fits else None))
 
     def weigh(self, weights: Sequence[int]) -> list[tuple[int, ...]]:
         """Per vertex, its weight times the dimension of each of its
@@ -329,10 +340,14 @@ class _SubrepSearch:
     def dimension(self, chosen: Sequence[int]) -> DimensionVector:
         return DimensionVector(zip(self.quiver.vertices, map(operator.getitem, self.sub_dims, chosen)))
 
-    def closed(self, mats: Sequence[IntMatrix]) -> Iterator[tuple[int, ...]]:
+    def closed(self, mats: Sequence[IntMatrix]) -> Iterator[tuple[tuple[int, ...], Sequence[int]]]:
         """Every arrow-closed tuple of subspaces of the point with arrow
         matrices ``mats``, as indices into the per-vertex ``subspaces_of``
-        lists, in the order of their product.
+        lists, in the order of their product, grouped by prefix: each
+        (prefix, ends) stands for the closed tuples (*prefix, c) for c in
+        ends, the prefix choosing at every vertex but the last.  A quiver
+        with no vertex yields nothing (its one tuple, (), weighs 0 and is
+        not proper).
 
         Backtracks over the vertices in vertex order with an explicit stack.
         An arrow is checked at the later of its endpoints: an arrow from an
@@ -345,10 +360,15 @@ class _SubrepSearch:
         """
         p, spaces, masks, all_indices = self.prime, self.spaces, self.masks, self.all_indices
         if not spaces:
-            yield ()
             return
-        into = [[(s, _images(mats[k], spaces[s], p, masks[v] is not None)) for k, s in arrows] for v, arrows in enumerate(self.into)]
-        out_of = [[(t, _images(mats[k], spaces[v], p, masks[t] is not None)) for k, t in arrows] for v, arrows in enumerate(self.out_of)]
+        images = []
+        for (steps, masked, tables), mat in zip(self.arrows, mats):
+            image = None if tables is None else tables.get(mat)
+            if image is None:
+                image = _image_table(mat, steps, p, masked)
+                if tables is not None:
+                    tables[mat] = image
+            images.append(image)
 
         def holds(v: int, c: int, image) -> bool:
             """Whether subspace c of vertex v contains ``image``."""
@@ -357,19 +377,20 @@ class _SubrepSearch:
                 return all(spaces[v][c].contains(u, p) for u in image)
             return own[c] & image == image
 
-        def candidates(v: int) -> Iterator[int]:
+        def candidates(v: int):
             own = masks[v]
             found, required = all_indices[v], frozenset() if own is None else 0
-            for s, image in into[v]:
-                required |= image(chosen[s])
+            for k, s in self.into[v]:
+                required |= images[k][chosen[s]]
             if own is None:
                 if required:
                     found = [c for c in found if holds(v, c, required)]
             elif required > 1:  # bit 0 is the zero vector, in every subspace
                 found = [c for c, mask in enumerate(own) if mask & required == required]
-            for t, image in out_of[v]:
-                found = [c for c in found if holds(t, c if t == v else chosen[t], image(c))]
-            return iter(found)
+            for k, t in self.out_of[v]:
+                image = images[k]
+                found = [c for c in found if holds(t, c if t == v else chosen[t], image[c])]
+            return found if v == last else iter(found)
 
         chosen = [0] * len(spaces)
         last = len(spaces) - 1
@@ -377,9 +398,9 @@ class _SubrepSearch:
         while stack:
             v = len(stack) - 1
             if v == last:
-                prefix = tuple(chosen[:last])
-                for c in stack.pop():
-                    yield (*prefix, c)
+                ends = stack.pop()
+                if ends:
+                    yield tuple(chosen[:last]), ends
                 continue
             c = next(stack[v], None)
             if c is None:
@@ -404,13 +425,18 @@ def king_stability(
     search = _SubrepSearch(m.quiver, m.prime, dims)
     weighed, sub_dims, total = search.weigh(theta.aligned(vertices)), search.sub_dims, search.total
     first_zero_proper = None
-    for chosen in search.closed(m.arrow_matrices):
-        value = sum(map(operator.getitem, weighed, chosen))
-        if value > 0:
-            return StabilityVerdict(False, False, (search.subspaces(chosen), search.dimension(chosen)))
-        # Proper and nonzero iff 0 < total < total of dim M, as sub <= dim M.
-        if value == 0 and first_zero_proper is None and 0 < sum(map(operator.getitem, sub_dims, chosen)) < total:
-            first_zero_proper = (search.subspaces(chosen), search.dimension(chosen))
+    for prefix, ends in search.closed(m.arrow_matrices):
+        head = sum(map(operator.getitem, weighed, prefix))
+        head_dim = sum(map(operator.getitem, sub_dims, prefix))
+        for c in ends:
+            value = head + weighed[-1][c]
+            if value > 0:
+                chosen = (*prefix, c)
+                return StabilityVerdict(False, False, (search.subspaces(chosen), search.dimension(chosen)))
+            # Proper and nonzero iff 0 < total < total of dim M, as sub <= dim M.
+            if value == 0 and first_zero_proper is None and 0 < head_dim + sub_dims[-1][c] < total:
+                chosen = (*prefix, c)
+                first_zero_proper = (search.subspaces(chosen), search.dimension(chosen))
     return StabilityVerdict(True, first_zero_proper is None, first_zero_proper)
 
 
@@ -474,6 +500,10 @@ def verify_double_framing_equivalence(
     the fixed seed.  Runs at any scale: below ``MINIMAL_FRAMING_SCALE`` the
     report is labeled accordingly, since the description is only claimed
     from the minimal scale on.
+
+    The clock is read once per base point.  From about 5 s on, at most once
+    a second, a progress line on stderr gives the points checked, the points
+    to check (the budget or the total) and an estimate of the time left.
     """
     if not _is_prime(prime):
         raise ValueError(f"{prime} is not prime")
@@ -506,6 +536,8 @@ def verify_double_framing_equivalence(
 
     failures = []
     checked = failure_count = 0
+    start = monotonic()
+    due = start + 5  # seconds before the first progress line
     for base, framings in points:
         verdicts = king.verdicts(base)
         for entries in framings:
@@ -522,6 +554,12 @@ def verify_double_framing_equivalence(
                         f"stable={stable} semistable={semistable} base-condition={condition}",
                     )
                 )
+        now = monotonic()
+        if now >= due:
+            due, elapsed, planned = now + 1, now - start, min(budget, total_points)
+            left = elapsed * (planned - checked) / checked
+            message = f"{checked:,} of {planned:,} points checked in {elapsed:.0f} s, about {left:.0f} s left"
+            print(f"quivercalc: verify: {message}", file=sys.stderr)
     return EquivalenceReport(
         instances_checked=checked,
         failures=tuple(failures),
@@ -537,14 +575,14 @@ class _FramedKing:
     the framing maps (source -> i, j -> sink), a closed tuple of a framed
     point is (a, E, b): E closed in the base point, a in {0, 1 if v in E_i},
     b in {1, 0 if E_j in ker w}.  It weighs a + N theta(E) - b and is proper
-    and nonzero iff 0 < a + |E| + b < |d| + 2.  Holds the base search's
-    set-up only; ``verdicts`` enumerates one base point."""
+    and nonzero iff 0 < a + |E| + b < |d| + 2.  Holds the base search (its
+    set-up and image tables); ``verdicts`` enumerates one base point."""
 
     def __init__(self, framing: FramingResult, prime: int):
         q = framing.base_quiver
-        self.prime, self.scale = prime, framing.framing_scale
+        self.prime = prime
         self.search = _SubrepSearch(q, prime, framing.base_dimension.aligned(q.vertices))
-        self.weighed = self.search.weigh(framing.base_stability.aligned(q.vertices))
+        self.weighed = self.search.weigh([framing.framing_scale * t for t in framing.base_stability.aligned(q.vertices)])
         self.i, self.j = map(q.vertex_index, framing.framed_at)
         self.d_i = framing.base_dimension[framing.framed_at[0]]
 
@@ -552,19 +590,23 @@ class _FramedKing:
         """(base stable, record): (N theta(E), |E|, E_i, E_j) per closed E
         with a framed tuple that can weigh >= 0, or None when one weighs > 0
         whatever v and w are."""
-        search, total = self.search, self.search.total
-        at_i, at_j = search.spaces[self.i], search.spaces[self.j]
+        search, weighed, i, j = self.search, self.weighed, self.i, self.j
+        total, sub_dims, at_i, at_j = search.total, search.sub_dims, search.spaces[i], search.spaces[j]
         stable, record = True, []
-        for chosen in search.closed(mats):
-            value = self.scale * sum(map(operator.getitem, self.weighed, chosen))
-            if value < -1:
-                continue
-            if value > 1:
-                return False, None
-            dim = sum(map(operator.getitem, search.sub_dims, chosen))
-            if value > 0 or value == 0 and 0 < dim < total:
-                stable = False
-            record.append((value, dim, at_i[chosen[self.i]], at_j[chosen[self.j]]))
+        for prefix, ends in search.closed(mats):
+            head = sum(map(operator.getitem, weighed, prefix))
+            head_dim = sum(map(operator.getitem, sub_dims, prefix))
+            for c in ends:
+                value = head + weighed[-1][c]
+                if value < -1:
+                    continue
+                if value > 1:
+                    return False, None
+                dim = head_dim + sub_dims[-1][c]
+                if value > 0 or value == 0 and 0 < dim < total:
+                    stable = False
+                chosen = (*prefix, c)
+                record.append((value, dim, at_i[chosen[i]], at_j[chosen[j]]))
         return stable, record
 
     def verdicts(self, base: Sequence[IntMatrix]) -> Callable[[tuple[int, ...]], tuple[bool, bool, bool]]:

@@ -276,8 +276,16 @@ def enumerate_subrepresentations(m: FiniteFieldRepresentation, budget: int = ff_
     dims = m.dims.aligned(m.quiver.vertices)
     ff_oracle._require_tuples(m.prime, dims, budget, "subspace tuples")
     search = ff_oracle._SubrepSearch(m.quiver, m.prime, dims)
-    for chosen in search.closed(m.arrow_matrices):
+    for chosen in closed_tuples(search, m.arrow_matrices):
         yield search.subspaces(chosen), search.dimension(chosen)
+
+
+def closed_tuples(search, mats):
+    """The closed tuples of ``search.closed(mats)``, one by one: each
+    group (prefix, ends) flattened to (*prefix, c) for c in ends."""
+    for prefix, ends in search.closed(mats):
+        for c in ends:
+            yield (*prefix, c)
 
 
 def has_cyclic_destabilizer(
@@ -410,7 +418,7 @@ def _king(search, weighed, mats) -> tuple[bool, bool]:
     """(semistable, stable) of one point by King's test over every closed
     tuple that ``search`` yields, theta read off ``weighed`` per vertex."""
     stable = True
-    for chosen in search.closed(mats):
+    for chosen in closed_tuples(search, mats):
         value = sum(weights[c] for weights, c in zip(weighed, chosen))
         if value > 0:
             return False, False

@@ -314,6 +314,40 @@ def test_verify_json_bytes_equal_the_recorded_reports(capsys, recorded):
     assert out.encode("utf-8") == (FIXTURES / "verify" / f"{recorded}.json").read_bytes()
 
 
+@pytest.mark.parametrize(
+    "argv, first, lines",
+    [
+        (["kronecker.json", "--prime", "3", "--budget", "50"], "10 of 50 points checked in 5 s, about 20 s left", 21),
+        (["kronecker_d21.json", "--prime", "3"], "270 of 2,187 points checked in 5 s, about 36 s left", 36),
+    ],
+    ids=["sampled", "exhaustive"],
+)
+def test_a_long_verify_prints_its_progress_on_stderr(capsys, monkeypatch, argv, first, lines):
+    """With a clock that reads 0.5 s more at each base point, verify prints
+    nothing on stderr for 5 s, then at most one progress line a second,
+    with the points checked, the budget or total and the time left; stdout
+    is that of a run with no progress line."""
+    from quivercalc import ff_oracle
+
+    spec, *flags = argv
+    code, quiet, err = run(capsys, "verify", FIXTURES / spec, *flags, "--json")
+    assert (code, err) == (0, "")
+    reads = []
+
+    def clock():
+        reads.append(None)
+        return (len(reads) - 1) / 2
+
+    monkeypatch.setattr(ff_oracle, "monotonic", clock)
+    code, out, err = run(capsys, "verify", FIXTURES / spec, *flags, "--json")
+    assert (code, out) == (0, quiet)
+    base_points = 50 if "--budget" in flags else 81
+    assert len(reads) == base_points + 1  # once before the loop, then once per base point
+    printed = err.splitlines()
+    assert printed[0] == f"quivercalc: verify: {first}"
+    assert len(printed) == lines and all(line.startswith("quivercalc: verify: ") for line in printed)
+
+
 def test_verify_non_prime_exits_two(capsys):
     code, _, err = run(capsys, "verify", FIXTURES / "kronecker.json", "--prime", "4")
     assert code == 2

@@ -42,6 +42,7 @@ from quivercalc.stability import MAX_WITNESSES
 from conftest import random_acyclic_quiver, random_zero_pairing_parameter, thin
 from oracles import (
     brute_force_row_span,
+    closed_tuples,
     enumerate_subrepresentations,
     gaussian_binomial_formula,
     group_act,
@@ -659,6 +660,98 @@ def test_a_search_with_masks_on_thin_vertices_only_matches_the_filtered_product(
     assert mixed >= 50 and loops >= 50
 
 
+def test_one_search_over_points_that_share_matrices_matches_the_filtered_product(mask_bound):
+    """One search per datum runs on 60 points whose arrow matrices come from
+    a pool of three per arrow, so later points read kept image tables; on
+    every point the closed tuples equal the filtered product's, in order.
+    Masks fit thin vertices only, so masked and residual targets mix, and the
+    catalog has loops, arrows to earlier vertices and arrows whose shape is
+    over the table bound (built per point)."""
+    mask_bound("_MASK_TABLE_BITS", 16)  # 2 * 2 or 2 * 3 bits fit, 5 * 4 and 6 * 9 do not
+    rng = random.Random(31)
+    seen = {"loop": 0, "back": 0, "mixed": 0, "kept": 0, "over": 0}
+    for _ in range(24):
+        p = rng.choice((2, 3))
+        dims = [rng.randint(0, 3) for _ in range(rng.randint(1, 3))]
+        if math.prod(subspace_count(n, p) for n in dims) > 200:
+            continue
+        arrows = [(rng.randrange(len(dims)), rng.randrange(len(dims))) for _ in range(rng.randint(1, 4))]
+        names = [f"v{k}" for k in range(len(dims))]
+        q = Quiver(names, [(names[s], names[t]) for s, t in arrows])
+        d = DimensionVector(dict(zip(names, dims)))
+        pools = [
+            [tuple(tuple(rng.randrange(p) for _ in range(dims[s])) for _ in range(dims[t])) for _ in range(3)]
+            for s, t in arrows
+        ]
+        search = ff_oracle._SubrepSearch(q, p, dims)
+        for _ in range(60):
+            mats = tuple(map(rng.choice, pools))
+            m = FiniteFieldRepresentation(q, p, d, mats)
+            assert list(map(search.subspaces, closed_tuples(search, mats))) == list(naive_closed_tuples(m))
+        touched = {v for arrow in arrows for v in arrow}
+        seen["loop"] += any(s == t for s, t in arrows)
+        seen["back"] += any(s > t for s, t in arrows)
+        seen["mixed"] += len({search.masks[v] is None for v in touched}) == 2
+        kept = [tables for _, _, tables in search.arrows]
+        seen["kept"] += any(kept)
+        seen["over"] += any(tables is None for tables in kept)
+    assert min(seen.values()) >= 2, seen
+
+
+@pytest.mark.parametrize(
+    "dims, prime, budget, checked, built",
+    [({"1": 2, "2": 1}, 3, 10**6, 2187, 9), ({"1": 1, "2": 1}, 1000000007, 50, 50, 100)],
+)
+def test_verify_builds_one_image_table_per_matrix_it_meets(monkeypatch, dims, prime, budget, checked, built):
+    """Kronecker (2, 1) over F_3, exhaustive: the 81 base points pair the 9
+    matrices of shape 1 x 2, and one table is built per matrix, shared by
+    the two parallel arrows.  Over F_p with p = 10^9 + 7 no shape fits the
+    bound: each of the 50 sampled points builds a table per arrow, and none
+    is kept."""
+    searches, tables = [], []
+    original_search, original_table = ff_oracle._SubrepSearch, ff_oracle._image_table
+
+    def recording_search(*args):
+        searches.append(original_search(*args))
+        return searches[-1]
+
+    def recording_table(mat, *args):
+        tables.append(mat)
+        return original_table(mat, *args)
+
+    monkeypatch.setattr(ff_oracle, "_SubrepSearch", recording_search)
+    monkeypatch.setattr(ff_oracle, "_image_table", recording_table)
+    kronecker = Quiver(("1", "2"), [("1", "2")] * 2)
+    theta = StabilityParameter({"1": dims["2"], "2": -dims["1"]})
+    framing = double_frame(kronecker, DimensionVector(dims), theta, "1", "2", 2)
+    report = verify_double_framing_equivalence(framing, prime, budget=budget)
+    assert report.passed and report.instances_checked == checked
+    (search,) = searches
+    kept = [tables for _, _, tables in search.arrows]
+    assert len(tables) == built
+    if prime == 3:
+        assert kept[0] is kept[1] and sorted(kept[0]) == sorted(set(tables)) and len(set(tables)) == 9
+    else:
+        assert kept == [None, None]
+
+
+@pytest.mark.parametrize(
+    "p, dims, kept",
+    [
+        (251, [1, 1], True),  # 251 matrices * 2 subspaces * 251 bits = 126,002 <= 2^17
+        (257, [1, 1], False),  # 132,098 > 2^17
+        (3, [2, 3], True),  # 3^(6 + 3) * 6 = 118,098
+        (5, [2, 3], False),
+    ],
+)
+def test_image_tables_are_kept_for_shapes_within_the_mask_bound(p, dims, kept):
+    """An arrow keeps its tables when its p^(rows * cols) matrices times
+    its source's subspaces, each image a mask of p^rows bits, fit
+    ``_MASK_BITS``."""
+    search = ff_oracle._SubrepSearch(Quiver(("1", "2"), [("1", "2")] * 3), p, dims)
+    assert [tables is not None for _, _, tables in search.arrows] == [kept] * 3
+
+
 def test_a_vertex_no_arrow_touches_needs_no_mask_table(monkeypatch):
     built = []
 
@@ -863,6 +956,20 @@ def test_framed_verdicts_match_the_two_search_reference(p, masks, framed_points,
     assert failing >= 2
 
 
+@pytest.mark.parametrize("i, j, scale, failing", [("1", "2", 2, 0), ("2", "1", 1, 17)])
+def test_a_sampled_verify_whose_base_points_repeat_matches_the_two_search_reference(kronecker, framed_points, i, j, scale, failing):
+    """Kronecker (1, 2) over F_2 has 16 base points, so 64 sampled points
+    repeat them and read kept image tables; every verdict equals that of a
+    separate King search on the framed point, passing or failing."""
+    d, theta = DimensionVector({"1": 1, "2": 2}), StabilityParameter({"1": 2, "2": -1})
+    framing = double_frame(kronecker, d, theta, i, j, scale)
+    report = verify_double_framing_equivalence(framing, 2, budget=64, seed=3)
+    checked, notes, failures, verdicts = two_search_framing_equivalence(framing, 2, 64, 3)
+    assert report.sampled and report.instances_checked == checked == 64 and report.notes == notes
+    assert framed_points == verdicts
+    assert report.failure_count == len(failures) == failing
+
+
 def test_kronecker_framed_the_other_way_fails_at_scale_one(kronecker):
     """Kronecker (1, 1) with theta = (1, -1), framed at i = 2, j = 1: at
     scale 1 four of the 16 points fail, exactly as the framed search says."""
@@ -930,10 +1037,12 @@ def test_a_failing_exhaustive_verify_enumerates_each_base_point_once(kronecker, 
 
 @pytest.mark.parametrize("prime, budget", [(3, 10**6), (1000000007, 50)])
 def test_verify_memory_does_not_grow_with_the_points(kronecker, prime, budget):
-    """Nothing is kept from one base point to the next: the peak of traced
-    memory over 81 exhaustive points over F_3, or 50 sampled ones over F_p
-    with p = 10^9 + 7, where every point has a new w, stays below 32 KiB
-    (6-18 KiB measured, with caches warm or cold)."""
+    """Only the image tables of the arrow matrices met are kept from one
+    base point to the next (three over F_3; none over F_p with p = 10^9 + 7,
+    where no shape fits their bound): the peak of traced memory over 81
+    exhaustive points over F_3, or 50 sampled ones over F_p, where every
+    point has a new w, stays below 32 KiB (6-18 KiB measured, with caches
+    warm or cold)."""
     theta = StabilityParameter({"1": 1, "2": -1})
     framing = double_frame(kronecker, thin(kronecker), theta, "1", "2", 2)
     tracemalloc.start()
