@@ -71,10 +71,8 @@ _FF_ORACLE_NAMES = frozenset(
     {
         "EquivalenceReport",
         "FiniteFieldRepresentation",
-        "StabilityVerdict",
         "Subspace",
         "gaussian_binomial",
-        "king_stability",
         "path_semiinvariant",
         "random_group_element",
         "random_representation",

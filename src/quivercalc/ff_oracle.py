@@ -12,9 +12,11 @@ exactly in the order of the product of the per-vertex lists: witnesses are
 deterministic and reproducible.  Containment is a bitmask test against a
 cached mask, per subspace, of the vectors it contains, or a residual per
 image vector at a vertex whose masks would be too large.  That search,
-``_SubrepSearch.closed``, is the package's one iteration over closed tuples:
-``king_stability`` and the framed description check both run it, and the
-test suite's oracles wrap it as the iterator its order tests read.
+``_SubrepSearch.closed``, is the package's one iteration over closed tuples,
+and ``_FramedKing`` over it the package's one King test, which the framed
+description check runs; the test suite's oracles wrap the search as the
+iterator its order tests read and as ``king_stability``, the King test of
+one point.
 
 ``_require_tuples`` refuses an over-budget datum from the closed-form count
 of its subspace tuples, before any subspace is listed.  Everything in the
@@ -56,21 +58,19 @@ from time import monotonic
 from typing import Callable, Iterator, Sequence
 
 from . import linalg
-from .core import DimensionVector, Path, Quiver, StabilityParameter, _check_representation_shapes, _is_prime
+from .core import DimensionVector, Path, Quiver, _check_representation_shapes, _is_prime
 from .errors import BudgetExceededError, NotThinAtEndpointsError
 from .framing import MINIMAL_FRAMING_SCALE, FramingResult
-from .stability import MAX_WITNESSES, _require_zero_pairing
+from .stability import MAX_WITNESSES
 
 __all__ = [
     "FiniteFieldRepresentation",
     "Subspace",
-    "StabilityVerdict",
     "EquivalenceReport",
     "DEFAULT_BUDGET",
     "gaussian_binomial",
     "subspace_count",
     "subspaces_of",
-    "king_stability",
     "random_representation",
     "verify_double_framing_equivalence",
     "path_semiinvariant",
@@ -110,20 +110,6 @@ class Subspace:
 
     def contains(self, v: Sequence[int], p: int) -> bool:
         return not any(linalg.mod_residual(self.rows, self.pivots, v, p))
-
-
-@dataclass(frozen=True)
-class StabilityVerdict:
-    """Verdict of the exhaustive King stability test.
-
-    When a flag is false, ``destabilizing_subrep`` holds the first violating
-    subrepresentation in enumeration order: pairing > 0 against semistability,
-    pairing >= 0 on a proper nonzero subrepresentation against stability.
-    """
-
-    semistable: bool
-    stable: bool
-    destabilizing_subrep: tuple[tuple[Subspace, ...], DimensionVector] | None = None
 
 
 @dataclass(frozen=True)
@@ -290,10 +276,13 @@ class _SubrepSearch:
     up once and run on any number of points.
 
     The set-up lists every vertex's subspaces with their dimensions as plain
-    ints, and fixes which vertices an arrow touches and, per touched vertex,
-    its containment masks, or None when they are over either bound; its
-    caller has passed ``_require_tuples`` first.  ``closed`` runs the search
-    on one point, given as its tuple of arrow matrices.
+    ints, and fixes the arrows the search checks, which vertices they touch
+    and, per touched vertex, its containment masks, or None when they are
+    over either bound; its caller has passed ``_require_tuples`` first.  An
+    arrow into or out of a vertex of dimension 0 maps everything to zero,
+    constrains nothing and is left out: no image table, no check.
+    ``closed`` runs the search on one point, given as its tuple of arrow
+    matrices.
 
     Per source dimension it keeps the image table of each matrix it meets,
     on an arrow whose shape fits ``_MASK_BITS``: p^(rows * cols) matrices
@@ -309,36 +298,30 @@ class _SubrepSearch:
         self.spaces = [subspaces_of(prime, n) for n in dims]
         self.sub_dims = [tuple(len(space.rows) for space in spaces) for spaces in self.spaces]
         self.all_indices = [range(len(spaces)) for spaces in self.spaces]
-        arrows = quiver.arrow_indices
-        touched = {v for arrow in arrows for v in arrow}
+        arrows = [(k, s, t) for k, (s, t) in enumerate(quiver.arrow_indices) if dims[s] and dims[t]]
+        touched = {v for _, s, t in arrows for v in (s, t)}
         self.masks = [_span_masks(prime, n) if v in touched else None for v, n in enumerate(dims)]
-        self.into: list[list[tuple[int, int]]] = [[] for _ in dims]  # (arrow, earlier source)
-        self.out_of: list[list[tuple[int, int]]] = [[] for _ in dims]  # (arrow, earlier or same target)
-        self.arrows = []  # (echelon steps of the source, target has masks, kept tables or None)
+        self.into: list[list[tuple[int, int]]] = [[] for _ in dims]  # (entry of arrows, earlier source)
+        self.out_of: list[list[tuple[int, int]]] = [[] for _ in dims]  # (entry of arrows, earlier or same target)
+        self.arrows = []  # (arrow, echelon steps of the source, target has masks, kept tables or None)
         steps, kept = {}, {}
-        for k, (s, t) in enumerate(arrows):
+        for n, (k, s, t) in enumerate(arrows):
             if s < t:
-                self.into[t].append((k, s))
+                self.into[t].append((n, s))
             else:
-                self.out_of[s].append((k, t))
+                self.out_of[s].append((n, t))
             rows, cols, spaces = dims[t], dims[s], self.spaces[s]
             if cols not in steps:  # each prefix of an echelon basis is listed, and earlier
                 index = {space.rows: c for c, space in enumerate(spaces)}
                 steps[cols] = tuple((index[space.rows[:-1]], space.rows[-1]) for space in spaces[1:])
             fits = prime ** (rows * cols + rows) * len(spaces) <= _MASK_BITS
             # A matrix fixes its target's dimension, so whether that has masks.
-            self.arrows.append((steps[cols], self.masks[t] is not None, kept.setdefault(cols, {}) if fits else None))
+            self.arrows.append((k, steps[cols], self.masks[t] is not None, kept.setdefault(cols, {}) if fits else None))
 
     def weigh(self, weights: Sequence[int]) -> list[tuple[int, ...]]:
         """Per vertex, its weight times the dimension of each of its
         subspaces: theta of a closed tuple is then one sum of lookups."""
         return [tuple(w * n for n in dims) for w, dims in zip(weights, self.sub_dims)]
-
-    def subspaces(self, chosen: Sequence[int]) -> tuple[Subspace, ...]:
-        return tuple(map(operator.getitem, self.spaces, chosen))
-
-    def dimension(self, chosen: Sequence[int]) -> DimensionVector:
-        return DimensionVector(zip(self.quiver.vertices, map(operator.getitem, self.sub_dims, chosen)))
 
     def closed(self, mats: Sequence[IntMatrix]) -> Iterator[tuple[tuple[int, ...], Sequence[int]]]:
         """Every arrow-closed tuple of subspaces of the point with arrow
@@ -355,14 +338,15 @@ class _SubrepSearch:
         subspace, an arrow to an earlier vertex or a loop asks the images of
         the candidate to lie in the chosen subspace or in itself.  A subspace
         of a vertex with masks contains images by one mask test, and one of a
-        vertex without them by a residual per image.  A vertex that no arrow
-        touches keeps every candidate.
+        vertex without them by a residual per image.  A vertex that no checked
+        arrow touches keeps every candidate.
         """
         p, spaces, masks, all_indices = self.prime, self.spaces, self.masks, self.all_indices
         if not spaces:
             return
         images = []
-        for (steps, masked, tables), mat in zip(self.arrows, mats):
+        for k, steps, masked, tables in self.arrows:
+            mat = mats[k]
             image = None if tables is None else tables.get(mat)
             if image is None:
                 image = _image_table(mat, steps, p, masked)
@@ -408,36 +392,6 @@ class _SubrepSearch:
             else:
                 chosen[v] = c
                 stack.append(candidates(v + 1))
-
-
-def king_stability(
-    m: FiniteFieldRepresentation, theta: StabilityParameter, budget: int = DEFAULT_BUDGET
-) -> StabilityVerdict:
-    """Decide semistability and stability by exhaustive subrepresentation search.
-
-    Semistable iff theta on every subrepresentation's dimension vector is
-    <= 0; stable iff additionally < 0 on every proper nonzero one.  The first
-    violating subrepresentation in enumeration order is reported.
-    """
-    _require_zero_pairing(theta, m.dims)
-    vertices, dims = m.quiver.vertices, m.dims.aligned(m.quiver.vertices)
-    _require_tuples(m.prime, dims, budget, "subspace tuples")
-    search = _SubrepSearch(m.quiver, m.prime, dims)
-    weighed, sub_dims, total = search.weigh(theta.aligned(vertices)), search.sub_dims, search.total
-    first_zero_proper = None
-    for prefix, ends in search.closed(m.arrow_matrices):
-        head = sum(map(operator.getitem, weighed, prefix))
-        head_dim = sum(map(operator.getitem, sub_dims, prefix))
-        for c in ends:
-            value = head + weighed[-1][c]
-            if value > 0:
-                chosen = (*prefix, c)
-                return StabilityVerdict(False, False, (search.subspaces(chosen), search.dimension(chosen)))
-            # Proper and nonzero iff 0 < total < total of dim M, as sub <= dim M.
-            if value == 0 and first_zero_proper is None and 0 < head_dim + sub_dims[-1][c] < total:
-                chosen = (*prefix, c)
-                first_zero_proper = (search.subspaces(chosen), search.dimension(chosen))
-    return StabilityVerdict(True, first_zero_proper is None, first_zero_proper)
 
 
 def _shapes(q: Quiver, d: DimensionVector) -> list[tuple[int, int]]:

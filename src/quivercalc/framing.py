@@ -8,7 +8,10 @@ takes N = ``MINIMAL_FRAMING_SCALE`` unless told otherwise.  A
 ``FramingResult`` carries its base datum (q, d, theta) and, as
 ``base_assumptions``, that datum's hypotheses report, computed at most once
 per framing; so every function downstream of ``double_frame`` takes the
-framing alone.
+framing alone.  ``verify_framed_sign_partition`` states where the framed
+sign partition departs from its predicted description: derived by the scale
+lemma of ``MINIMAL_FRAMING_SCALE``, from one sweep of the base theta, it
+departs only at scale 1 and only over base points with theta(e) = +-1.
 
 ``reduce`` removes whichever framing vertices are redundant because the base
 dimension vector is already thin at i or j: the reduced datum is the framed
@@ -114,7 +117,9 @@ class ReductionResult:
 
 @dataclass(frozen=True)
 class FramedPartitionCheck:
-    """Result of comparing the framed sign partition against its prediction."""
+    """The framed sign partition against its prediction: ``checked`` counts
+    the framed lattice points the verdict covers, and each discrepancy is
+    (framed vector, predicted sign name, actual sign name)."""
 
     passed: bool
     checked: int
@@ -192,62 +197,40 @@ def double_frame(
     )
 
 
-_SIGN_NAMES = {1: "plus", -1: "minus", 0: "zero"}
-
-
 def verify_framed_sign_partition(framing: FramingResult) -> FramedPartitionCheck:
     """Check the framed sign partition against its predicted description.
 
     Prediction, writing (a, e, b) for a subdimension vector of (1, d, 1):
     over a positive or negative base sign of e the framed vector has that
-    sign, and over a zero base sign it has the sign of a - b.  The framed
-    lattice is {0, 1} x base lattice x {0, 1}, in the framed vertex order
-    (source, base vertices, sink).  One sweep of the framed middle block and
-    one of the base parameter give, for each base point e, the pair
-    (middle(e), theta(e)); the framed value at (a, e, b) is middle(e) plus a
-    times the source entry plus b times the sink entry, so the verdict at
-    (a, e, b) depends on e only through that pair.  Each distinct pair is
-    tested at the four (a, b), and the lattice is walked only for the pairs
-    that fail.  A DimensionVector is built only for a mismatch; all
-    mismatches are recorded in lexicographic order.  At scale >= 2 the
-    prediction is exact; at scale 1 it fails whenever some |theta(e)| = 1.
+    sign, and over a zero base sign it has the sign of a - b.  The verdict
+    is derived by the scale lemma of ``MINIMAL_FRAMING_SCALE``, not by
+    testing framed points: the framed value is a + N*theta(e) - b with
+    |a - b| <= 1, which is a - b where theta(e) = 0 and has the sign of
+    theta(e) unless N = 1 and theta(e) = +-1.  There the points (0, e, 1)
+    with theta(e) = 1 read zero where plus was predicted, and the points
+    (1, e, 0) with theta(e) = -1 read zero where minus was.
+
+    So the check reads only ``framing_scale``, the base datum and the
+    framed vertex names.  One budgeted sweep of the base theta gives
+    ``checked``, the four framed points (a, e, b) over each base point e,
+    and at scale 1 the discrepancies: the plus ones, then the minus ones,
+    each in lattice order, which is the framed lexicographic order.
     """
-    fq = framing.framed_quiver
-    ftv = framing.framed_stability.aligned(fq.vertices)
-    at_source, middle_weights, at_sink = ftv[0], ftv[1:-1], ftv[-1]
     base_vertices = framing.base_quiver.vertices
     dv = framing.base_dimension.aligned(base_vertices)
-    middle = _lattice_values(dv, middle_weights)
-    base_values = _lattice_values(dv, framing.base_stability.aligned(base_vertices))
-    pairs = [(m, v, (v > 0) - (v < 0)) for m, v in set(zip(middle, base_values))]
-
-    mismatches = []  # (a, k, b, expected sign, actual sign)
-    for a in (0, 1):
-        for b in (0, 1):
-            shift = a * at_source + b * at_sink
-            failing = {}  # (middle, theta) -> (expected sign, actual sign)
-            for m, v, sign in pairs:
-                expected, actual = sign or a - b, (m + shift > 0) - (m + shift < 0)
-                if expected != actual:
-                    failing[m, v] = (expected, actual)
-            if failing:
-                mismatches += [
-                    (a, k, b, *failing[pair])
-                    for k, pair in enumerate(zip(middle, base_values))
-                    if pair in failing
-                ]
-    mismatches.sort()
-    discrepancies = tuple(
-        (
-            DimensionVector(dict(zip(fq.vertices, (a, *_lattice_point(dv, k), b)))),
-            _SIGN_NAMES[expected],
-            _SIGN_NAMES[actual],
+    values = _lattice_values(dv, framing.base_stability.aligned(base_vertices))
+    discrepancies = ()
+    if framing.framing_scale == 1:
+        names = framing.framed_quiver.vertices
+        discrepancies = tuple(
+            (DimensionVector(dict(zip(names, (a, *_lattice_point(dv, k), 1 - a)))), expected, "zero")
+            for a, sign, expected in ((0, 1, "plus"), (1, -1, "minus"))
+            for k, value in enumerate(values)
+            if value == sign
         )
-        for a, k, b, expected, actual in mismatches
-    )
     return FramedPartitionCheck(
         passed=not discrepancies,
-        checked=4 * len(middle),
+        checked=4 * len(values),
         discrepancies=discrepancies,
     )
 

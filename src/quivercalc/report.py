@@ -227,10 +227,9 @@ def build_frame_report(spec: QuiverSpec, i: str | None, j: str | None, scale: in
     ]
     framing_block = _framing_dict(framing)
     framing_block["framed_ample_stability"] = framed_ample_stability(d, i, j)
-    framing_block["framed_path_space_dim"] = path_count(
-        framing.framed_quiver, framing.source_vertex, framing.sink_vertex
-    )
-    framing_block["base_path_space_dim"] = path_count(q, i, j)
+    # The framing source's one arrow enters i and the sink's one arrow leaves
+    # j, so the framed paths from source to sink are the base paths i -> j.
+    framing_block["framed_path_space_dim"] = framing_block["base_path_space_dim"] = path_count(q, i, j)
     return {
         **_header("frame", spec, framing.base_assumptions),
         "framing": framing_block,

@@ -4,8 +4,9 @@ Everything here is a statement about the datum (q, d, theta), read through
 one entry, ``assumptions_report``: acyclicity, indivisibility,
 theta-coprimality (the implementable sufficient condition for "semistable =
 stable") and the strong ample stability criterion, each verdict with its
-witnesses.  ``framing.verify_framed_sign_partition`` reads the signs of
-theta(e) from the same sweep.
+witnesses.  ``framing.verify_framed_sign_partition`` runs the same sweep and
+reads off it the base points with theta(e) = +-1, where a framing at scale 1
+departs from its predicted signs.
 
 ``HYPOTHESES`` is the one table of the standing hypotheses: every report's
 verified/failed ledger, every refusal and every gate reads its names there.

@@ -20,10 +20,12 @@ framed datum is built case by case, each of its four cases spelled out
 field by field, instead of as one restriction of the framed datum to its
 kept vertices, and its path map is built by enumerating the reduced paths.
 
-Two entries are not references but library routines with no caller left in
-the package, kept here with their tests: ``enumerate_subrepresentations``,
+Three entries are not references but library routines with no caller left
+in the package, kept here with their tests: ``enumerate_subrepresentations``,
 the closed-tuple search of ``ff_oracle._SubrepSearch`` as an iterator, which
-the search-order tests read and check against ``naive_closed_tuples``; and
+the search-order tests read and check against ``naive_closed_tuples``;
+``king_stability`` with its ``StabilityVerdict``, King's test of one point
+over that search, checked against ``naive_king_stability``; and
 ``has_cyclic_destabilizer``, the single-generator screening of the King
 test, checked against ``naive_cyclic_destabilizer``.
 """
@@ -35,6 +37,7 @@ import itertools
 import math
 import operator
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 import networkx
@@ -268,6 +271,55 @@ def naive_king_stability(m, theta: StabilityParameter):
     return True, first_zero_proper is None, first_zero_proper
 
 
+@dataclass(frozen=True)
+class StabilityVerdict:
+    """Verdict of the exhaustive King stability test.
+
+    When a flag is false, ``destabilizing_subrep`` holds the first violating
+    subrepresentation in enumeration order: pairing > 0 against semistability,
+    pairing >= 0 on a proper nonzero subrepresentation against stability.
+    """
+
+    semistable: bool
+    stable: bool
+    destabilizing_subrep: tuple[tuple[ff_oracle.Subspace, ...], DimensionVector] | None = None
+
+
+def chosen_subrepresentation(search, chosen) -> tuple[tuple, DimensionVector]:
+    """The subspaces that the indices ``chosen`` of a search pick, one per
+    vertex, and their dimension vector."""
+    subspaces = tuple(map(operator.getitem, search.spaces, chosen))
+    return subspaces, DimensionVector(zip(search.quiver.vertices, map(operator.getitem, search.sub_dims, chosen)))
+
+
+def king_stability(
+    m: FiniteFieldRepresentation, theta: StabilityParameter, budget: int = ff_oracle.DEFAULT_BUDGET
+) -> StabilityVerdict:
+    """Decide semistability and stability by exhaustive subrepresentation search.
+
+    Semistable iff theta on every subrepresentation's dimension vector is
+    <= 0; stable iff additionally < 0 on every proper nonzero one.  The first
+    violating subrepresentation in enumeration order is reported.
+    """
+    _require_zero_pairing(theta, m.dims)
+    vertices, dims = m.quiver.vertices, m.dims.aligned(m.quiver.vertices)
+    ff_oracle._require_tuples(m.prime, dims, budget, "subspace tuples")
+    search = ff_oracle._SubrepSearch(m.quiver, m.prime, dims)
+    weighed, sub_dims, total = search.weigh(theta.aligned(vertices)), search.sub_dims, search.total
+    first_zero_proper = None
+    for prefix, ends in search.closed(m.arrow_matrices):
+        head = sum(map(operator.getitem, weighed, prefix))
+        head_dim = sum(map(operator.getitem, sub_dims, prefix))
+        for c in ends:
+            value = head + weighed[-1][c]
+            if value > 0:
+                return StabilityVerdict(False, False, chosen_subrepresentation(search, (*prefix, c)))
+            # Proper and nonzero iff 0 < total < total of dim M, as sub <= dim M.
+            if value == 0 and first_zero_proper is None and 0 < head_dim + sub_dims[-1][c] < total:
+                first_zero_proper = chosen_subrepresentation(search, (*prefix, c))
+    return StabilityVerdict(True, first_zero_proper is None, first_zero_proper)
+
+
 def enumerate_subrepresentations(m: FiniteFieldRepresentation, budget: int = ff_oracle.DEFAULT_BUDGET):
     """Every arrow-closed tuple of subspaces of ``m`` with its dimension
     vector, 0 and the whole space included, in the order of the product of
@@ -277,7 +329,7 @@ def enumerate_subrepresentations(m: FiniteFieldRepresentation, budget: int = ff_
     ff_oracle._require_tuples(m.prime, dims, budget, "subspace tuples")
     search = ff_oracle._SubrepSearch(m.quiver, m.prime, dims)
     for chosen in closed_tuples(search, m.arrow_matrices):
-        yield search.subspaces(chosen), search.dimension(chosen)
+        yield chosen_subrepresentation(search, chosen)
 
 
 def closed_tuples(search, mats):

@@ -45,6 +45,7 @@ from conftest import (
     strong_catalog_instance,
     thin,
 )
+from oracles import naive_framed_discrepancies
 from test_cohomology import random_rational_representation
 
 
@@ -128,6 +129,8 @@ def test_criterion_3_framed_sign_partition_catalog_and_counterexample():
         framing = double_frame(q, d, theta, q.vertices[0], q.vertices[-1], 2)
         check = verify_framed_sign_partition(framing)
         assert check.passed, (q, d.as_dict(), theta.as_dict(), check.discrepancies[:1])
+        # the check derives its verdict; the framed lattice, point by point, agrees
+        assert naive_framed_discrepancies(framing) == []
         instances += 1
 
     # the documented scale-1 counterexample on the 2-Kronecker datum

@@ -265,7 +265,9 @@ def test_verify_kronecker(capsys):
     jsonschema.validate(report, REPORT_SCHEMA)
 
 
-def test_verify_sweeps_the_lattice_and_frames_once(capsys, monkeypatch):
+def _count_sweeps_and_framings(monkeypatch) -> dict[str, int]:
+    """The number of calls of ``_lattice_values`` and of ``double_frame``
+    from here on, counted in every module of the package that reads them."""
     import quivercalc.ff_oracle
     import quivercalc.framing
     import quivercalc.report
@@ -284,10 +286,26 @@ def test_verify_sweeps_the_lattice_and_frames_once(capsys, monkeypatch):
         wrapper = counting(name, getattr(home, name))
         for module in (quivercalc.stability, quivercalc.framing, quivercalc.report, quivercalc.ff_oracle):
             monkeypatch.setattr(module, name, wrapper, raising=False)
+    return calls
+
+
+def test_verify_sweeps_the_lattice_and_frames_once(capsys, monkeypatch):
+    calls = _count_sweeps_and_framings(monkeypatch)
     code, report, _ = run_json(capsys, "verify", FIXTURES / "kronecker.json")
     assert code == 0
     assert [v["passed"] for v in report["verifications"]] == [True]
     assert calls == {"_lattice_values": 1, "double_frame": 1}
+
+
+@pytest.mark.parametrize("scale, passed", [("1", False), ("2", True)])
+def test_frame_sweeps_the_lattice_twice_and_frames_once(capsys, monkeypatch, scale, passed):
+    """One sweep for the framed sign partition, at any scale, and one for
+    the base hypotheses."""
+    calls = _count_sweeps_and_framings(monkeypatch)
+    code, report, _ = run_json(capsys, "frame", FIXTURES / "kronecker.json", "--scale", scale)
+    assert code == (0 if passed else 1)
+    assert [v["passed"] for v in report["verifications"]] == [passed]
+    assert calls == {"_lattice_values": 2, "double_frame": 1}
 
 
 def test_verify_prime_flag(capsys):

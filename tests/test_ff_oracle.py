@@ -28,7 +28,6 @@ from quivercalc import (
     double_frame,
     enumerate_paths,
     gaussian_binomial,
-    king_stability,
     path_semiinvariant,
     subspace_count,
     subspaces_of,
@@ -42,11 +41,13 @@ from quivercalc.stability import MAX_WITNESSES
 from conftest import random_acyclic_quiver, random_zero_pairing_parameter, thin
 from oracles import (
     brute_force_row_span,
+    chosen_subrepresentation,
     closed_tuples,
     enumerate_subrepresentations,
     gaussian_binomial_formula,
     group_act,
     has_cyclic_destabilizer,
+    king_stability,
     naive_closed_tuples,
     naive_cyclic_destabilizer,
     naive_king_stability,
@@ -646,13 +647,14 @@ def test_a_search_with_masks_on_thin_vertices_only_matches_the_filtered_product(
     mask_bound("_MASK_BITS", 3)
     rng = random.Random(28)
     mixed = loops = 0
-    for _ in range(200):
+    for _ in range(240):
         p = rng.choice((2, 3))
         dims = [rng.randint(0, 2) for _ in range(rng.randint(1, 4))]
         arrows = [(rng.randrange(len(dims)), rng.randrange(len(dims))) for _ in range(rng.randint(1, 5))]
         m = _rep(p, dims, arrows, [rng.randrange(p) for _ in range(12)])
         search = ff_oracle._SubrepSearch(m.quiver, p, dims)
-        touched = {v for arrow in arrows for v in arrow}
+        # an arrow with a zero-dimensional endpoint is not checked
+        touched = {v for s, t in arrows if dims[s] and dims[t] for v in (s, t)}
         assert all((search.masks[v] is None) == (dims[v] == 2) for v in touched)
         mixed += len({dims[v] == 2 for v in touched}) == 2
         loops += any(s == t for s, t in arrows)
@@ -666,16 +668,24 @@ def test_one_search_over_points_that_share_matrices_matches_the_filtered_product
     every point the closed tuples equal the filtered product's, in order.
     Masks fit thin vertices only, so masked and residual targets mix, and the
     catalog has loops, arrows to earlier vertices and arrows whose shape is
-    over the table bound (built per point)."""
+    over the table bound (built per point).  Arrows into or out of a
+    zero-dimensional vertex, to later and to earlier vertices, are left out
+    of the search: no table is kept for their matrices."""
     mask_bound("_MASK_TABLE_BITS", 16)  # 2 * 2 or 2 * 3 bits fit, 5 * 4 and 6 * 9 do not
     rng = random.Random(31)
-    seen = {"loop": 0, "back": 0, "mixed": 0, "kept": 0, "over": 0}
-    for _ in range(24):
-        p = rng.choice((2, 3))
-        dims = [rng.randint(0, 3) for _ in range(rng.randint(1, 3))]
-        if math.prod(subspace_count(n, p) for n in dims) > 200:
-            continue
-        arrows = [(rng.randrange(len(dims)), rng.randrange(len(dims))) for _ in range(rng.randint(1, 4))]
+
+    def catalog():
+        for _ in range(24):
+            p = rng.choice((2, 3))
+            dims = [rng.randint(0, 3) for _ in range(rng.randint(1, 3))]
+            if math.prod(subspace_count(n, p) for n in dims) > 200:
+                continue
+            yield p, dims, [(rng.randrange(len(dims)), rng.randrange(len(dims))) for _ in range(rng.randint(1, 4))]
+        yield 3, [0, 2], [(1, 0), (1, 1), (0, 1)]  # 2 -> 0 to an earlier vertex, 0 -> 2, a loop
+        yield 2, [2, 1, 0], [(1, 2), (0, 1), (2, 0), (1, 0), (0, 2)]
+
+    seen = {"loop": 0, "back": 0, "mixed": 0, "kept": 0, "over": 0, "zero": 0, "zero back": 0}
+    for p, dims, arrows in catalog():
         names = [f"v{k}" for k in range(len(dims))]
         q = Quiver(names, [(names[s], names[t]) for s, t in arrows])
         d = DimensionVector(dict(zip(names, dims)))
@@ -687,14 +697,21 @@ def test_one_search_over_points_that_share_matrices_matches_the_filtered_product
         for _ in range(60):
             mats = tuple(map(rng.choice, pools))
             m = FiniteFieldRepresentation(q, p, d, mats)
-            assert list(map(search.subspaces, closed_tuples(search, mats))) == list(naive_closed_tuples(m))
-        touched = {v for arrow in arrows for v in arrow}
+            assert [chosen_subrepresentation(search, c)[0] for c in closed_tuples(search, mats)] == list(naive_closed_tuples(m))
+        # an arrow with a zero-dimensional endpoint is not checked
+        touched = {v for s, t in arrows if dims[s] and dims[t] for v in (s, t)}
         seen["loop"] += any(s == t for s, t in arrows)
         seen["back"] += any(s > t for s, t in arrows)
         seen["mixed"] += len({search.masks[v] is None for v in touched}) == 2
-        kept = [tables for _, _, tables in search.arrows]
+        kept = [tables for *_, tables in search.arrows]
         seen["kept"] += any(kept)
         seen["over"] += any(tables is None for tables in kept)
+        unchecked = [(s, t) for s, t in arrows if not (dims[s] and dims[t])]
+        seen["zero"] += bool(unchecked)
+        seen["zero back"] += any(s > t for s, t in unchecked)
+        assert [k for k, *_ in search.arrows] == [k for k, (s, t) in enumerate(arrows) if dims[s] and dims[t]]
+        # a matrix with no entries is an arrow's into or out of a zero space
+        assert all(mat and mat[0] for tables in kept if tables for mat in tables)
     assert min(seen.values()) >= 2, seen
 
 
@@ -727,7 +744,7 @@ def test_verify_builds_one_image_table_per_matrix_it_meets(monkeypatch, dims, pr
     report = verify_double_framing_equivalence(framing, prime, budget=budget)
     assert report.passed and report.instances_checked == checked
     (search,) = searches
-    kept = [tables for _, _, tables in search.arrows]
+    kept = [tables for *_, tables in search.arrows]
     assert len(tables) == built
     if prime == 3:
         assert kept[0] is kept[1] and sorted(kept[0]) == sorted(set(tables)) and len(set(tables)) == 9
@@ -749,7 +766,7 @@ def test_image_tables_are_kept_for_shapes_within_the_mask_bound(p, dims, kept):
     its source's subspaces, each image a mask of p^rows bits, fit
     ``_MASK_BITS``."""
     search = ff_oracle._SubrepSearch(Quiver(("1", "2"), [("1", "2")] * 3), p, dims)
-    assert [tables is not None for _, _, tables in search.arrows] == [kept] * 3
+    assert [tables is not None for *_, tables in search.arrows] == [kept] * 3
 
 
 def test_a_vertex_no_arrow_touches_needs_no_mask_table(monkeypatch):

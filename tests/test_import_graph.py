@@ -39,10 +39,8 @@ print(json.dumps(steps))
 FF_ORACLE_NAMES = [
     "EquivalenceReport",
     "FiniteFieldRepresentation",
-    "StabilityVerdict",
     "Subspace",
     "gaussian_binomial",
-    "king_stability",
     "path_semiinvariant",
     "random_group_element",
     "random_representation",
@@ -66,7 +64,10 @@ FF_ORACLE_NAMES = [
 # ``analyze --override-assumptions`` keeps; the sum and difference of
 # dimension vectors had only test callers (their order too, which
 # ``test_vertex_vector_contract`` pins as a TypeError, since ``object``
-# keeps a ``__le__``).  A dotted name is an attribute of a class.
+# keeps a ``__le__``); King's test of one point, with its verdict and the
+# search's two readers of chosen indices, had only test callers once the
+# framed check read King's test off the base search.  A dotted name is an
+# attribute of a class.
 GONE_FROM_THE_PACKAGE = {
     "has_cyclic_destabilizer": "ff_oracle",
     "enumerate_subrepresentations": "ff_oracle",
@@ -90,6 +91,10 @@ GONE_FROM_THE_PACKAGE = {
     "DimensionVector.__add__": "core",
     "DimensionVector.__sub__": "core",
     "Subspace.dim": "ff_oracle",
+    "king_stability": "ff_oracle",
+    "StabilityVerdict": "ff_oracle",
+    "_SubrepSearch.subspaces": "ff_oracle",
+    "_SubrepSearch.dimension": "ff_oracle",
     "FramedPartitionCheck.first_discrepancy": "framing",
     "UnverifiedAssumptionWarning": "cohomology",
     "DivisibleDimensionVectorError": "errors",

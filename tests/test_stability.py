@@ -1,4 +1,4 @@
-import dataclasses
+import collections
 import itertools
 import math
 import random
@@ -193,15 +193,6 @@ def test_lattice_sweep_matches_per_point_reference(datum, data):
         assert list(check.discrepancies) == expected
         assert check.passed == (not expected)
         assert check.checked == 4 * len(lattice)
-        # a framing whose middle block is negated mismatches its prediction at
-        # several (a, b) per base vector; the list stays in framed
-        # lexicographic order
-        negated = StabilityParameter(
-            {v: -c if v in q.vertices else c for v, c in framing.framed_stability.entries}
-        )
-        swapped = verify_framed_sign_partition(dataclasses.replace(framing, framed_stability=negated))
-        order = [f.aligned(framing.framed_quiver.vertices) for f, _, _ in swapped.discrepancies]
-        assert order == sorted(order)
 
 
 def test_lattice_budget_refuses_before_enumerating():
@@ -273,21 +264,23 @@ def test_strong_violations_equal_the_per_point_reference():
     assert {0, 1, MAX_WITNESSES + 1} <= seen
 
 
-def test_framed_check_equals_the_per_point_reference_on_arbitrary_framed_parameters():
+def test_framed_check_equals_the_per_point_reference_at_scales_one_to_three():
+    """The closed form against the framed lattice walked point by point, on
+    shuffled DAGs with zero entries of d, framed at a random (i, j) and at
+    (i, i), at N = 1, 2 and 3: only scale 1 ever departs from the
+    prediction, and it often does."""
     rng = random.Random(41)
-    failing = 0
+    failing = collections.Counter()
     for q, d, theta in _sweep_catalog(43, 150, 4, 2):
-        i, j = rng.choice(q.vertices), rng.choice(q.vertices)
-        framing = double_frame(q, d, theta, i, j, rng.randint(1, 3))
         lattice = math.prod(d[v] + 1 for v in q.vertices)
-        weights = {v: rng.randint(-4, 4) for v in q.vertices}
-        weights[framing.source_vertex] = rng.randint(-3, 3)
-        weights[framing.sink_vertex] = rng.randint(-3, 3)
-        for candidate in (framing, dataclasses.replace(framing, framed_stability=StabilityParameter(weights))):
-            check = verify_framed_sign_partition(candidate)
-            expected = naive_framed_discrepancies(candidate)
-            assert list(check.discrepancies) == expected
-            assert check.checked == 4 * lattice
-            assert check.passed == (not expected)
-            failing += not check.passed
-    assert failing > 80
+        i, j = rng.choice(q.vertices), rng.choice(q.vertices)
+        for at in ((i, j), (i, i)):
+            for scale in (1, 2, 3):
+                framing = double_frame(q, d, theta, *at, scale)
+                check = verify_framed_sign_partition(framing)
+                expected = naive_framed_discrepancies(framing)
+                assert list(check.discrepancies) == expected
+                assert check.checked == 4 * lattice
+                assert check.passed == (not expected)
+                failing[scale] += not check.passed
+    assert failing[1] >= 50 and failing[2] == failing[3] == 0, failing

@@ -67,7 +67,10 @@ def _three_vertex_with_z(arrows: list[dict]) -> dict:
 # of an isolated z for connectivity and of an attached one for full support,
 # with and without --override-assumptions; and the Kronecker datum framed at
 # (2, 1), scale 1, fails verify at 4 of 16 points over F_2, 36 of 81 over
-# F_3 and all 200 points sampled over F_1000003.
+# F_3 and all 200 points sampled over F_1000003.  An 8-vertex thin chain with
+# theta alternating +1/-1, framed at its ends at scale 1, puts a long
+# discrepancy list through frame: 112 of its 1,024 framed points, 56 plus ->
+# zero then 56 minus -> zero, where no fixture or workload lists more than 4.
 EXTRA_SPECS = {
     "two_cycle.json": {
         "vertices": ["a", "b"],
@@ -84,6 +87,13 @@ EXTRA_SPECS = {
         "dimension": {"1": 1, "2": 1},
         "stability": {"1": 1, "2": -1},
         "framing": {"i": "2", "j": "1", "scale": 1},
+    },
+    "alternating_chain.json": {
+        "vertices": [str(k) for k in range(1, 9)],
+        "arrows": [{"from": str(k), "to": str(k + 1)} for k in range(1, 8)],
+        "dimension": {str(k): 1 for k in range(1, 9)},
+        "stability": {str(k): 1 if k % 2 else -1 for k in range(1, 9)},
+        "framing": {"i": "1", "j": "8", "scale": 1},
     },
 }
 
