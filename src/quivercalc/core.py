@@ -53,6 +53,14 @@ class Quiver:
             if s not in declared or t not in declared:
                 raise UnknownVertexError(f"arrow #{k} ({s} -> {t}) uses an undeclared vertex")
 
+    @classmethod
+    def _checked(cls, vertices: tuple[str, ...], arrows: tuple[Arrow, ...]) -> Quiver:
+        """The quiver of vertex names and arrows that the caller has checked
+        as ``__init__`` would, built without checking them again."""
+        q = object.__new__(cls)
+        q.__dict__.update(vertices=vertices, arrows=arrows)
+        return q
+
     @cached_property
     def _index(self) -> dict[str, int]:
         return {v: k for k, v in enumerate(self.vertices)}

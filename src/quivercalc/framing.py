@@ -10,8 +10,8 @@ takes N = ``MINIMAL_FRAMING_SCALE`` unless told otherwise.  A
 per framing; so every function downstream of ``double_frame`` takes the
 framing alone.  ``verify_framed_sign_partition`` states where the framed
 sign partition departs from its predicted description: derived by the scale
-lemma of ``MINIMAL_FRAMING_SCALE``, from one sweep of the base theta, it
-departs only at scale 1 and only over base points with theta(e) = +-1.
+lemma of ``MINIMAL_FRAMING_SCALE``, it departs only at scale 1 and only over
+base points with theta(e) = +-1, read off one sweep of the base theta.
 
 ``reduce`` removes whichever framing vertices are redundant because the base
 dimension vector is already thin at i or j: the reduced datum is the framed
@@ -41,6 +41,7 @@ from .errors import AssumptionViolatedError
 from .stability import (
     AssumptionsReport,
     _lattice_point,
+    _lattice_size,
     _lattice_values,
     _require_zero_pairing,
     assumptions_report,
@@ -211,26 +212,26 @@ def verify_framed_sign_partition(framing: FramingResult) -> FramedPartitionCheck
     (1, e, 0) with theta(e) = -1 read zero where minus was.
 
     So the check reads only ``framing_scale``, the base datum and the
-    framed vertex names.  One budgeted sweep of the base theta gives
-    ``checked``, the four framed points (a, e, b) over each base point e,
-    and at scale 1 the discrepancies: the plus ones, then the minus ones,
-    each in lattice order, which is the framed lexicographic order.
+    framed vertex names.  ``checked`` counts the four framed points (a, e, b)
+    over each base point e, after a sweep's budget refusal.  Only at scale 1
+    does one sweep of the base theta give the discrepancies: the plus ones,
+    then the minus ones, each in lattice order, the framed lexicographic one.
     """
     base_vertices = framing.base_quiver.vertices
     dv = framing.base_dimension.aligned(base_vertices)
-    values = _lattice_values(dv, framing.base_stability.aligned(base_vertices))
+    size = _lattice_size(dv)
     discrepancies = ()
-    if framing.framing_scale == 1:
+    if framing.framing_scale < MINIMAL_FRAMING_SCALE:
+        sweep = _lattice_values(framing.base_quiver, dv, framing.base_stability.aligned(base_vertices))
         names = framing.framed_quiver.vertices
         discrepancies = tuple(
             (DimensionVector(dict(zip(names, (a, *_lattice_point(dv, k), 1 - a)))), expected, "zero")
             for a, sign, expected in ((0, 1, "plus"), (1, -1, "minus"))
-            for k, value in enumerate(values)
-            if value == sign
+            for k in sweep.indices(sweep.equal(sign))
         )
     return FramedPartitionCheck(
         passed=not discrepancies,
-        checked=4 * len(values),
+        checked=4 * size,
         discrepancies=discrepancies,
     )
 

@@ -237,7 +237,7 @@ def parse_spec(document: dict) -> QuiverSpec:
                 location=f"$.{section}",
             )
 
-    quiver = Quiver(vertices, [(a["from"], a["to"]) for a in document["arrows"]])
+    quiver = Quiver._checked(tuple(vertices), tuple((a["from"], a["to"]) for a in document["arrows"]))
     dimension = DimensionVector(document["dimension"])
     stability = StabilityParameter(document["stability"])
 

@@ -4,9 +4,9 @@ Everything here is a statement about the datum (q, d, theta), read through
 one entry, ``assumptions_report``: acyclicity, indivisibility,
 theta-coprimality (the implementable sufficient condition for "semistable =
 stable") and the strong ample stability criterion, each verdict with its
-witnesses.  ``framing.verify_framed_sign_partition`` runs the same sweep and
-reads off it the base points with theta(e) = +-1, where a framing at scale 1
-departs from its predicted signs.
+witnesses.  ``framing.verify_framed_sign_partition`` runs the same sweep at
+scale 1 and reads off it the base points with theta(e) = +-1, where a
+framing at scale 1 departs from its predicted signs.
 
 ``HYPOTHESES`` is the one table of the standing hypotheses: every report's
 verified/failed ledger, every refusal and every gate reads its names there.
@@ -18,20 +18,20 @@ algebraically equivalent when theta(d) = 0 and both slopes are defined, and
 keeps the hot loop in integer arithmetic.
 
 Every decision over the lattice {e : 0 <= e <= d} reads one index-space
-sweep, ``_lattice_values``: theta(e) as a flat list of ints in lexicographic
-order, bounded by ``LATTICE_BUDGET``.  DimensionVector objects are built only
-for what is returned (witnesses).
+sweep, ``_lattice_values``: theta(e) and <e, d - e> + 1 in lexicographic
+order, each as fixed-width fields of one int, decided by masks of their top
+bits, bounded by ``LATTICE_BUDGET``.  DimensionVector objects are built only
+for witnesses.
 """
 
 from __future__ import annotations
 
-import collections
 import enum
 import itertools
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .core import DimensionVector, Quiver, StabilityParameter, is_acyclic
 from .errors import AssumptionViolatedError, BudgetExceededError, CyclicQuiverError, PairingNonzeroError
@@ -156,38 +156,93 @@ def _as_vector(q: Quiver, values: tuple[int, ...]) -> DimensionVector:
     return DimensionVector(dict(zip(q.vertices, values)))
 
 
-def _lattice_values(dv: tuple[int, ...], tv: tuple[int, ...]) -> list[int]:
-    """theta(e) for every e with 0 <= e <= d, both given aligned to one
-    vertex order.
-
-    Entry k belongs to the k-th vector of the lexicographic enumeration (the
-    last coordinate varies fastest, as in ``itertools.product``), so entry 0
-    is e = 0 and the last entry is e = d; ``_lattice_point`` inverts the
-    index.  This is the one budgeted sweep: a lattice of more than
-    ``LATTICE_BUDGET`` points is refused before anything is allocated, and
-    ``_linear_sweep`` builds the list.
-    """
+def _lattice_size(dv: Sequence[int]) -> int:
+    """prod_k (d_k + 1), refused with BudgetExceededError over ``LATTICE_BUDGET``."""
     size = math.prod(c + 1 for c in dv)
     if size > LATTICE_BUDGET:
         raise BudgetExceededError("lattice points", size, LATTICE_BUDGET)
-    return _linear_sweep(dv, tv)
+    return size
 
 
-def _linear_sweep(dv: Sequence[int], tv: Sequence[int]) -> list[int]:
-    """The values of e -> sum_k e_k t_k over 0 <= e <= d, in the index order
-    of ``_lattice_values``, with no budget check.
+class _Sweep(NamedTuple):
+    """theta(e) and <e, d - e> + 1 for every e with 0 <= e <= d, each as
+    fields of one int.
 
-    Built by blocks from the last vertex to the first: each new coordinate
-    varies slowest, so the list for e_k = x is the current list shifted by
-    x * t_k, appended with one C-level ``map`` per block.
+    Field k, ``width`` bytes at byte k * width (little-endian), holds B plus
+    the value, B = 2^(8 width - 1), at the k-th vector in
+    ``itertools.product`` order; ``_lattice_point`` inverts the index.  Every
+    value a decision forms lies strictly between -B and B, so no field
+    borrows or carries and its top bit says whether it is >= 0.  A decision
+    is a mask of the top bits of the proper fields, read back by ``indices``.
     """
-    values = [0]
-    for c, t in zip(reversed(dv), reversed(tv)):
-        blocks = values.copy()
-        for x in range(1, c + 1):
-            blocks += map(operator.add, values, itertools.repeat(x * t))
-        values = blocks
-    return values
+
+    size: int
+    width: int
+    theta: int
+    form: int  # <e, d - e> + 1, read only for an acyclic quiver
+    ones: int  # 1 in every field
+    top: int  # the top bit of every proper field
+
+    def at_least(self, c: int) -> int:
+        """The mask of the proper fields with theta(e) >= c."""
+        return (self.theta - c * self.ones) & self.top
+
+    def equal(self, c: int) -> int:
+        """The mask of the proper fields with theta(e) = c: >= c, and <= c
+        read on the negated fields B - theta(e)."""
+        return self.at_least(c) & ((self.ones << 8 * self.width) - self.theta + c * self.ones)
+
+    def indices(self, mask: int, limit: int | None = None) -> list[int]:
+        """The indices of the fields set in ``mask`` in order, at most ``limit``."""
+        tops = mask.to_bytes(self.size * self.width, "little")[self.width - 1 :: self.width]
+        return list(itertools.islice(itertools.compress(range(self.size), tops), limit))
+
+
+def _lattice_values(q: Quiver, dv: tuple[int, ...], tv: tuple[int, ...]) -> _Sweep:
+    """theta(e) and <e, d - e> + 1 over 0 <= e <= d, both given aligned to
+    the vertex order of q: the one budgeted sweep, refused over
+    ``LATTICE_BUDGET`` before anything is allocated.  B exceeds a bound on
+    |theta(e)| and on every partial sum of the form, plus 1 for a comparison
+    with +-1 or the form's shift, so the width needs no setting.
+
+    The form is built by blocks from the last vertex with d_k > 0 to the
+    first (the others pin e_k = 0 and leave the index order unchanged):
+
+        <e, d - e> = sum_k e_k (d_k - out_k - e_k) + sum_arrows e_s e_t,
+
+    where out_k is the sum of d_t over the arrows k -> t.  Each new
+    coordinate varies slowest, so the block for e_k = x is the fields so far
+    plus x (d_k - out_k - x) plus x times the later e_t, each weighted by
+    the arrows between k and t; the blocks are joined as bytes.  Each e_t is
+    kept as a sweep of its own, its fields repeated once per block, and
+    theta is their sum weighted by t_k.  A loop's term e_k^2 is left out.
+    """
+    size = _lattice_size(dv)
+    out, links = [0] * len(dv), {}  # (k, t) with k < t -> arrows between them
+    for s, t in q.arrow_indices:
+        out[s] += dv[t]
+        key = (s, t) if s < t else (t, s)
+        links[key] = links.get(key, 0) + 1
+    form_bound = sum(map(operator.mul, dv, dv)) + 2 * sum(map(operator.mul, dv, out))
+    width = (max(sum(map(abs, map(operator.mul, dv, tv))), form_bound) + 1).bit_length() // 8 + 1
+    bits, form, n, coords = 8 * width, (1 << 8 * width - 1) + 1, 1, []  # coords: (t, e_t so far)
+    for k in reversed([k for k, c in enumerate(dv) if c]):
+        c, ones, nbytes = dv[k], _ones(n, width), n * width
+        cross = sum(links[k, t] * e for t, e in coords if (k, t) in links)
+        blocks = [(form + x * cross + x * (c - out[k] - x) * ones).to_bytes(nbytes, "little") for x in range(c + 1)]
+        form = int.from_bytes(b"".join(blocks), "little")
+        coords = [(t, int.from_bytes(e.to_bytes(nbytes, "little") * (c + 1), "little")) for t, e in coords]
+        coordinate = b"".join([x.to_bytes(width, "little") * n for x in range(c + 1)])
+        coords.append((k, int.from_bytes(coordinate, "little")))
+        n *= c + 1
+    ones = _ones(size, width)
+    top = ones << (bits - 1) & ~(1 << (bits - 1) | 1 << (bits * size - 1))
+    return _Sweep(size, width, (ones << bits - 1) + sum(tv[t] * e for t, e in coords), form, ones, top)
+
+
+def _ones(n: int, width: int) -> int:
+    """1 in each of n fields of ``width`` bytes."""
+    return int.from_bytes((b"\1" + bytes(width - 1)) * n, "little")
 
 
 def _lattice_point(dv: tuple[int, ...], k: int) -> tuple[int, ...]:
@@ -199,55 +254,13 @@ def _lattice_point(dv: tuple[int, ...], k: int) -> tuple[int, ...]:
     return tuple(reversed(e))
 
 
-def _coprime_witness(values: list[int]) -> int | None:
-    """Index of the first proper nonzero e with theta(e) = 0, if any."""
-    try:
-        return values.index(0, 1, len(values) - 1)
-    except ValueError:
-        return None
-
-
-def _strong_violations(q: Quiver, dv: tuple[int, ...], values: list[int]) -> tuple[list[tuple[int, ...]], int]:
+def _strong_violations(dv: tuple[int, ...], sweep: _Sweep) -> tuple[list[tuple[int, ...]], int]:
     """The first ``MAX_WITNESSES`` proper nonzero e with theta(e) >= 0 and
     <e, d - e> > -2, in order, and the count of all of them, for an acyclic
-    q (so no arrow is a loop).
-
-    The Euler form is built over the whole lattice, in the index order of
-    ``values``, with no tuple per point:
-
-        <e, d - e> = sum_k e_k (d_k - out_k - e_k) + sum_arrows e_s e_t,
-
-    where out_k is the sum of d_t over the arrows k -> t.  Only vertices with
-    d_k > 0 take part (the others pin e_k = 0 and leave the index order
-    unchanged).  From the last such vertex to the first, the list for
-    e_k = x is the current list plus x (d_k - out_k - x) plus x times one
-    ``_linear_sweep`` over the later vertices, weighted by the number of
-    arrows between k and each of them.  The mask theta(e) >= 0 and form > -2
-    is one comprehension (it measured faster than C-level ``map``s over
-    ``operator`` on CPython 3.11); a tuple is built only for a kept witness.
-    """
-    support = [k for k, c in enumerate(dv) if c]
-    out = [0] * len(dv)
-    links = collections.Counter()  # (k, t) with k < t -> arrows between them
-    for s, t in q.arrow_indices:
-        out[s] += dv[t]
-        links[min(s, t), max(s, t)] += 1
-    form = [0]
-    for n in range(len(support) - 1, -1, -1):
-        k, later = support[n], support[n + 1:]
-        c = dv[k]
-        weights = [links[k, t] for t in later]
-        cross = _linear_sweep([dv[t] for t in later], weights) if any(weights) else None
-        blocks, shifted = [], form
-        for x in range(c + 1):
-            blocks += map(operator.add, shifted, itertools.repeat(x * (c - out[k] - x)))
-            if cross is not None and x < c:
-                shifted = list(map(operator.add, shifted, cross))
-        form = blocks
-    mask = [v >= 0 and f > -2 for v, f in zip(values, form)]
-    mask[0] = mask[-1] = False
-    first = itertools.islice(itertools.compress(range(len(mask)), mask), MAX_WITNESSES)
-    return [_lattice_point(dv, k) for k in first], mask.count(True)
+    q: the fields set in both masks.  A tuple is built only for a kept
+    witness."""
+    mask = sweep.at_least(0) & sweep.form
+    return [_lattice_point(dv, k) for k in sweep.indices(mask, MAX_WITNESSES)], mask.bit_count()
 
 
 def assumptions_report(q: Quiver, d: DimensionVector, theta: StabilityParameter) -> AssumptionsReport:
@@ -266,14 +279,14 @@ def assumptions_report(q: Quiver, d: DimensionVector, theta: StabilityParameter)
     counts: dict[str, int] = {}
 
     dv = d.aligned(q.vertices)
-    values = _lattice_values(dv, theta.aligned(q.vertices))
-    k = _coprime_witness(values)
+    sweep = _lattice_values(q, dv, theta.aligned(q.vertices))
+    k = next(iter(sweep.indices(sweep.equal(0), 1)), None)
     coprime = k is None
     if not coprime:
         witnesses["coprime"] = (_as_vector(q, _lattice_point(dv, k)),)
 
     if acyclic:
-        violations, count = _strong_violations(q, dv, values)
+        violations, count = _strong_violations(dv, sweep)
         strong = not count
         if count:
             witnesses["strongly_amply_stable"] = tuple(_as_vector(q, e) for e in violations)

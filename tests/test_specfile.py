@@ -127,6 +127,23 @@ def test_a_repeated_vertex_name_is_refused_at_its_first_repeat():
     assert str(info.value) == "$.dimension.a: 'x' is not of type 'integer'"
 
 
+def test_a_loaded_quiver_has_its_names_checked_once(monkeypatch):
+    """parse_spec checks the vertex names and arrow endpoints itself, so it
+    builds the quiver without ``Quiver.__init__``'s second check, and the
+    quiver is the one ``__init__`` builds."""
+    from quivercalc.core import Quiver
+
+    expected = Quiver(("1", "2", "3"), (("1", "2"), ("2", "3"), ("2", "3"), ("1", "3")))
+
+    def refuse(*args):
+        raise AssertionError("names checked again")
+
+    monkeypatch.setattr(Quiver, "__init__", refuse)
+    spec = load_spec(FIXTURES / "threevertex.json")
+    assert spec.quiver == expected and hash(spec.quiver) == hash(expected)
+    assert spec.quiver.arrow_indices == ((0, 1), (1, 2), (1, 2), (0, 2))
+
+
 def test_undeclared_vertex_in_arrow():
     with pytest.raises(SpecFileError) as info:
         parse_spec(

@@ -32,10 +32,22 @@ from oracles import (
 )
 
 
+def _unpacked(sweep):
+    """theta(e) read off a packed sweep as a list of ints in lattice order:
+    ``width`` bytes each, little-endian, biased by 2^(8 width - 1)."""
+    w, bias = sweep.width, 1 << (8 * sweep.width - 1)
+    raw = sweep.theta.to_bytes(sweep.size * w, "little")
+    return [int.from_bytes(raw[k : k + w], "little") - bias for k in range(0, len(raw), w)]
+
+
+def _values(q, d, theta):
+    """theta(e) at every lattice point, in lattice order, read off the sweep."""
+    return _unpacked(_lattice_values(q, d.aligned(q.vertices), theta.aligned(q.vertices)))
+
+
 def _signs(q, d, theta):
     """The sign of theta(e) at every lattice point, in lattice order."""
-    values = _lattice_values(d.aligned(q.vertices), theta.aligned(q.vertices))
-    return [(v > 0) - (v < 0) for v in values]
+    return [(v > 0) - (v < 0) for v in _values(q, d, theta)]
 
 
 def test_sign_partition_kronecker(kronecker):
@@ -62,7 +74,7 @@ def test_sign_partition_requires_zero_pairing(kronecker):
 @given(quiver_with_datum())
 def test_sign_partition_cardinality_and_symmetry(datum):
     q, d, theta = datum
-    values = _lattice_values(d.aligned(q.vertices), theta.aligned(q.vertices))
+    values = _values(q, d, theta)
     assert len(values) == math.prod(d[v] + 1 for v in q.vertices)
     # theta(d) = 0 makes e <-> d - e, which reverses the lattice order, swap
     # plus and minus
@@ -244,20 +256,58 @@ def _sweep_catalog(seed, count, max_vertices, max_entry):
         yield q, d, random_zero_pairing_parameter(rng, q, d, spread=2)
 
 
+def _wide_catalog(seed, count):
+    """Seeded (q, d, theta) with theta(d) = 0 whose fields are wide or take
+    their width from the Euler form: the one-point lattice d = 0 under
+    entries of 10^30; two vertices with 8 parallel arrows, d = (4, 5) and a
+    small theta, whose Euler form reaches -160 where theta needs 1 byte; then
+    shuffled DAGs with up to 8 parallel arrows and zero entries of d, with
+    theta entries up to about 10^30 on every other one."""
+    rng = random.Random(seed)
+    eight = Quiver(("1", "2"), (("1", "2"),) * 8)
+    point = Quiver(("x", "y"), (("x", "y"),))
+    yield point, DimensionVector({"x": 0, "y": 0}), StabilityParameter({"x": 10**30, "y": -1})
+    yield eight, DimensionVector({"1": 4, "2": 5}), StabilityParameter({"1": 5, "2": -4})
+    for n in range(count):
+        q = _shuffled_dag(rng, rng.randint(1, 4), max_parallel=8)
+        d = DimensionVector({v: rng.choice((0, 1, 2)) for v in q.vertices})
+        yield q, d, random_zero_pairing_parameter(rng, q, d, spread=10**29 if n % 2 else 2)
+
+
+def _edge_data():
+    """Data where |theta(e)| equals its bound sum_k |theta_k| d_k at a proper
+    e, so theta(d) != 0: the bound plus 2 is the field bias 2^95 of 12-byte
+    fields, with either sign, and then the bound plus 1 is 2^95, so a
+    comparison with -1 needs 13 bytes."""
+    q = Quiver(("1", "2", "3"), (("1", "2"), ("1", "2"), ("2", "3")))
+    d = DimensionVector({"1": 2, "2": 1, "3": 1})
+    for t1, t3 in ((2**94 - 2, 2), (2 - 2**94, -2), (2**94 - 1, 1)):
+        yield q, d, StabilityParameter({"1": t1, "2": 0, "3": t3})
+
+
 def test_lattice_values_pair_theta_with_each_lattice_point():
-    for q, d, theta in _sweep_catalog(31, 60, 5, 3):
+    at_edge = 0
+    for q, d, theta in itertools.chain(_sweep_catalog(31, 60, 5, 3), _wide_catalog(47, 60), _edge_data()):
         dv, tv = d.aligned(q.vertices), theta.aligned(q.vertices)
-        values = _lattice_values(dv, tv)
+        sweep = _lattice_values(q, dv, tv)
+        values = _unpacked(sweep)
         points = [_lattice_point(dv, k) for k in range(len(values))]
         assert points == list(itertools.product(*(range(c + 1) for c in dv)))
         assert values == [sum(x * t for x, t in zip(e, tv)) for e in points]
+        proper = list(enumerate(values))[1:-1]
+        for c in (-1, 0, 1):
+            assert sweep.indices(sweep.at_least(c)) == [k for k, v in proper if v >= c]
+            assert sweep.indices(sweep.equal(c)) == [k for k, v in proper if v == c]
+        at_edge += max(map(abs, values)) + 2 == 1 << (8 * sweep.width - 1)
+    assert at_edge == 2
 
 
 def test_strong_violations_equal_the_per_point_reference():
     seen = set()
-    for q, d, theta in _sweep_catalog(37, 300, 5, 3):
+    catalog = itertools.chain(_sweep_catalog(37, 300, 5, 3), _wide_catalog(53, 200), _edge_data())
+    for q, d, theta in catalog:
         dv = d.aligned(q.vertices)
-        violations = _strong_violations(q, dv, _lattice_values(dv, theta.aligned(q.vertices)))
+        violations = _strong_violations(dv, _lattice_values(q, dv, theta.aligned(q.vertices)))
         expected = [e.aligned(q.vertices) for e in naive_strong_violations(q, d, theta)]
         assert violations == (expected[:MAX_WITNESSES], len(expected))
         seen.add(min(len(expected), MAX_WITNESSES + 1))
@@ -268,10 +318,11 @@ def test_framed_check_equals_the_per_point_reference_at_scales_one_to_three():
     """The closed form against the framed lattice walked point by point, on
     shuffled DAGs with zero entries of d, framed at a random (i, j) and at
     (i, i), at N = 1, 2 and 3: only scale 1 ever departs from the
-    prediction, and it often does."""
+    prediction, and it often does.  The wide catalog adds theta entries up
+    to about 10^30 and fields whose width the Euler form sets."""
     rng = random.Random(41)
     failing = collections.Counter()
-    for q, d, theta in _sweep_catalog(43, 150, 4, 2):
+    for q, d, theta in itertools.chain(_sweep_catalog(43, 150, 4, 2), _wide_catalog(59, 60)):
         lattice = math.prod(d[v] + 1 for v in q.vertices)
         i, j = rng.choice(q.vertices), rng.choice(q.vertices)
         for at in ((i, j), (i, i)):

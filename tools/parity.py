@@ -52,10 +52,14 @@ SPEC_ARGVS = (
 )
 
 
+def _three_vertex() -> dict:
+    return json.loads((ROOT / "tests" / "fixtures" / "threevertex.json").read_text(encoding="utf-8"))
+
+
 def _three_vertex_with_z(arrows: list[dict]) -> dict:
     """The three-vertex fixture plus a vertex z of dimension 0, joined by
     ``arrows``: it keeps every hypothesis of the datum."""
-    doc = json.loads((ROOT / "tests" / "fixtures" / "threevertex.json").read_text(encoding="utf-8"))
+    doc = _three_vertex()
     doc["vertices"].append("z")
     doc["arrows"] += arrows
     doc["dimension"]["z"] = doc["stability"]["z"] = 0
@@ -71,6 +75,10 @@ def _three_vertex_with_z(arrows: list[dict]) -> dict:
 # theta alternating +1/-1, framed at its ends at scale 1, puts a long
 # discrepancy list through frame: 112 of its 1,024 framed points, 56 plus ->
 # zero then 56 minus -> zero, where no fixture or workload lists more than 4.
+# The lattice sweep packs its values into fields of one integer, as wide as
+# the datum needs: the three-vertex datum with theta entries near 10^20 takes
+# 9-byte fields, and 10 parallel arrows with d = (3, 4) take their width from
+# the Euler form, not from theta.
 EXTRA_SPECS = {
     "two_cycle.json": {
         "vertices": ["a", "b"],
@@ -94,6 +102,14 @@ EXTRA_SPECS = {
         "dimension": {str(k): 1 for k in range(1, 9)},
         "stability": {str(k): 1 if k % 2 else -1 for k in range(1, 9)},
         "framing": {"i": "1", "j": "8", "scale": 1},
+    },
+    "wide_theta.json": {**_three_vertex(), "stability": {"1": 2 * 10**20 + 1, "2": 10**20 + 2, "3": -3 * 10**20 - 3}},
+    "ten_arrows.json": {
+        "vertices": ["1", "2"],
+        "arrows": [{"from": "1", "to": "2"}] * 10,
+        "dimension": {"1": 3, "2": 4},
+        "stability": {"1": 4, "2": -3},
+        "framing": {"i": "1", "j": "2"},
     },
 }
 
