@@ -210,14 +210,24 @@ def _code(v: Sequence[int], p: int) -> int:
 
 
 @lru_cache(maxsize=None)
+def _steps(p: int, n: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """Per subspace of ``subspaces_of(p, n)`` after the zero space, the index
+    of the span of its echelon rows but the last (an echelon form of lower
+    dimension, so listed earlier) and that last row."""
+    spaces = subspaces_of(p, n)
+    index = {space.rows: c for c, space in enumerate(spaces)}
+    return tuple((index[space.rows[:-1]], space.rows[-1]) for space in spaces[1:])
+
+
+@lru_cache(maxsize=None)
 def _span_masks(p: int, n: int) -> tuple[int, ...] | None:
     """Containment masks of ``subspaces_of(p, n)``, index for index, or None
     when one mask would exceed ``_MASK_BITS`` or the table
     ``_MASK_TABLE_BITS``.
 
-    Built one echelon row at a time: the span of rows[:k + 1] is the span of
-    rows[:k] translated by every multiple of row k, and echelon forms sharing
-    leading rows share that prefix mask.  Adding a * e_j moves whole digit
+    Built by ``_steps``, one echelon row at a time: a subspace's mask is the
+    mask of the span of all its rows but the last, already built, translated
+    by every multiple of the last row.  Adding a * e_j moves whole digit
     classes of coordinate j, so a translation is two shifts per coordinate,
     and doubling the multiplier reaches every multiple in log2(p) of them.
     """
@@ -236,31 +246,22 @@ def _span_masks(p: int, n: int) -> tuple[int, ...] | None:
                 mask = (mask & stay) << (a * w) | (mask & ~stay) >> ((p - a) * w)
         return mask
 
-    prefix = {(): 1}
-    out = []
-    for space in subspaces_of(p, n):
-        rows = space.rows
-        k = len(rows)
-        while rows[:k] not in prefix:
-            k -= 1
-        mask = prefix[rows[:k]]
-        for row in rows[k:]:
-            multiple = 1
-            while multiple < p:
-                mask |= translate(mask, [x * multiple % p for x in row])
-                multiple *= 2
-            k += 1
-            prefix[rows[:k]] = mask
-        out.append(mask)
-    return tuple(out)
+    masks = [1]
+    for parent, row in _steps(p, n):
+        mask = masks[parent]
+        multiple = 1
+        while multiple < p:
+            mask |= translate(mask, [x * multiple % p for x in row])
+            multiple *= 2
+        masks.append(mask)
+    return tuple(masks)
 
 
 def _image_table(mat: IntMatrix, steps: Sequence[tuple[int, tuple[int, ...]]], p: int, masked: bool) -> list:
-    """The images under ``mat`` of the zero space and of each subspace that
-    ``steps`` builds from an earlier one (its index) and one more echelon
-    row: per subspace, the images of its echelon rows, joined by ``|`` as
-    one containment mask when ``masked`` (the target vertex has masks), else
-    as a frozenset of the nonzero ones."""
+    """The images under ``mat`` of the subspaces in the order of ``steps``,
+    a ``_steps`` table: per subspace, the images of its echelon rows, joined
+    by ``|`` as one containment mask when ``masked`` (the target vertex has
+    masks), else as a frozenset of the nonzero ones."""
     table = [0 if masked else frozenset()]
     for prefix, row in steps:
         u = linalg.mod_mat_vec(mat, row, p)
@@ -304,19 +305,15 @@ class _SubrepSearch:
         self.into: list[list[tuple[int, int]]] = [[] for _ in dims]  # (entry of arrows, earlier source)
         self.out_of: list[list[tuple[int, int]]] = [[] for _ in dims]  # (entry of arrows, earlier or same target)
         self.arrows = []  # (arrow, echelon steps of the source, target has masks, kept tables or None)
-        steps, kept = {}, {}
+        kept = {}
         for n, (k, s, t) in enumerate(arrows):
             if s < t:
                 self.into[t].append((n, s))
             else:
                 self.out_of[s].append((n, t))
-            rows, cols, spaces = dims[t], dims[s], self.spaces[s]
-            if cols not in steps:  # each prefix of an echelon basis is listed, and earlier
-                index = {space.rows: c for c, space in enumerate(spaces)}
-                steps[cols] = tuple((index[space.rows[:-1]], space.rows[-1]) for space in spaces[1:])
-            fits = prime ** (rows * cols + rows) * len(spaces) <= _MASK_BITS
+            fits = prime ** (dims[t] * dims[s] + dims[t]) * len(self.spaces[s]) <= _MASK_BITS
             # A matrix fixes its target's dimension, so whether that has masks.
-            self.arrows.append((k, steps[cols], self.masks[t] is not None, kept.setdefault(cols, {}) if fits else None))
+            self.arrows.append((k, _steps(prime, dims[s]), self.masks[t] is not None, kept.setdefault(dims[s], {}) if fits else None))
 
     def weigh(self, weights: Sequence[int]) -> list[tuple[int, ...]]:
         """Per vertex, its weight times the dimension of each of its

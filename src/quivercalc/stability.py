@@ -19,9 +19,9 @@ keeps the hot loop in integer arithmetic.
 
 Every decision over the lattice {e : 0 <= e <= d} reads one index-space
 sweep, ``_lattice_values``: theta(e) and <e, d - e> + 1 in lexicographic
-order, each as fixed-width fields of one int, decided by masks of their top
-bits, bounded by ``LATTICE_BUDGET``.  DimensionVector objects are built only
-for witnesses.
+order, each as fixed-width fields of one int that one block rule grows a
+coordinate at a time, decided by masks of their top bits, bounded by
+``LATTICE_BUDGET``.  DimensionVector objects are built only for witnesses.
 """
 
 from __future__ import annotations
@@ -205,44 +205,47 @@ def _lattice_values(q: Quiver, dv: tuple[int, ...], tv: tuple[int, ...]) -> _Swe
     |theta(e)| and on every partial sum of the form, plus 1 for a comparison
     with +-1 or the form's shift, so the width needs no setting.
 
-    The form is built by blocks from the last vertex with d_k > 0 to the
-    first (the others pin e_k = 0 and leave the index order unchanged):
+    theta, the form and its rows grow by one rule, ``_grow`` (``ones`` just
+    repeats), from the last vertex with d_k > 0 to the first (the others pin
+    e_k = 0 and leave the index order unchanged).  By
 
         <e, d - e> = sum_k e_k (d_k - out_k - e_k) + sum_arrows e_s e_t,
 
-    where out_k is the sum of d_t over the arrows k -> t.  Each new
-    coordinate varies slowest, so the block for e_k = x is the fields so far
-    plus x (d_k - out_k - x) plus x times the later e_t, each weighted by
-    the arrows between k and t; the blocks are joined as bytes.  Each e_t is
-    kept as a sweep of its own, its fields repeated once per block, and
-    theta is their sum weighted by t_k.  A loop's term e_k^2 is left out.
+    where out_k is the sum of d_t over the arrows k -> t, the form steps by
+    row_k with the constant x (d_k - out_k - x), theta by t_k and the row of
+    an earlier j by the arrows between j and k, both in every field.  row_j,
+    the later e_t weighted by the arrows between j and t, lives from the
+    first later neighbour of j until j is processed, with fields in
+    0..sum_arrows d_s d_t, inside the form's bound.  A loop's row is popped
+    before it steps, so its term e_k^2 is left out.
     """
     size = _lattice_size(dv)
-    out, links = [0] * len(dv), {}  # (k, t) with k < t -> arrows between them
+    out, links = [0] * len(dv), {}  # (j, k) with j <= k -> arrows between them
     for s, t in q.arrow_indices:
         out[s] += dv[t]
         key = (s, t) if s < t else (t, s)
         links[key] = links.get(key, 0) + 1
     form_bound = sum(map(operator.mul, dv, dv)) + 2 * sum(map(operator.mul, dv, out))
     width = (max(sum(map(abs, map(operator.mul, dv, tv))), form_bound) + 1).bit_length() // 8 + 1
-    bits, form, n, coords = 8 * width, (1 << 8 * width - 1) + 1, 1, []  # coords: (t, e_t so far)
+    bits, nbytes, ones, rows = 8 * width, width, 1, {}  # rows: j -> row_j over the vertices so far
+    theta, form = 1 << bits - 1, (1 << bits - 1) + 1
     for k in reversed([k for k, c in enumerate(dv) if c]):
-        c, ones, nbytes = dv[k], _ones(n, width), n * width
-        cross = sum(links[k, t] * e for t, e in coords if (k, t) in links)
-        blocks = [(form + x * cross + x * (c - out[k] - x) * ones).to_bytes(nbytes, "little") for x in range(c + 1)]
-        form = int.from_bytes(b"".join(blocks), "little")
-        coords = [(t, int.from_bytes(e.to_bytes(nbytes, "little") * (c + 1), "little")) for t, e in coords]
-        coordinate = b"".join([x.to_bytes(width, "little") * n for x in range(c + 1)])
-        coords.append((k, int.from_bytes(coordinate, "little")))
-        n *= c + 1
-    ones = _ones(size, width)
+        c, flat = dv[k], [0] * (dv[k] + 1)
+        rows.update({j: rows.get(j, 0) for j, t in links if t == k and dv[j]})
+        form = _grow(form, rows.pop(k, 0), [x * (c - out[k] - x) for x in range(c + 1)], ones, nbytes)
+        theta = _grow(theta, tv[k] * ones, flat, ones, nbytes)
+        for j, r in rows.items():
+            rows[j] = _grow(r, links.get((j, k), 0) * ones, flat, ones, nbytes)
+        ones = int.from_bytes(ones.to_bytes(nbytes, "little") * (c + 1), "little")
+        nbytes *= c + 1
     top = ones << (bits - 1) & ~(1 << (bits - 1) | 1 << (bits * size - 1))
-    return _Sweep(size, width, (ones << bits - 1) + sum(tv[t] * e for t, e in coords), form, ones, top)
+    return _Sweep(size, width, theta, form, ones, top)
 
 
-def _ones(n: int, width: int) -> int:
-    """1 in each of n fields of ``width`` bytes."""
-    return int.from_bytes((b"\1" + bytes(width - 1)) * n, "little")
+def _grow(sweep: int, step: int, constants: Sequence[int], ones: int, nbytes: int) -> int:
+    """``sweep`` with a slowest coordinate more: blocks sweep + x step + constants[x] ones, joined."""
+    blocks = [(sweep + (x * step + a * ones)).to_bytes(nbytes, "little") for x, a in enumerate(constants)]
+    return int.from_bytes(b"".join(blocks), "little")
 
 
 def _lattice_point(dv: tuple[int, ...], k: int) -> tuple[int, ...]:

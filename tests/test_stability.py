@@ -2,6 +2,7 @@ import collections
 import itertools
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -32,17 +33,19 @@ from oracles import (
 )
 
 
-def _unpacked(sweep):
-    """theta(e) read off a packed sweep as a list of ints in lattice order:
-    ``width`` bytes each, little-endian, biased by 2^(8 width - 1)."""
+def _unpacked(sweep, packed):
+    """The fields of ``packed``, ``sweep.theta`` or ``sweep.form``, as a list
+    of ints in lattice order: ``width`` bytes each, little-endian, biased by
+    2^(8 width - 1)."""
     w, bias = sweep.width, 1 << (8 * sweep.width - 1)
-    raw = sweep.theta.to_bytes(sweep.size * w, "little")
+    raw = packed.to_bytes(sweep.size * w, "little")
     return [int.from_bytes(raw[k : k + w], "little") - bias for k in range(0, len(raw), w)]
 
 
 def _values(q, d, theta):
     """theta(e) at every lattice point, in lattice order, read off the sweep."""
-    return _unpacked(_lattice_values(q, d.aligned(q.vertices), theta.aligned(q.vertices)))
+    sweep = _lattice_values(q, d.aligned(q.vertices), theta.aligned(q.vertices))
+    return _unpacked(sweep, sweep.theta)
 
 
 def _signs(q, d, theta):
@@ -217,6 +220,25 @@ def test_lattice_budget_refuses_before_enumerating():
     assert (excinfo.value.size, excinfo.value.budget) == (41**6, LATTICE_BUDGET)
 
 
+def test_lattice_values_peak_memory_at_the_budget_edge():
+    """One sweep of an A6 chain with every d_i = 9 (exactly LATTICE_BUDGET
+    points, 2-byte fields) allocates at most 10 sweeps' worth at its peak:
+    theta, the form and ``ones`` stay, the pending rows of the form's cross
+    terms die with their vertex, a block build holds its blocks, their join
+    and the new int, and the mask of top bits is built last."""
+    q = Quiver([str(k) for k in range(1, 7)], [(str(k), str(k + 1)) for k in range(1, 6)])
+    d = DimensionVector({v: 9 for v in q.vertices})
+    dv, tv = d.aligned(q.vertices), canonical_stability(q, d).aligned(q.vertices)
+    tracemalloc.start()
+    try:
+        sweep = _lattice_values(q, dv, tv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (sweep.size, sweep.width) == (LATTICE_BUDGET, 2)
+    assert peak <= 10 * sweep.size * sweep.width, peak / (sweep.size * sweep.width)
+
+
 def _shuffled_dag(rng, n, max_parallel=3):
     """An acyclic quiver whose vertex list is not in topological order, so
     its arrows run both with and against the vertex order; pairs get up to
@@ -274,6 +296,24 @@ def _wide_catalog(seed, count):
         yield q, d, random_zero_pairing_parameter(rng, q, d, spread=10**29 if n % 2 else 2)
 
 
+def _dense_catalog(seed, count):
+    """Seeded (q, d, theta) with theta(d) = 0 on shuffled DAGs of 4 to 6
+    vertices with an arrow, or two, between most pairs, so that the sweep
+    keeps several rows pending at once, and d = 0 on a vertex strictly
+    between the first and the last, which arrows pass through."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(4, 6)
+        order = [f"v{k}" for k in range(n)]
+        arrows = [(order[i], order[j]) for i in range(n) for j in range(i + 1, n) for _ in range(rng.choice((0, 1, 1, 1, 2)))]
+        vertices = order[:]
+        rng.shuffle(vertices)
+        q = Quiver(vertices, arrows)
+        zero = rng.randrange(1, n - 1)
+        d = DimensionVector({v: 0 if k == zero else rng.randint(1, 3) for k, v in enumerate(vertices)})
+        yield q, d, random_zero_pairing_parameter(rng, q, d, spread=2)
+
+
 def _edge_data():
     """Data where |theta(e)| equals its bound sum_k |theta_k| d_k at a proper
     e, so theta(d) != 0: the bound plus 2 is the field bias 2^95 of 12-byte
@@ -285,15 +325,24 @@ def _edge_data():
         yield q, d, StabilityParameter({"1": t1, "2": 0, "3": t3})
 
 
+def _euler_to_complement(q, dv, e):
+    """<e, d - e> on aligned tuples, straight from the arrows."""
+    return sum(x * (c - x) for x, c in zip(e, dv)) - sum(e[s] * (dv[t] - e[t]) for s, t in q.arrow_indices)
+
+
 def test_lattice_values_pair_theta_with_each_lattice_point():
+    """theta(e) and the form's fields equal their per-point values on every
+    datum of the catalogs, all of them DAGs."""
     at_edge = 0
-    for q, d, theta in itertools.chain(_sweep_catalog(31, 60, 5, 3), _wide_catalog(47, 60), _edge_data()):
+    catalog = itertools.chain(_sweep_catalog(31, 60, 5, 3), _dense_catalog(29, 30), _wide_catalog(47, 60), _edge_data())
+    for q, d, theta in catalog:
         dv, tv = d.aligned(q.vertices), theta.aligned(q.vertices)
         sweep = _lattice_values(q, dv, tv)
-        values = _unpacked(sweep)
+        values = _unpacked(sweep, sweep.theta)
         points = [_lattice_point(dv, k) for k in range(len(values))]
         assert points == list(itertools.product(*(range(c + 1) for c in dv)))
         assert values == [sum(x * t for x, t in zip(e, tv)) for e in points]
+        assert _unpacked(sweep, sweep.form) == [_euler_to_complement(q, dv, e) + 1 for e in points]
         proper = list(enumerate(values))[1:-1]
         for c in (-1, 0, 1):
             assert sweep.indices(sweep.at_least(c)) == [k for k, v in proper if v >= c]

@@ -78,7 +78,9 @@ def _three_vertex_with_z(arrows: list[dict]) -> dict:
 # The lattice sweep packs its values into fields of one integer, as wide as
 # the datum needs: the three-vertex datum with theta entries near 10^20 takes
 # 9-byte fields, and 10 parallel arrows with d = (3, 4) take their width from
-# the Euler form, not from theta.
+# the Euler form, not from theta.  A dense DAG, an arrow s -> t for every pair
+# s < t but 2 -> 3 and two for 1 -> 5, has d = 0 on vertex 4: the sweep skips
+# it while the rows of the form's cross terms of 1, 2 and 3 are pending.
 EXTRA_SPECS = {
     "two_cycle.json": {
         "vertices": ["a", "b"],
@@ -110,6 +112,13 @@ EXTRA_SPECS = {
         "dimension": {"1": 3, "2": 4},
         "stability": {"1": 4, "2": -3},
         "framing": {"i": "1", "j": "2"},
+    },
+    "dense_through_zero.json": {
+        "vertices": ["1", "2", "3", "4", "5"],
+        "arrows": [{"from": s, "to": t} for s in "12345" for t in "12345" if s < t and s + t != "23"] + [{"from": "1", "to": "5"}],
+        "dimension": {"1": 2, "2": 1, "3": 1, "4": 0, "5": 1},
+        "stability": {"1": 3, "2": -1, "3": -1, "4": 0, "5": -4},
+        "framing": {"i": "1", "j": "5"},
     },
 }
 
