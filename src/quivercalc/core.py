@@ -56,7 +56,10 @@ class Quiver:
     @classmethod
     def _checked(cls, vertices: tuple[str, ...], arrows: tuple[Arrow, ...]) -> Quiver:
         """The quiver of vertex names and arrows that the caller has checked
-        as ``__init__`` would, built without checking them again."""
+        as ``__init__`` would, built without checking them again.  Callers:
+        ``specfile.parse_spec`` (it refuses repeats and undeclared ends),
+        ``framing.double_frame`` (fresh names, new arrows at resolved i, j)
+        and ``framing.reduce`` (framed vertices and the arrows among them)."""
         q = object.__new__(cls)
         q.__dict__.update(vertices=vertices, arrows=arrows)
         return q
@@ -147,14 +150,19 @@ class VertexVector:
 
     Base class of :class:`DimensionVector` and :class:`StabilityParameter`;
     equality requires matching values and matching concrete type.  The
-    values are one dict in vertex-name order.
+    values are one dict in vertex-name order, built in one step; a name
+    given twice, also as ``1`` and ``"1"``, is refused.
     """
 
     __slots__ = ("_values",)
 
     def __init__(self, values: Mapping[str, int] | Iterable[tuple[str, int]]):
-        values = {str(v): int(c) for v, c in dict(values).items()}
-        object.__setattr__(self, "_values", {v: values[v] for v in sorted(values)})
+        items = values.items() if hasattr(values, "keys") else values  # dict()'s own rule
+        pairs = sorted([(str(v), int(c)) for v, c in items], key=operator.itemgetter(0))
+        object.__setattr__(self, "_values", dict(pairs))
+        if len(self._values) != len(pairs):
+            name = next(v for (v, _), (w, _) in zip(pairs, pairs[1:]) if v == w)
+            raise ValueError(f"vertex {name!r} is given more than once")
         self._validate()
 
     def _validate(self) -> None:  # overridden by subclasses

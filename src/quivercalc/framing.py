@@ -8,19 +8,23 @@ takes N = ``MINIMAL_FRAMING_SCALE`` unless told otherwise.  A
 ``FramingResult`` carries its base datum (q, d, theta) and, as
 ``base_assumptions``, that datum's hypotheses report, computed at most once
 per framing; so every function downstream of ``double_frame`` takes the
-framing alone.  ``verify_framed_sign_partition`` states where the framed
-sign partition departs from its predicted description: derived by the scale
-lemma of ``MINIMAL_FRAMING_SCALE``, it departs only at scale 1 and only over
-base points with theta(e) = +-1, read off one sweep of the base theta.
+framing alone.  The framed quiver is built from checked parts without a
+second check: its two new names are fresh and its two new arrows end at
+resolved vertices.  ``verify_framed_sign_partition`` states where the
+framed sign partition departs from its predicted description: derived by
+the scale lemma of ``MINIMAL_FRAMING_SCALE``, it departs only at scale 1
+and only over base points with theta(e) = +-1, read off one sweep of the
+base theta.
 
 ``reduce`` removes whichever framing vertices are redundant because the base
 dimension vector is already thin at i or j: the reduced datum is the framed
 datum restricted to the vertices it keeps, the framing source exactly when
-d_i > 1 and the framing sink exactly when d_j > 1.  Its marked vertices are
-thin and the path space between them matches the base path space from i to
-j; ``ReductionResult.pairing`` is that check, run once, and the ``reduce``
-command reports it as a verification.  Only the reduced stability parameter
-depends on the case, keyed by (d_i > 1, d_j > 1).
+d_i > 1 and the framing sink exactly when d_j > 1, and the arrows between
+them, so it too is built without a second check.  Its marked vertices are
+thin and the path space between them matches the base path space from i
+to j; ``ReductionResult.pairing`` is that check, run once, and the
+``reduce`` command reports it as a verification.  Only the reduced
+stability parameter depends on the case, keyed by (d_i > 1, d_j > 1).
 """
 
 from __future__ import annotations
@@ -176,13 +180,13 @@ def double_frame(
     q.vertex_index(i)
     q.vertex_index(j)
     source, sink = _fresh_names(q.vertices)
-    framed_q = Quiver(
+    framed_q = Quiver._checked(
         (source, *q.vertices, sink),
         (*q.arrows, (source, i), (j, sink)),
     )
-    framed_d = DimensionVector({**d.as_dict(), source: 1, sink: 1})
+    framed_d = DimensionVector((*d.entries, (source, 1), (sink, 1)))
     framed_theta = StabilityParameter(
-        {**{v: scale * c for v, c in theta.entries}, source: 1, sink: -1}
+        [*((v, scale * c) for v, c in theta.entries), (source, 1), (sink, -1)]
     )
     return FramingResult(
         framed_quiver=framed_q,
@@ -225,7 +229,7 @@ def verify_framed_sign_partition(framing: FramingResult) -> FramedPartitionCheck
         sweep = _lattice_values(framing.base_quiver, dv, framing.base_stability.aligned(base_vertices))
         names = framing.framed_quiver.vertices
         discrepancies = tuple(
-            (DimensionVector(dict(zip(names, (a, *_lattice_point(dv, k), 1 - a)))), expected, "zero")
+            (DimensionVector(zip(names, (a, *_lattice_point(dv, k), 1 - a))), expected, "zero")
             for a, sign, expected in ((0, 1, "plus"), (1, -1, "minus"))
             for k in sweep.indices(sweep.equal(sign))
         )
@@ -295,15 +299,17 @@ def reduce(framing: FramingResult) -> ReductionResult:
         case, reduced_theta = ReductionCase.BOTH_BIG, framing.framed_stability
     elif keep_source:
         case = ReductionCase.SOURCE_THIN
-        reduced_theta = StabilityParameter({**{v: lift * c - 1 for v, c in theta.entries}, source: total})
+        reduced_theta = StabilityParameter([*((v, lift * c - 1) for v, c in theta.entries), (source, total)])
     elif keep_sink:
         case = ReductionCase.TARGET_THIN
-        reduced_theta = StabilityParameter({**{v: lift * c + 1 for v, c in theta.entries}, sink: -total})
+        reduced_theta = StabilityParameter([*((v, lift * c + 1) for v, c in theta.entries), (sink, -total)])
     else:
         case, reduced_theta = ReductionCase.BOTH_THIN, theta
 
     return ReductionResult(
-        reduced_quiver=Quiver((v for v in fq.vertices if v not in dropped), (fq.arrows[k] for k in arrow_map)),
+        reduced_quiver=Quiver._checked(
+            tuple(v for v in fq.vertices if v not in dropped), tuple(fq.arrows[k] for k in arrow_map)
+        ),
         reduced_dimension=DimensionVector((v, c) for v, c in framing.framed_dimension.entries if v not in dropped),
         reduced_stability=reduced_theta,
         marked_vertices=(source if keep_source else i, sink if keep_sink else j),

@@ -21,6 +21,8 @@ jsonschema words it.  The schema states shapes only; semantic validation
 then checks the vertex names (distinct, and every reference declared) and
 the zero-pairing convention for the stability parameter, suggesting the
 canonical stability parameter as a repair when the pairing is nonzero.
+The arrows are read once, into the (from, to) pairs that the endpoint rule
+checks and the quiver is built from without a second check.
 Integral floats such as ``2.0`` pass as integers, as in JSON Schema, and
 are read as ``int``.
 """
@@ -216,12 +218,11 @@ def parse_spec(document: dict) -> QuiverSpec:
         if name in declared:
             raise SpecFileError(f"duplicate vertex {name!r}", location=f"$.vertices.{k}")
         declared.add(name)
-    for k, arrow in enumerate(document["arrows"]):
-        for key in ("from", "to"):
-            if arrow[key] not in declared:
-                raise SpecFileError(
-                    f"undeclared vertex {arrow[key]!r}", location=f"$.arrows.{k}.{key}"
-                )
+    arrows = tuple((a["from"], a["to"]) for a in document["arrows"])
+    for k, (s, t) in enumerate(arrows):
+        if s not in declared or t not in declared:
+            key, name = ("from", s) if s not in declared else ("to", t)
+            raise SpecFileError(f"undeclared vertex {name!r}", location=f"$.arrows.{k}.{key}")
     for section in ("dimension", "stability"):
         keys = set(document[section])
         if keys != declared:
@@ -237,7 +238,7 @@ def parse_spec(document: dict) -> QuiverSpec:
                 location=f"$.{section}",
             )
 
-    quiver = Quiver._checked(tuple(vertices), tuple((a["from"], a["to"]) for a in document["arrows"]))
+    quiver = Quiver._checked(tuple(vertices), arrows)
     dimension = DimensionVector(document["dimension"])
     stability = StabilityParameter(document["stability"])
 

@@ -152,10 +152,6 @@ def _require_zero_pairing(theta: StabilityParameter, d: DimensionVector) -> None
         raise PairingNonzeroError(f"theta(d) = {pairing}, expected 0")
 
 
-def _as_vector(q: Quiver, values: tuple[int, ...]) -> DimensionVector:
-    return DimensionVector(dict(zip(q.vertices, values)))
-
-
 def _lattice_size(dv: Sequence[int]) -> int:
     """prod_k (d_k + 1), refused with BudgetExceededError over ``LATTICE_BUDGET``."""
     size = math.prod(c + 1 for c in dv)
@@ -217,7 +213,8 @@ def _lattice_values(q: Quiver, dv: tuple[int, ...], tv: tuple[int, ...]) -> _Swe
     the later e_t weighted by the arrows between j and t, lives from the
     first later neighbour of j until j is processed, with fields in
     0..sum_arrows d_s d_t, inside the form's bound.  A loop's row is popped
-    before it steps, so its term e_k^2 is left out.
+    before it steps, so its term e_k^2 is left out.  The mask ``top`` is
+    built first, from bytes, while nothing else is allocated.
     """
     size = _lattice_size(dv)
     out, links = [0] * len(dv), {}  # (j, k) with j <= k -> arrows between them
@@ -228,6 +225,7 @@ def _lattice_values(q: Quiver, dv: tuple[int, ...], tv: tuple[int, ...]) -> _Swe
     form_bound = sum(map(operator.mul, dv, dv)) + 2 * sum(map(operator.mul, dv, out))
     width = (max(sum(map(abs, map(operator.mul, dv, tv))), form_bound) + 1).bit_length() // 8 + 1
     bits, nbytes, ones, rows = 8 * width, width, 1, {}  # rows: j -> row_j over the vertices so far
+    top = int.from_bytes(bytes(width) + (bytes(width - 1) + b"\x80") * (size - 2), "little")
     theta, form = 1 << bits - 1, (1 << bits - 1) + 1
     for k in reversed([k for k, c in enumerate(dv) if c]):
         c, flat = dv[k], [0] * (dv[k] + 1)
@@ -238,7 +236,6 @@ def _lattice_values(q: Quiver, dv: tuple[int, ...], tv: tuple[int, ...]) -> _Swe
             rows[j] = _grow(r, links.get((j, k), 0) * ones, flat, ones, nbytes)
         ones = int.from_bytes(ones.to_bytes(nbytes, "little") * (c + 1), "little")
         nbytes *= c + 1
-    top = ones << (bits - 1) & ~(1 << (bits - 1) | 1 << (bits * size - 1))
     return _Sweep(size, width, theta, form, ones, top)
 
 
@@ -286,13 +283,13 @@ def assumptions_report(q: Quiver, d: DimensionVector, theta: StabilityParameter)
     k = next(iter(sweep.indices(sweep.equal(0), 1)), None)
     coprime = k is None
     if not coprime:
-        witnesses["coprime"] = (_as_vector(q, _lattice_point(dv, k)),)
+        witnesses["coprime"] = (DimensionVector(zip(q.vertices, _lattice_point(dv, k))),)
 
     if acyclic:
         violations, count = _strong_violations(dv, sweep)
         strong = not count
         if count:
-            witnesses["strongly_amply_stable"] = tuple(_as_vector(q, e) for e in violations)
+            witnesses["strongly_amply_stable"] = tuple(DimensionVector(zip(q.vertices, e)) for e in violations)
         if count > MAX_WITNESSES:
             counts["strongly_amply_stable"] = count
     else:

@@ -19,6 +19,9 @@ framed verdicts off the base point's closed tuples.  The reduction of a
 framed datum is built case by case, each of its four cases spelled out
 field by field, instead of as one restriction of the framed datum to its
 kept vertices, and its path map is built by enumerating the reduced paths.
+A spec's semantic refusal is found by checking each rule name by name, in
+the order the spec parser has always applied them, with networkx deciding
+acyclicity for the pairing refusal's hint.
 
 Three entries are not references but library routines with no caller left
 in the package, kept here with their tests: ``enumerate_subrepresentations``,
@@ -608,3 +611,49 @@ def reduction_path_map(result: ReductionResult) -> dict[Path, Path]:
         translated = tuple(result.arrow_map[k] for k in p.arrows)
         mapping[p] = Path(framing.source_vertex, q0.arrows + translated + qinf.arrows)
     return mapping
+
+
+def reference_spec_refusal(document: dict) -> tuple[str, str] | None:
+    """(message, location) of the first semantic refusal of a schema-valid
+    spec document, or None.  The rules, one name at a time: repeated names
+    by index; then arrows by index, ``from`` before ``to``; then coverage of
+    ``dimension``, then of ``stability``; then the zero pairing, with the
+    canonical parameter as a hint on an acyclic quiver; then the framing's
+    i and j, and its scale given once."""
+    declared: list[str] = []
+    for k, name in enumerate(document["vertices"]):
+        if name in declared:
+            return f"duplicate vertex {name!r}", f"$.vertices.{k}"
+        declared.append(name)
+    arrows = document["arrows"]
+    for k, arrow in enumerate(arrows):
+        for key in ("from", "to"):
+            if arrow[key] not in declared:
+                return f"undeclared vertex {arrow[key]!r}", f"$.arrows.{k}.{key}"
+    for section in ("dimension", "stability"):
+        missing = sorted(v for v in declared if v not in document[section])
+        extra = sorted(v for v in document[section] if v not in declared)
+        detail = ([f"missing {missing}"] if missing else []) + ([f"undeclared {extra}"] if extra else [])
+        if detail:
+            return f"must cover exactly the vertex set: {', '.join(detail)}", f"$.{section}"
+    d, theta = document["dimension"], document["stability"]
+    pairing = sum(theta[v] * d[v] for v in declared)
+    if pairing:
+        graph = networkx.MultiDiGraph()
+        graph.add_nodes_from(declared)
+        graph.add_edges_from((a["from"], a["to"]) for a in arrows)
+        hint = ""
+        if networkx.is_directed_acyclic_graph(graph):
+            canonical = dict.fromkeys(sorted(declared), 0)  # <d, e> - <e, d>: only the arrow terms
+            for a in arrows:
+                canonical[a["to"]] -= d[a["from"]]
+                canonical[a["from"]] += d[a["to"]]
+            hint = f"; the canonical stability parameter here is {canonical}"
+        return f"stability must pair to zero with the dimension vector, got {pairing}{hint}", "$.stability"
+    framing = document.get("framing", {"i": declared[0], "j": declared[0]})
+    for key in ("i", "j"):
+        if framing[key] not in declared:
+            return f"undeclared vertex {framing[key]!r}", f"$.framing.{key}"
+    if "scale" in framing and "N" in framing:
+        return "give the framing scale once, as 'scale' or 'N'", "$.framing"
+    return None

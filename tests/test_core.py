@@ -268,6 +268,15 @@ def test_dimension_vectors_are_nonnegative_and_vertex_vectors_immutable():
         assert vector.as_dict() == values
 
 
+def test_a_vertex_name_given_twice_is_refused_also_after_str():
+    # 1 and "1" are one vertex name; neither value may silently win.
+    for values in ({1: 2, "1": 3}, [("a", 1), ("b", 0), ("a", 1)]):
+        for kind in (DimensionVector, StabilityParameter):
+            name = str(next(iter(dict(values))))
+            with pytest.raises(ValueError, match=re.escape(f"vertex {name!r} is given more than once")):
+                kind(values)
+
+
 def _trial_division_is_prime(n):
     return n >= 2 and all(n % k for k in range(2, math.isqrt(n) + 1))
 

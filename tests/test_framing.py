@@ -300,6 +300,9 @@ def test_reduce_matches_four_case_reference():
     for framed, d in reduction_catalog(random.Random(14), 120):
         result = reduce(framed)
         expected = four_case_reduction(framed, d)
+        for built in (framed.framed_quiver, result.reduced_quiver):
+            checked = Quiver(built.vertices, built.arrows)
+            assert (built, hash(built), built.arrow_indices) == (checked, hash(checked), checked.arrow_indices)
         for f in fields(ReductionResult):
             assert getattr(result, f.name) == getattr(expected, f.name), f.name
         mapping = reduction_path_map(result)

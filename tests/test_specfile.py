@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import enum
 import json
+import random
 from pathlib import Path
 
 import jsonschema
@@ -10,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from jsonschema.exceptions import best_match
 
-from quivercalc import SpecFileError, load_spec, parse_spec
+from quivercalc import DimensionVector, SpecFileError, load_spec, parse_spec
 from quivercalc.specfile import (
     SPEC_SCHEMA,
     FramingSpec,
@@ -20,7 +21,8 @@ from quivercalc.specfile import (
     datum_dict,
 )
 
-from conftest import acyclic_quivers, spec_documents
+from conftest import acyclic_quivers, random_acyclic_quiver, random_zero_pairing_parameter, spec_documents
+from oracles import reference_spec_refusal
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -127,10 +129,13 @@ def test_a_repeated_vertex_name_is_refused_at_its_first_repeat():
     assert str(info.value) == "$.dimension.a: 'x' is not of type 'integer'"
 
 
-def test_a_loaded_quiver_has_its_names_checked_once(monkeypatch):
+@pytest.mark.parametrize("argv", [["frame"], ["reduce"], ["verify", "--budget", "320"]], ids=["frame", "reduce", "verify"])
+def test_a_loaded_quiver_has_its_names_checked_once(monkeypatch, capsys, argv):
     """parse_spec checks the vertex names and arrow endpoints itself, so it
     builds the quiver without ``Quiver.__init__``'s second check, and the
-    quiver is the one ``__init__`` builds."""
+    quiver is the one ``__init__`` builds; the framed and reduced quivers
+    add only parts checked by construction, so no command reaches it."""
+    from quivercalc.cli import main
     from quivercalc.core import Quiver
 
     expected = Quiver(("1", "2", "3"), (("1", "2"), ("2", "3"), ("2", "3"), ("1", "3")))
@@ -142,6 +147,67 @@ def test_a_loaded_quiver_has_its_names_checked_once(monkeypatch):
     spec = load_spec(FIXTURES / "threevertex.json")
     assert spec.quiver == expected and hash(spec.quiver) == hash(expected)
     assert spec.quiver.arrow_indices == ((0, 1), (1, 2), (1, 2), (0, 2))
+    command, *flags = argv
+    codes = [main([command, str(path), *flags, "--json"]) for path in sorted(FIXTURES.glob("*.json"))]
+    capsys.readouterr()
+    assert 0 in codes
+
+
+def _with_faults(rng, document):
+    """``document`` with one to three faults: a repeated name, an undeclared
+    arrow end, a missing or extra key in ``dimension`` or ``stability``, an
+    undeclared framing vertex, a nonzero pairing or a scale given twice;
+    names starting with x are undeclared."""
+    document = copy.deepcopy(document)
+    for n in range(rng.randint(1, 3)):
+        fault = rng.choice(["repeat", "arrow", "missing", "extra", "framing", "pairing", "scale"])
+        vertices, arrows = document["vertices"], document["arrows"]
+        if fault == "repeat":
+            vertices.insert(rng.randint(1, len(vertices)), rng.choice(vertices))
+        elif fault == "arrow":
+            if not arrows or rng.random() < 0.3:
+                arrows.insert(rng.randint(0, len(arrows)), {"from": rng.choice(vertices), "to": rng.choice(vertices)})
+            rng.choice(arrows)[rng.choice(["from", "to"])] = f"x{n}"
+        elif fault in ("missing", "extra"):
+            section = document[rng.choice(["dimension", "stability"])]
+            if fault == "missing":
+                section.pop(rng.choice(vertices), None)
+            else:
+                section[f"x{n}"] = rng.randint(0, 2)
+        elif fault == "pairing":
+            dimension, stability = document["dimension"], document["stability"]
+            for v in [v for v in sorted(stability) if dimension.get(v)][:1]:
+                stability[v] += 1
+        else:
+            framing = document.setdefault("framing", {"i": rng.choice(vertices), "j": rng.choice(vertices)})
+            if fault == "framing":
+                framing[rng.choice(["i", "j"])] = f"x{n}"
+            else:
+                framing.update(scale=1, N=1)
+    return document
+
+
+def test_refusals_come_in_the_reference_order():
+    """parse_spec's message and location equal a plain reference's, which
+    checks one rule at a time in the order of the rules, on random data with
+    one to three injected faults; where the faults leave the spec valid
+    (a pairing fault on d = 0), both accept it."""
+    rng = random.Random(35)
+    for _ in range(400):
+        q = random_acyclic_quiver(rng, max_vertices=5)
+        d = DimensionVector({v: rng.randint(0, 3) for v in q.vertices})
+        document = datum_dict(q, d, random_zero_pairing_parameter(rng, q, d))
+        if rng.random() < 0.5:
+            document["framing"] = {"i": rng.choice(q.vertices), "j": rng.choice(q.vertices), "scale": 2}
+        faulty = _with_faults(rng, document)
+        expected = reference_spec_refusal(faulty)
+        if expected is None:
+            parse_spec(faulty)
+            continue
+        message, location = expected
+        with pytest.raises(SpecFileError) as info:
+            parse_spec(faulty)
+        assert (str(info.value), info.value.location) == (f"{location}: {message}", location)
 
 
 def test_undeclared_vertex_in_arrow():

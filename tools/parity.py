@@ -81,6 +81,10 @@ def _three_vertex_with_z(arrows: list[dict]) -> dict:
 # the Euler form, not from theta.  A dense DAG, an arrow s -> t for every pair
 # s < t but 2 -> 3 and two for 1 -> 5, has d = 0 on vertex 4: the sweep skips
 # it while the rows of the form's cross terms of 1, 2 and 3 are pending.
+# Three specs pin the order of the name refusals: a repeated name wins over
+# an undeclared arrow end after it, and an undeclared `to` of a first arrow
+# over an undeclared `from` of a second; and a framed Kronecker datum with
+# dimension 2.0 takes the schema walker and is read as d = (2, 3).
 EXTRA_SPECS = {
     "two_cycle.json": {
         "vertices": ["a", "b"],
@@ -119,6 +123,25 @@ EXTRA_SPECS = {
         "dimension": {"1": 2, "2": 1, "3": 1, "4": 0, "5": 1},
         "stability": {"1": 3, "2": -1, "3": -1, "4": 0, "5": -4},
         "framing": {"i": "1", "j": "5"},
+    },
+    "repeat_then_undeclared.json": {
+        "vertices": ["1", "2", "1"],
+        "arrows": [{"from": "1", "to": "x"}],
+        "dimension": {"1": 1, "2": 1},
+        "stability": {"1": 1, "2": -1},
+    },
+    "undeclared_to_then_from.json": {
+        "vertices": ["1", "2"],
+        "arrows": [{"from": "1", "to": "x"}, {"from": "y", "to": "2"}],
+        "dimension": {"1": 1, "2": 1},
+        "stability": {"1": 1, "2": -1},
+    },
+    "float_dimension.json": {
+        "vertices": ["1", "2"],
+        "arrows": [{"from": "1", "to": "2"}, {"from": "1", "to": "2"}],
+        "dimension": {"1": 2.0, "2": 3},
+        "stability": {"1": 3, "2": -2},
+        "framing": {"i": "1", "j": "2"},
     },
 }
 
