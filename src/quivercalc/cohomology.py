@@ -19,9 +19,8 @@ sum_a p(s(a), t(a)) - #vertices + 1 and no elimination runs for them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import linalg
 from .core import (
@@ -31,6 +30,7 @@ from .core import (
     StabilityParameter,
     _acyclic_order,
     _check_representation_shapes,
+    _Frozen,
     connected_components,
     enumerate_paths,
     euler_form,
@@ -61,8 +61,7 @@ __all__ = [
 Matrix = tuple[tuple[Fraction, ...], ...]
 
 
-@dataclass(frozen=True)
-class TangentPresentation:
+class TangentPresentation(NamedTuple):
     """The two integer matrices of the presentation.
 
     ``phi_matrix`` is the all-ones column over the trivial-path basis;
@@ -85,24 +84,21 @@ class TangentPresentation:
         return len(self.psi_matrix)
 
 
-@dataclass(frozen=True)
-class RationalRepresentation:
+class RationalRepresentation(_Frozen):
     """A representation with exact rational matrices.
 
     ``arrow_matrices[a]`` has shape d_target(a) x d_source(a); a matrix with
     zero rows or columns is the empty tuple at the degenerate level.
     """
 
-    quiver: Quiver
-    dims: DimensionVector
-    arrow_matrices: tuple[Matrix, ...]
+    _fields = ("quiver", "dims", "arrow_matrices")
 
-    def __post_init__(self):
-        _check_representation_shapes(self.quiver, self.dims, self.arrow_matrices)
+    def __init__(self, quiver: Quiver, dims: DimensionVector, arrow_matrices: tuple[Matrix, ...]):
+        _check_representation_shapes(quiver, dims, arrow_matrices)
+        super().__init__(quiver, dims, arrow_matrices)
 
 
-@dataclass(frozen=True)
-class HomExtResult:
+class HomExtResult(NamedTuple):
     """Exact dimensions of Hom and Ext^1 between two representations.
 
     The difference hom_dim - ext_dim always equals the Euler form of the

@@ -13,6 +13,15 @@ README):
 All types are immutable values; all operations are pure functions and safe to
 share across threads. All arithmetic is exact (Python integers / fractions):
 stability decisions are sign decisions and must never suffer rounding.
+
+The package's value types are frozen classes, not dataclasses, so that
+importing it generates no code: a record that may be a tuple is a
+``typing.NamedTuple`` (``AcyclicityCertificate`` here), and one that must
+not be, a dict key such as ``Quiver`` or ``Path`` or a holder of cached
+properties, derives from ``_Frozen``.  Either way a value is equal to and
+hashed as the tuple of its fields, shown as ``Name(field=value, ...)`` and
+refuses assignment; ``dataclasses.replace`` does not apply to them
+(``_replace`` does to the tuples).
 """
 
 from __future__ import annotations
@@ -20,18 +29,61 @@ from __future__ import annotations
 import math
 import operator
 from collections import deque
-from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import CyclicQuiverError, UnknownVertexError, VertexSetMismatchError
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 Arrow = tuple[str, str]
 
 
-@dataclass(frozen=True)
-class Quiver:
+class _Frozen:
+    """Base of the value classes that are not tuples.  A subclass names its
+    fields in ``_fields``; equality (within the class), hashing and ``repr``
+    read them in that order, as a frozen dataclass's do, and assigning or
+    deleting an attribute raises AttributeError.  ``__init__`` takes the
+    fields by position or by name into the instance's ``__dict__``, which
+    also holds cached properties; ``Path``, built by the thousand, has
+    slots and its own."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...]
+
+    def __init_subclass__(cls):
+        cls._key = operator.attrgetter(*cls._fields)  # not a descriptor: call as self._key(self)
+
+    def __init__(self, *args, **kwargs):
+        values = dict(zip(self._fields, args), **kwargs)
+        if len(args) + len(kwargs) != len(self._fields) or values.keys() != set(self._fields):
+            raise TypeError(f"{type(self).__name__}() takes the fields {', '.join(self._fields)}")
+        vars(self).update(values)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == other._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__: restoring a slot would assign
+        return type(self), self._key(self)
+
+
+class Quiver(_Frozen):
     """A finite directed multigraph with ordered vertices.
 
     ``vertices`` fixes a total order used for every matrix indexing and for
@@ -40,6 +92,7 @@ class Quiver:
     ``arrows``.
     """
 
+    _fields = ("vertices", "arrows")
     vertices: tuple[str, ...]
     arrows: tuple[Arrow, ...]
 
@@ -236,8 +289,7 @@ class StabilityParameter(VertexVector):
         return sum(map(operator.mul, self._values.values(), d._values.values()))
 
 
-@dataclass(frozen=True)
-class AcyclicityCertificate:
+class AcyclicityCertificate(NamedTuple):
     """Outcome of the acyclicity test, with evidence either way.
 
     Exactly one of ``topological_order`` (vertices, sources first) and
@@ -252,8 +304,7 @@ class AcyclicityCertificate:
         return self.acyclic
 
 
-@dataclass(frozen=True)
-class PathCountMatrix:
+class PathCountMatrix(_Frozen):
     """The matrix p with p(i, j) = number of directed paths from i to j.
 
     For an acyclic quiver this is the dimension of the space of paths from i
@@ -262,12 +313,13 @@ class PathCountMatrix:
     p(i, source(a)).
     """
 
+    _fields = ("vertices", "entries")
     vertices: tuple[str, ...]
     entries: tuple[tuple[int, ...], ...]
-    _index: dict[str, int] = field(repr=False, hash=False, compare=False, default_factory=dict)
 
-    def __post_init__(self):
-        object.__setattr__(self, "_index", {v: k for k, v in enumerate(self.vertices)})
+    @cached_property
+    def _index(self) -> dict[str, int]:
+        return {v: k for k, v in enumerate(self.vertices)}
 
     def count(self, i: str, j: str) -> int:
         try:
@@ -279,16 +331,18 @@ class PathCountMatrix:
         return sum(sum(row) for row in self.entries)
 
 
-@dataclass(frozen=True)
-class Path:
+class Path(_Frozen):
     """A directed path: a source vertex and a composable arrow-index sequence.
 
     The empty sequence is the trivial path at ``source``.  Arrows compose left
     to right: ``arrows[0]`` starts at ``source``.
     """
 
-    source: str
-    arrows: tuple[int, ...] = ()
+    __slots__ = _fields = ("source", "arrows")
+
+    def __init__(self, source: str, arrows: tuple[int, ...] = ()):
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "arrows", arrows)
 
     def target(self, q: Quiver) -> str:
         at = self.source
@@ -354,6 +408,8 @@ def euler_form(q: Quiver, e: VertexVector, f: VertexVector) -> int:
 
 def slope(theta: StabilityParameter, e: VertexVector) -> Fraction:
     """mu(e) = theta(e) / sum_i e_i, exact; undefined (raises) for total 0."""
+    from fractions import Fraction  # no command calls it: start-up skips fractions
+
     total = e.total()
     if total == 0:
         raise ZeroDivisionError("slope undefined for a vector of total dimension 0")

@@ -52,13 +52,12 @@ import math
 import operator
 import random
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
 from time import monotonic
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from . import linalg
-from .core import DimensionVector, Path, Quiver, _check_representation_shapes, _is_prime
+from .core import DimensionVector, Path, Quiver, _check_representation_shapes, _Frozen, _is_prime
 from .errors import BudgetExceededError, NotThinAtEndpointsError
 from .framing import MINIMAL_FRAMING_SCALE, FramingResult
 from .stability import MAX_WITNESSES
@@ -83,26 +82,20 @@ DEFAULT_BUDGET = 10**6
 IntMatrix = tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class FiniteFieldRepresentation:
+class FiniteFieldRepresentation(_Frozen):
     """A representation with matrices over F_p, entries reduced to 0..p-1."""
 
-    quiver: Quiver
-    prime: int
-    dims: DimensionVector
-    arrow_matrices: tuple[IntMatrix, ...]
+    _fields = ("quiver", "prime", "dims", "arrow_matrices")
 
-    def __post_init__(self):
-        if not _is_prime(self.prime):
-            raise ValueError(f"{self.prime} is not prime")
-        _check_representation_shapes(self.quiver, self.dims, self.arrow_matrices)
-        p = self.prime
-        normalized = tuple(tuple(tuple(x % p for x in row) for row in m) for m in self.arrow_matrices)
-        object.__setattr__(self, "arrow_matrices", normalized)
+    def __init__(self, quiver: Quiver, prime: int, dims: DimensionVector, arrow_matrices: tuple[IntMatrix, ...]):
+        if not _is_prime(prime):
+            raise ValueError(f"{prime} is not prime")
+        _check_representation_shapes(quiver, dims, arrow_matrices)
+        normalized = tuple(tuple(tuple(x % prime for x in row) for row in m) for m in arrow_matrices)
+        super().__init__(quiver, prime, dims, normalized)
 
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(NamedTuple):
     """A subspace of F_p^n in reduced row echelon form."""
 
     rows: tuple[tuple[int, ...], ...]
@@ -112,8 +105,7 @@ class Subspace:
         return not any(linalg.mod_residual(self.rows, self.pivots, v, p))
 
 
-@dataclass(frozen=True)
-class EquivalenceReport:
+class EquivalenceReport(NamedTuple):
     """Outcome of a point-by-point check of the framed stability description:
     ``failures`` holds the first ``MAX_WITNESSES`` failing points in point
     order, ``failure_count`` counts them all."""

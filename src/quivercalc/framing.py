@@ -30,8 +30,8 @@ stability parameter depends on the case, keyed by (d_i > 1, d_j > 1).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .core import (
     DimensionVector,
@@ -39,6 +39,7 @@ from .core import (
     Quiver,
     StabilityParameter,
     _acyclic_order,
+    _Frozen,
     path_count,
 )
 from .errors import AssumptionViolatedError
@@ -66,10 +67,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FramingResult:
+class FramingResult(_Frozen):
     """A framed datum together with the base datum it was built from."""
 
+    _fields = (
+        "framed_quiver", "framed_dimension", "framed_stability", "framing_scale", "framed_at",
+        "source_vertex", "sink_vertex", "base_quiver", "base_dimension", "base_stability",
+    )
     framed_quiver: Quiver
     framed_dimension: DimensionVector
     framed_stability: StabilityParameter
@@ -94,8 +98,7 @@ class ReductionCase(enum.Enum):
     BOTH_THIN = "both_thin"
 
 
-@dataclass(frozen=True)
-class ReductionResult:
+class ReductionResult(_Frozen):
     """A reduced datum with its marked vertices and connecting paths.
 
     ``connecting_paths`` are paths in the framed quiver: q0 from the framing
@@ -104,6 +107,10 @@ class ReductionResult:
     corresponding arrow index of the framed quiver.
     """
 
+    _fields = (
+        "reduced_quiver", "reduced_dimension", "reduced_stability", "marked_vertices",
+        "connecting_paths", "case_tag", "arrow_map", "framing",
+    )
     reduced_quiver: Quiver
     reduced_dimension: DimensionVector
     reduced_stability: StabilityParameter
@@ -120,8 +127,7 @@ class ReductionResult:
         return verify_reduction_pairing(self)
 
 
-@dataclass(frozen=True)
-class FramedPartitionCheck:
+class FramedPartitionCheck(NamedTuple):
     """The framed sign partition against its prediction: ``checked`` counts
     the framed lattice points the verdict covers, and each discrepancy is
     (framed vector, predicted sign name, actual sign name)."""
@@ -131,8 +137,7 @@ class FramedPartitionCheck:
     discrepancies: tuple[tuple[DimensionVector, str, str], ...]
 
 
-@dataclass(frozen=True)
-class ReductionPairingCheck:
+class ReductionPairingCheck(NamedTuple):
     passed: bool
     failures: tuple[str, ...]
     reduced_path_count: int

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from typing import Any
 
-from .cohomology import _require_vector_fields, hochschild1_dim, moduli_dimension
 from .core import _acyclic_order, path_count, path_count_matrix
 from .errors import AssumptionViolatedError, BudgetExceededError, QuiverCalcError, SpecFileError
 from .framing import (
@@ -154,6 +153,8 @@ def _framed(spec: QuiverSpec, i: str | None, j: str | None, scale: int | None) -
 
 
 def build_analyze_report(spec: QuiverSpec, override_assumptions: bool = False) -> dict[str, Any]:
+    from .cohomology import _require_vector_fields, hochschild1_dim, moduli_dimension  # only analyze pays its import
+
     q, d, theta = spec.quiver, spec.dimension, spec.stability
     report = assumptions_report(q, d, theta)
     out = _header("analyze", spec, report)

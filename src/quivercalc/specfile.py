@@ -31,9 +31,9 @@ from __future__ import annotations
 
 import json
 import numbers
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from pathlib import Path as FsPath
+from typing import NamedTuple
 
 from .core import DimensionVector, Quiver, StabilityParameter, canonical_stability, is_acyclic
 from .errors import SpecFileError
@@ -182,22 +182,19 @@ def _certainly_valid(document) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class FramingSpec:
+class FramingSpec(NamedTuple):
     i: str
     j: str
     scale: int | None = None
 
 
-@dataclass(frozen=True)
-class OracleSpec:
+class OracleSpec(NamedTuple):
     prime: int = 2
     budget: int = 10**6
     seed: int = 0
 
 
-@dataclass(frozen=True)
-class QuiverSpec:
+class QuiverSpec(NamedTuple):
     quiver: Quiver
     dimension: DimensionVector
     stability: StabilityParameter

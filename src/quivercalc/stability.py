@@ -30,7 +30,7 @@ import enum
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
 
 from .core import DimensionVector, Quiver, StabilityParameter, is_acyclic
@@ -81,8 +81,7 @@ class ThreeValued(enum.Enum):
     UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
-class AssumptionsReport:
+class AssumptionsReport(NamedTuple):
     """Aggregated verdicts on the standing hypotheses for a datum (q, d, theta).
 
     ``coprime`` is the implementable sufficient condition for "every
@@ -93,7 +92,7 @@ class AssumptionsReport:
     ``failing_witnesses`` maps a failed check name to the subdimension vectors
     that violate it, lexicographically first, at most ``MAX_WITNESSES`` of
     them; ``failing_witness_counts`` maps the name of a list cut there to
-    its full count.
+    its full count.  Both default to a read-only empty map.
     """
 
     acyclic: bool
@@ -101,8 +100,8 @@ class AssumptionsReport:
     coprime: bool
     strongly_amply_stable: bool
     amply_stable: ThreeValued
-    failing_witnesses: Mapping[str, tuple[DimensionVector, ...]] = field(default_factory=dict)
-    failing_witness_counts: Mapping[str, int] = field(default_factory=dict)
+    failing_witnesses: Mapping[str, tuple[DimensionVector, ...]] = MappingProxyType({})
+    failing_witness_counts: Mapping[str, int] = MappingProxyType({})
 
     def all_verified(self) -> bool:
         """True when every hypothesis is positively verified (amply stable

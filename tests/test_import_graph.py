@@ -1,5 +1,7 @@
-"""What each command imports: no jsonschema at run time, the finite-field
-oracle only for ``verify``, and no private name of a framed computation.
+"""What each command imports: no jsonschema at run time, no dataclasses
+(nor the inspect it pulls in) at all, cohomology with its exact rationals
+(linalg, fractions, decimal) only for ``analyze``, the finite-field oracle
+only for ``verify``, and no private name of a framed computation.
 What the package exports: each ``__all__`` lists its module's public
 functions and classes, and names deleted for want of a caller stay gone."""
 
@@ -22,14 +24,18 @@ FIXTURES = Path(__file__).parent / "fixtures"
 SRC = Path(quivercalc.__file__).resolve().parent.parent
 
 # Each step runs in the same fresh interpreter, in this order, and prints the
-# watched modules loaded so far.
+# watched modules loaded so far: the import itself, then the commands that
+# need neither cohomology nor the oracle.
 _PROBE = """
 import contextlib, io, json, sys
-watched = ("jsonschema", "quivercalc.ff_oracle")
+watched = (
+    "jsonschema", "dataclasses", "inspect", "fractions", "decimal",
+    "quivercalc.cohomology", "quivercalc.linalg", "quivercalc.ff_oracle",
+)
 loaded = lambda: [m for m in watched if m in sys.modules]
 import quivercalc.cli
 steps = {"import": loaded()}
-for command in ("analyze", "frame", "reduce", "verify"):
+for command in ("frame", "reduce", "analyze", "verify"):
     with contextlib.redirect_stdout(io.StringIO()):
         code = quivercalc.cli.main([command, sys.argv[1], "--json"])
     steps[command] = [code, loaded()]
@@ -120,12 +126,13 @@ def test_only_verify_loads_the_oracle_and_nothing_loads_jsonschema():
         [sys.executable, "-c", _PROBE, str(FIXTURES / "kronecker.json")],
         env=env, capture_output=True, text=True, timeout=60, check=True,
     )
+    rationals = ["fractions", "decimal", "quivercalc.cohomology", "quivercalc.linalg"]
     assert json.loads(done.stdout) == {
         "import": [],
-        "analyze": [0, []],
         "frame": [0, []],
         "reduce": [0, []],
-        "verify": [0, ["quivercalc.ff_oracle"]],
+        "analyze": [0, rationals],
+        "verify": [0, [*rationals, "quivercalc.ff_oracle"]],
     }
 
 

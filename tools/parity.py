@@ -15,6 +15,16 @@ process, which runs ``quivercalc.cli.main`` in-process on every invocation.
 The exit code, stdout, stderr and the bytes written to ``--out`` of each
 pair are compared; the script prints the counts and the first difference,
 and exits 1 on any difference.
+
+    python tools/parity.py --against REV --allow schema_version --allow stats
+
+Each ``--allow KEYPATH`` names a key of a JSON report, dotted for a nested
+one (``stats.lattice_points``), whose difference is expected.  Where stdout
+or the ``--out`` text of both sides is a JSON object, it is compared with
+every allowed key removed, in key order (its layout is then not compared);
+a pair that differs nowhere else is counted apart, and any other
+difference, in the exit code, stderr, human output or another key, still
+fails.
 """
 
 from __future__ import annotations
@@ -217,12 +227,42 @@ def run_tree(src: Path, argvs: list[list[str]], cwd: Path) -> list[list]:
     return json.loads(done.stdout)
 
 
-def compare(argvs: list[list[str]], ours: list[list], theirs: list[list], out=sys.stdout) -> int:
+def _masked(text, allow: tuple[str, ...]):
+    """``text`` as a JSON object without the ``allow`` key paths, in key
+    order; ``text`` itself when nothing is allowed or it is no JSON object."""
+    try:
+        document = json.loads(text) if allow and text else None
+    except ValueError:  # human output
+        return text
+    if not isinstance(document, dict):
+        return text
+    for path in allow:
+        *parents, last = path.split(".")
+        node = document
+        for key in parents:
+            node = node.get(key) if isinstance(node, dict) else None
+        if isinstance(node, dict):
+            node.pop(last, None)
+    return json.dumps(document)
+
+
+def _outside(outcome: list, allow: tuple[str, ...]) -> list:
+    """An outcome with its stdout and ``--out`` reports masked by ``allow``."""
+    code, stdout, stderr, written = outcome
+    return [code, _masked(stdout, allow), stderr, _masked(written, allow)]
+
+
+def compare(
+    argvs: list[list[str]], ours: list[list], theirs: list[list], out=sys.stdout, allow: tuple[str, ...] = ()
+) -> int:
     """Print the counts and the first difference; return the number of
-    invocations whose outcomes differ."""
-    differing = [k for k, pair in enumerate(zip(ours, theirs)) if pair[0] != pair[1]]
+    invocations whose outcomes differ outside the ``allow`` key paths."""
+    unequal = [k for k, pair in enumerate(zip(ours, theirs)) if pair[0] != pair[1]]
+    differing = [k for k in unequal if _outside(ours[k], allow) != _outside(theirs[k], allow)]
     codes = collections.Counter(str(outcome[0]) for outcome in ours)
     print(f"{len(argvs)} invocations, {len(differing)} differences", file=out)
+    if allow:
+        print(f"{len(unequal) - len(differing)} more differ only at the allowed key paths {', '.join(allow)}", file=out)
     print("exit codes here: " + ", ".join(f"{c}: {n}" for c, n in sorted(codes.items())), file=out)
     if differing:
         k = differing[0]
@@ -240,6 +280,10 @@ def compare(argvs: list[list[str]], ours: list[list], theirs: list[list], out=sy
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--against", required=True, metavar="REV", help="git revision to compare with")
+    parser.add_argument(
+        "--allow", action="append", default=[], metavar="KEYPATH",
+        help="a JSON report key path, dotted when nested, whose difference is expected (repeatable)",
+    )
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="quivercalc-parity-") as tmp:
         tmp = Path(tmp)
@@ -251,7 +295,7 @@ def main(argv: list[str] | None = None) -> int:
             ours = run_tree(ROOT / "src", argvs, tmp)
         finally:
             subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force", str(tree)], check=True)
-    return 1 if compare(argvs, ours, theirs) else 0
+    return 1 if compare(argvs, ours, theirs, allow=tuple(args.allow)) else 0
 
 
 if __name__ == "__main__":
