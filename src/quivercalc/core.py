@@ -111,8 +111,9 @@ class Quiver(_Frozen):
         """The quiver of vertex names and arrows that the caller has checked
         as ``__init__`` would, built without checking them again.  Callers:
         ``specfile.parse_spec`` (it refuses repeats and undeclared ends),
-        ``framing.double_frame`` (fresh names, new arrows at resolved i, j)
-        and ``framing.reduce`` (framed vertices and the arrows among them)."""
+        ``framing.double_frame`` (fresh names, new arrows at resolved i, j),
+        ``framing.reduce`` (framed vertices and the arrows among them) and
+        ``report._support_quiver`` (vertices of q and the arrows among them)."""
         q = object.__new__(cls)
         q.__dict__.update(vertices=vertices, arrows=arrows)
         return q

@@ -15,27 +15,28 @@ hypotheses were verified, which failed, and which are assumed without
 computation (higher cohomology vanishing of the endomorphism summands is
 always in the last group: it is consumed as a hypothesis, never computed).
 The hypothesis names and their order come from ``stability.HYPOTHESES``.
+``framing`` is imported by the builders that frame, so ``analyze`` never
+loads it.
 """
 
 from __future__ import annotations
 
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from .core import _acyclic_order, path_count, path_count_matrix
+from .core import DimensionVector, Quiver, _acyclic_order, path_count, path_count_matrix
 from .errors import AssumptionViolatedError, BudgetExceededError, QuiverCalcError, SpecFileError
-from .framing import (
-    MINIMAL_FRAMING_SCALE,
-    FramingResult,
-    ReductionResult,
-    double_frame,
-    framed_ample_stability,
-    reduce,
-    verify_framed_sign_partition,
-)
 from .specfile import QuiverSpec, datum_dict
-from .stability import HYPOTHESES, AssumptionsReport, ThreeValued, assumptions_report
+from .stability import HYPOTHESES, LATTICE_BUDGET, AssumptionsReport, ThreeValued, assumptions_report
 
-SCHEMA_VERSION = 2
+if TYPE_CHECKING:
+    from .framing import FramingResult, ReductionResult
+
+SCHEMA_VERSION = 3
+
+# Most vertices of an endomorphism table: each vertex of supp(d) at least
+# doubles the lattice, and analyze refuses a lattice over budget before it
+# builds the table.
+_MAX_SUPPORT = LATTICE_BUDGET.bit_length() - 1
 
 REPORT_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -70,7 +71,23 @@ REPORT_SCHEMA = {
                 "assumed": {"type": "array", "items": {"type": "string"}},
             },
         },
-        "dimensions": {"type": "object"},
+        "dimensions": {
+            "type": "object",
+            "properties": {
+                "endomorphism_table": {
+                    "type": "object",
+                    "required": ["vertices", "path_counts"],
+                    "properties": {
+                        "vertices": {"type": "array", "items": {"type": "string"}, "maxItems": _MAX_SUPPORT},
+                        "path_counts": {
+                            "type": "array",
+                            "items": {"type": "array", "items": {"type": "integer"}, "maxItems": _MAX_SUPPORT},
+                            "maxItems": _MAX_SUPPORT,
+                        },
+                    },
+                },
+            },
+        },
         "framing": {"type": "object"},
         "reduction": {"type": "object"},
         "verifications": {
@@ -137,6 +154,8 @@ def _framed(spec: QuiverSpec, i: str | None, j: str | None, scale: int | None) -
     block gives the vertices and, unless ``scale`` overrides it, the scale.
     A cyclic base quiver is refused here, after any unknown vertex, by the
     path layer's one refusal, which names its cycle."""
+    from .framing import MINIMAL_FRAMING_SCALE, double_frame
+
     if i is None and j is None:
         if spec.framing is None:
             raise SpecFileError("no framing vertices: pass i and j or add a framing block to the spec")
@@ -152,6 +171,16 @@ def _framed(spec: QuiverSpec, i: str | None, j: str | None, scale: int | None) -
     return framing
 
 
+def _support_quiver(q: Quiver, d: DimensionVector) -> Quiver:
+    """The full subquiver of q on supp(d), the vertices with d_k > 0 in q's
+    order and every arrow between them; q itself on full support."""
+    kept = tuple(v for v in q.vertices if d[v] > 0)
+    if len(kept) == len(q.vertices):
+        return q
+    support = set(kept)
+    return Quiver._checked(kept, tuple((s, t) for s, t in q.arrows if s in support and t in support))
+
+
 def build_analyze_report(spec: QuiverSpec, override_assumptions: bool = False) -> dict[str, Any]:
     from .cohomology import _require_vector_fields, hochschild1_dim, moduli_dimension  # only analyze pays its import
 
@@ -161,12 +190,14 @@ def build_analyze_report(spec: QuiverSpec, override_assumptions: bool = False) -
 
     dimensions: dict[str, Any] = {}
     if report.acyclic:
-        # The endomorphism table is the path count table; the ledger states
-        # the hypotheses under which they agree.
-        table = path_count_matrix(q)
+        # U_k = 0 where d_k = 0, so a path through such a vertex acts as zero
+        # on U: the endomorphism table is the path count table of the full
+        # subquiver on supp(d); the ledger states the hypotheses under which
+        # they agree.
+        table = path_count_matrix(_support_quiver(q, d))
         dimensions["moduli_dim"] = moduli_dimension(q, d)
         dimensions["endomorphism_table"] = {
-            "vertices": list(q.vertices),
+            "vertices": list(table.vertices),
             "path_counts": [list(row) for row in table.entries],
         }
         dimensions["endomorphism_total"] = table.total()
@@ -206,6 +237,8 @@ def _framing_dict(framing: FramingResult) -> dict[str, Any]:
 
 
 def build_frame_report(spec: QuiverSpec, i: str | None, j: str | None, scale: int | None) -> dict[str, Any]:
+    from .framing import framed_ample_stability, verify_framed_sign_partition
+
     q, d = spec.quiver, spec.dimension
     framing = _framed(spec, i, j, scale)
     i, j = framing.framed_at
@@ -255,6 +288,8 @@ def _reduction_dict(result: ReductionResult) -> dict[str, Any]:
 
 
 def build_reduce_report(spec: QuiverSpec, i: str | None, j: str | None, scale: int | None) -> dict[str, Any]:
+    from .framing import reduce
+
     framing = _framed(spec, i, j, scale)
     result = reduce(framing)
     check = result.pairing

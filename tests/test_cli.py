@@ -15,6 +15,7 @@ from quivercalc import MINIMAL_FRAMING_SCALE, AssumptionViolatedError, double_fr
 from quivercalc.cli import main
 from quivercalc.core import PRIME_LIMIT
 from quivercalc.report import REPORT_SCHEMA
+from quivercalc.stability import LATTICE_BUDGET
 
 from conftest import spec_documents
 
@@ -75,6 +76,76 @@ def test_analyze_override_on_disconnected_quiver_refuses_the_formula(capsys, tmp
     refused = {"refused": "the presentation requires a connected quiver"}
     assert report["dimensions"]["vector_fields"] == refused
     assert report["verifications"] == []
+
+
+def test_analyze_tables_the_endomorphisms_on_the_support_of_d(capsys, tmp_path):
+    """The 3-Kronecker 1 => 2 with an arrow 2 -> 3 and d = (1, 1, 0): U_3 = 0,
+    so paths through 3 act as zero on U and the table is the 3-Kronecker's,
+    total 5, where Q has 10 paths; JSON and human say the same."""
+    doc = {
+        "vertices": ["1", "2", "3"],
+        "arrows": [{"from": "1", "to": "2"}] * 3 + [{"from": "2", "to": "3"}],
+        "dimension": {"1": 1, "2": 1, "3": 0},
+        "stability": {"1": 1, "2": -1, "3": 0},
+    }
+    spec = tmp_path / "kronecker3_zero.json"
+    spec.write_text(json.dumps(doc), encoding="utf-8")
+    code, report, _ = run_json(capsys, "analyze", spec)
+    assert code == 0
+    dimensions = report["dimensions"]
+    assert dimensions["endomorphism_table"] == {"vertices": ["1", "2"], "path_counts": [[1, 3], [0, 1]]}
+    assert dimensions["endomorphism_total"] == 5
+    jsonschema.validate(report, REPORT_SCHEMA)
+    code, human, _ = run(capsys, "analyze", spec)
+    assert code == 0
+    assert (
+        "  endomorphism algebra total: 5\n"
+        "  path count table (rows = from, columns = to):\n"
+        "    1 2\n"
+        "    1: 1 3\n"
+        "    2: 0 1\n"
+        "  first Hochschild cohomology: "
+    ) in human
+
+
+def test_analyze_output_on_a_long_chain_is_bounded_by_the_support(capsys, tmp_path):
+    """A 1,000-vertex chain with d on two vertices: the table has two rows,
+    so the whole --json report stays under 256 KB."""
+    vertices = [str(k) for k in range(1000)]
+    doc = {
+        "vertices": vertices,
+        "arrows": [{"from": s, "to": t} for s, t in zip(vertices, vertices[1:])],
+        "dimension": {v: int(v in ("500", "501")) for v in vertices},
+        "stability": {v: {"500": 1, "501": -1}.get(v, 0) for v in vertices},
+    }
+    spec = tmp_path / "chain.json"
+    spec.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, _ = run(capsys, "analyze", spec, "--json")
+    assert code == 1  # the thin A_2 datum on the support fails the strong criterion
+    assert len(out.encode("utf-8")) <= 256 * 1024
+    report = json.loads(out)
+    assert report["dimensions"]["endomorphism_table"] == {"vertices": ["500", "501"], "path_counts": [[1, 1], [0, 1]]}
+    jsonschema.validate(report, REPORT_SCHEMA)
+
+
+def test_the_schema_bounds_the_endomorphism_table(capsys):
+    """A supported vertex at least doubles the lattice, so a table under the
+    lattice budget has at most LATTICE_BUDGET.bit_length() - 1 rows: a real
+    report and a table of that many rows validate, one more row fails."""
+    _, report, _ = run_json(capsys, "analyze", FIXTURES / "threevertex.json")
+    jsonschema.validate(report, REPORT_SCHEMA)
+    rows = LATTICE_BUDGET.bit_length() - 1
+    assert 2**rows <= LATTICE_BUDGET < 2 ** (rows + 1)
+    for n, valid in ((rows, True), (rows + 1, False)):
+        report["dimensions"]["endomorphism_table"] = {
+            "vertices": [str(k) for k in range(n)],
+            "path_counts": [[int(i <= j) for j in range(n)] for i in range(n)],
+        }
+        if valid:
+            jsonschema.validate(report, REPORT_SCHEMA)
+        else:
+            with pytest.raises(jsonschema.ValidationError):
+                jsonschema.validate(report, REPORT_SCHEMA)
 
 
 def test_analyze_malformed_file_exits_two(capsys, tmp_path):

@@ -39,8 +39,8 @@ from conftest import (
 from oracles import sympy_mat_mul, union_find_component_count
 
 
-# The endomorphism dimension table is the path count table; the report's
-# ledger states the hypotheses under which they agree.
+# The endomorphism dimension table is the path count table of the support
+# of d; the report's ledger states the hypotheses under which they agree.
 def test_endomorphism_dimensions_three_vertex(three_vertex):
     table = path_count_matrix(three_vertex)
     assert table.total() == 9  # 1+1+1 trivial + 1 + 2 + 3
@@ -52,6 +52,33 @@ def test_endomorphism_dimensions_no_arrows():
     table = path_count_matrix(q)
     assert table.entries == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     assert table.total() == 3
+
+
+def test_analyze_tables_the_paths_of_the_support_of_d():
+    """On a seeded catalog of acyclic data, about half with some d_k = 0,
+    analyze's endomorphism table is the path count table of the full
+    subquiver on supp(d), in q's vertex order; on full support it is q's own
+    table, the one HH^1 reads."""
+    rng = random.Random(37)
+    shapes = Counter()
+    for _ in range(80):
+        q = random_acyclic_quiver(rng, max_vertices=6)
+        d = DimensionVector({v: rng.choice((0, 1, 1, 2)) for v in q.vertices})
+        if not d.total():
+            continue
+        theta = random_zero_pairing_parameter(rng, q, d)
+        support = [v for v in q.vertices if d[v] > 0]
+        table = path_count_matrix(Quiver(support, [(s, t) for s, t in q.arrows if s in support and t in support]))
+        dimensions = build_analyze_report(QuiverSpec(q, d, theta))["dimensions"]
+        assert dimensions["endomorphism_table"] == {
+            "vertices": support,
+            "path_counts": [list(row) for row in table.entries],
+        }
+        assert dimensions["endomorphism_total"] == table.total()
+        if len(support) == len(q.vertices):
+            assert table == path_count_matrix(q)
+        shapes["full" if len(support) == len(q.vertices) else "sparse"] += 1
+    assert min(shapes.values()) >= 20, shapes
 
 
 def test_tangent_presentation_kronecker(kronecker):

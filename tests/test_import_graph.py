@@ -1,7 +1,8 @@
 """What each command imports: no jsonschema at run time, no dataclasses
 (nor the inspect it pulls in) at all, cohomology with its exact rationals
-(linalg, fractions, decimal) only for ``analyze``, the finite-field oracle
-only for ``verify``, and no private name of a framed computation.
+(linalg, fractions, decimal) only for ``analyze``, the framing only for
+``frame``, ``reduce`` and ``verify``, the finite-field oracle only for
+``verify``, and no private name of a framed computation.
 What the package exports: each ``__all__`` lists its module's public
 functions and classes, and names deleted for want of a caller stay gone."""
 
@@ -23,23 +24,21 @@ from quivercalc import ff_oracle
 FIXTURES = Path(__file__).parent / "fixtures"
 SRC = Path(quivercalc.__file__).resolve().parent.parent
 
-# Each step runs in the same fresh interpreter, in this order, and prints the
-# watched modules loaded so far: the import itself, then the commands that
-# need neither cohomology nor the oracle.
+# Runs one command in a fresh interpreter and prints the watched modules
+# loaded by the import, the command's exit code and the watched modules
+# loaded once it ran.
 _PROBE = """
 import contextlib, io, json, sys
 watched = (
     "jsonschema", "dataclasses", "inspect", "fractions", "decimal",
-    "quivercalc.cohomology", "quivercalc.linalg", "quivercalc.ff_oracle",
+    "quivercalc.cohomology", "quivercalc.linalg", "quivercalc.framing", "quivercalc.ff_oracle",
 )
 loaded = lambda: [m for m in watched if m in sys.modules]
 import quivercalc.cli
-steps = {"import": loaded()}
-for command in ("frame", "reduce", "analyze", "verify"):
-    with contextlib.redirect_stdout(io.StringIO()):
-        code = quivercalc.cli.main([command, sys.argv[1], "--json"])
-    steps[command] = [code, loaded()]
-print(json.dumps(steps))
+imported = loaded()
+with contextlib.redirect_stdout(io.StringIO()):
+    code = quivercalc.cli.main([sys.argv[2], sys.argv[1], "--json"])
+print(json.dumps([imported, code, loaded()]))
 """
 
 FF_ORACLE_NAMES = [
@@ -122,17 +121,21 @@ def _public_functions_and_classes(module):
 
 def test_only_verify_loads_the_oracle_and_nothing_loads_jsonschema():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run(
-        [sys.executable, "-c", _PROBE, str(FIXTURES / "kronecker.json")],
-        env=env, capture_output=True, text=True, timeout=60, check=True,
-    )
-    rationals = ["fractions", "decimal", "quivercalc.cohomology", "quivercalc.linalg"]
-    assert json.loads(done.stdout) == {
-        "import": [],
-        "frame": [0, []],
-        "reduce": [0, []],
-        "analyze": [0, rationals],
-        "verify": [0, [*rationals, "quivercalc.ff_oracle"]],
+
+    def probe(command):
+        done = subprocess.run(
+            [sys.executable, "-c", _PROBE, str(FIXTURES / "kronecker.json"), command],
+            env=env, capture_output=True, text=True, timeout=60, check=True,
+        )
+        return json.loads(done.stdout)
+
+    rationals = ["fractions", "decimal", "quivercalc.linalg"]
+    framing = "quivercalc.framing"
+    assert {command: probe(command) for command in ("analyze", "frame", "reduce", "verify")} == {
+        "analyze": [[], 0, ["fractions", "decimal", "quivercalc.cohomology", "quivercalc.linalg"]],
+        "frame": [[], 0, [framing]],
+        "reduce": [[], 0, [framing]],
+        "verify": [[], 0, [*rationals, framing, "quivercalc.ff_oracle"]],
     }
 
 

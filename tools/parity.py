@@ -23,8 +23,12 @@ one (``stats.lattice_points``), whose difference is expected.  Where stdout
 or the ``--out`` text of both sides is a JSON object, it is compared with
 every allowed key removed, in key order (its layout is then not compared);
 a pair that differs nowhere else is counted apart, and any other
-difference, in the exit code, stderr, human output or another key, still
-fails.
+difference, in the exit code, stderr or another key, still fails.  A pair
+of human outputs is compared as the report dicts each side rendered (where
+the command wrote exactly the renderer's text of its dict), without the
+allowed keys, and passes only when this tree's renderer turns
+the other side's dict into the other side's text byte for byte: a change
+to the renderer itself still fails.
 """
 
 from __future__ import annotations
@@ -157,19 +161,27 @@ EXTRA_SPECS = {
 
 # Runs in a child whose first argument is the ``src`` directory of a tree;
 # reads a JSON list of argv lists on stdin and writes one [exit code,
-# stdout, stderr, --out text] per argv, the last null without --out; the
-# report file is removed once read.  An exception escaping main is an
-# outcome too.
+# stdout, stderr, --out text, rendered report] per argv, the --out text
+# null without --out and the report null unless the command wrote exactly
+# the text render_human made of it; the report file is removed once read.
+# An exception escaping main is an outcome too.
 _CHILD = """
 import contextlib, io, json, os, sys
 sys.path.insert(0, sys.argv[1])
-from quivercalc.cli import main
+from quivercalc import cli
+rendered, render_human = [], cli.render_human
+def recording(report):
+    text = render_human(report)
+    rendered.append([report, text])
+    return text
+cli.render_human = recording
 outcomes = []
 for argv in json.load(sys.stdin):
+    rendered.clear()
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            code = main(argv)
+            code = cli.main(argv)
         except SystemExit as exc:
             code = exc.code
         except Exception as exc:
@@ -179,8 +191,20 @@ for argv in json.load(sys.stdin):
         with open(path, "rb") as handle:
             written = handle.read().decode("utf-8")
         os.remove(path)
-    outcomes.append([code, out.getvalue(), err.getvalue(), written])
+    shown = out.getvalue() if written is None else written
+    report = rendered[0][0] if rendered and rendered[0][1] == shown else None
+    outcomes.append([code, out.getvalue(), err.getvalue(), written, report])
 json.dump(outcomes, sys.stdout)
+"""
+
+# Runs in a child whose first argument is the ``src`` directory of a tree;
+# reads a JSON list of report dicts (or nulls) on stdin and writes the
+# tree's human rendering of each (or null).
+_RENDER = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from quivercalc.report import render_human
+json.dump([None if report is None else render_human(report) for report in json.load(sys.stdin)], sys.stdout)
 """
 
 
@@ -219,23 +243,28 @@ def invocations(specs: Path) -> list[list[str]]:
 
 
 def run_tree(src: Path, argvs: list[list[str]], cwd: Path) -> list[list]:
-    """The [exit code, stdout, stderr] of each argv under the tree at ``src``."""
+    """The [exit code, stdout, stderr, --out text, rendered report] of each
+    argv under the tree at ``src``."""
+    return _child(_CHILD, src, argvs, cwd)
+
+
+def render_tree(src: Path, reports: list, cwd: Path) -> list:
+    """The human text the tree at ``src`` renders of each report dict, None
+    for None."""
+    return _child(_RENDER, src, reports, cwd)
+
+
+def _child(script: str, src: Path, items: list, cwd: Path) -> list:
     done = subprocess.run(
-        [sys.executable, "-c", _CHILD, str(src)],
-        input=json.dumps(argvs), stdout=subprocess.PIPE, text=True, cwd=cwd, check=True,
+        [sys.executable, "-c", script, str(src)],
+        input=json.dumps(items), stdout=subprocess.PIPE, text=True, cwd=cwd, check=True,
     )
     return json.loads(done.stdout)
 
 
-def _masked(text, allow: tuple[str, ...]):
-    """``text`` as a JSON object without the ``allow`` key paths, in key
-    order; ``text`` itself when nothing is allowed or it is no JSON object."""
-    try:
-        document = json.loads(text) if allow and text else None
-    except ValueError:  # human output
-        return text
-    if not isinstance(document, dict):
-        return text
+def _without(document: dict, allow: tuple[str, ...]) -> str:
+    """``document`` without the ``allow`` key paths, as JSON in key order."""
+    document = json.loads(json.dumps(document))
     for path in allow:
         *parents, last = path.split(".")
         node = document
@@ -246,23 +275,52 @@ def _masked(text, allow: tuple[str, ...]):
     return json.dumps(document)
 
 
-def _outside(outcome: list, allow: tuple[str, ...]) -> list:
-    """An outcome with its stdout and ``--out`` reports masked by ``allow``."""
-    code, stdout, stderr, written = outcome
-    return [code, _masked(stdout, allow), stderr, _masked(written, allow)]
+def _masked(text, allow: tuple[str, ...]):
+    """``text`` as a JSON object without the ``allow`` key paths, in key
+    order; ``text`` itself when nothing is allowed or it is no JSON object."""
+    try:
+        document = json.loads(text) if allow and text else None
+    except ValueError:  # human output
+        return text
+    return _without(document, allow) if isinstance(document, dict) else text
+
+
+def _outside(outcome: list, allow: tuple[str, ...], renders: bool = True) -> list:
+    """An outcome with its stdout and ``--out`` reports masked by ``allow``.
+    A human report's text stands as the dict it renders, masked, where
+    ``renders`` says this tree's renderer gives that text from that dict."""
+    code, stdout, stderr, written, report = outcome
+    if report is None or not renders:
+        return [code, _masked(stdout, allow), stderr, _masked(written, allow)]
+    shown = "rendered " + _without(report, allow)
+    return [code, stdout, stderr, shown] if written is not None else [code, shown, stderr, written]
 
 
 def compare(
-    argvs: list[list[str]], ours: list[list], theirs: list[list], out=sys.stdout, allow: tuple[str, ...] = ()
+    argvs: list[list[str]], ours: list[list], theirs: list[list], out=sys.stdout, allow: tuple[str, ...] = (),
+    rerendered: list | None = None,
 ) -> int:
     """Print the counts and the first difference; return the number of
-    invocations whose outcomes differ outside the ``allow`` key paths."""
-    unequal = [k for k, pair in enumerate(zip(ours, theirs)) if pair[0] != pair[1]]
-    differing = [k for k in unequal if _outside(ours[k], allow) != _outside(theirs[k], allow)]
+    invocations whose outcomes differ outside the ``allow`` key paths.
+    ``rerendered`` holds this tree's human text of each report dict of
+    ``theirs``; without it, any difference in human output fails."""
+    rerendered = rerendered or [None] * len(theirs)
+
+    def renders(k: int) -> bool:
+        text = theirs[k][1] if theirs[k][3] is None else theirs[k][3]
+        return rerendered[k] == text
+
+    unequal = [k for k, pair in enumerate(zip(ours, theirs)) if pair[0][:4] != pair[1][:4]]
+    differing = [k for k in unequal if _outside(ours[k], allow) != _outside(theirs[k], allow, renders(k))]
+    human = sum(ours[k][4] is not None for k in unequal if k not in differing)
     codes = collections.Counter(str(outcome[0]) for outcome in ours)
     print(f"{len(argvs)} invocations, {len(differing)} differences", file=out)
     if allow:
-        print(f"{len(unequal) - len(differing)} more differ only at the allowed key paths {', '.join(allow)}", file=out)
+        print(
+            f"{len(unequal) - len(differing)} more differ only at the allowed key paths {', '.join(allow)}"
+            f" ({len(unequal) - len(differing) - human} JSON, {human} human)",
+            file=out,
+        )
     print("exit codes here: " + ", ".join(f"{c}: {n}" for c, n in sorted(codes.items())), file=out)
     if differing:
         k = differing[0]
@@ -293,9 +351,10 @@ def main(argv: list[str] | None = None) -> int:
             argvs = invocations(tmp / "specs")
             theirs = run_tree(tree / "src", argvs, tmp)
             ours = run_tree(ROOT / "src", argvs, tmp)
+            rerendered = render_tree(ROOT / "src", [outcome[4] for outcome in theirs], tmp)
         finally:
             subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force", str(tree)], check=True)
-    return 1 if compare(argvs, ours, theirs, allow=tuple(args.allow)) else 0
+    return 1 if compare(argvs, ours, theirs, allow=tuple(args.allow), rerendered=rerendered) else 0
 
 
 if __name__ == "__main__":
