@@ -35,7 +35,6 @@ from .core import (
     enumerate_paths,
     euler_form,
     is_connected,
-    path_count_matrix,
 )
 from .errors import (
     AssumptionViolatedError,
@@ -179,10 +178,13 @@ def hochschild1_dim(q: Quiver) -> int:
     applied per connected component and summed:
     sum_a p(s(a), t(a)) - #vertices + #components.  For a connected quiver
     this is sum_a p(s(a), t(a)) - #vertices + 1, matching the vector-fields
-    formula; it is 0 exactly for trees.
+    formula; it is 0 exactly for trees.  Each p(s(a), t(a)) is field s(a)
+    of the packed column t(a) of ``Quiver._path_columns``, so no
+    #vertices x #vertices table is built.
     """
-    p = path_count_matrix(q)
-    arrow_paths = sum(p.count(s, t) for s, t in q.arrows)
+    width, columns = q._path_columns
+    bits, mask = 8 * width, (1 << 8 * width) - 1
+    arrow_paths = sum((columns[t] >> bits * s) & mask for s, t in q.arrow_indices)
     return arrow_paths - len(q.vertices) + len(connected_components(q))
 
 

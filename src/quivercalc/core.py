@@ -28,8 +28,10 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from collections import deque
 from functools import cached_property
+from itertools import repeat
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import CyclicQuiverError, UnknownVertexError, VertexSetMismatchError
@@ -38,6 +40,9 @@ if TYPE_CHECKING:
     from fractions import Fraction
 
 Arrow = tuple[str, str]
+
+# The memoryview format of each machine word size, 1 to 8 bytes.
+_WORD_FORMATS = {memoryview(b"").cast(code).itemsize: code for code in "QLIHB"}
 
 
 class _Frozen:
@@ -180,23 +185,79 @@ class Quiver(_Frozen):
         return AcyclicityCertificate(False, cycle=cycle)
 
     @cached_property
-    def _path_counts(self) -> PathCountMatrix:
-        """``path_count_matrix``'s table.  A cyclic quiver raises, so nothing
-        is cached and every call raises again.
+    def _path_columns(self) -> tuple[int, list[int]]:
+        """The path counts as packed columns: ``(width, columns)``, where
+        ``columns[j]`` is one int whose field i, ``width`` bytes at byte
+        ``i * width``, holds p(i, j).  The package's one recursion for
+        path counts between all pairs (``path_count`` walks one row); a
+        cyclic quiver raises, so nothing is cached and every call raises
+        again.
 
-        Processing targets in topological order gives column j of p as e_j
-        plus the columns of the sources of j's incoming arrows.
+        Processing targets in topological order gives column j as the field
+        j unit plus the columns of the sources of j's incoming arrows.  The
+        column sum c(j) = 1 + sum of c(source) over j's incoming arrows
+        bounds every field of column j and of each partial sum, so fields
+        that hold the largest c(j) never carry into their neighbours; the
+        width is that many bytes rounded up to a power of two, so that
+        ``_path_counts`` reads fields back as machine words.
         """
-        n = len(self.vertices)
+        order = _acyclic_order(self)
         sources = _arrow_sources(self)
-        columns: list[list[int]] = [[] for _ in range(n)]
-        for j in _acyclic_order(self):
-            column = [0] * n
-            column[j] = 1
-            for s in sources[j]:
-                column = [x + y for x, y in zip(column, columns[s])]
-            columns[j] = column
-        return PathCountMatrix(self.vertices, tuple(zip(*columns)))
+        sums = [0] * len(self.vertices)
+        for j in order:
+            sums[j] = 1 + sum(map(sums.__getitem__, sources[j]))
+        need = (max(sums, default=1).bit_length() + 7) // 8
+        width = 1 << (need - 1).bit_length()
+        bits = 8 * width
+        columns = [0] * len(self.vertices)
+        for j in order:
+            columns[j] = (1 << bits * j) + sum(map(columns.__getitem__, sources[j]))
+        return width, columns
+
+    @cached_property
+    def _path_counts(self) -> PathCountMatrix:
+        """``path_count_matrix``'s table, its rows read back from the packed
+        columns of ``_path_columns`` as machine words of up to 8 bytes; a
+        field wider than that is its top word, shifted in with each lower
+        one.  Big-endian bytes of a column are its little-endian words in
+        reverse order."""
+        width, columns = self._path_columns
+        size, word = width * len(self.vertices), min(width, 8)
+        words = width // word
+        fields = []
+        for column in columns:
+            values = memoryview(column.to_bytes(size, sys.byteorder)).cast(_WORD_FORMATS[word])
+            if sys.byteorder == "big":
+                values = values[::-1]
+            top = values[words - 1 :: words]
+            for k in range(words - 2, -1, -1):
+                top = list(map(operator.or_, map(operator.lshift, top, repeat(64)), values[k::words]))
+            fields.append(top)
+        return PathCountMatrix(self.vertices, tuple(zip(*fields)))
+
+    @cached_property
+    def _components(self) -> tuple[frozenset[str], ...]:
+        """``connected_components``'s tuple."""
+        n = len(self.vertices)
+        neighbors: list[set[int]] = [set() for _ in range(n)]
+        for s, t in self.arrow_indices:
+            neighbors[s].add(t)
+            neighbors[t].add(s)
+        unvisited = set(range(n))
+        components = []
+        while unvisited:
+            root = min(unvisited)
+            stack = [root]
+            comp = set()
+            while stack:
+                v = stack.pop()
+                if v in comp:
+                    continue
+                comp.add(v)
+                stack.extend(neighbors[v] - comp)
+            unvisited -= comp
+            components.append(frozenset(self.vertices[v] for v in comp))
+        return tuple(components)
 
 
 class VertexVector:
@@ -364,27 +425,11 @@ def is_acyclic(q: Quiver) -> AcyclicityCertificate:
 
 
 def connected_components(q: Quiver) -> tuple[frozenset[str], ...]:
-    """Connected components of the underlying undirected graph."""
-    n = len(q.vertices)
-    neighbors: list[set[int]] = [set() for _ in range(n)]
-    for s, t in q.arrow_indices:
-        neighbors[s].add(t)
-        neighbors[t].add(s)
-    unvisited = set(range(n))
-    components = []
-    while unvisited:
-        root = min(unvisited)
-        stack = [root]
-        comp = set()
-        while stack:
-            v = stack.pop()
-            if v in comp:
-                continue
-            comp.add(v)
-            stack.extend(neighbors[v] - comp)
-        unvisited -= comp
-        components.append(frozenset(q.vertices[v] for v in comp))
-    return tuple(components)
+    """Connected components of the underlying undirected graph.
+
+    Found once per quiver: the tuple is cached on it.
+    """
+    return q._components
 
 
 def is_connected(q: Quiver) -> bool:
@@ -477,8 +522,9 @@ def path_count_matrix(q: Quiver) -> PathCountMatrix:
 
     p(i, j) = delta_ij + sum over arrows a with target j of p(i, source(a)),
     the entrywise statement that p = (I - A)^{-1} for the arrow-count
-    adjacency matrix A.  Cost: O(#vertices * #arrows) integer additions,
-    paid once per quiver: the table is cached on it.
+    adjacency matrix A.  Cost: one addition of packed columns per arrow, each
+    #vertices fields wide, then #vertices^2 entries read back; paid once per
+    quiver: the table is cached on it.
     """
     return q._path_counts
 

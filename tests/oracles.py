@@ -1,9 +1,10 @@
 """Independent oracles used to cross-check library results.
 
 These deliberately avoid the library's own algorithms: path counting is a
-plain recursive walk on the arrow list, or networkx's simple edge paths on a
-multigraph, ranks, reduced echelon forms and products over Q and inverses
-and products over F_p come from sympy, row spans over F_p are enumerated
+plain recursive walk on the arrow list, memoized per vertex, or networkx's
+simple edge paths on a multigraph, ranks, reduced echelon forms and
+products over Q and inverses and products over F_p come from sympy, row
+spans over F_p are enumerated
 coefficient by coefficient, connectivity is
 union-find, subspace counts come from the closed-form product formula, and
 the subdimension-lattice decisions build one DimensionVector per point and
@@ -36,6 +37,7 @@ test, checked against ``naive_cyclic_destabilizer``.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
 import operator
@@ -63,8 +65,11 @@ from quivercalc.stability import _require_zero_pairing
 
 
 def dfs_path_count(q: Quiver, src: str, dst: str) -> int:
-    """Count directed paths src -> dst by exhaustive walk (acyclic input)."""
+    """Count directed paths src -> dst by a recursive walk over the arrow
+    list (acyclic input), remembering the count from each vertex it has
+    left, so that counts past 2^64 on a short quiver stay in reach."""
 
+    @functools.cache
     def walk(at: str) -> int:
         total = 1 if at == dst else 0
         for s, t in q.arrows:

@@ -78,18 +78,21 @@ def test_analyze_override_on_disconnected_quiver_refuses_the_formula(capsys, tmp
     assert report["verifications"] == []
 
 
+# The 3-Kronecker 1 => 2 with an arrow 2 -> 3 and d = (1, 1, 0).
+KRONECKER3_ZERO = {
+    "vertices": ["1", "2", "3"],
+    "arrows": [{"from": "1", "to": "2"}] * 3 + [{"from": "2", "to": "3"}],
+    "dimension": {"1": 1, "2": 1, "3": 0},
+    "stability": {"1": 1, "2": -1, "3": 0},
+}
+
+
 def test_analyze_tables_the_endomorphisms_on_the_support_of_d(capsys, tmp_path):
     """The 3-Kronecker 1 => 2 with an arrow 2 -> 3 and d = (1, 1, 0): U_3 = 0,
     so paths through 3 act as zero on U and the table is the 3-Kronecker's,
     total 5, where Q has 10 paths; JSON and human say the same."""
-    doc = {
-        "vertices": ["1", "2", "3"],
-        "arrows": [{"from": "1", "to": "2"}] * 3 + [{"from": "2", "to": "3"}],
-        "dimension": {"1": 1, "2": 1, "3": 0},
-        "stability": {"1": 1, "2": -1, "3": 0},
-    }
     spec = tmp_path / "kronecker3_zero.json"
-    spec.write_text(json.dumps(doc), encoding="utf-8")
+    spec.write_text(json.dumps(KRONECKER3_ZERO), encoding="utf-8")
     code, report, _ = run_json(capsys, "analyze", spec)
     assert code == 0
     dimensions = report["dimensions"]
@@ -685,15 +688,15 @@ def test_assumption_refusal_says_why_in_human_output(capsys, tmp_path, command, 
     assert human == f"command: {command}\nrefused: {report['error']['message']}\nexit code: 1\n"
 
 
-@pytest.mark.parametrize("fixture", ["threevertex.json", "threevertex_alt.json"])
-def test_analyze_computes_the_cokernel_and_hh1_once(capsys, monkeypatch, fixture):
+@pytest.mark.parametrize("fixture", ["threevertex.json", "threevertex_alt.json", "kronecker3_zero.json"])
+def test_analyze_computes_the_cokernel_and_hh1_once(capsys, monkeypatch, tmp_path, fixture):
     import quivercalc.cohomology
     import quivercalc.linalg
     import quivercalc.report
     from quivercalc.core import Quiver
 
     calls = {"hochschild1_dim": 0, "rref": 0}
-    built = {"_acyclicity": [], "_path_counts": []}
+    built = {"_acyclicity": [], "_path_columns": [], "_path_counts": [], "_components": []}
 
     def counting(module, name):
         original = getattr(module, name)
@@ -721,15 +724,25 @@ def test_analyze_computes_the_cokernel_and_hh1_once(capsys, monkeypatch, fixture
     monkeypatch.setattr(quivercalc.cohomology, "hochschild1_dim", hh1)
     monkeypatch.setattr(quivercalc.report, "hochschild1_dim", hh1, raising=False)  # analyze imports it on call
     monkeypatch.setattr(quivercalc.linalg, "rref", counting(quivercalc.linalg, "rref"))
-    _, report, _ = run_json(capsys, "analyze", FIXTURES / fixture)
-    # One quiver, so one acyclicity decision and one path count table, read
-    # by the endomorphism table and by HH^1, which is also the cokernel; no
+    spec = FIXTURES / fixture
+    if fixture == "kronecker3_zero.json":
+        spec = tmp_path / fixture
+        spec.write_text(json.dumps(KRONECKER3_ZERO), encoding="utf-8")
+    _, report, _ = run_json(capsys, "analyze", spec)
+    # The hypotheses decide the acyclicity of q first, then the table needs
+    # that of the support quiver where d has zeros. Only the support
+    # quiver's table is built; HH^1 reads q's packed columns, so on full
+    # support the table and HH^1 share one set of columns. q's components
+    # are found once, for HH^1 and for the vector-fields gate; no
     # elimination runs.
-    assert len(built["_acyclicity"]) == len(built["_path_counts"]) == 1
-    assert built["_acyclicity"] == built["_path_counts"]
+    q, *support = built["_acyclicity"]
+    assert len(support) == (fixture == "kronecker3_zero.json")
+    assert built["_path_counts"] == (support or [q])
+    assert built["_path_columns"] == [*support, q]
+    assert built["_components"] == [q]
     assert calls == {"hochschild1_dim": 1, "rref": 0}
     assert report["verifications"] == []
-    assert report["dimensions"]["hh1"] == 6
+    assert report["dimensions"]["hh1"] == {"kronecker3_zero.json": 8}.get(fixture, 6)
 
 
 def test_reduce_runs_the_pairing_check_once(capsys, monkeypatch):

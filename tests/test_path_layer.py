@@ -6,12 +6,13 @@ from __future__ import annotations
 import random
 import re
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import networkx_paths, sympy_rank
+from oracles import dfs_path_count, networkx_paths, sympy_rank, union_find_component_count
 from quivercalc import (
     DimensionVector,
     Quiver,
@@ -180,3 +181,53 @@ def test_hochschild1_long_chain_is_fast():
     start = time.perf_counter()
     assert hochschild1_dim(q) == 0
     assert time.perf_counter() - start < 5.0
+
+
+def test_hochschild1_peak_memory_on_a_long_chain():
+    """HH^1 of the 1,000-vertex chain reads one field per arrow from the
+    packed path-count columns, which hold about 1 MB of 2-byte fields, and
+    builds no 1,000 x 1,000 table (about 16 MB of tuples)."""
+    q = chain(1000)
+    tracemalloc.start()
+    try:
+        assert hochschild1_dim(q) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20, peak / 2**20
+    assert q._path_columns[0] == 2
+
+
+def wide_paths() -> Quiver:
+    """Vertices 1..26, six parallel arrows k -> k + 1 and one arrow 1 -> 26:
+    p(1, 26) = 6^25 + 1 is above 2^64, so its columns have 16-byte fields,
+    read back as two 8-byte words each."""
+    vertices = [str(k) for k in range(1, 27)]
+    return Quiver(vertices, [(s, t) for s, t in zip(vertices, vertices[1:]) for _ in range(6)] + [("1", "26")])
+
+
+def seeded_catalog(seed: int = 38) -> list[Quiver]:
+    """The empty quiver, isolated vertices without arrows, parallel arrows
+    beside an isolated vertex, ``wide_paths`` and 40 random DAGs whose
+    vertex list is not in topological order, with up to three parallel
+    arrows per pair."""
+    rng = random.Random(seed)
+    catalog = [Quiver((), ()), Quiver(("a",), ()), Quiver(("c", "a", "b"), ()), Quiver(("b", "a", "z"), [("a", "b")] * 5), wide_paths()]
+    for _ in range(40):
+        order = [f"v{k}" for k in range(rng.randint(1, 8))]  # a topological order once shuffled
+        rng.shuffle(order)
+        arrows = [(s, t) for k, s in enumerate(order) for t in order[k + 1 :] for _ in range(rng.choice((0, 0, 1, 2, 3)))]
+        rng.shuffle(arrows)
+        catalog.append(Quiver(sorted(order), arrows))
+    return catalog
+
+
+def test_path_counts_and_hochschild1_match_the_oracles_on_a_seeded_catalog():
+    catalog = seeded_catalog()
+    assert {q._path_columns[0] for q in catalog} >= {1, 2, 16}  # field widths in bytes
+    for q in catalog:
+        entries = path_count_matrix(q).entries
+        assert entries == tuple(tuple(dfs_path_count(q, i, j) for j in q.vertices) for i in q.vertices)
+        arrow_paths = sum(dfs_path_count(q, s, t) for s, t in q.arrows)
+        assert hochschild1_dim(q) == arrow_paths - len(q.vertices) + union_find_component_count(q)
+    assert hochschild1_dim(wide_paths()) == 6**25 + 876

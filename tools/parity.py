@@ -95,6 +95,9 @@ def _three_vertex_with_z(arrows: list[dict]) -> dict:
 # the Euler form, not from theta.  A dense DAG, an arrow s -> t for every pair
 # s < t but 2 -> 3 and two for 1 -> 5, has d = 0 on vertex 4: the sweep skips
 # it while the rows of the form's cross terms of 1, 2 and 3 are pending.
+# Path counts pack into fields of one integer per column too: a 26-vertex
+# chain of six parallel arrows with one more arrow 1 -> 26 has p(1, 26) =
+# 6^25 + 1, above 2^64, so its fields are wider than a machine word.
 # Three specs pin the order of the name refusals: a repeated name wins over
 # an undeclared arrow end after it, and an undeclared `to` of a first arrow
 # over an undeclared `from` of a second; and a framed Kronecker datum with
@@ -137,6 +140,13 @@ EXTRA_SPECS = {
         "dimension": {"1": 2, "2": 1, "3": 1, "4": 0, "5": 1},
         "stability": {"1": 3, "2": -1, "3": -1, "4": 0, "5": -4},
         "framing": {"i": "1", "j": "5"},
+    },
+    "wide_paths.json": {
+        "vertices": [str(k) for k in range(1, 27)],
+        "arrows": [{"from": str(k), "to": str(k + 1)} for k in range(1, 26) for _ in range(6)] + [{"from": "1", "to": "26"}],
+        "dimension": {str(k): int(k in (1, 26)) for k in range(1, 27)},
+        "stability": {str(k): {1: 1, 26: -1}.get(k, 0) for k in range(1, 27)},
+        "framing": {"i": "1", "j": "26"},
     },
     "repeat_then_undeclared.json": {
         "vertices": ["1", "2", "1"],
