@@ -25,7 +25,7 @@ _EXPORTS = {
         NotThinAtEndpointsError PairingNonzeroError QuiverCalcError QuiverMismatchError SpecFileError
         UnknownVertexError UnsupportedDimensionVectorError VertexSetMismatchError""",
     "framing": """MINIMAL_FRAMING_SCALE FramingResult ReductionCase ReductionResult double_frame
-        framed_ample_stability reduce verify_framed_sign_partition verify_reduction_pairing""",
+        framed_ample_stability reduce verify_framed_sign_partition""",
     "specfile": "QuiverSpec load_spec parse_spec",
     "stability": "AssumptionsReport ThreeValued assumptions_report",
     "ff_oracle": """EquivalenceReport FiniteFieldRepresentation Subspace gaussian_binomial

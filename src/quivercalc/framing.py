@@ -14,16 +14,13 @@ resolved vertices.  ``verify_framed_sign_partition`` states where the
 framed sign partition departs from its predicted description: derived by
 the scale lemma of ``MINIMAL_FRAMING_SCALE``, it departs only at scale 1
 and only over base points with theta(e) = +-1, read off one sweep of the
-base theta.
+base theta, which gives the first ``MAX_WITNESSES`` of them and their count.
 
 ``reduce`` removes whichever framing vertices are redundant because the base
 dimension vector is already thin at i or j: the reduced datum is the framed
 datum restricted to the vertices it keeps, the framing source exactly when
 d_i > 1 and the framing sink exactly when d_j > 1, and the arrows between
-them, so it too is built without a second check.  Its marked vertices are
-thin and the path space between them matches the base path space from i
-to j; ``ReductionResult.pairing`` is that check, run once, and the
-``reduce`` command reports it as a verification.  Only the reduced
+them, so it too is built without a second check.  Only the reduced
 stability parameter depends on the case, keyed by (d_i > 1, d_j > 1).
 """
 
@@ -40,10 +37,10 @@ from .core import (
     StabilityParameter,
     _acyclic_order,
     _Frozen,
-    path_count,
 )
 from .errors import AssumptionViolatedError
 from .stability import (
+    MAX_WITNESSES,
     AssumptionsReport,
     _lattice_point,
     _lattice_size,
@@ -57,13 +54,11 @@ __all__ = [
     "ReductionCase",
     "ReductionResult",
     "FramedPartitionCheck",
-    "ReductionPairingCheck",
     "MINIMAL_FRAMING_SCALE",
     "double_frame",
     "verify_framed_sign_partition",
     "framed_ample_stability",
     "reduce",
-    "verify_reduction_pairing",
 ]
 
 
@@ -120,28 +115,17 @@ class ReductionResult(_Frozen):
     arrow_map: tuple[int, ...]
     framing: FramingResult
 
-    @cached_property
-    def pairing(self) -> ReductionPairingCheck:
-        """``verify_reduction_pairing`` of this reduction, run once on first
-        use; a failed check is the result's verdict, not an error."""
-        return verify_reduction_pairing(self)
-
 
 class FramedPartitionCheck(NamedTuple):
     """The framed sign partition against its prediction: ``checked`` counts
-    the framed lattice points the verdict covers, and each discrepancy is
-    (framed vector, predicted sign name, actual sign name)."""
+    the framed lattice points the verdict covers, each discrepancy is
+    (framed vector, predicted sign name, actual sign name), at most
+    ``MAX_WITNESSES`` of them, and ``discrepancy_count`` counts them all."""
 
     passed: bool
     checked: int
     discrepancies: tuple[tuple[DimensionVector, str, str], ...]
-
-
-class ReductionPairingCheck(NamedTuple):
-    passed: bool
-    failures: tuple[str, ...]
-    reduced_path_count: int
-    base_path_count: int
+    discrepancy_count: int
 
 
 # The framing scale N used throughout.  A framed value a + N*theta(e) - b has
@@ -225,23 +209,28 @@ def verify_framed_sign_partition(framing: FramingResult) -> FramedPartitionCheck
     over each base point e, after a sweep's budget refusal.  Only at scale 1
     does one sweep of the base theta give the discrepancies: the plus ones,
     then the minus ones, each in lattice order, the framed lexicographic one.
+    The first ``MAX_WITNESSES`` are kept, and all are counted off the masks;
+    a vector is built only for a kept one.
     """
     base_vertices = framing.base_quiver.vertices
     dv = framing.base_dimension.aligned(base_vertices)
     size = _lattice_size(dv)
-    discrepancies = ()
+    discrepancies, count = [], 0
     if framing.framing_scale < MINIMAL_FRAMING_SCALE:
         sweep = _lattice_values(framing.base_quiver, dv, framing.base_stability.aligned(base_vertices))
         names = framing.framed_quiver.vertices
-        discrepancies = tuple(
-            (DimensionVector(zip(names, (a, *_lattice_point(dv, k), 1 - a))), expected, "zero")
-            for a, sign, expected in ((0, 1, "plus"), (1, -1, "minus"))
-            for k in sweep.indices(sweep.equal(sign))
-        )
+        for a, sign, expected in ((0, 1, "plus"), (1, -1, "minus")):
+            mask = sweep.equal(sign)
+            count += mask.bit_count()
+            discrepancies += [
+                (DimensionVector(zip(names, (a, *_lattice_point(dv, k), 1 - a))), expected, "zero")
+                for k in sweep.indices(mask, MAX_WITNESSES - len(discrepancies))
+            ]
     return FramedPartitionCheck(
-        passed=not discrepancies,
+        passed=not count,
         checked=4 * size,
-        discrepancies=discrepancies,
+        discrepancies=tuple(discrepancies),
+        discrepancy_count=count,
     )
 
 
@@ -277,12 +266,13 @@ def reduce(framing: FramingResult) -> ReductionResult:
 
     In every case theta'(d') = 0, d' is thin at the marked vertices, and the
     reduced path space between the marked vertices matches the base path
-    space from i to j.  The base datum must satisfy the decidable standing
-    hypotheses (acyclicity, indivisibility, coprimality); ample stability is
-    not decidable at the base level and is not gated on.  A cyclic base
-    quiver is refused first, naming its cycle, as the commands refuse it.
-    The invariants are not asserted: the result's ``pairing`` check states
-    them, and a failed one is the ``reduce`` report's exit-1 verification.
+    space from i to j, by construction: theta(d) = 0, a dropped framing
+    vertex hands its mark to a vertex with d = 1, and the framing source and
+    sink have one arrow each.  The base datum must satisfy the decidable
+    standing hypotheses (acyclicity, indivisibility, coprimality); ample
+    stability is not decidable at the base level and is not gated on.  A
+    cyclic base quiver is refused first, naming its cycle, as the commands
+    refuse it.
     """
     _acyclic_order(framing.base_quiver)
     framing.base_assumptions.require("indivisible", "coprime")
@@ -325,29 +315,4 @@ def reduce(framing: FramingResult) -> ReductionResult:
         case_tag=case,
         arrow_map=arrow_map,
         framing=framing,
-    )
-
-
-def verify_reduction_pairing(result: ReductionResult) -> ReductionPairingCheck:
-    """Sanity layer over a reduction: zero pairing, thin marks, path counts."""
-    failures = []
-    theta = result.reduced_stability
-    d = result.reduced_dimension
-    i_mark, j_mark = result.marked_vertices
-    if theta(d) != 0:
-        failures.append(f"theta'(d') = {theta(d)} != 0")
-    if d[i_mark] != 1:
-        failures.append(f"d' is not thin at {i_mark!r}")
-    if d[j_mark] != 1:
-        failures.append(f"d' is not thin at {j_mark!r}")
-    reduced_count = path_count(result.reduced_quiver, i_mark, j_mark)
-    framing = result.framing
-    base_count = path_count(framing.base_quiver, *framing.framed_at)
-    if reduced_count != base_count:
-        failures.append(f"path count {reduced_count} != base path count {base_count}")
-    return ReductionPairingCheck(
-        passed=not failures,
-        failures=tuple(failures),
-        reduced_path_count=reduced_count,
-        base_path_count=base_count,
     )

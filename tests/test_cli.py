@@ -15,7 +15,7 @@ from quivercalc import MINIMAL_FRAMING_SCALE, AssumptionViolatedError, double_fr
 from quivercalc.cli import main
 from quivercalc.core import PRIME_LIMIT
 from quivercalc.report import REPORT_SCHEMA
-from quivercalc.stability import LATTICE_BUDGET
+from quivercalc.stability import LATTICE_BUDGET, MAX_WITNESSES
 
 from conftest import spec_documents
 
@@ -178,7 +178,37 @@ def test_frame_at_scale_one_fails(capsys):
     assert code == 1
     check = report["verifications"][0]
     assert check["passed"] is False
-    assert check["discrepancies"]
+    assert check["discrepancies"] == [
+        {"vector": {"0": 0, "1": 1, "2": 0, "∞": 1}, "expected": "plus", "actual": "zero"},
+        {"vector": {"0": 1, "1": 0, "2": 1, "∞": 0}, "expected": "minus", "actual": "zero"},
+    ]
+    assert "discrepancy_count" not in check
+
+
+def test_frame_at_scale_one_bounds_its_discrepancy_list(capsys, tmp_path):
+    """A 16-vertex thin chain with theta alternating +1/-1, framed at its
+    ends at scale 1, has 22,880 discrepancies; the report lists the first
+    MAX_WITNESSES in order, plus ones first, and counts them all."""
+    vertices = [str(k) for k in range(1, 17)]
+    doc = {
+        "vertices": vertices,
+        "arrows": [{"from": s, "to": t} for s, t in zip(vertices, vertices[1:])],
+        "dimension": dict.fromkeys(vertices, 1),
+        "stability": {v: 1 if int(v) % 2 else -1 for v in vertices},
+    }
+    spec = tmp_path / "alternating_chain16.json"
+    spec.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, _ = run(capsys, "frame", spec, "1", "16", "--scale", "1", "--json")
+    report = json.loads(out)
+    check = report["verifications"][0]
+    assert (code, report["exit_code"], check["passed"], check["checked"]) == (1, 1, False, 4 * 2**16)
+    assert check["discrepancy_count"] == 22_880
+    listed = check["discrepancies"]
+    assert len(listed) == MAX_WITNESSES == 32
+    assert listed[0] == {"vector": {"0": 0, **{v: int(v == "15") for v in vertices}, "∞": 1}, "expected": "plus", "actual": "zero"}
+    assert listed[-1] == {"vector": {"0": 0, **{v: int(v in ("9", "11", "16")) for v in vertices}, "∞": 1}, "expected": "plus", "actual": "zero"}
+    assert len(out.encode("utf-8")) <= 64 * 1024
+    jsonschema.validate(report, REPORT_SCHEMA)
 
 
 def test_frame_unknown_vertex_exits_two(capsys):
@@ -300,8 +330,9 @@ def test_main_builds_the_parser_once(capsys, monkeypatch):
 
 def test_reduce_both_thin(capsys):
     code, report, _ = run_json(capsys, "reduce", FIXTURES / "threevertex.json", "2", "3")
-    assert code == 0
+    assert (code, report["exit_code"], report["verifications"]) == (0, 0, [])
     assert report["reduction"]["case"] == "both_thin"
+    assert report["reduction"]["reduced_path_space_dim"] == report["reduction"]["base_path_space_dim"] == 2
     assert report["reduction"]["reduced_datum"]["stability"] == {"1": 2, "2": 1, "3": -3}
     jsonschema.validate(report, REPORT_SCHEMA)
 
@@ -745,77 +776,26 @@ def test_analyze_computes_the_cokernel_and_hh1_once(capsys, monkeypatch, tmp_pat
     assert report["dimensions"]["hh1"] == {"kronecker3_zero.json": 8}.get(fixture, 6)
 
 
-def test_reduce_runs_the_pairing_check_once(capsys, monkeypatch):
-    import quivercalc.framing
-    import quivercalc.report
-
-    calls = []
-    original = quivercalc.framing.verify_reduction_pairing
-
-    def counting(result):
-        calls.append(result)
-        return original(result)
-
-    monkeypatch.setattr(quivercalc.framing, "verify_reduction_pairing", counting)
-    monkeypatch.setattr(quivercalc.report, "verify_reduction_pairing", counting, raising=False)
-    code, report, _ = run_json(capsys, "reduce", FIXTURES / "threevertex.json", "2", "3")
-    assert code == 0
-    assert report["verifications"][0]["passed"] is True
-    assert len(calls) == 1
-
-
-def test_a_failed_pairing_check_is_an_exit_one_verification(capsys, monkeypatch):
-    """reduce asserts nothing: a failed pairing check of the reduction is
-    the report's failing verification, exit 1, with no traceback."""
-    import quivercalc.framing
-
-    def failing(result):
-        return quivercalc.framing.ReductionPairingCheck(False, ("theta'(d') = 1 != 0", "d' is not thin at '2'"), 2, 3)
-
-    monkeypatch.setattr(quivercalc.framing, "verify_reduction_pairing", failing)
-    code, report, err = run_json(capsys, "reduce", FIXTURES / "threevertex.json", "2", "3")
-    assert (code, err, report["exit_code"]) == (1, "", 1)
-    assert report["verifications"] == [
-        {
-            "name": "reduction pairing, thinness, and path count",
-            "passed": False,
-            "failures": ["theta'(d') = 1 != 0", "d' is not thin at '2'"],
-        }
-    ]
-    assert report["reduction"]["reduced_path_space_dim"] == 2 and report["reduction"]["base_path_space_dim"] == 3
-    jsonschema.validate(report, REPORT_SCHEMA)
-
-    code, out, err = run(capsys, "reduce", FIXTURES / "threevertex.json", "2", "3")
-    assert (code, err) == (1, "")
-    assert "verification: reduction pairing, thinness, and path count: FAIL\n" in out
-    assert out.endswith("exit code: 1\n")
-
-
 @pytest.mark.parametrize("command", ["frame", "reduce", "verify"])
 def test_framed_commands_decide_the_base_hypotheses_once(capsys, monkeypatch, command):
     """One sweep of the base datum per framed command, read through the
-    framing's cached base_assumptions; reduce runs its pairing check once."""
+    framing's cached base_assumptions."""
     import quivercalc.framing
     import quivercalc.report
     import quivercalc.stability
 
-    holders = {
-        "assumptions_report": (quivercalc.stability, quivercalc.framing, quivercalc.report),
-        "verify_reduction_pairing": (quivercalc.framing,),
-    }
-    calls = dict.fromkeys(holders, 0)
-    for name, modules in holders.items():
-        original = getattr(quivercalc.framing, name)
+    calls = []
+    original = quivercalc.stability.assumptions_report
 
-        def counting(*args, name=name, original=original):
-            calls[name] += 1
-            return original(*args)
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
 
-        for module in modules:
-            monkeypatch.setattr(module, name, counting)
+    for module in (quivercalc.stability, quivercalc.framing, quivercalc.report):
+        monkeypatch.setattr(module, "assumptions_report", counting)
     code, _, _ = run_json(capsys, command, FIXTURES / "kronecker.json")
     assert code == 0
-    assert calls == {"assumptions_report": 1, "verify_reduction_pairing": int(command == "reduce")}
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("command", ["reduce", "verify"])

@@ -205,7 +205,8 @@ def test_lattice_sweep_matches_per_point_reference(datum, data):
         framing = double_frame(q, d, theta, i, j, scale)
         check = verify_framed_sign_partition(framing)
         expected = naive_framed_discrepancies(framing)
-        assert list(check.discrepancies) == expected
+        assert list(check.discrepancies) == expected[:MAX_WITNESSES]
+        assert check.discrepancy_count == len(expected)
         assert check.passed == (not expected)
         assert check.checked == 4 * len(lattice)
 
@@ -369,10 +370,15 @@ def test_framed_check_equals_the_per_point_reference_at_scales_one_to_three():
     shuffled DAGs with zero entries of d, framed at a random (i, j) and at
     (i, i), at N = 1, 2 and 3: only scale 1 ever departs from the
     prediction, and it often does.  The wide catalog adds theta entries up
-    to about 10^30 and fields whose width the Euler form sets."""
+    to about 10^30 and fields whose width the Euler form sets, and an
+    8-vertex thin chain with theta alternating +-1 has 112 discrepancies at
+    scale 1, more than the check lists."""
     rng = random.Random(41)
     failing = collections.Counter()
-    for q, d, theta in itertools.chain(_sweep_catalog(43, 150, 4, 2), _wide_catalog(59, 60)):
+    chain = Quiver([str(k) for k in range(8)], [(str(k), str(k + 1)) for k in range(7)])
+    alternating = (chain, thin(chain), StabilityParameter({v: (-1) ** int(v) for v in chain.vertices}))
+    longest = 0
+    for q, d, theta in itertools.chain(_sweep_catalog(43, 150, 4, 2), _wide_catalog(59, 60), [alternating]):
         lattice = math.prod(d[v] + 1 for v in q.vertices)
         i, j = rng.choice(q.vertices), rng.choice(q.vertices)
         for at in ((i, j), (i, i)):
@@ -380,8 +386,11 @@ def test_framed_check_equals_the_per_point_reference_at_scales_one_to_three():
                 framing = double_frame(q, d, theta, *at, scale)
                 check = verify_framed_sign_partition(framing)
                 expected = naive_framed_discrepancies(framing)
-                assert list(check.discrepancies) == expected
+                assert list(check.discrepancies) == expected[:MAX_WITNESSES]
+                assert check.discrepancy_count == len(expected)
                 assert check.checked == 4 * lattice
                 assert check.passed == (not expected)
                 failing[scale] += not check.passed
+                longest = max(longest, check.discrepancy_count)
     assert failing[1] >= 50 and failing[2] == failing[3] == 0, failing
+    assert longest == 112 > MAX_WITNESSES

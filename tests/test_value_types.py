@@ -34,12 +34,10 @@ from quivercalc.ff_oracle import EquivalenceReport, FiniteFieldRepresentation, S
 from quivercalc.framing import (
     FramedPartitionCheck,
     FramingResult,
-    ReductionPairingCheck,
     ReductionResult,
     double_frame,
     reduce,
     verify_framed_sign_partition,
-    verify_reduction_pairing,
 )
 from quivercalc.specfile import FramingSpec, OracleSpec, QuiverSpec, load_spec
 from quivercalc.stability import AssumptionsReport, assumptions_report
@@ -102,12 +100,7 @@ CASES = {
     ),
     FramedPartitionCheck: (
         lambda k: verify_framed_sign_partition(framing(2 - k)),
-        ("passed", "checked", "discrepancies"),
-        True,
-    ),
-    ReductionPairingCheck: (
-        lambda k: verify_reduction_pairing(reduce(framing())) if k == 0 else ReductionPairingCheck(False, ("x",), 2, 3),
-        ("passed", "failures", "reduced_path_count", "base_path_count"),
+        ("passed", "checked", "discrepancies", "discrepancy_count"),
         True,
     ),
     FramingSpec: (lambda k: FramingSpec("1", "2", [None, 2][k]), ("i", "j", "scale"), True),

@@ -88,7 +88,8 @@ def _three_vertex_with_z(arrows: list[dict]) -> dict:
 # F_3 and all 200 points sampled over F_1000003.  An 8-vertex thin chain with
 # theta alternating +1/-1, framed at its ends at scale 1, puts a long
 # discrepancy list through frame: 112 of its 1,024 framed points, 56 plus ->
-# zero then 56 minus -> zero, where no fixture or workload lists more than 4.
+# zero then 56 minus -> zero, where no fixture or workload has more than 4;
+# frame lists the first 32 and counts them all.
 # The lattice sweep packs its values into fields of one integer, as wide as
 # the datum needs: the three-vertex datum with theta entries near 10^20 takes
 # 9-byte fields, and 10 parallel arrows with d = (3, 4) take their width from
